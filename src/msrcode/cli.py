@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bits import bytes_to_symbols, symbols_to_bytes
-from .field import Field
+from .field import Field, NotPrimitive
 from .msr import (
     InvalidParams,
     NodeShare,
@@ -386,7 +386,6 @@ def build_parser() -> _Parser:
     enc.add_argument("--k", type=int, required=True)
     enc.add_argument("--m", type=int, required=True)
     enc.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
-    enc.add_argument("--seed", type=int, default=0, help="accepted for symmetry; encoding is deterministic")
     enc.set_defaults(func=cmd_encode)
 
     rec = sub.add_parser("reconstruct", help="rebuild the original file from shares")
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidParams, ShareFormatError, WrongLength) as exc:
+    except (InvalidParams, NotPrimitive, ShareFormatError, WrongLength) as exc:
         return _fail(str(exc))
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename}: not found")

@@ -37,7 +37,8 @@ MAX_DEGREE = 16
 
 
 class NotPrimitive(ValueError):
-    """The polynomial is reducible, or x does not generate all of GF(2^m)*."""
+    """The polynomial does not have degree m, is reducible, or x does not
+    generate all of GF(2^m)*."""
 
 
 class Field:
@@ -61,7 +62,7 @@ class Field:
         if poly is None:
             poly = DEFAULT_PRIMITIVE_POLYS[m]
         if poly >> m != 1:
-            raise ValueError(f"polynomial 0x{poly:x} does not have degree exactly {m}")
+            raise NotPrimitive(f"polynomial 0x{poly:x} does not have degree exactly {m}")
 
         order = 1 << m
         exp = [0] * (2 * (order - 1))

@@ -17,8 +17,10 @@ Two Gbar flavors are supported: "systematic" ([D | I], every row of weight
 n - alpha + 1, which minimizes update complexity) and "vandermonde" (the
 power basis (a^j)^i, every row of full weight n).  The vandermonde row
 space coincides with the root-based code only at full length
-n = 2^m - 1; for shortened codes it is a different (evaluation) MDS code,
-so root membership is only checked when it actually holds.
+n = 2^m - 1; for shortened codes it spans the evaluation code, which is the
+root-based code with its columns scaled.  GeneratorSet.col_scale holds that
+per-column scale (all ones for systematic and at full length), so decoders
+working in the root-based code multiply by it first and divide after.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ def make_params(n: int, k: int, m: int) -> MsrParams:
 class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
+    col_scale[j] multiplies column j of Gbar's row space into code_alpha.
     Treat as immutable after construction.
     """
 
@@ -142,6 +145,7 @@ class GeneratorSet:
     delta: list[int]
     g_full: list[list[int]]
     code_alpha: RsCode
+    col_scale: tuple[int, ...]
     gbar_cols: list[tuple[int, ...]] = dc_field(repr=False, default_factory=list)
 
     def __post_init__(self):
@@ -155,7 +159,12 @@ def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | 
     if field is None:
         field = Field(params.m)
     code_alpha = RsCode(params.n, params.alpha, field)
-    gbar = code_alpha.systematic_generator() if flavor == "systematic" else code_alpha.vandermonde_generator()
+    if flavor == "systematic":
+        gbar = code_alpha.systematic_generator()
+        col_scale = (1,) * params.n
+    else:
+        gbar = code_alpha.vandermonde_generator()
+        col_scale = tuple(code_alpha.evaluation_scale())
 
     q1 = field.order - 1
     delta = [field.exp[(j * params.alpha) % q1] for j in range(params.n)]
@@ -167,18 +176,18 @@ def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | 
 
     if rank(field, g_full) != params.d:
         raise AssertionError("stacked generator matrix is rank deficient")
-    # Root membership of every row in the [n, d] code holds whenever the
-    # gbar rows are themselves root-based codewords: always for systematic,
-    # only at full length for vandermonde.
-    if flavor == "systematic" or params.n == field.order - 1:
-        for row in g_full:
-            for j in range(1, params.n - params.d + 1):
-                if poly_eval(field, row, field.exp[j]) != 0:
-                    raise AssertionError("generator row does not vanish at a prescribed root")
+    # Every stacked row, column-scaled, is a codeword of the root-based
+    # [n, d] code: the scale depends only on the points a^j, not on the
+    # dimension, so it serves Gbar and the stacked matrix alike.
+    for row in g_full:
+        scaled = [field.mul(c, s) for c, s in zip(row, col_scale)]
+        for j in range(1, params.n - params.d + 1):
+            if poly_eval(field, scaled, field.exp[j]) != 0:
+                raise AssertionError("generator row does not vanish at a prescribed root")
 
     return GeneratorSet(
         params=params, field=field, flavor=flavor, gbar=gbar, delta=delta,
-        g_full=g_full, code_alpha=code_alpha,
+        g_full=g_full, code_alpha=code_alpha, col_scale=col_scale,
     )
 
 

@@ -29,6 +29,24 @@ fall back to progressive erasure trials: every size-v subset of accessed
 nodes is hypothesized as the error support and erased outright, which
 restores per-row decodability; wrong hypotheses die at the classification
 gate, the symmetry check, or the integrity check.
+
+The first round (v = 0) holds exactly k nodes, and k node columns carry
+exactly B = k * alpha symbols: there is no redundancy to locate errors
+with, so every row decodes, every column classifies as correct, and only
+the integrity check can reject.  That round therefore runs in closed form
+with one alpha x alpha inverse and no Reed-Solomon decode.  Restricted to
+the k accessed positions, Gbar's row space is a [k, alpha] code with a
+single parity check h, where Gbar_access h = 0; with G the first alpha
+accessed columns of Gbar, h = (G^-1 gbar_last, 1), and every entry of h is
+nonzero because the code is MDS.  Each pair-solved row r lies in that code,
+so its missing diagonal is p_rr = h_r^-1 * sum_{c != r} h_c p_rc, which is
+exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
+recover_z.  The result and the round trace match the general round.
+
+Rows live in Gbar's row space.  row_decode works in the root-based
+[n, alpha] code, so it scales each row by GeneratorSet.col_scale first
+(all ones except for shortened vandermonde generators) and unscales the
+decoded codeword.
 """
 
 from __future__ import annotations
@@ -40,7 +58,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
-from .linalg import gf_dot, invert, mat_mul, transpose
+from .linalg import gf_dot, invert, mat_mul, mat_vec, transpose
 from .msr import GeneratorSet, MessageMatrix, MsrParams, WrongLength, unpack_message
 from .rs import RsCode
 
@@ -218,14 +236,19 @@ def pair_solve(gen: GeneratorSet, access: AccessSet) -> PairSolve:
     )
 
 
-def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset()) -> list[RowDecode]:
+def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None) -> list[RowDecode]:
     """Decode each pair-solved row as an [n, k-1] received word.
 
     Erased positions: everything unaccessed, the row's own diagonal, and any
-    extra nodes a fallback trial wants treated as unreliable.
+    extra nodes a fallback trial wants treated as unreliable.  ``scale``
+    (GeneratorSet.col_scale) maps Gbar's row space into ``code``: each word
+    is multiplied by it before decoding and the codeword divided by it after.
     """
     n = code.n
     j = len(nodes)
+    if scale is not None and all(s == 1 for s in scale):
+        scale = None
+    mul, div = code.field.mul, code.field.div
     out = []
     for r in range(j):
         word = [0] * n
@@ -234,14 +257,18 @@ def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset()) -> list[RowDe
         for c in range(j):
             if c == r or nodes[c] in extra_erased:
                 continue
-            word[nodes[c]] = row[c]
-            known.add(nodes[c])
+            node = nodes[c]
+            word[node] = row[c] if scale is None else mul(row[c], scale[node])
+            known.add(node)
         erasures = frozenset(i for i in range(n) if i not in known)
         res = code.decode_errors_erasures(word, erasures)
         if res is None:
             out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
-        else:
-            out.append(RowDecode(decoded=True, codeword=res.codeword, corrected=res.corrected_positions))
+            continue
+        codeword = res.codeword
+        if scale is not None:
+            codeword = tuple(div(x, s) for x, s in zip(codeword, scale))
+        out.append(RowDecode(decoded=True, codeword=codeword, corrected=res.corrected_positions))
     return out
 
 
@@ -290,8 +317,8 @@ def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes) -> list[
 
     Erroneous columns (whose corrected values the clean rows carry) are
     transposed into their own failed rows, then alpha correct columns and
-    alpha rows are peeled off with matrix inverses.  A non-symmetric result
-    means some row miscorrected and the round must be rejected.
+    alpha rows are peeled off with one matrix inverse.  A non-symmetric
+    block means some row miscorrected and the round must be rejected.
     """
     field = gen.field
     alpha = gen.params.alpha
@@ -313,15 +340,52 @@ def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes) -> list[
         raise AsymmetryDetected("not enough decoded correct columns to invert")
     sel = usable[:alpha]
 
-    # P_sel = Gbar_sel^T @ Z @ Gbar_sel restricted to the chosen positions;
-    # peel the right factor off with one inverse, the left with another.
-    gbar_sel = [[gen.gbar[i][nodes[c]] for c in sel] for i in range(alpha)]
     p_sel = [[block[r][c] for c in sel] for r in sel]
-    w_sel = mat_mul(field, p_sel, invert(field, gbar_sel))  # rows of Gbar_access^T @ Z
-    z = mat_mul(field, invert(field, transpose(gbar_sel)), w_sel)
-    if z != transpose(z):
+    # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
+    if p_sel != transpose(p_sel):
         raise AsymmetryDetected("recovered block is not symmetric")
+    gbar_sel = [[gen.gbar[i][nodes[c]] for c in sel] for i in range(alpha)]
+    return _peel(field, invert(field, gbar_sel), p_sel)
+
+
+def _peel(field, g_inv, p_sel) -> list[list[int]]:
+    """Z = G^-T @ P_sel @ G^-1 from the one inverse g_inv = G^-1, undoing
+    P_sel = G^T @ Z @ G on the chosen positions.  P_sel is symmetric, so Z
+    is too: only its upper triangle is computed, then mirrored."""
+    g_cols = transpose(g_inv)
+    w_cols = transpose(mat_mul(field, p_sel, g_inv))
+    size = len(g_inv)
+    z = [[0] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r, size):
+            z[r][c] = z[c][r] = gf_dot(field, g_cols[r], w_cols[c])
     return z
+
+
+def _k_node_round(params, gen, pair: PairSolve, integrity, trace):
+    """The v = 0 round over exactly k nodes, in closed form (see the module
+    docstring); returns the same result and trace entry as _attempt_round."""
+    field = gen.field
+    alpha = params.alpha
+    nodes = pair.nodes
+    j = len(nodes)
+    g_inv = invert(field, [[gen.gbar[i][node] for node in nodes[:alpha]] for i in range(alpha)])
+    h = mat_vec(field, g_inv, gen.gbar_cols[nodes[alpha]]) + [1]
+
+    zs = []
+    for mat in (pair.p, pair.q):
+        p_sel = [list(mat[r][:alpha]) for r in range(alpha)]
+        for r in range(alpha):
+            off_diagonal = [mat[r][c] if c != r else 0 for c in range(j)]
+            p_sel[r][r] = field.div(gf_dot(field, h, off_diagonal), h[r])
+        zs.append(tuple(tuple(row) for row in _peel(field, g_inv, p_sel)))
+
+    message = unpack_message(params, MessageMatrix(z1=zs[0], z2=zs[1]))
+    if not integrity(message):
+        trace.append(RoundTrace(0, j, "integrity"))
+        return None
+    trace.append(RoundTrace(0, j, "accepted"))
+    return message, frozenset()
 
 
 def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra_erased=frozenset()):
@@ -329,12 +393,12 @@ def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra
     j = len(nodes)
     trial = tuple(sorted(extra_erased)) if extra_erased else None
 
-    p_rows = row_decode(gen.code_alpha, pair.p, nodes, extra_erased)
+    p_rows = row_decode(gen.code_alpha, pair.p, nodes, extra_erased, gen.col_scale)
     p_cls = classify_columns(pair.p, p_rows, nodes, v, params.k)
     if not p_cls.accepted(v):
         trace.append(RoundTrace(v, j, "gate", trial))
         return None
-    q_rows = row_decode(gen.code_alpha, pair.q, nodes, extra_erased)
+    q_rows = row_decode(gen.code_alpha, pair.q, nodes, extra_erased, gen.col_scale)
     q_cls = classify_columns(pair.q, q_rows, nodes, v, params.k)
     if not q_cls.accepted(v) or q_cls.erroneous != p_cls.erroneous:
         trace.append(RoundTrace(v, j, "agreement", trial))
@@ -415,7 +479,10 @@ def reconstruct_progressive(
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
         pair = pair_solve(gen, access)
-        result = _attempt_round(params, gen, pair, v, integrity, trace)
+        if v == 0:  # always exactly k nodes
+            result = _k_node_round(params, gen, pair, integrity, trace)
+        else:
+            result = _attempt_round(params, gen, pair, v, integrity, trace)
         if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= trial_budget:
             for combo in itertools.combinations(range(j), v):
                 extra = frozenset(pair.nodes[c] for c in combo)

@@ -163,6 +163,25 @@ class RsCode:
         q1 = self.field.order - 1
         return [[exp[(i * j) % q1] for j in range(self.n)] for i in range(self.kappa)]
 
+    def evaluation_scale(self) -> list[int]:
+        """Column multipliers s_j = 1 / (x_j * prod_{i != j} (x_j - x_i)),
+        x_j = a^j, that carry the evaluation code into this root-based code.
+
+        The root-based code is the generalized RS code on the points x_j
+        with these column multipliers, so scaling any power-basis row by s
+        gives a codeword, for every kappa.  At full length s is all ones.
+        """
+        field = self.field
+        xs = [field.exp[j] for j in range(self.n)]
+        scale = []
+        for j, xj in enumerate(xs):
+            den = xj
+            for i, xi in enumerate(xs):
+                if i != j:
+                    den = field.mul(den, xj ^ xi)
+            scale.append(field.inv(den))
+        return scale
+
     def encode(self, message: list[int], generator: list[list[int]]) -> list[int]:
         if len(message) != self.kappa:
             raise ValueError(f"message length {len(message)} != kappa {self.kappa}")

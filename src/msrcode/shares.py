@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .msr import MsrParams, make_params
+from .msr import FLAVORS, MsrParams, make_params
 
 __all__ = ["ShareFile", "Manifest", "read_share", "write_share", "share_filename", "MAGIC", "FORMAT_VERSION"]
 
@@ -129,12 +129,37 @@ class Manifest:
         for entry in self.shares:
             if entry["node"] == label:
                 return entry["file"]
-        raise KeyError(f"manifest has no share for node {label}")
+        raise ShareFormatError(f"manifest has no share for node {label}")
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        raw = json.loads(Path(path).read_text())
+        """Parse and shape-check a manifest; any malformation raises
+        ShareFormatError."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ShareFormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ShareFormatError(f"{path}: manifest must be a JSON object")
+        spec = {f.name: f for f in fields(cls)}
+        missing = sorted(name for name, f in spec.items() if f.default is MISSING and name not in raw)
+        unknown = sorted(raw.keys() - spec.keys())
+        if missing or unknown:
+            raise ShareFormatError(f"{path}: manifest keys missing {missing}, unknown {unknown}")
+        for name, value in raw.items():
+            kind = _MANIFEST_TYPES[spec[name].type]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ShareFormatError(f"{path}: manifest {name} must be of type {kind.__name__}")
+        if raw["flavor"] not in FLAVORS:
+            raise ShareFormatError(f"{path}: manifest flavor must be one of {FLAVORS}")
+        for entry in raw["shares"]:
+            if not (isinstance(entry, dict) and isinstance(entry.get("node"), int) and isinstance(entry.get("file"), str)):
+                raise ShareFormatError(f"{path}: manifest share entries need an int node and a str file")
         return cls(**raw)
+
+
+# Manifest field annotations (strings under postponed evaluation) -> JSON type
+_MANIFEST_TYPES = {"int": int, "str": str, "list[dict]": list}

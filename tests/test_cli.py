@@ -79,11 +79,22 @@ def test_roundtrip_empty_file(tmp_path):
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 def test_roundtrip_with_corruption_7_4_6(tmp_path, flavor):
-    # n = 7 = 2^3 - 1 is full length, so both flavors reconstruct
+    # n = 7 = 2^3 - 1 is full length
     data = b"The progressive decoder touches extra nodes only when needed."
     src, out = encode_dir(tmp_path, data, flavor=flavor)
     dst = tmp_path / "restored.bin"
     rc = main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "2,5", "--seed", "7"])
+    assert rc == 0
+    assert dst.read_bytes() == data
+
+
+def test_roundtrip_with_corruption_shortened_vandermonde_20_10(tmp_path):
+    # n = 20 < 2^5 - 1 is shortened, where the power basis spans the
+    # evaluation code rather than the root-based one
+    data = bytes(random.Random(3).randrange(256) for _ in range(300))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5, flavor="vandermonde")
+    dst = tmp_path / "restored.bin"
+    rc = main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "4,13", "--seed", "5"])
     assert rc == 0
     assert dst.read_bytes() == data
 
@@ -295,6 +306,56 @@ def test_simulate_gnuplot_emission(tmp_path):
     ])
     assert rc == 0
     assert "plot" in gp.read_text()
+
+
+# ---------------------------------------------------------------------------
+# malformed manifests
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return json.dumps(doc)
+
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: json.dumps(doc)[:-3], id="invalid-json"),
+        pytest.param(lambda doc: json.dumps([doc]), id="not-an-object"),
+        pytest.param(_drop("stripe_count"), id="missing-key"),
+        pytest.param(_set("owner", "alice"), id="unknown-key"),
+        pytest.param(_set("n", "20"), id="wrong-type"),
+        pytest.param(_set("flavor", "cauchy"), id="unknown-flavor"),
+        pytest.param(_set("shares", [{"node": 1}]), id="bad-share-entry"),
+        pytest.param(_set("primitive_poly", 0b100001), id="not-primitive"),
+        pytest.param(_set("primitive_poly", 0b1011), id="wrong-degree-poly"),
+    ],
+)
+def test_malformed_manifest_exits_1(tmp_path, capsys, edit):
+    src, out = encode_dir(tmp_path, b"manifest check", n=20, k=10, m=5)
+    path = out / "manifest.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main(["reconstruct", str(out), str(tmp_path / "restored.bin")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_encode_has_no_seed_flag(tmp_path):
+    src = tmp_path / "data.bin"
+    src.write_bytes(b"x")
+    argv = ["encode", str(src), str(tmp_path / "shares"), "--n", "7", "--k", "4", "--m", "3"]
+    assert main(argv + ["--seed", "1"]) == 1
 
 
 def test_usage_error_exit_1():

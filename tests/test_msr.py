@@ -118,6 +118,25 @@ def test_stacked_rows_vanish_vandermonde_full_length(n, k, m):
             assert poly_eval(g.field, row, g.field.exp[j]) == 0
 
 
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8), (20, 9, 5)])
+def test_scaled_vandermonde_rows_vanish_when_shortened(n, k, m):
+    # shortened power-basis rows span the evaluation code; scaled column-wise
+    # by col_scale they become root-based codewords of both codes
+    p = make_params(n, k, m)
+    g = generator_set(p, "vandermonde")
+    assert g.col_scale != (1,) * n
+    for row in g.gbar:
+        scaled = [g.field.mul(c, s) for c, s in zip(row, g.col_scale)]
+        assert g.code_alpha.is_codeword(scaled)
+        assert not g.code_alpha.is_codeword(row)
+
+
+@pytest.mark.parametrize("n,k,m,flavor", [(20, 10, 5, "systematic"), (7, 4, 3, "vandermonde"), (15, 8, 4, "vandermonde")])
+def test_col_scale_is_identity_for_systematic_and_full_length(n, k, m, flavor):
+    g = generator_set(make_params(n, k, m), flavor)
+    assert g.col_scale == (1,) * n
+
+
 def test_systematic_g_full_row_weights_20_10():
     p = make_params(20, 10, 5)
     g = generator_set(p, "systematic")

@@ -4,10 +4,15 @@ and end-to-end fault injection."""
 import itertools
 import random
 
+import pytest
+
+from msrcode import reconstruct
 from msrcode.linalg import gf_dot, mat_mul
 from msrcode.msr import encode_all, generator_set, make_params, pack_message
 from msrcode.reconstruct import (
     AccessSet,
+    _attempt_round,
+    _k_node_round,
     attach_crc,
     check_crc,
     classify_columns,
@@ -422,3 +427,77 @@ def test_progressive_deterministic_given_seed():
     assert a[1].recovered_message == b[1].recovered_message
     assert a[1].accessed_nodes == b[1].accessed_nodes
     assert a[1].trace == b[1].trace
+
+
+def test_progressive_shortened_vandermonde_20_10():
+    """A shortened (n < 2^m - 1) vandermonde code reconstructs like the
+    systematic one, through v = 0 and through error-locating rounds."""
+    gen = generator_set(P20, "vandermonde")
+    rng = random.Random(19)
+    for v_true in (0, 1, 2, 5):
+        for _ in range(3):
+            bad = frozenset(rng.sample(range(20), v_true))
+            message, report = run_injected(P20, gen, bad, rng.randrange(2**30))
+            assert report.success, bad
+            assert report.recovered_message == message
+            assert report.erroneous_nodes == bad & set(report.accessed_nodes)
+
+
+# ---------------------------------------------------------------------------
+# closed-form k-node round against the general v = 0 round
+
+
+@pytest.mark.parametrize(
+    "n,k,m,flavor",
+    [
+        (20, 10, 5, "systematic"),
+        (15, 5, 4, "systematic"),
+        (24, 12, 8, "systematic"),
+        (7, 4, 3, "vandermonde"),
+        (20, 10, 5, "vandermonde"),
+        (24, 12, 8, "vandermonde"),
+    ],
+)
+def test_k_node_round_matches_general_round(n, k, m, flavor):
+    """Same message (or rejection) and same trace as _attempt_round at v = 0,
+    on garbage columns and on encodings with 0 to 2 corrupt nodes."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    crc = make_integrity_checker(params)
+    rng = random.Random(n * 1000 + k * 10 + m)
+    for trial in range(30):
+        nodes = tuple(rng.sample(range(n), k))
+        bad = []
+        if trial % 2:
+            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+        else:
+            message, shares = fresh_case(params, gen, rng)
+            cols = [shares[i].symbols for i in nodes]
+            bad = rng.sample(range(k), rng.randrange(3))
+            for b in bad:
+                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+        for integrity in (crc, lambda candidate: True):
+            general_trace, closed_trace = [], []
+            expected = _attempt_round(params, gen, pair, 0, integrity, general_trace)
+            assert _k_node_round(params, gen, pair, integrity, closed_trace) == expected
+            assert closed_trace == general_trace
+        if trial % 2 == 0 and not bad:
+            assert expected == (message, frozenset())
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
+    """For a fixed rng, reconstruct_progressive reports the same whether the
+    v = 0 round runs in closed form or through the general round."""
+    gen = generator_set(P20, flavor)
+    rng = random.Random(20)
+    runs = [(frozenset(rng.sample(range(20), v)), rng.randrange(2**30)) for v in (0, 0, 1, 3, 6)]
+    closed = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
+    monkeypatch.setattr(
+        reconstruct,
+        "_k_node_round",
+        lambda params, gen, pair, integrity, trace: _attempt_round(params, gen, pair, 0, integrity, trace),
+    )
+    general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
+    assert closed == general
