@@ -10,6 +10,7 @@ parameter error, 2 reconstruction failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -39,13 +40,11 @@ from .reconstruct import (
 )
 from .shares import (
     CRC_SCHEME,
-    HEADER_SIZE,
     Manifest,
+    ShareDir,
     ShareFile,
     ShareFormatError,
-    read_share,
     share_filename,
-    symbol_width,
     write_share,
 )
 from .sim import SimConfig, corrupt_symbols, run_sweep, write_csv, write_gnuplot_script
@@ -74,26 +73,6 @@ def _build_context(manifest: Manifest):
     field = Field(params.m, manifest.primitive_poly)
     gen = generator_set(params, manifest.flavor, field)
     return params, gen
-
-
-def _load_manifest(share_dir: str, manifest_arg: str | None) -> Manifest:
-    path = Path(manifest_arg) if manifest_arg else Path(share_dir) / "manifest.json"
-    return Manifest.load(path)
-
-
-def _available_shares(share_dir: str, manifest: Manifest) -> dict[int, ShareFile]:
-    out = {}
-    for node in range(manifest.n):
-        path = Path(share_dir) / manifest.file_for_node(node)
-        if not path.exists():
-            continue
-        share = read_share(path)
-        if (share.n, share.k, share.m) != (manifest.n, manifest.k, manifest.m):
-            raise ShareFormatError(f"{path}: header disagrees with manifest")
-        if share.node_index != node or share.stripe_count != manifest.stripe_count:
-            raise ShareFormatError(f"{path}: node index or stripe count disagrees with manifest")
-        out[node] = share
-    return out
 
 
 def _parse_node_list(raw: str | None, n: int) -> frozenset[int]:
@@ -164,9 +143,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    manifest = _load_manifest(args.share_dir, args.manifest)
+    shares = ShareDir(args.share_dir, args.manifest)
+    manifest = shares.manifest
     params, gen = _build_context(manifest)
-    available = _available_shares(args.share_dir, manifest)
     try:
         corrupt = _parse_node_list(args.corrupt_nodes, params.n)
     except ValueError as exc:
@@ -178,11 +157,8 @@ def cmd_reconstruct(args) -> int:
     for s in range(manifest.stripe_count):
 
         def source(node, _stripe=s):
-            share = available.get(node)
-            if share is None:
-                return None
-            column = share.stripes[_stripe]
-            if node in corrupt:
+            column = shares.column(node, _stripe)
+            if column is not None and node in corrupt:
                 hook_rng = random.Random(f"{args.seed}:corrupt:{_stripe}:{node}")
                 return corrupt_symbols(hook_rng, gen.field, column)
             return column
@@ -205,27 +181,27 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    manifest = _load_manifest(args.share_dir, args.manifest)
+    shares = ShareDir(args.share_dir, args.manifest)
+    manifest = shares.manifest
     params, gen = _build_context(manifest)
     if not 1 <= args.failed <= params.n:
         return _fail(f"node label {args.failed} outside 1..{params.n}")
     failed = args.failed - 1
-    available = _available_shares(args.share_dir, manifest)
-    available.pop(failed, None)
-    helper_nodes = sorted(available)[: params.d]
+    readable = (h for h in range(params.n) if h != failed and shares.column(h, 0) is not None)
+    helper_nodes = list(itertools.islice(readable, params.d))
     if len(helper_nodes) < params.d:
         return _fail(
-            f"NotEnoughHelpers: need d={params.d} helper shares, found {len(available)}"
+            f"NotEnoughHelpers: need d={params.d} helper shares, found {len(helper_nodes)}"
         )
 
     stripes = []
     for s in range(manifest.stripe_count):
         helpers = [
-            (h, helper_symbol(gen, NodeShare(h, available[h].stripes[s]), failed))
+            (h, helper_symbol(gen, NodeShare(h, shares.column(h, s)), failed))
             for h in helper_nodes
         ]
         stripes.append(regenerate(params, gen, failed, helpers).symbols)
-    path = Path(args.share_dir) / manifest.file_for_node(failed)
+    path = shares.file(failed)
     write_share(path, ShareFile(params.n, params.k, params.m, failed, stripes))
     total = params.d * manifest.stripe_count
     print(
@@ -239,7 +215,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_update(args) -> int:
-    manifest = _load_manifest(args.share_dir, args.manifest)
+    shares = ShareDir(args.share_dir, args.manifest)
+    manifest = shares.manifest
     params, gen = _build_context(manifest)
     payload_len = manifest.payload_symbols_per_stripe
     if not 0 <= args.stripe < manifest.stripe_count:
@@ -248,14 +225,10 @@ def cmd_update(args) -> int:
         return _fail(f"BadIndex: payload symbol {args.symbol} outside 0..{payload_len - 1}")
     if not 0 <= args.value < gen.field.order:
         return _fail(f"value {args.value} outside GF(2^{params.m})")
-    available = _available_shares(args.share_dir, manifest)
-
-    def source(node, _stripe=args.stripe):
-        share = available.get(node)
-        return share.stripes[_stripe] if share else None
-
     rng = random.Random(f"update:{args.stripe}")
-    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    report = reconstruct_progressive(
+        params, gen, lambda node: shares.column(node, args.stripe), make_integrity_checker(params), rng
+    )
     if not report.success:
         print(f"stripe {args.stripe}: cannot read back current content ({report.failure_reason})")
         return EXIT_DECODE_FAIL
@@ -272,28 +245,23 @@ def cmd_update(args) -> int:
     old_shares = encode_all(params, gen, old_packed)
     new_shares = encode_all(params, gen, pack_message(params, new_message))
 
-    width = symbol_width(params.m)
-    changed_nodes = set()
-    rewritten = 0
+    # check every affected node before writing any, so an abort leaves
+    # the directory as it was
+    changes = {}
     for node in range(params.n):
-        if new_shares[node].symbols == old_shares[node].symbols:
+        old, new = old_shares[node].symbols, new_shares[node].symbols
+        if new == old:
             continue
-        share = available.get(node)
-        if share is None:
-            return _fail(f"share file for affected node {node + 1} is missing")
-        if share.stripes[args.stripe] != old_shares[node].symbols:
+        column = shares.column(node, args.stripe)
+        if column is None:
+            return _fail(f"share file for affected node {node + 1} is missing or unreadable")
+        if column != old:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
-        path = Path(args.share_dir) / manifest.file_for_node(node)
-        with open(path, "r+b") as fp:
-            for row in range(params.alpha):
-                new_sym = new_shares[node].symbols[row]
-                if new_sym == old_shares[node].symbols[row]:
-                    continue
-                fp.seek(HEADER_SIZE + (args.stripe * params.alpha + row) * width)
-                fp.write(int(new_sym).to_bytes(width, "little"))
-                rewritten += 1
-        changed_nodes.add(node)
+        changes[node] = [(row, new[row]) for row in range(params.alpha) if new[row] != old[row]]
+    for node, rows in changes.items():
+        shares.patch(node, args.stripe, rows)
+    rewritten = sum(len(rows) for rows in changes.values())
 
     payload_nodes = sorted({node + 1 for node, _, _ in payload_patch})
     print(
@@ -302,7 +270,7 @@ def cmd_update(args) -> int:
     )
     print(
         f"with integrity trailer refresh: rewrote {rewritten} symbol(s) across "
-        f"{len(changed_nodes)} node file(s)"
+        f"{len(changes)} node file(s)"
     )
     return EXIT_OK
 
@@ -367,7 +335,7 @@ def cmd_params(args) -> int:
     van_w = update_complexity(generator_set(params, "vandermonde"))
     print(f"alpha={params.alpha} d={params.d} B={params.B} beta={params.beta}")
     print(f"error capability (corrupted nodes tolerated): {params.error_capability}")
-    print(f"update complexity: systematic={sys_w}, vandermonde={van_w}")
+    print(f"update complexity per generator row: systematic={sys_w}, vandermonde={van_w}")
     print(f"repair bandwidth: d*beta={params.d} symbols/stripe vs B={params.B} naive")
     return EXIT_OK
 

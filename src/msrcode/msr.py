@@ -322,8 +322,12 @@ def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> No
 
 
 def update_complexity(gen: GeneratorSet) -> int:
-    """Encoded symbols touched in the worst case by a one-symbol update:
-    the maximum Hamming weight over rows of the stacked generator."""
+    """The maximum Hamming weight over rows of the stacked generator.
+
+    This is what a diagonal message symbol of Z touches.  An off-diagonal
+    symbol appears twice in Z, so its update touches two generator rows'
+    supports: twice as many encoded symbols, on the union of their nodes.
+    """
     return max(sum(1 for c in row if c) for row in gen.g_full)
 
 

@@ -85,6 +85,9 @@ __all__ = [
 FAIL_RAN_OUT_OF_NODES = "RanOutOfNodes"
 FAIL_INTEGRITY_AT_MAX = "IntegrityFailedAtMax"
 
+# most size-v erasure supports a supply-capped round may enumerate
+TRIAL_BUDGET = 200_000
+
 
 class AsymmetryDetected(RuntimeError):
     """Recovered message block is not symmetric; the round miscorrected."""
@@ -427,7 +430,6 @@ def reconstruct_progressive(
     source,
     integrity,
     rng: random.Random | None = None,
-    trial_budget: int = 200_000,
 ) -> DecodeReport:
     """Run the progressive reconstruction loop against a share source.
 
@@ -435,7 +437,7 @@ def reconstruct_progressive(
     is unreachable; no node is ever requested twice.  integrity(message)
     accepts or rejects a candidate B-symbol message.  All node choices come
     from ``rng``, so a seeded generator makes the whole run deterministic.
-    trial_budget caps the subset enumeration of the erasure-trial fallback
+    TRIAL_BUDGET caps the subset enumeration of the erasure-trial fallback
     on supply-capped rounds.
     """
     if rng is None:
@@ -483,7 +485,7 @@ def reconstruct_progressive(
             result = _k_node_round(params, gen, pair, integrity, trace)
         else:
             result = _attempt_round(params, gen, pair, v, integrity, trace)
-        if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= trial_budget:
+        if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
             for combo in itertools.combinations(range(j), v):
                 extra = frozenset(pair.nodes[c] for c in combo)
                 result = _attempt_round(params, gen, pair, v, integrity, trace, extra_erased=extra)

@@ -17,6 +17,9 @@ The manifest is a JSON document tying the share files together: code
 parameters, generator flavor, the primitive polynomial, the original file
 length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
+
+ShareDir is how the command-line tool reads and patches a share directory,
+so the layout above is known to this module alone.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .msr import FLAVORS, MsrParams, make_params
+from .msr import FLAVORS, InvalidParams, MsrParams, make_params
 
-__all__ = ["ShareFile", "Manifest", "read_share", "write_share", "share_filename", "MAGIC", "FORMAT_VERSION"]
+__all__ = ["ShareFile", "Manifest", "ShareDir", "read_share", "write_share", "share_filename", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 1
@@ -158,8 +161,59 @@ class Manifest:
         for entry in raw["shares"]:
             if not (isinstance(entry, dict) and isinstance(entry.get("node"), int) and isinstance(entry.get("file"), str)):
                 raise ShareFormatError(f"{path}: manifest share entries need an int node and a str file")
+        if raw["stripe_count"] < 1:
+            raise ShareFormatError(f"{path}: manifest stripe_count must be at least 1")
+        if sorted(entry["node"] for entry in raw["shares"]) != list(range(1, raw["n"] + 1)):
+            raise ShareFormatError(f"{path}: manifest must name one share file per node 1..{raw['n']}")
         return cls(**raw)
 
 
 # Manifest field annotations (strings under postponed evaluation) -> JSON type
 _MANIFEST_TYPES = {"int": int, "str": str, "list[dict]": list}
+
+
+class ShareDir:
+    """A share directory read lazily, node by node.
+
+    A node's file is parsed on the first request for one of its columns and
+    cached.  A file that is missing, unreadable, malformed or whose header
+    disagrees with the manifest makes the node an erasure (None), so one bad
+    file costs one node, not the run.
+    """
+
+    def __init__(self, share_dir, manifest_path=None):
+        self.root = Path(share_dir)
+        self.manifest = Manifest.load(Path(manifest_path) if manifest_path else self.root / "manifest.json")
+        self._shares: dict[int, ShareFile | None] = {}
+
+    def file(self, node: int) -> Path:
+        return self.root / self.manifest.file_for_node(node)
+
+    def column(self, node: int, stripe: int) -> tuple[int, ...] | None:
+        """The node's alpha symbols of one stripe, or None for an erasure."""
+        if node not in self._shares:
+            self._shares[node] = self._load(node)
+        share = self._shares[node]
+        return None if share is None else share.stripes[stripe]
+
+    def _load(self, node: int) -> ShareFile | None:
+        path = self.file(node)
+        try:
+            share = read_share(path)
+        except (OSError, ShareFormatError, InvalidParams):
+            return None
+        m = self.manifest
+        if (share.n, share.k, share.m, share.node_index, share.stripe_count) != (m.n, m.k, m.m, node, m.stripe_count):
+            return None
+        return share
+
+    def patch(self, node: int, stripe: int, changes) -> None:
+        """Overwrite symbols of one stripe in place; changes are
+        (row, value) pairs, and only those symbols are written."""
+        width = symbol_width(self.manifest.m)
+        alpha = self.manifest.params().alpha
+        with open(self.file(node), "r+b") as fp:
+            for row, value in changes:
+                fp.seek(HEADER_SIZE + (stripe * alpha + row) * width)
+                fp.write(int(value).to_bytes(width, "little"))
+        self._shares.pop(node, None)

@@ -42,7 +42,6 @@ class SimConfig:
     p_grid: list[float] = dc_field(default_factory=lambda: [i / 20 for i in range(11)])
     trials: int = 1000
     seed: int = 0
-    baseline_model: bool = True
     corruption: str = "column"
     flavor: str = "systematic"
 
@@ -143,7 +142,7 @@ def run_sweep(config: SimConfig, gen: GeneratorSet | None = None) -> list[SimPoi
             result = run_trial(params, gen, p, rng, config.corruption)
             if not result.success:
                 failures += 1
-            if config.baseline_model and not baseline_success_model(params, result.num_bad):
+            if not baseline_success_model(params, result.num_bad):
                 baseline_failures += 1
             nodes_total += result.nodes_accessed
         points.append(
@@ -167,7 +166,7 @@ def write_csv(points: list[SimPoint], fp) -> None:
         )
 
 
-def write_gnuplot_script(fp, csv_name: str, title: str = "Reconstruction failure rate") -> None:
+def write_gnuplot_script(fp, csv_name: str) -> None:
     """Convenience: a gnuplot script plotting both failure-rate curves."""
     fp.write(
         "set datafile separator ','\n"
@@ -175,7 +174,7 @@ def write_gnuplot_script(fp, csv_name: str, title: str = "Reconstruction failure
         "set logscale y\n"
         "set xlabel 'node corruption probability'\n"
         "set ylabel 'reconstruction failure rate'\n"
-        f"set title '{title}'\n"
+        "set title 'Reconstruction failure rate'\n"
         f"plot '{csv_name}' every ::1 using 1:2 with linespoints title 'progressive decoder', \\\n"
         f"     '{csv_name}' every ::1 using 1:3 with linespoints title 'prior decoder model'\n"
     )

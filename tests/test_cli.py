@@ -8,7 +8,7 @@ import pytest
 
 from msrcode.bits import bytes_to_symbols, symbols_to_bytes
 from msrcode.cli import main
-from msrcode.shares import HEADER_SIZE, Manifest, read_share
+from msrcode.shares import HEADER_SIZE, Manifest, ShareFile, read_share, write_share
 
 
 def sha(path):
@@ -361,3 +361,158 @@ def test_encode_has_no_seed_flag(tmp_path):
 def test_usage_error_exit_1():
     assert main(["encode"]) == 1
     assert main(["params", "--n", "6", "--k", "4", "--m", "3"]) == 1  # DTooLarge
+
+
+# ---------------------------------------------------------------------------
+# bad share files are erasures
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _truncate_to(size):
+    def damage(path, out, manifest):
+        path.write_bytes(path.read_bytes()[:size])
+
+    return damage
+
+
+def _truncate_mid_payload(path, out, manifest):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: HEADER_SIZE + (len(blob) - HEADER_SIZE) // 2])
+
+
+def _bad_magic(path, out, manifest):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+def _other_node(path, out, manifest):
+    # a well-formed share, but node 6's
+    path.write_bytes((out / manifest.file_for_node(5)).read_bytes())
+
+
+def _wrong_stripe_count(path, out, manifest):
+    # well-formed and self-consistent, one stripe short of the manifest
+    share = read_share(path)
+    write_share(path, ShareFile(share.n, share.k, share.m, share.node_index, share.stripes[:-1]))
+
+
+def _symbol_out_of_field(path, out, manifest):
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + 3] = 0xFF  # >= 2^5
+    path.write_bytes(bytes(blob))
+
+
+def _directory(path, out, manifest):
+    path.unlink()
+    path.mkdir()
+
+
+BAD_SHARES = [
+    pytest.param(_truncate_to(30), id="truncated-to-30-bytes"),
+    pytest.param(_truncate_mid_payload, id="truncated-mid-payload"),
+    pytest.param(_bad_magic, id="bad-magic"),
+    pytest.param(_other_node, id="other-node-index"),
+    pytest.param(_wrong_stripe_count, id="wrong-stripe-count"),
+    pytest.param(_symbol_out_of_field, id="symbol-out-of-field"),
+    pytest.param(_directory, id="directory"),
+]
+
+
+@pytest.mark.parametrize("damage", BAD_SHARES)
+def test_bad_share_is_an_erasure(tmp_path, damage):
+    data = bytes(random.Random(6).randrange(256) for _ in range(1000))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    manifest = Manifest.load(out / "manifest.json")
+    damage(out / manifest.file_for_node(4), out, manifest)
+
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "3"]) == 0
+    assert dst.read_bytes() == data
+
+    # repair of node 3 needs all 18 remaining nodes, so it must skip node 5
+    target = out / manifest.file_for_node(2)
+    before = sha(target)
+    target.unlink()
+    assert main(["repair", str(out), "--failed", "3"]) == 0
+    assert sha(target) == before
+
+
+def _lie(path, rng):
+    blob = bytearray(path.read_bytes())
+    for pos in range(HEADER_SIZE, len(blob)):
+        blob[pos] ^= rng.randrange(1, 32)
+    path.write_bytes(bytes(blob))
+
+
+def test_lying_shares_beyond_capability_exit_2(tmp_path):
+    # capability + 1 = 6 well-formed shares whose every symbol is wrong
+    data = bytes(random.Random(7).randrange(256) for _ in range(600))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    manifest = Manifest.load(out / "manifest.json")
+    rng = random.Random(8)
+    for node in (0, 3, 7, 11, 15, 19):
+        _lie(out / manifest.file_for_node(node), rng)
+    assert main(["reconstruct", str(out), str(tmp_path / "restored.bin"), "--seed", "1"]) == 2
+
+
+def test_unreadable_shares_beyond_erasure_capability_exit_2(tmp_path):
+    # n - k + 1 = 11 unreadable shares leave k - 1 nodes
+    data = bytes(random.Random(7).randrange(256) for _ in range(600))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    manifest = Manifest.load(out / "manifest.json")
+    for index, node in enumerate(range(7, 18)):
+        damage = BAD_SHARES[index % len(BAD_SHARES)].values[0]
+        damage(out / manifest.file_for_node(node), out, manifest)
+    assert main(["reconstruct", str(out), str(tmp_path / "restored.bin")]) == 2
+    assert main(["update", str(out), "--stripe", "0", "--symbol", "0", "--value", "1"]) == 2
+    assert main(["repair", str(out), "--failed", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair", "update"])
+def test_manifest_without_node_entry_exits_1(tmp_path, capsys, command):
+    src, out = encode_dir(tmp_path, b"every node needs a file", n=20, k=10, m=5)
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["shares"] = [entry for entry in doc["shares"] if entry["node"] != 7]
+    path.write_text(json.dumps(doc))
+    argv = {
+        "reconstruct": ["reconstruct", str(out), str(tmp_path / "restored.bin")],
+        "repair": ["repair", str(out), "--failed", "1"],
+        "update": ["update", str(out), "--stripe", "0", "--symbol", "0", "--value", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# update validates every affected node before it writes any
+
+
+def test_update_with_missing_affected_node_writes_nothing(tmp_path):
+    data = bytes(random.Random(4).randrange(256) for _ in range(600))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    (out / "share_020.msrc").unlink()
+    before = _snapshot(out)
+    assert main(["update", str(out), "--stripe", "0", "--symbol", "12", "--value", "17"]) == 1
+    assert _snapshot(out) == before
+
+
+def test_update_with_disagreeing_affected_node_writes_nothing(tmp_path):
+    data = bytes(random.Random(4).randrange(256) for _ in range(600))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    manifest = Manifest.load(out / "manifest.json")
+    path = out / "share_013.msrc"
+    blob = bytearray(path.read_bytes())
+    for row in range(manifest.k - 1):  # stripe 0, in-range symbols
+        blob[HEADER_SIZE + row] ^= 1 + row
+    path.write_bytes(bytes(blob))
+    before = _snapshot(out)
+    assert main(["update", str(out), "--stripe", "0", "--symbol", "12", "--value", "17"]) == 2
+    assert _snapshot(out) == before
+    # the stripe still reads back with its one lying node
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "1"]) == 0
+    assert dst.read_bytes() == data
