@@ -30,6 +30,23 @@ nodes is hypothesized as the error support and erased outright, which
 restores per-row decodability; wrong hypotheses die at the classification
 gate, the symmetry check, or the integrity check.
 
+The trials run in order of a syndrome score, so the true support usually
+comes first.  Row r of P, erased at X_r (the unaccessed nodes and its own
+diagonal), has Forney syndromes U_r = S(w_r) * Gamma_X_r mod z^(n - alpha),
+whose coefficients from |X_r| on vanish exactly when every error of the row
+lies in X_r.  Since Gamma_(X_r + E) = Gamma_X_r * Gamma_E, a support E
+explains row r when (U_r * Gamma_E)_t = 0 for t in [|X_r| + v, n - alpha),
+and E scores the rows outside it that it explains.  Under the true support
+every clean row passes; under a wrong one a lying column stays unerased and
+each clean row passes only by chance, about 2^-m per check.  Ranking only
+reorders the same candidates under the same gates, so the outcome is the
+one the plain enumeration reaches unless a wrong support passes every gate
+and the integrity check.  A round with no check to make (j - k - v <= 0:
+erasing v columns leaves at most k, with no redundancy) keeps enumeration
+order and pays nothing for the score.  Counts of mismatching columns in the
+failed round are no guide: with the round sitting at the distance bound,
+few rows decode at all.
+
 The first round (v = 0) holds exactly k nodes, and k node columns carry
 exactly B = k * alpha symbols: there is no redundancy to locate errors
 with, so every row decodes, every column classifies as correct, and only
@@ -424,6 +441,58 @@ def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra
     return message, frozenset(nodes[c] for c in p_cls.erroneous)
 
 
+def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, k: int) -> list[tuple[int, ...]]:
+    """Every size-v erasure support (positions into the access order) in
+    descending syndrome score, ties in enumeration order; the score is
+    defined in the module docstring."""
+    nodes = pair.nodes
+    j = len(nodes)
+    supports = list(itertools.combinations(range(j), v))
+    if j - k - v <= 0:
+        return supports
+    code = gen.code_alpha
+    field, scale = code.field, gen.col_scale
+    unaccessed = [i for i in range(code.n) if i not in nodes]
+    head = code.n - j + 1  # |X_r|
+    # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1
+    hankels = []
+    for r, row in enumerate(pair.p):
+        word = [0] * code.n
+        for c, node in enumerate(nodes):
+            if c != r:
+                word[node] = field.mul(row[c], scale[node])
+        u = code.forney_syndromes(code.syndromes(word), code.locator(unaccessed + [nodes[r]]))
+        hankels.append([u[t - v + 1 : t + 1][::-1] for t in range(head + v - 1, len(u))])
+
+    # E = P + (c,) with P a size-(v-1) prefix.  With a = U_r * Gamma_P,
+    # (U_r * Gamma_E)_t = a_t + X_c a_(t-1), so row r passes E exactly when
+    # a is geometric with ratio X_c = alpha^nodes[c] from |X_r| + v - 1 on:
+    # one ratio names the only passing c, and an all-zero a passes every c.
+    # That costs one product per prefix and row instead of one per support.
+    position = {node: c for c, node in enumerate(nodes)}
+    score = dict.fromkeys(supports, 0)
+    for prefix in itertools.combinations(range(j - 1), v - 1):
+        gamma = code.locator([nodes[c] for c in prefix])
+        first = prefix[-1] + 1 if prefix else 0
+        for r, hankel in enumerate(hankels):
+            if r in prefix:
+                continue
+            a = mat_vec(field, hankel[:2], gamma)  # the rest only if needed
+            if a[0]:
+                ratio = field.div(a[1], a[0])
+                c = position.get(field.log[ratio]) if ratio else None
+                if c is None or c < first or c == r:
+                    continue
+                a += mat_vec(field, hankel[2:], gamma)
+                if all(field.mul(ratio, x) == y for x, y in zip(a[1:], a[2:])):
+                    score[prefix + (c,)] += 1
+            elif not any(a + mat_vec(field, hankel[2:], gamma)):
+                for c in range(first, j):
+                    if c != r:
+                        score[prefix + (c,)] += 1
+    return sorted(supports, key=lambda support: -score[support])
+
+
 def reconstruct_progressive(
     params: MsrParams,
     gen: GeneratorSet,
@@ -486,7 +555,7 @@ def reconstruct_progressive(
         else:
             result = _attempt_round(params, gen, pair, v, integrity, trace)
         if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
-            for combo in itertools.combinations(range(j), v):
+            for combo in _trial_order(gen, pair, v, k):
                 extra = frozenset(pair.nodes[c] for c in combo)
                 result = _attempt_round(params, gen, pair, v, integrity, trace, extra_erased=extra)
                 if result is not None:

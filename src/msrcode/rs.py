@@ -53,20 +53,6 @@ def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def _poly_mul_mod_z(field: Field, f: list[int], g: list[int], limit: int) -> list[int]:
-    """f * g with every coefficient of degree >= limit dropped."""
-    out = [0] * limit
-    exp, log = field.exp, field.log
-    for i, a in enumerate(f[:limit]):
-        if a == 0:
-            continue
-        la = log[a]
-        for j, b in enumerate(g[: limit - i]):
-            if b:
-                out[i + j] ^= exp[la + log[b]]
-    return out
-
-
 def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
     """Remainder of f divided by g (g must be nonzero)."""
     g = poly_trim(g)
@@ -201,8 +187,8 @@ class RsCode:
         exp = self.field.exp
         return [poly_eval(self.field, word, exp[j]) for j in range(1, self.n - self.kappa + 1)]
 
-    def _locator(self, positions) -> list[int]:
-        """prod over positions i of (1 - a^i z), convolved in place."""
+    def locator(self, positions) -> list[int]:
+        """The erasure locator prod over positions i of (1 - a^i z)."""
         exp, log = self.field.exp, self.field.log
         loc = [1] + [0] * len(positions)
         deg = 0
@@ -213,6 +199,26 @@ class RsCode:
                 if c:
                     loc[j] ^= exp[log[c] + i]
         return loc
+
+    def forney_syndromes(self, synd: list[int], locator: list[int]) -> list[int]:
+        """Erasure-adjusted (Forney) syndromes synd * locator mod z^(n-kappa).
+
+        With locator = self.locator(X), coefficients from |X| on do not
+        depend on the symbols at X, and they all vanish when every error
+        lies in X.  Since locator(X | E) = locator(X) * locator(E), passing
+        an already adjusted series adjusts it for E as well.
+        """
+        limit = self.n - self.kappa
+        out = [0] * limit
+        exp, log = self.field.exp, self.field.log
+        for i, a in enumerate(synd[:limit]):
+            if a == 0:
+                continue
+            la = log[a]
+            for j, b in enumerate(locator[: limit - i]):
+                if b:
+                    out[i + j] ^= exp[la + log[b]]
+        return out
 
     def decode_errors_erasures(self, symbols, erasures=()) -> DecodeResult | None:
         """Errors-and-erasures decoding.
@@ -242,8 +248,7 @@ class RsCode:
             # non-erased symbols, so the erased values were zero
             return DecodeResult(tuple(word), frozenset())
 
-        gamma = self._locator(erasures)
-        stream = _poly_mul_mod_z(field, synd, gamma, nsyn)[s:]
+        stream = self.forney_syndromes(synd, self.locator(erasures))[s:]
 
         err_loc, lfsr_len = _berlekamp_massey(field, stream)
         if 2 * lfsr_len > len(stream) or len(poly_trim(err_loc)) - 1 != lfsr_len:
@@ -254,8 +259,8 @@ class RsCode:
             return None
 
         all_positions = sorted(erasures | error_positions)
-        psi = self._locator(all_positions)
-        omega = _poly_mul_mod_z(field, synd, psi, nsyn)
+        psi = self.locator(all_positions)
+        omega = self.forney_syndromes(synd, psi)
         psi_d = _poly_deriv(psi)
         exp = field.exp
         q1 = field.order - 1

@@ -165,6 +165,13 @@ class Manifest:
             raise ShareFormatError(f"{path}: manifest stripe_count must be at least 1")
         if sorted(entry["node"] for entry in raw["shares"]) != list(range(1, raw["n"] + 1)):
             raise ShareFormatError(f"{path}: manifest must name one share file per node 1..{raw['n']}")
+        names = [entry["file"] for entry in raw["shares"]]
+        for name in names:
+            # repair writes to this name: it must stay inside the share directory
+            if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+                raise ShareFormatError(f"{path}: manifest share file {name!r} is not a plain file name")
+        if len(set(names)) != len(names):
+            raise ShareFormatError(f"{path}: manifest names the same share file for two nodes")
         return cls(**raw)
 
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +362,20 @@ def test_encode_has_no_seed_flag(tmp_path):
     assert main(argv + ["--seed", "1"]) == 1
 
 
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "msrcode", "params", "--n", "20", "--k", "10", "--m", "5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "alpha" in done.stdout
+
+
 def test_usage_error_exit_1():
     assert main(["encode"]) == 1
     assert main(["params", "--n", "6", "--k", "4", "--m", "3"]) == 1  # DTooLarge
@@ -485,6 +503,35 @@ def test_manifest_without_node_entry_exits_1(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(lambda tmp_path: "../escaped.msrc", id="parent-dir"),
+        pytest.param(lambda tmp_path: str(tmp_path / "absolute.msrc"), id="absolute"),
+        pytest.param(lambda tmp_path: "share_006.msrc", id="another-nodes-file"),
+    ],
+)
+def test_manifest_share_name_outside_plain_file_exits_1(tmp_path, capsys, name):
+    # repair writes the failed node's file by its manifest name
+    src, out = encode_dir(tmp_path, b"share names stay inside the directory", n=20, k=10, m=5)
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text())
+    for entry in doc["shares"]:
+        if entry["node"] == 5:
+            entry["file"] = name(tmp_path)
+    path.write_text(json.dumps(doc))
+    (out / "share_005.msrc").unlink()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(["repair", str(out), "--failed", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _tree(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and end-to-end fault injection."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -501,3 +502,131 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
     )
     general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
     assert closed == general
+
+
+# ---------------------------------------------------------------------------
+# syndrome-ranked erasure trials on supply-capped rounds
+
+
+def run_capped(params, gen, missing, liars, seed):
+    """A seeded stripe read with ``missing`` unreachable and ``liars`` lying
+    nodes, so the node supply caps the later rounds."""
+    rng = random.Random(seed)
+    message, shares = fresh_case(params, gen, rng)
+    drawn = rng.sample(range(params.n), missing + liars)
+    gone = frozenset(drawn[:missing])
+    lying = corrupting_source(gen, shares, frozenset(drawn[missing:]), rng)
+    source = lambda node: None if node in gone else lying(node)
+    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    return message, report
+
+
+def erasure_trials(report):
+    return [entry.erasure_trial for entry in report.trace if entry.erasure_trial is not None]
+
+
+def scored_order(gen, pair, v, k):
+    """Reference for _trial_order: the score straight from its definition,
+    one Forney-syndrome product per row and support."""
+    code = gen.code_alpha
+    nodes = pair.nodes
+    j = len(nodes)
+    head = code.n - j + 1
+    syndromes = []
+    for r in range(j):
+        word = [0] * code.n
+        for c in range(j):
+            if c != r:
+                word[nodes[c]] = gen.field.mul(pair.p[r][c], gen.col_scale[nodes[c]])
+        erased = [i for i in range(code.n) if i not in nodes] + [nodes[r]]
+        syndromes.append(code.forney_syndromes(code.syndromes(word), code.locator(erased)))
+
+    def score(support):
+        gamma = code.locator([nodes[c] for c in support])
+        return sum(
+            1
+            for r in range(j)
+            if r not in support and not any(code.forney_syndromes(syndromes[r], gamma)[head + v :])
+        )
+
+    return sorted(itertools.combinations(range(j), v), key=lambda support: -score(support))
+
+
+@pytest.mark.parametrize(
+    "n,k,m,flavor",
+    [(7, 4, 3, "systematic"), (20, 10, 5, "systematic"), (20, 10, 5, "vandermonde"), (24, 12, 8, "systematic")],
+)
+def test_trial_order_matches_scored_reference(n, k, m, flavor):
+    """Same order as scoring every support directly, on capped rounds with
+    0 to v + 1 lying columns and on garbage columns."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    rng = random.Random(n * 100 + m)
+    checked = 0
+    while checked < 12:
+        v = rng.randrange(1, params.error_capability + 1)
+        j = rng.randrange(k + 1, min(k + 2 * v, n + 1))
+        if j - k - v <= 0 or math.comb(j, v) > 1000:
+            continue
+        nodes = tuple(rng.sample(range(n), j))
+        if checked % 4 == 3:
+            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+        else:
+            message, shares = fresh_case(params, gen, rng)
+            cols = [shares[i].symbols for i in nodes]
+            for b in rng.sample(range(j), rng.randrange(min(v + 2, j))):
+                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+        assert reconstruct._trial_order(gen, pair, v, k) == scored_order(gen, pair, v, k)
+        checked += 1
+
+
+# (n, k, m, flavor, missing shares, lying shares, seeds)
+CAPPED = [
+    (20, 10, 5, "systematic", 5, 3, range(3)),
+    (20, 10, 5, "systematic", 7, 2, range(4)),
+    (20, 10, 5, "systematic", 7, 3, range(1)),  # beyond capability
+    (20, 10, 5, "systematic", 9, 2, range(2)),  # beyond capability
+    (20, 10, 5, "vandermonde", 5, 3, range(3)),
+    (20, 10, 5, "vandermonde", 7, 2, range(4)),
+    (20, 10, 5, "vandermonde", 8, 2, range(2)),
+    (24, 12, 8, "systematic", 7, 3, range(3)),
+    (24, 12, 8, "systematic", 9, 2, range(3)),
+]
+
+
+@pytest.mark.parametrize("n,k,m,flavor,missing,liars,seeds", CAPPED)
+def test_ranked_trials_report_like_plain_enumeration(monkeypatch, n, k, m, flavor, missing, liars, seeds):
+    """Ranking only reorders the trials: reports are identical to the plain
+    itertools.combinations order, and a stripe that fails tried the same
+    supports."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    seeds = [n * 1000 + missing * 10 + liars + 7 * s for s in seeds]
+    ranked = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
+    monkeypatch.setattr(
+        reconstruct, "_trial_order", lambda gen, pair, v, k: itertools.combinations(range(len(pair.nodes)), v)
+    )
+    plain = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
+    for (message, got), (_, want) in zip(ranked, plain):
+        assert (got.recovered_message, got.rounds, got.nodes_accessed, got.accessed_nodes) == (
+            want.recovered_message,
+            want.rounds,
+            want.nodes_accessed,
+            want.accessed_nodes,
+        )
+        assert (got.erroneous_nodes, got.failure_reason) == (want.erroneous_nodes, want.failure_reason)
+        if not got.success:
+            assert sorted(erasure_trials(got)) == sorted(erasure_trials(want))
+
+
+def test_ranked_trials_find_the_support_first():
+    """[20,10] over GF(2^5) with 7 missing and 2 lying nodes: every stripe
+    decodes, with at most 2 erasure trials per stripe on average (plain
+    enumeration needs about 30)."""
+    trials = []
+    for seed in range(40):
+        message, report = run_capped(P20, GEN20, 7, 2, 5000 + seed)
+        assert report.recovered_message == message, seed
+        trials.append(len(erasure_trials(report)))
+    assert sum(trials) / len(trials) <= 2, trials

@@ -286,3 +286,27 @@ def test_roundtrip_both_generators(code73):
             word = code73.encode(msg, gen)
             res = code73.decode_errors_erasures(word)
             assert res is not None and list(res.codeword) == word
+
+
+def test_forney_syndromes_vanish_exactly_when_errors_are_erased():
+    """With X covering every error, the coefficients from |X| on are zero;
+    one unerased error makes them nonzero; adjusting for A then for E equals
+    adjusting for A and E at once."""
+    code = RsCode(20, 9, GF32)
+    nsyn = code.n - code.kappa
+    rng = random.Random(11)
+    for _ in range(40):
+        word = code.encode([rng.randrange(32) for _ in range(9)], code.systematic_generator())
+        errors = rng.sample(range(20), rng.randrange(1, 5))
+        for pos in errors:
+            word[pos] ^= rng.randrange(1, 32)
+        synd = code.syndromes(word)
+        others = [i for i in range(20) if i not in errors]
+        erased = errors + rng.sample(others, rng.randrange(0, nsyn - len(errors) - 1))
+        split = rng.randrange(len(erased) + 1)
+        head, tail = erased[:split], erased[split:]
+        adjusted = code.forney_syndromes(synd, code.locator(erased))
+        assert code.forney_syndromes(code.forney_syndromes(synd, code.locator(head)), code.locator(tail)) == adjusted
+        assert not any(adjusted[len(erased) :])
+        missed = erased[1:]  # leaves errors[0] unerased
+        assert any(code.forney_syndromes(synd, code.locator(missed))[len(missed) :])
