@@ -246,15 +246,18 @@ def cmd_update(args) -> int:
     new_shares = encode_all(params, gen, pack_message(params, new_message))
 
     # check every affected node before writing any, so an abort leaves
-    # the directory as it was
+    # the directory as it was; an unreadable share is an erasure, left for
+    # repair to rebuild
     changes = {}
+    skipped = []
     for node in range(params.n):
         old, new = old_shares[node].symbols, new_shares[node].symbols
         if new == old:
             continue
         column = shares.column(node, args.stripe)
         if column is None:
-            return _fail(f"share file for affected node {node + 1} is missing or unreadable")
+            skipped.append(node + 1)
+            continue
         if column != old:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
@@ -272,6 +275,8 @@ def cmd_update(args) -> int:
         f"with integrity trailer refresh: rewrote {rewritten} symbol(s) across "
         f"{len(changes)} node file(s)"
     )
+    if skipped:
+        print(f"skipped unreadable share(s) of node(s) {skipped}; rebuild them with `repair --failed`")
     return EXIT_OK
 
 

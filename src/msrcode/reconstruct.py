@@ -8,10 +8,16 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    unordered node pair (i, j) yields the 2x2 system
        m_ij = p + q * lambda_j,   m_ji = p + q * lambda_i,
    solvable because the lambda are pairwise distinct.  The p values form a
-   symmetric matrix P-tilde (diagonal unknown); q gives Q-tilde.
+   symmetric matrix P-tilde (diagonal unknown); q gives Q-tilde.  A round
+   only adds nodes to the previous one, so it keeps the previous round's
+   entries and solves only the pairs with a new node.
 2. row_decode: each row of P-tilde extends to a codeword of the [n, k-1]
    code, so it is decoded by errors-and-erasures with the unaccessed
-   positions and the row's own diagonal erased.
+   positions (and a trial's extra nodes) and the row's own diagonal
+   erased.  The first part is the same for every row of P and Q, so a
+   round builds one rs.ErasureContext for it and each row adds only its
+   diagonal: syndromes over the held positions only, and a syndrome
+   recheck that adds just the corrected symbols' syndromes.
 3. classify_columns: a node column counts as erroneous when at least
    j - v - k + 2 decoded rows disagree with its received values (this is
    v + 2 when j = k + 2v nodes are held), and as correct when at most v
@@ -28,7 +34,9 @@ even though the v corrupted columns are jointly locatable.  Those rounds
 fall back to progressive erasure trials: every size-v subset of accessed
 nodes is hypothesized as the error support and erased outright, which
 restores per-row decodability; wrong hypotheses die at the classification
-gate, the symmetry check, or the integrity check.
+gate, the symmetry check, or the integrity check.  The gate needs its
+threshold j - v - k + 2 to exceed v, so a round (or trial) with
+j <= k + 2v - 2 is recorded as a gate failure without decoding any row.
 
 The trials run in order of a syndrome score, so the true support usually
 comes first.  Row r of P, erased at X_r (the unaccessed nodes and its own
@@ -229,24 +237,39 @@ class DecodeReport:
         return self.recovered_message is not None
 
 
-def pair_solve(gen: GeneratorSet, access: AccessSet) -> PairSolve:
+def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = None) -> PairSolve:
+    """Solve every node pair's 2x2 system (module docstring, step 1).
+
+    Entry (r, c) depends only on nodes r and c and their columns, so
+    ``base``, a PairSolve over a prefix of ``access.nodes`` (the previous
+    round's), keeps its entries and only the pairs with a later node are
+    solved.
+    """
     nodes = access.nodes
     j = len(nodes)
     if j < 2:
         raise ValueError("need at least two accessed nodes")
+    held = 0 if base is None else len(base.nodes)
+    if base is not None and base.nodes != nodes[:held]:
+        raise ValueError("base pair solve is not over a prefix of the access set")
     field = gen.field
     cols = gen.gbar_cols
-    m_mat = [[gf_dot(field, cols[nr], yc) for yc in access.columns] for nr in nodes]
-
     p: list[list[int | None]] = [[None] * j for _ in range(j)]
     q: list[list[int | None]] = [[None] * j for _ in range(j)]
+    if base is not None:
+        for r in range(held):
+            p[r][:held] = base.p[r]
+            q[r][:held] = base.q[r]
+
     mul, inv = field.mul, field.inv
     for r in range(j):
         lam_r = gen.delta[nodes[r]]
-        for c in range(r + 1, j):
+        for c in range(max(r + 1, held), j):
             lam_c = gen.delta[nodes[c]]
-            qv = mul(m_mat[r][c] ^ m_mat[c][r], inv(lam_c ^ lam_r))
-            pv = m_mat[r][c] ^ mul(qv, lam_c)
+            m_rc = gf_dot(field, cols[nodes[r]], access.columns[c])
+            m_cr = gf_dot(field, cols[nodes[c]], access.columns[r])
+            qv = mul(m_rc ^ m_cr, inv(lam_c ^ lam_r))
+            pv = m_rc ^ mul(qv, lam_c)
             p[r][c] = p[c][r] = pv
             q[r][c] = q[c][r] = qv
     return PairSolve(
@@ -256,32 +279,33 @@ def pair_solve(gen: GeneratorSet, access: AccessSet) -> PairSolve:
     )
 
 
-def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None) -> list[RowDecode]:
+def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, context=None) -> list[RowDecode]:
     """Decode each pair-solved row as an [n, k-1] received word.
 
-    Erased positions: everything unaccessed, the row's own diagonal, and any
-    extra nodes a fallback trial wants treated as unreliable.  ``scale``
-    (GeneratorSet.col_scale) maps Gbar's row space into ``code``: each word
-    is multiplied by it before decoding and the codeword divided by it after.
+    Erased positions: everything unaccessed, any extra nodes a fallback
+    trial wants treated as unreliable, and the row's own diagonal.  The
+    first two are common to every row, so one ``context`` (built here when
+    not given) serves them all.  ``scale`` (GeneratorSet.col_scale) maps
+    Gbar's row space into ``code``: each word is multiplied by it before
+    decoding and the codeword divided by it after.
     """
     n = code.n
     j = len(nodes)
+    if context is None:
+        context = _round_context(code, nodes, extra_erased)
     if scale is not None and all(s == 1 for s in scale):
         scale = None
     mul, div = code.field.mul, code.field.div
     out = []
     for r in range(j):
         word = [0] * n
-        known = set()
         row = mat[r]
         for c in range(j):
             if c == r or nodes[c] in extra_erased:
                 continue
             node = nodes[c]
             word[node] = row[c] if scale is None else mul(row[c], scale[node])
-            known.add(node)
-        erasures = frozenset(i for i in range(n) if i not in known)
-        res = code.decode_errors_erasures(word, erasures)
+        res = context.decode(word, None if nodes[r] in extra_erased else nodes[r])
         if res is None:
             out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
             continue
@@ -290,6 +314,13 @@ def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None) -
             codeword = tuple(div(x, s) for x, s in zip(codeword, scale))
         out.append(RowDecode(decoded=True, codeword=codeword, corrected=res.corrected_positions))
     return out
+
+
+def _round_context(code: RsCode, nodes, extra_erased):
+    """The erasures every row of a round shares: the unaccessed positions
+    and a trial's extra nodes."""
+    held = set(nodes) - set(extra_erased)
+    return code.erasure_context(i for i in range(code.n) if i not in held)
 
 
 def classify_columns(mat, rows, nodes, v: int, k: int) -> Classification:
@@ -408,17 +439,28 @@ def _k_node_round(params, gen, pair: PairSolve, integrity, trace):
     return message, frozenset()
 
 
+def _gate_can_pass(j: int, v: int, k: int) -> bool:
+    """Whether classify_columns can accept a round of j nodes at v: its
+    threshold j - v - k + 2 must exceed v."""
+    return j - v - k + 2 > v
+
+
 def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra_erased=frozenset()):
     nodes = pair.nodes
     j = len(nodes)
     trial = tuple(sorted(extra_erased)) if extra_erased else None
+    if not _gate_can_pass(j, v, params.k):
+        trace.append(RoundTrace(v, j, "gate", trial))
+        return None
 
-    p_rows = row_decode(gen.code_alpha, pair.p, nodes, extra_erased, gen.col_scale)
+    code = gen.code_alpha
+    context = _round_context(code, nodes, extra_erased)
+    p_rows = row_decode(code, pair.p, nodes, extra_erased, gen.col_scale, context)
     p_cls = classify_columns(pair.p, p_rows, nodes, v, params.k)
     if not p_cls.accepted(v):
         trace.append(RoundTrace(v, j, "gate", trial))
         return None
-    q_rows = row_decode(gen.code_alpha, pair.q, nodes, extra_erased, gen.col_scale)
+    q_rows = row_decode(code, pair.q, nodes, extra_erased, gen.col_scale, context)
     q_cls = classify_columns(pair.q, q_rows, nodes, v, params.k)
     if not q_cls.accepted(v) or q_cls.erroneous != p_cls.erroneous:
         trace.append(RoundTrace(v, j, "agreement", trial))
@@ -543,13 +585,14 @@ def reconstruct_progressive(
         return DecodeReport(None, len(nodes), tuple(nodes), 0, frozenset(), FAIL_RAN_OUT_OF_NODES, trace)
 
     starved = False
+    pair = None
     for v in range(v_cap + 1):
         fetch_up_to(min(k + 2 * v, n))
         j = len(nodes)
         if j < min(k + 2 * v, n):
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
-        pair = pair_solve(gen, access)
+        pair = pair_solve(gen, access, pair)
         if v == 0:  # always exactly k nodes
             result = _k_node_round(params, gen, pair, integrity, trace)
         else:

@@ -10,18 +10,39 @@ syndrome decoder rely on.
 Polynomials are lists of ints with index = degree and trailing zeros
 trimmed.  Decoding is classical errors-and-erasures: syndromes, erasure
 locator, Berlekamp-Massey over the Forney syndromes, Chien search, and
-Forney value evaluation, followed by a syndrome recheck.  A decode that
-cannot be completed consistently returns None rather than raising; callers
-treat that as "fetch more data".
+Forney value evaluation, followed by a syndrome recheck.  It is bounded
+distance: it returns the unique codeword within s + 2e < d_min of the word
+(s erasures, e errors), or None when there is none; callers treat None as
+"fetch more data".
+
+Many words often erase the same positions U (every row of a progressive
+round does, plus its own diagonal), so decoding is split in two.  An
+ErasureContext, built once per U, holds the locator Gamma_U, its values
+Gamma_U(X_i^-1) at the known positions and Gamma_U'(X_i^-1) on U.  Its
+decode() then handles one word with at most one extra erased position r:
+syndromes over the known positions only, Gamma_X = Gamma_U * (1 + X_r z)
+in O(|U|), Berlekamp-Massey only when the Forney stream is nonzero, Chien
+search over the known positions only, and Psi'(X_i^-1) for Psi = Gamma_U *
+(1 + X_r z) * Lambda from whichever factor vanishes at X_i^-1.  The
+recheck is incremental: syndromes are linear, so S(corrected) = S(received)
++ sum e_i X_i^t, and only the errata positions are added.
+decode_errors_erasures is the one-word call of that same path.
+
+Syndromes and polynomial values at every X_i^-1 are GF(2^m)-linear maps;
+each is applied through per-input lookup tables whose entries pack all its
+outputs into one int (_PackedMap), so a syndrome costs one XOR per known
+symbol.  The tables are built on first decode and take about 2^(m/2+1) *
+n * (n - kappa) * m bits per map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import Field
 
-__all__ = ["RsCode", "DecodeResult", "BadLength", "poly_eval", "poly_mul", "poly_mod"]
+__all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval", "poly_mul", "poly_mod"]
 
 
 class BadLength(ValueError):
@@ -183,9 +204,23 @@ class RsCode:
 
     # -- decoding ----------------------------------------------------------
 
-    def syndromes(self, word: list[int]) -> list[int]:
-        exp = self.field.exp
-        return [poly_eval(self.field, word, exp[j]) for j in range(1, self.n - self.kappa + 1)]
+    @cached_property
+    def _syndrome_map(self) -> _PackedMap:
+        """Position i's symbol w -> its syndromes w * (a^i)^t, t = 1..n-kappa."""
+        q1 = self.field.order - 1
+        return _PackedMap(self.field, [[i * t % q1 for t in range(1, self.n - self.kappa + 1)] for i in range(self.n)])
+
+    @cached_property
+    def _evaluation_map(self) -> _PackedMap:
+        """The coefficient c of z^t -> c * X_i^-t at every position i, for
+        t < n - kappa; summed over a polynomial's terms, its values there."""
+        q1 = self.field.order - 1
+        return _PackedMap(self.field, [[-i * t % q1 for i in range(self.n)] for t in range(self.n - self.kappa)])
+
+    def syndromes(self, word) -> list[int]:
+        """S_t = sum_i word[i] * (a^i)^t for t = 1..n-kappa."""
+        smap = self._syndrome_map
+        return smap.unpack(smap.packed(word, range(self.n)))
 
     def locator(self, positions) -> list[int]:
         """The erasure locator prod over positions i of (1 - a^i z)."""
@@ -209,85 +244,36 @@ class RsCode:
         an already adjusted series adjusts it for E as well.
         """
         limit = self.n - self.kappa
-        out = [0] * limit
         exp, log = self.field.exp, self.field.log
-        for i, a in enumerate(synd[:limit]):
-            if a == 0:
-                continue
-            la = log[a]
-            for j, b in enumerate(locator[: limit - i]):
-                if b:
-                    out[i + j] ^= exp[la + log[b]]
+        terms = [(i, log[a]) for i, a in enumerate(synd[:limit]) if a]
+        out = [0] * limit
+        for j, b in enumerate(locator[:limit]):
+            if b:
+                lb = log[b]
+                for i, la in terms:
+                    if i + j >= limit:
+                        break
+                    out[i + j] ^= exp[la + lb]
         return out
 
-    def decode_errors_erasures(self, symbols, erasures=()) -> DecodeResult | None:
-        """Errors-and-erasures decoding.
-
-        Guaranteed to return the transmitted codeword whenever s + 2v < d_min
-        (s erasures, v symbol errors elsewhere).  Beyond that it either
-        returns None or, rarely, another codeword; callers needing integrity
-        must check the result themselves.
-        """
-        n, field = self.n, self.field
-        nsyn = n - self.kappa
-        if len(symbols) != n:
-            raise ValueError(f"word length {len(symbols)} != n {n}")
+    def erasure_context(self, erasures) -> ErasureContext:
+        """The shared decoding state for words that all erase ``erasures``."""
         erasures = frozenset(erasures)
-        if any(not 0 <= e < n for e in erasures):
+        if any(not 0 <= e < self.n for e in erasures):
             raise ValueError("erasure position out of range")
-        s = len(erasures)
-        if s > nsyn:
-            return None
+        return ErasureContext(self, erasures)
 
-        word = list(symbols)
-        for e in erasures:
-            word[e] = 0
-        synd = self.syndromes(word)
-        if not any(synd):
-            # zero-filled word is already a codeword consistent with all
-            # non-erased symbols, so the erased values were zero
-            return DecodeResult(tuple(word), frozenset())
+    def decode_errors_erasures(self, symbols, erasures=()) -> DecodeResult | None:
+        """Errors-and-erasures decoding of one word.
 
-        stream = self.forney_syndromes(synd, self.locator(erasures))[s:]
-
-        err_loc, lfsr_len = _berlekamp_massey(field, stream)
-        if 2 * lfsr_len > len(stream) or len(poly_trim(err_loc)) - 1 != lfsr_len:
-            return None
-
-        error_positions = self._chien_search(err_loc, erasures)
-        if len(error_positions) != lfsr_len:
-            return None
-
-        all_positions = sorted(erasures | error_positions)
-        psi = self.locator(all_positions)
-        omega = self.forney_syndromes(synd, psi)
-        psi_d = _poly_deriv(psi)
-        exp = field.exp
-        q1 = field.order - 1
-        corrected = set()
-        for i in all_positions:
-            xi_inv = exp[(q1 - i % q1) % q1]
-            den = poly_eval(field, psi_d, xi_inv)
-            if den == 0:
-                return None
-            value = field.div(poly_eval(field, omega, xi_inv), den)
-            word[i] ^= value
-            if i not in erasures and value:
-                corrected.add(i)
-        if any(self.syndromes(word)):
-            return None
-        return DecodeResult(tuple(word), frozenset(corrected))
-
-    def _chien_search(self, locator: list[int], skip) -> set[int]:
-        exp = self.field.exp
-        q1 = self.field.order - 1
-        found = set()
-        for i in range(self.n):
-            if i in skip:
-                continue
-            if poly_eval(self.field, locator, exp[(q1 - i % q1) % q1]) == 0:
-                found.add(i)
-        return found
+        Returns the unique codeword within s + 2v < d_min of the word (s
+        erasures, v symbol errors elsewhere), or None when there is none.
+        Beyond that radius another codeword may lie closer than the one
+        sent; callers needing integrity must check the result themselves.
+        """
+        if len(symbols) != self.n:
+            raise ValueError(f"word length {len(symbols)} != n {self.n}")
+        return self.erasure_context(erasures).decode(symbols)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(list(word)))
@@ -295,6 +281,134 @@ class RsCode:
     def __repr__(self) -> str:
         return f"RsCode(n={self.n}, kappa={self.kappa}, field={self.field!r})"
 
+
+class ErasureContext:
+    """Errors-and-erasures decoding for words that all erase the positions U.
+
+    Built once per erasure set by RsCode.erasure_context; decode() then
+    handles one word, with at most one extra erased position of its own.
+    The context holds the parts that depend on U alone: the locator
+    Gamma_U, its values Gamma_U(X_i^-1) at the known positions and its
+    derivative's values Gamma_U'(X_i^-1) on U.
+    """
+
+    def __init__(self, code: RsCode, erased: frozenset[int]):
+        field = code.field
+        exp = field.exp
+        q1 = field.order - 1
+        self.code = code
+        self.erased = erased
+        self.known = tuple(i for i in range(code.n) if i not in erased)
+        self.locator = code.locator(erased)
+        deriv = _poly_deriv(self.locator)
+        # exp[q1 - i] = X_i^-1 for every position 0 <= i < n <= q1
+        self.locator_at = {i: poly_eval(field, self.locator, exp[q1 - i]) for i in self.known}
+        self.deriv_at = {i: poly_eval(field, deriv, exp[q1 - i]) for i in erased}
+
+    def decode(self, word, extra: int | None = None) -> DecodeResult | None:
+        """Decode a length-n word, ignoring its symbols on U and at ``extra``
+        (a known position, or None)."""
+        if extra in self.erased:
+            raise ValueError("the extra erasure must be a known position")
+        code, field = self.code, self.code.field
+        exp, log = field.exp, field.log
+        q1 = field.order - 1
+        s = len(self.erased) + (extra is not None)
+        if s > code.n - code.kappa:
+            return None
+        received = [0] * code.n
+        for i in self.known:
+            received[i] = word[i]
+        if extra is not None:
+            received[extra] = 0
+        smap, emap = code._syndrome_map, code._evaluation_map
+        packed = smap.packed(received, self.known)
+        if not packed:
+            # the zero-filled word is a codeword: the erased values were zero
+            return DecodeResult(tuple(received), frozenset())
+        synd = smap.unpack(packed)
+
+        gamma = self.locator
+        if extra is not None:  # Gamma_X = Gamma_U * (1 + X_r z)
+            gamma = [a ^ (exp[log[b] + extra] if b else 0) for a, b in zip(gamma + [0], [0] + gamma)]
+        adjusted = code.forney_syndromes(synd, gamma)
+        stream = adjusted[s:]
+        if any(stream):
+            lam, errs = _berlekamp_massey(field, stream)
+            if 2 * errs > len(stream) or len(lam) - 1 != errs:
+                return None
+            lam_at = emap.evaluate(lam)
+            roots = [i for i in self.known if lam_at[i] == 0 and i != extra]
+            if len(roots) != errs:
+                return None
+            omega = code.forney_syndromes(adjusted, lam)
+            lam_d_at = emap.evaluate(_poly_deriv(lam))
+        else:
+            lam_at, roots, omega = [1] * code.n, [], adjusted
+        omega_at = emap.evaluate(omega)
+
+        # Psi = Gamma_U * (1 + X_r z) * Lambda; at a root of one factor,
+        # Psi' is that factor's derivative times the other two
+        terms = [(i, field.mul(self.deriv_at[i], lam_at[i])) for i in self.erased]
+        if extra is not None:
+            terms.append((extra, field.mul(field.mul(self.locator_at[extra], exp[extra]), lam_at[extra])))
+        terms += [(i, field.mul(self.locator_at[i], lam_d_at[i])) for i in roots]
+        errata = {}
+        for i, den in terms:
+            if extra is not None and i != extra:
+                den = field.mul(den, 1 ^ exp[extra + q1 - i])
+            if den == 0:
+                return None
+            errata[i] = field.div(omega_at[i], den)
+            received[i] ^= errata[i]
+        # syndromes are linear: S(corrected) = S(received) + sum e_i X_i^t
+        if smap.packed(errata, errata) != packed:
+            return None
+        corrected = frozenset(i for i in roots if errata[i])
+        return DecodeResult(tuple(received), corrected)
+
+
+class _PackedMap:
+    """A GF(2^m)-linear map x -> y, y_t = sum_i x_i * a^(e[i][t]), with the
+    image of each x_i packed m bits per t into one int, so applying the map
+    costs two table lookups and an XOR per input.  Each image is linear
+    over GF(2) in x_i, so it is the XOR of the images of x_i's low and high
+    halves, low[i][x & lmask] ^ high[i][x >> half], and each half's table
+    is filled from the images of its single bits."""
+
+    def __init__(self, field: Field, exponents: list[list[int]]):
+        exp, m = field.exp, field.m
+        self.m, self.mask, self.size = m, field.order - 1, len(exponents[0])
+        self.half = (m + 1) // 2
+        self.lmask = (1 << self.half) - 1
+        self.low, self.high = [], []
+        for row in exponents:
+            # the symbol 2^b is a^b, so bit b's image is a^(b + e) per output
+            basis = [sum(exp[b + e] << (m * t) for t, e in enumerate(row)) for b in range(m)]
+            tables = []
+            for bits in (basis[: self.half], basis[self.half :]):
+                table = [0]
+                for bit in bits:
+                    table += [x ^ bit for x in table]
+                tables.append(table)
+            self.low.append(tables[0])
+            self.high.append(tables[1])
+
+    def packed(self, xs, indices) -> int:
+        """The packed image of the inputs xs[i], i in indices."""
+        low, high, lmask, half = self.low, self.high, self.lmask, self.half
+        acc = 0
+        for i in indices:
+            x = xs[i]
+            acc ^= low[i][x & lmask] ^ high[i][x >> half]
+        return acc
+
+    def unpack(self, acc: int) -> list[int]:
+        m, mask = self.m, self.mask
+        return [(acc >> (m * t)) & mask for t in range(self.size)]
+
+    def evaluate(self, poly: list[int]) -> list[int]:
+        return self.unpack(self.packed(poly, range(len(poly))))
 
 def _berlekamp_massey(field: Field, stream: list[int]) -> tuple[list[int], int]:
     """Minimal LFSR (connection polynomial, length) generating ``stream``."""

@@ -538,13 +538,31 @@ def test_manifest_share_name_outside_plain_file_exits_1(tmp_path, capsys, name):
 # update validates every affected node before it writes any
 
 
-def test_update_with_missing_affected_node_writes_nothing(tmp_path):
+def test_update_with_missing_affected_node_patches_the_readable_ones(tmp_path, capsys):
     data = bytes(random.Random(4).randrange(256) for _ in range(600))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     (out / "share_020.msrc").unlink()
     before = _snapshot(out)
-    assert main(["update", str(out), "--stripe", "0", "--symbol", "12", "--value", "17"]) == 1
-    assert _snapshot(out) == before
+    capsys.readouterr()
+    assert main(["update", str(out), "--stripe", "0", "--symbol", "12", "--value", "17"]) == 0
+    assert "node(s) [20]" in capsys.readouterr().out
+    assert not (out / "share_020.msrc").exists()
+    assert _snapshot(out) != before
+
+    symbols = bytes_to_symbols(data, 5)
+    symbols[12] = 17
+    updated = tmp_path / "updated.bin"
+    updated.write_bytes(symbols_to_bytes(symbols, 5, len(data)))
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "1"]) == 0
+    assert dst.read_bytes() == updated.read_bytes()
+
+    # the skipped node is repaired to what a fresh encode of the new file holds
+    fresh = tmp_path / "fresh"
+    assert main(["encode", str(updated), str(fresh), "--n", "20", "--k", "10", "--m", "5"]) == 0
+    assert main(["repair", str(out), "--failed", "20"]) == 0
+    for share in sorted(fresh.glob("share_*.msrc")):
+        assert (out / share.name).read_bytes() == share.read_bytes(), share.name
 
 
 def test_update_with_disagreeing_affected_node_writes_nothing(tmp_path):

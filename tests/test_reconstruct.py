@@ -12,6 +12,7 @@ from msrcode.linalg import gf_dot, mat_mul
 from msrcode.msr import encode_all, generator_set, make_params, pack_message
 from msrcode.reconstruct import (
     AccessSet,
+    RowDecode,
     _attempt_round,
     _k_node_round,
     attach_crc,
@@ -25,6 +26,7 @@ from msrcode.reconstruct import (
     recover_z,
     row_decode,
 )
+from msrcode.rs import poly_eval, poly_trim
 from msrcode.sim import corrupt_symbols
 
 P746 = make_params(7, 4, 3)
@@ -630,3 +632,213 @@ def test_ranked_trials_find_the_support_first():
         assert report.recovered_message == message, seed
         trials.append(len(erasure_trials(report)))
     assert sum(trials) / len(trials) <= 2, trials
+
+
+# ---------------------------------------------------------------------------
+# one erasure context per round, checked against independent per-row decodes
+
+
+def reference_decode(code, symbols, erasures):
+    """Errors-and-erasures decoding of one word from scratch: syndromes over
+    all n positions, Berlekamp-Massey on the Forney syndromes, Chien search
+    over every unerased position, Forney values, and a full syndrome
+    recheck.  Returns (codeword, corrected positions) or None."""
+    field, exp = code.field, code.field.exp
+    q1 = field.order - 1
+    nsyn = code.n - code.kappa
+    erasures = frozenset(erasures)
+    if len(erasures) > nsyn:
+        return None
+    word = [0 if i in erasures else x for i, x in enumerate(symbols)]
+    synd = code.syndromes(word)
+    if not any(synd):
+        return tuple(word), frozenset()
+    stream = code.forney_syndromes(synd, code.locator(erasures))[len(erasures) :]
+
+    # Berlekamp-Massey: the shortest LFSR generating the stream
+    lam, prev, errs, gap, prev_disc = [1], [1], 0, 1, 1
+    for pos, disc in enumerate(stream):
+        for l in range(1, min(errs, len(lam) - 1) + 1):
+            disc ^= field.mul(lam[l], stream[pos - l])
+        if disc == 0:
+            gap += 1
+            continue
+        scale = field.div(disc, prev_disc)
+        adjusted = lam + [0] * max(0, gap + len(prev) - len(lam))
+        for i, c in enumerate(prev):
+            adjusted[gap + i] ^= field.mul(scale, c)
+        if 2 * errs <= pos:
+            prev, prev_disc, errs, gap = lam, disc, pos + 1 - errs, 1
+        else:
+            gap += 1
+        lam = adjusted
+    lam = poly_trim(lam)
+    if 2 * errs > len(stream) or len(lam) - 1 != errs:
+        return None
+    errors = {i for i in range(code.n) if i not in erasures and poly_eval(field, lam, exp[(q1 - i) % q1]) == 0}
+    if len(errors) != errs:
+        return None
+
+    errata = sorted(erasures | errors)
+    psi = code.locator(errata)
+    omega = code.forney_syndromes(synd, psi)
+    psi_d = poly_trim([psi[i] if i % 2 else 0 for i in range(1, len(psi))])
+    corrected = set()
+    for i in errata:
+        x_inv = exp[(q1 - i) % q1]
+        value = field.div(poly_eval(field, omega, x_inv), poly_eval(field, psi_d, x_inv))
+        word[i] ^= value
+        if i in errors and value:
+            corrected.add(i)
+    if any(code.syndromes(word)):
+        return None
+    return tuple(word), frozenset(corrected)
+
+
+def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None, context=None):
+    """row_decode as one independent decode per row (``context`` unused)."""
+    field = code.field
+    out = []
+    for r in range(len(nodes)):
+        word = [0] * code.n
+        known = set()
+        for c, node in enumerate(nodes):
+            if c != r and node not in extra_erased:
+                word[node] = mat[r][c] if scale is None else field.mul(mat[r][c], scale[node])
+                known.add(node)
+        res = reference_decode(code, word, [i for i in range(code.n) if i not in known])
+        if res is None:
+            out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
+            continue
+        codeword, corrected = res
+        if scale is not None:
+            codeword = tuple(field.div(x, s) for x, s in zip(codeword, scale))
+        out.append(RowDecode(decoded=True, codeword=codeword, corrected=corrected))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,k,m,flavor",
+    [
+        (7, 4, 3, "systematic"),
+        (20, 10, 5, "systematic"),
+        (20, 10, 5, "vandermonde"),  # shortened: col_scale is not all ones
+        (24, 12, 8, "systematic"),
+        (24, 12, 8, "vandermonde"),
+    ],
+)
+def test_row_decode_matches_per_row_reference(n, k, m, flavor):
+    """Same RowDecode list as decoding every row on its own, with 0 to
+    capability + 2 lying columns, trial erasures, and garbage columns."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    code = gen.code_alpha
+    rng = random.Random(n * 31 + m)
+    for trial in range(24):
+        j = rng.randrange(k, n + 1)
+        nodes = tuple(rng.sample(range(n), j))
+        if trial % 6 == 5:
+            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+        else:
+            message, shares = fresh_case(params, gen, rng)
+            cols = [shares[i].symbols for i in nodes]
+            for b in rng.sample(range(j), min(j, rng.randrange(params.error_capability + 3))):
+                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+        extra = frozenset(rng.sample(nodes, rng.randrange(3))) if trial % 2 else frozenset()
+        context = reconstruct._round_context(code, nodes, extra)
+        for mat in (pair.p, pair.q):
+            want = reference_row_decode(code, mat, nodes, extra, gen.col_scale)
+            assert row_decode(code, mat, nodes, extra, gen.col_scale) == want
+            assert row_decode(code, mat, nodes, extra, gen.col_scale, context) == want
+
+
+# (n, k, m, flavor, missing shares, lying shares): supply-capped and
+# beyond-capability stripes among them
+PROGRESSIVE = [
+    (7, 4, 3, flavor, missing, liars)
+    for flavor in ("systematic", "vandermonde")
+    for missing, liars in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (1, 2), (3, 0)]
+] + [
+    (20, 10, 5, flavor, missing, liars)
+    for flavor in ("systematic", "vandermonde")
+    for missing, liars in [(0, 1), (0, 3), (0, 6), (3, 2), (5, 2), (5, 3), (7, 2), (6, 1), (11, 0)]
+]
+
+
+def test_progressive_reports_match_reference_path(monkeypatch):
+    """Over 300+ seeded stripes, reconstruct_progressive gives the same
+    report and trace as the path without shared contexts, pair-solve reuse
+    or the gate shortcut."""
+    cases = []
+    for index, (n, k, m, flavor, missing, liars) in enumerate(PROGRESSIVE):
+        params = make_params(n, k, m)
+        gen = generator_set(params, flavor)
+        for s in range(12 if n < 20 else 8):
+            cases.append((params, gen, missing, liars, 9000 + 100 * index + s))
+    assert len(cases) >= 300
+    fast = [run_capped(*case) for case in cases]
+    solve = reconstruct.pair_solve
+    monkeypatch.setattr(reconstruct, "row_decode", reference_row_decode)
+    monkeypatch.setattr(reconstruct, "pair_solve", lambda gen, access, base=None: solve(gen, access))
+    monkeypatch.setattr(reconstruct, "_gate_can_pass", lambda j, v, k: True)
+    reference = [run_capped(*case) for case in cases]
+    assert fast == reference
+    assert any(report.failure_reason for _, report in fast)
+    assert any(entry.erasure_trial for _, report in fast for entry in report.trace)
+
+
+def test_gate_impossible_rounds_skip_row_decoding(monkeypatch):
+    """[20,10] over GF(2^5) with 7 missing and 3 lying nodes, beyond
+    capability: the rounds at j = 13 and v = 3..5 cannot pass the gate, so
+    they no longer decode rows, and report and trace are unchanged."""
+    calls = []
+    attempt, decode = reconstruct._attempt_round, reconstruct.row_decode
+
+    def spy_attempt(params, gen, pair, v, *args, **kwargs):
+        calls.append((v, len(pair.nodes), 0))
+        return attempt(params, gen, pair, v, *args, **kwargs)
+
+    def spy_decode(code, mat, nodes, *args):
+        v, j, count = calls[-1]
+        calls[-1] = (v, j, count + 1)
+        return decode(code, mat, nodes, *args)
+
+    monkeypatch.setattr(reconstruct, "_attempt_round", spy_attempt)
+    monkeypatch.setattr(reconstruct, "row_decode", spy_decode)
+    seed = 20 * 1000 + 7 * 10 + 3
+    message, report = run_capped(P20, GEN20, 7, 3, seed)
+    assert not report.success
+    decoded = {(v, j) for v, j, count in calls if count}
+    assert {(v, 13) for v in (3, 4, 5)}.isdisjoint(decoded)
+    assert any(v == 3 and j == 13 for v, j, _ in calls)
+
+    monkeypatch.setattr(reconstruct, "_gate_can_pass", lambda j, v, k: True)
+    calls.clear()
+    assert run_capped(P20, GEN20, 7, 3, seed) == (message, report)
+    assert {(v, j) for v, j, count in calls if count} >= {(v, 13) for v in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5), (24, 12, 8)])
+def test_pair_solve_extends_a_prefix(n, k, m):
+    """Extending the previous round's PairSolve by new nodes gives the
+    from-scratch result, on encodings with lying columns and on garbage."""
+    params = make_params(n, k, m)
+    gen = generator_set(params)
+    rng = random.Random(n + m)
+    for trial in range(10):
+        nodes = tuple(rng.sample(range(n), rng.randrange(k, n + 1)))
+        if trial % 2:
+            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+        else:
+            message, shares = fresh_case(params, gen, rng)
+            cols = [shares[i].symbols for i in nodes]
+            for b in rng.sample(range(len(nodes)), 2):
+                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        full = AccessSet(nodes=nodes, columns=tuple(cols))
+        expected = pair_solve(gen, full)
+        for held in sorted({2, k, len(nodes) - 1, len(nodes)}):
+            base = pair_solve(gen, AccessSet(nodes=nodes[:held], columns=tuple(cols[:held])))
+            assert pair_solve(gen, full, base) == expected
+    with pytest.raises(ValueError):
+        pair_solve(gen, full, pair_solve(gen, AccessSet(nodes=nodes[1:3], columns=tuple(cols[1:3]))))

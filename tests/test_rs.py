@@ -310,3 +310,40 @@ def test_forney_syndromes_vanish_exactly_when_errors_are_erased():
         assert not any(adjusted[len(erased) :])
         missed = erased[1:]  # leaves errors[0] unerased
         assert any(code.forney_syndromes(synd, code.locator(missed))[len(missed) :])
+
+
+def test_decoder_is_exact_bounded_distance_against_codebook(code73):
+    """Oracle over all 512 codewords of [7,3] over GF(2^3): for random words
+    and erasure sets, beyond the decoding radius too, the decoder returns
+    the unique codeword c with s + 2 d(c, word) < d_min on the unerased
+    positions, or None when there is none.  The one-word call and a shared
+    context with one extra erased position agree."""
+    codebook = all_codewords(code73)
+    gen = code73.systematic_generator()
+    rng = random.Random(2024)
+    found = missed = 0
+    for trial in range(1500):
+        word = code73.encode([rng.randrange(8) for _ in range(3)], gen)
+        for pos in rng.sample(range(7), rng.randrange(5)):
+            word[pos] ^= rng.randrange(1, 8)
+        if trial % 5 == 0:
+            word = [rng.randrange(8) for _ in range(7)]
+        shared = frozenset(rng.sample(range(7), rng.randrange(6)))
+        rest = [i for i in range(7) if i not in shared]
+        extra = rng.choice(rest) if rest and trial % 2 else None
+        erased = shared | ({extra} if extra is not None else set())
+        known = [i for i in range(7) if i not in erased]
+        within = [
+            c for c in codebook if len(erased) + 2 * sum(c[i] != word[i] for i in known) < code73.d_min
+        ]
+        assert len(within) <= 1
+        got = code73.decode_errors_erasures(word, erased)
+        assert code73.erasure_context(shared).decode(word, extra) == got
+        if within:
+            found += 1
+            assert got is not None and got.codeword == within[0]
+            assert got.corrected_positions == {i for i in known if within[0][i] != word[i]}
+        else:
+            missed += 1
+            assert got is None
+    assert found > 300 and missed > 300
