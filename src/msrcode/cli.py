@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bits import bytes_to_symbols, symbols_to_bytes
-from .field import Field, NotPrimitive
+from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
     NodeShare,
@@ -102,6 +102,8 @@ def cmd_encode(args) -> int:
         return _fail(str(exc))
 
     data = Path(args.input).read_bytes()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     symbols = bytes_to_symbols(data, params.m)
     stripe_count = max(1, -(-len(symbols) // payload_len))
     node_stripes: list[list[tuple[int, ...]]] = [[] for _ in range(params.n)]
@@ -113,8 +115,6 @@ def cmd_encode(args) -> int:
         for node, share in enumerate(shares):
             node_stripes[node].append(share.symbols)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for node in range(params.n):
         name = share_filename(node)
@@ -322,13 +322,15 @@ def cmd_params(args) -> int:
     checks = [
         ("k >= 2", args.k >= 2, f"k={args.k}"),
         ("d <= n-1", d <= args.n - 1, f"d=2(k-1)={d}, n-1={args.n - 1}"),
-        ("n <= 2^m-1", args.n <= (1 << args.m) - 1, f"n={args.n}, 2^{args.m}-1={(1 << args.m) - 1}"),
-        (
-            "gcd(2^m-1, alpha) = 1",
-            math.gcd((1 << args.m) - 1, alpha) == 1,
-            f"gcd({(1 << args.m) - 1}, {alpha}) = {math.gcd((1 << args.m) - 1, alpha)}",
-        ),
     ]
+    if MIN_DEGREE <= args.m <= MAX_DEGREE:
+        q1 = (1 << args.m) - 1
+        checks += [
+            ("n <= 2^m-1", args.n <= q1, f"n={args.n}, 2^{args.m}-1={q1}"),
+            ("gcd(2^m-1, alpha) = 1", math.gcd(q1, alpha) == 1, f"gcd({q1}, {alpha}) = {math.gcd(q1, alpha)}"),
+        ]
+    else:
+        checks.append((f"{MIN_DEGREE} <= m <= {MAX_DEGREE}", False, f"m={args.m}"))
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     try:
@@ -417,6 +419,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except FileNotFoundError as exc:
         return _fail(f"{exc.filename}: not found")
+    except OSError as exc:  # e.g. an input that is a directory, an output dir that is a file
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,28 @@
-"""Dense linear algebra over GF(2^m): dot products, Gaussian elimination.
+"""Dense linear algebra over GF(2^m): dot products, Gaussian elimination,
+and LinearMap, the one table kernel for fixed linear maps.
 
 Matrices are lists of row lists of ints.  Everything here is desk-scale
 (dimensions of a few dozen), so plain Python loops with local table
 bindings are fast enough.
+
+A fixed map applied to many vectors (the encoder's stacked generator, a
+repair map, a Reed-Solomon code's syndrome and evaluation maps) goes
+through LinearMap: per input, two lookup tables whose entries pack all of
+that input's outputs into one int, so applying the map costs two lookups
+and an XOR per input instead of a field multiply per matrix entry.  A map
+with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
+tables.  Building them costs far more than one application, so callers
+build each map once per GeneratorSet (encode), per repair set (the failed
+node and its helpers in order) or per RsCode (decode), never per stripe.
+gf_dot stays for one-off products, and as the scalar reference the tests
+check LinearMap against.
 """
 
 from __future__ import annotations
 
 from .field import Field
 
-__all__ = ["gf_dot", "mat_mul", "mat_vec", "transpose", "identity", "rank", "invert", "solve"]
+__all__ = ["gf_dot", "mat_mul", "mat_vec", "transpose", "identity", "rank", "invert", "LinearMap"]
 
 
 class SingularMatrix(ValueError):
@@ -89,10 +102,51 @@ def invert(field: Field, a) -> list[list[int]]:
     return [row[size:] for row in aug]
 
 
-def solve(field: Field, a, b) -> list[int]:
-    """Solve the square system a @ x = b; raises SingularMatrix otherwise."""
-    size = len(a)
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    if _eliminate(field, aug, size) != size:
-        raise SingularMatrix(f"{size}x{size} system is singular")
-    return [row[size] for row in aug]
+class LinearMap:
+    """The GF(2^m)-linear map x -> x @ matrix: input i scales row i, and
+    output t is column t.
+
+    Each row's image of x_i is packed m bits per output into one int.  It
+    is linear over GF(2) in x_i, so it is the XOR of the images of x_i's low
+    and high bit halves, low[i][x & lmask] ^ high[i][x >> half], and each
+    half's table is filled from the images of its single bits.  Bit b of
+    x_i is the field element a^b, so its image at output t is
+    a^(b + log matrix[i][t]).
+    """
+
+    def __init__(self, field: Field, matrix):
+        exp, log, m = field.exp, field.log, field.m
+        self.m, self.mask = m, field.order - 1
+        self.outputs = len(matrix[0])
+        self.half = (m + 1) // 2
+        self.lmask = (1 << self.half) - 1
+        self.low, self.high = [], []
+        for row in matrix:
+            logs = [(m * t, log[c]) for t, c in enumerate(row) if c]
+            basis = [sum(exp[b + lc] << shift for shift, lc in logs) for b in range(m)]
+            tables = []
+            for bits in (basis[: self.half], basis[self.half :]):
+                table = [0]
+                for bit in bits:
+                    table += [x ^ bit for x in table]
+                tables.append(table)
+            self.low.append(tables[0])
+            self.high.append(tables[1])
+
+    def packed(self, xs, indices) -> int:
+        """The packed image of the inputs xs[i], i in indices; the others
+        count as zero."""
+        low, high, lmask, half = self.low, self.high, self.lmask, self.half
+        acc = 0
+        for i in indices:
+            x = xs[i]
+            acc ^= low[i][x & lmask] ^ high[i][x >> half]
+        return acc
+
+    def unpack(self, acc: int) -> list[int]:
+        m, mask = self.m, self.mask
+        return [(acc >> (m * t)) & mask for t in range(self.outputs)]
+
+    def apply(self, xs) -> list[int]:
+        """xs @ matrix; a shorter xs leaves the trailing inputs at zero."""
+        return self.unpack(self.packed(xs, range(len(xs))))

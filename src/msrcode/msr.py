@@ -21,15 +21,23 @@ n = 2^m - 1; for shortened codes it spans the evaluation code, which is the
 root-based code with its columns scaled.  GeneratorSet.col_scale holds that
 per-column scale (all ones for systematic and at full length), so decoders
 working in the root-based code multiply by it first and divide after.
+
+Encoding and exact repair are fixed linear maps applied to every stripe:
+C = U @ G, and node f from the helpers S in order is [I | lambda_f I] @
+Psi_S^-1.  Each is built once as a linalg.LinearMap and cached on the
+GeneratorSet, G's map on first encode and each repair map on first use of
+its (failed node, helper order), so a command that handles many stripes
+pays for each map once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .field import Field
-from .linalg import SingularMatrix, gf_dot, rank, solve
+from .linalg import LinearMap, SingularMatrix, gf_dot, invert, rank
 from .rs import RsCode, poly_eval
 
 __all__ = [
@@ -135,7 +143,8 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction.
+    Treat as immutable after construction; g_map and repair_maps are
+    memos of maps derived from it, built on first use.
     """
 
     params: MsrParams
@@ -151,6 +160,17 @@ class GeneratorSet:
     def __post_init__(self):
         if not self.gbar_cols:
             self.gbar_cols = [tuple(col) for col in zip(*self.gbar)]
+
+    @cached_property
+    def g_map(self) -> LinearMap:
+        """u -> u @ g_full: one row of U to one row of the codeword matrix.
+        Lazy, since reads never encode."""
+        return LinearMap(self.field, self.g_full)
+
+    @cached_property
+    def repair_maps(self) -> dict[tuple[int, tuple[int, ...]], LinearMap]:
+        """(failed node, helper indices in order) -> its regenerate map."""
+        return {}
 
 
 def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | None = None) -> GeneratorSet:
@@ -272,14 +292,9 @@ class NodeShare:
 
 def encode_all(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix) -> list[NodeShare]:
     """C = U @ G; share j is column j."""
-    u = msg.u
-    cols = list(zip(*gen.g_full))
-    field = gen.field
-    c_rows = [[gf_dot(field, urow, col) for col in cols] for urow in u]
-    return [
-        NodeShare(node_index=j, symbols=tuple(c_rows[r][j] for r in range(params.alpha)))
-        for j in range(params.n)
-    ]
+    g_map = gen.g_map
+    c_rows = [g_map.apply(urow) for urow in msg.u]
+    return [NodeShare(node_index=j, symbols=col) for j, col in enumerate(zip(*c_rows))]
 
 
 def helper_symbol(gen: GeneratorSet, helper_share: NodeShare, failed: int) -> int:
@@ -295,8 +310,11 @@ def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> No
 
     Each helper h contributes psi_h . w where psi_h = [gbar_h; lambda_h * gbar_h]
     is column h of the stacked generator and w = [Z1 gbar_f; Z2 gbar_f].
-    Stacking d helpers gives a d x d system whose matrix is d columns of an
-    MDS generator, hence invertible; the failed column is w1 + lambda_f * w2.
+    Stacking d helpers gives a d x d system Psi_S w = h whose matrix is d
+    columns of an MDS generator, hence invertible; the failed column is
+    w1 + lambda_f * w2 = [I | lambda_f I] Psi_S^-1 h.  That map depends only
+    on the failed node and the helper order, so it is built once per pair
+    and cached on gen.
     """
     if not 0 <= failed < params.n:
         raise BadIndex(f"node index {failed} outside [0, {params.n})")
@@ -309,16 +327,26 @@ def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> No
     if any(not 0 <= h < params.n for h in indices):
         raise BadIndex("helper index out of range")
 
-    psi = [[gen.g_full[i][h] for i in range(params.d)] for h, _ in helpers]
+    key = (failed, tuple(indices))
+    repair_map = gen.repair_maps.get(key)
+    if repair_map is None:
+        repair_map = gen.repair_maps[key] = _repair_map(params, gen, failed, indices)
+    return NodeShare(node_index=failed, symbols=tuple(repair_map.apply([sym for _, sym in helpers])))
+
+
+def _repair_map(params: MsrParams, gen: GeneratorSet, failed: int, indices) -> LinearMap:
+    """h -> [I | lambda_f I] Psi_S^-1 h for the helpers S = indices, in order."""
+    psi = [[gen.g_full[i][h] for i in range(params.d)] for h in indices]
     try:
-        w = solve(gen.field, psi, [sym for _, sym in helpers])
+        inv = invert(gen.field, psi)
     except SingularMatrix as exc:  # unreachable for valid parameters
         raise SingularHelperSet(str(exc)) from exc
     alpha = params.alpha
     lam = gen.delta[failed]
     field = gen.field
-    symbols = tuple(w[i] ^ field.mul(lam, w[alpha + i]) for i in range(alpha))
-    return NodeShare(node_index=failed, symbols=symbols)
+    # row j of the map is helper j's contribution: column j of R
+    rows = [[inv[i][j] ^ field.mul(lam, inv[alpha + i][j]) for i in range(alpha)] for j in range(params.d)]
+    return LinearMap(field, rows)
 
 
 def update_complexity(gen: GeneratorSet) -> int:

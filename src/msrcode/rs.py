@@ -28,11 +28,12 @@ recheck is incremental: syndromes are linear, so S(corrected) = S(received)
 + sum e_i X_i^t, and only the errata positions are added.
 decode_errors_erasures is the one-word call of that same path.
 
-Syndromes and polynomial values at every X_i^-1 are GF(2^m)-linear maps;
-each is applied through per-input lookup tables whose entries pack all its
-outputs into one int (_PackedMap), so a syndrome costs one XOR per known
-symbol.  The tables are built on first decode and take about 2^(m/2+1) *
-n * (n - kappa) * m bits per map.
+Syndromes and polynomial values at every X_i^-1 are GF(2^m)-linear maps,
+applied through linalg.LinearMap, the same table kernel the encoder and
+repair use: per-input lookup tables whose entries pack all outputs into
+one int, so a syndrome costs two lookups and an XOR per known symbol.  Each
+RsCode builds its two maps once, on first decode, never per word; each
+takes about 2^(m/2+1) * n * (n - kappa) * m bits.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .field import Field
+from .linalg import LinearMap
 
 __all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval", "poly_mul", "poly_mod"]
 
@@ -205,17 +207,19 @@ class RsCode:
     # -- decoding ----------------------------------------------------------
 
     @cached_property
-    def _syndrome_map(self) -> _PackedMap:
+    def _syndrome_map(self) -> LinearMap:
         """Position i's symbol w -> its syndromes w * (a^i)^t, t = 1..n-kappa."""
-        q1 = self.field.order - 1
-        return _PackedMap(self.field, [[i * t % q1 for t in range(1, self.n - self.kappa + 1)] for i in range(self.n)])
+        exp, q1 = self.field.exp, self.field.order - 1
+        rows = [[exp[i * t % q1] for t in range(1, self.n - self.kappa + 1)] for i in range(self.n)]
+        return LinearMap(self.field, rows)
 
     @cached_property
-    def _evaluation_map(self) -> _PackedMap:
+    def _evaluation_map(self) -> LinearMap:
         """The coefficient c of z^t -> c * X_i^-t at every position i, for
-        t < n - kappa; summed over a polynomial's terms, its values there."""
-        q1 = self.field.order - 1
-        return _PackedMap(self.field, [[-i * t % q1 for i in range(self.n)] for t in range(self.n - self.kappa)])
+        t < n - kappa; applied to a polynomial, its values there."""
+        exp, q1 = self.field.exp, self.field.order - 1
+        rows = [[exp[-i * t % q1] for i in range(self.n)] for t in range(self.n - self.kappa)]
+        return LinearMap(self.field, rows)
 
     def syndromes(self, word) -> list[int]:
         """S_t = sum_i word[i] * (a^i)^t for t = 1..n-kappa."""
@@ -337,15 +341,15 @@ class ErasureContext:
             lam, errs = _berlekamp_massey(field, stream)
             if 2 * errs > len(stream) or len(lam) - 1 != errs:
                 return None
-            lam_at = emap.evaluate(lam)
+            lam_at = emap.apply(lam)
             roots = [i for i in self.known if lam_at[i] == 0 and i != extra]
             if len(roots) != errs:
                 return None
             omega = code.forney_syndromes(adjusted, lam)
-            lam_d_at = emap.evaluate(_poly_deriv(lam))
+            lam_d_at = emap.apply(_poly_deriv(lam))
         else:
             lam_at, roots, omega = [1] * code.n, [], adjusted
-        omega_at = emap.evaluate(omega)
+        omega_at = emap.apply(omega)
 
         # Psi = Gamma_U * (1 + X_r z) * Lambda; at a root of one factor,
         # Psi' is that factor's derivative times the other two
@@ -367,48 +371,6 @@ class ErasureContext:
         corrected = frozenset(i for i in roots if errata[i])
         return DecodeResult(tuple(received), corrected)
 
-
-class _PackedMap:
-    """A GF(2^m)-linear map x -> y, y_t = sum_i x_i * a^(e[i][t]), with the
-    image of each x_i packed m bits per t into one int, so applying the map
-    costs two table lookups and an XOR per input.  Each image is linear
-    over GF(2) in x_i, so it is the XOR of the images of x_i's low and high
-    halves, low[i][x & lmask] ^ high[i][x >> half], and each half's table
-    is filled from the images of its single bits."""
-
-    def __init__(self, field: Field, exponents: list[list[int]]):
-        exp, m = field.exp, field.m
-        self.m, self.mask, self.size = m, field.order - 1, len(exponents[0])
-        self.half = (m + 1) // 2
-        self.lmask = (1 << self.half) - 1
-        self.low, self.high = [], []
-        for row in exponents:
-            # the symbol 2^b is a^b, so bit b's image is a^(b + e) per output
-            basis = [sum(exp[b + e] << (m * t) for t, e in enumerate(row)) for b in range(m)]
-            tables = []
-            for bits in (basis[: self.half], basis[self.half :]):
-                table = [0]
-                for bit in bits:
-                    table += [x ^ bit for x in table]
-                tables.append(table)
-            self.low.append(tables[0])
-            self.high.append(tables[1])
-
-    def packed(self, xs, indices) -> int:
-        """The packed image of the inputs xs[i], i in indices."""
-        low, high, lmask, half = self.low, self.high, self.lmask, self.half
-        acc = 0
-        for i in indices:
-            x = xs[i]
-            acc ^= low[i][x & lmask] ^ high[i][x >> half]
-        return acc
-
-    def unpack(self, acc: int) -> list[int]:
-        m, mask = self.m, self.mask
-        return [(acc >> (m * t)) & mask for t in range(self.size)]
-
-    def evaluate(self, poly: list[int]) -> list[int]:
-        return self.unpack(self.packed(poly, range(len(poly))))
 
 def _berlekamp_massey(field: Field, stream: list[int]) -> tuple[list[int], int]:
     """Minimal LFSR (connection polynomial, length) generating ``stream``."""

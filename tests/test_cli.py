@@ -285,6 +285,15 @@ def test_params_gcd_violation(capsys):
     assert "GcdViolation" in captured
 
 
+@pytest.mark.parametrize("m", ["-1", "1", "17", "40"])
+def test_params_field_degree_out_of_range(capsys, m):
+    assert main(["params", "--n", "5", "--k", "3", "--m", m]) == 1
+    captured = capsys.readouterr().out
+    assert f"FAIL  2 <= m <= 16  (m={m})" in captured
+    assert "FieldTooSmall" in captured
+    assert "n <= 2^m-1" not in captured
+
+
 def test_simulate_csv_deterministic(tmp_path):
     args = [
         "simulate", "--n", "7", "--k", "4", "--m", "3",
@@ -360,6 +369,23 @@ def test_encode_has_no_seed_flag(tmp_path):
     src.write_bytes(b"x")
     argv = ["encode", str(src), str(tmp_path / "shares"), "--n", "7", "--k", "4", "--m", "3"]
     assert main(argv + ["--seed", "1"]) == 1
+
+
+def test_encode_directory_input_exits_1(tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    argv = ["encode", str(tmp_path / "adir"), str(tmp_path / "shares"), "--n", "7", "--k", "4", "--m", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "shares").exists()
+
+
+def test_encode_into_existing_file_exits_1(tmp_path, capsys):
+    src = tmp_path / "data.bin"
+    src.write_bytes(b"an output directory that is a file")
+    argv = ["encode", str(src), str(src), "--n", "7", "--k", "4", "--m", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert src.read_bytes() == b"an output directory that is a file"
 
 
 def test_python_dash_m_runs_the_cli():

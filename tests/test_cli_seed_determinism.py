@@ -1,11 +1,18 @@
-"""Pinned CLI output of seeded `msrcode reconstruct` runs.
+"""Pinned CLI output of seeded `msrcode` runs.
 
-Each case encodes a seeded input, deletes some share files, and runs
-`reconstruct --corrupt-nodes ... --seed s` for several seeds.  The SHA-256
-of stdout (output path replaced by a placeholder) followed by the restored
-bytes must equal the digest recorded below, so any change to node choice,
-round order, decoding outcome or printed report shows up here.  Decoder
-rewrites are meant to leave these digests alone.
+Each reconstruct case encodes a seeded input, deletes some share files, and
+runs `reconstruct --corrupt-nodes ... --seed s` for several seeds.  The
+SHA-256 of stdout (output path replaced by a placeholder) followed by the
+restored bytes must equal the digest recorded below, so any change to node
+choice, round order, decoding outcome or printed report shows up here.
+Decoder rewrites are meant to leave these digests alone.
+
+Each write case pins the bytes that `encode`, `repair` and `update` leave
+on disk: the digest of a step is the SHA-256 of its stdout (paths replaced
+by placeholders) followed by the name and bytes of every file it may write:
+the whole share directory for encode and update, the rebuilt share for
+repair.
+Encoder and repair kernels are meant to leave these digests alone too.
 
 To print the digests of the current code (for a change that is meant to
 alter CLI output):
@@ -46,6 +53,20 @@ DIGESTS = {
 }
 
 
+# name -> (n, k, m, flavor, input bytes); every write case runs the same steps
+WRITE_CASES = {
+    "20-10-gf32-systematic": (20, 10, 5, "systematic", 600),
+    "24-12-gf256-systematic": (24, 12, 8, "systematic", 1024),
+    "20-10-gf32-vandermonde": (20, 10, 5, "vandermonde", 600),
+}
+
+WRITE_DIGESTS = {
+    "20-10-gf32-systematic": {"encode": "d1173ac7aa1d797e", "repair": "940f3b04182ace3b", "update": "683ad3f5b8e278ce"},
+    "24-12-gf256-systematic": {"encode": "ecb5705d06f2de37", "repair": "53da8bd54e742eb3", "update": "a4378a08b8f9a897"},
+    "20-10-gf32-vandermonde": {"encode": "da19bde36eb40e1b", "repair": "e5f6453f35900a44", "update": "87823769ab537c74"},
+}
+
+
 def _cli(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -77,12 +98,58 @@ def run_case(root: Path, name: str) -> list[str]:
     return digests
 
 
+def _step_digest(stdout: str, root: Path, files) -> str:
+    blob = stdout.replace(str(root), "<root>").encode()
+    for path in files:
+        blob += path.name.encode() + b"\0" + path.read_bytes()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def run_write_case(root: Path, name: str) -> dict[str, str]:
+    """Encode, repair node 5 and update one symbol under root; return one
+    digest per step."""
+    n, k, m, flavor, size = WRITE_CASES[name]
+    rng = random.Random(f"{name}:input")
+    data = bytes(rng.randrange(256) for _ in range(size))
+    src, shares = root / "input.bin", root / "shares"
+    src.write_bytes(data)
+    argv = ["encode", str(src), str(shares), "--n", str(n), "--k", str(k), "--m", str(m), "--flavor", flavor]
+    code, stdout = _cli(argv)
+    assert code == 0, stdout
+    files = sorted(shares.iterdir())
+    digests = {"encode": _step_digest(stdout, root, files)}
+
+    failed = shares / "share_005.msrc"
+    encoded = failed.read_bytes()
+    failed.unlink()
+    code, stdout = _cli(["repair", str(shares), "--failed", "5"])
+    assert code == 0, stdout
+    assert failed.read_bytes() == encoded
+    digests["repair"] = _step_digest(stdout, root, [failed])
+
+    code, stdout = _cli(["update", str(shares), "--stripe", "1", "--symbol", "12", "--value", "3"])
+    assert code == 0, stdout
+    digests["update"] = _step_digest(stdout, root, files)
+    return digests
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reconstruct_output_matches_recorded_digests(tmp_path, name):
     assert run_case(tmp_path, name) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(WRITE_CASES))
+def test_written_shares_match_recorded_digests(tmp_path, name):
+    assert run_write_case(tmp_path, name) == WRITE_DIGESTS[name]
+
+
 if __name__ == "__main__":
+    print("DIGESTS = {")
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {case!r}: {run_case(Path(tmp), case)!r},")
+    print("}\nWRITE_DIGESTS = {")
+    for case in WRITE_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {case!r}: {run_write_case(Path(tmp), case)!r},")
+    print("}")

@@ -248,6 +248,107 @@ def test_regeneration_exact_20_10_random_helper_sets():
         assert regenerate(p, g, failed, helpers) == shares[failed]
 
 
+def _scalar_encode(field, u, g_full):
+    """C = U @ G one field product at a time: the reference for encode_all."""
+    rows = []
+    for urow in u:
+        row = [0] * len(g_full[0])
+        for coeff, grow in zip(urow, g_full):
+            for j, g in enumerate(grow):
+                row[j] ^= field.mul(coeff, g)
+        rows.append(row)
+    return rows
+
+
+def _scalar_solve(field, a, b):
+    """Gauss-Jordan solve of the square system a @ x = b."""
+    aug = [list(row) + [bv] for row, bv in zip(a, b)]
+    size = len(aug)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = field.inv(aug[col][col])
+        aug[col] = [field.mul(inv, v) for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v ^ field.mul(f, pv) for v, pv in zip(aug[r], aug[col])]
+    return [row[size] for row in aug]
+
+
+def _scalar_regenerate(gen, failed, helpers):
+    """Solve Psi_S w = h for each call, then w1 + lambda_f w2."""
+    p, field = gen.params, gen.field
+    psi = [[gen.g_full[i][h] for i in range(p.d)] for h, _ in helpers]
+    w = _scalar_solve(field, psi, [sym for _, sym in helpers])
+    lam = gen.delta[failed]
+    return tuple(w[i] ^ field.mul(lam, w[p.alpha + i]) for i in range(p.alpha))
+
+
+@pytest.mark.parametrize(
+    "n, k, m, flavor",
+    [
+        (20, 10, 5, "systematic"),
+        (20, 10, 5, "vandermonde"),  # shortened: n < 2^5 - 1
+        (24, 12, 8, "systematic"),
+        (24, 12, 8, "vandermonde"),
+        (7, 4, 3, "vandermonde"),  # full length
+    ],
+)
+def test_encode_all_matches_scalar_product(n, k, m, flavor):
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"encode:{n}:{k}:{m}:{flavor}")
+    top = (1 << m) - 1
+    messages = [[0] * p.B, [top] * p.B]
+    messages += [[rng.choice((0, top, rng.randrange(1 << m))) for _ in range(p.B)] for _ in range(12)]
+    for message in messages:
+        msg = pack_message(p, message)
+        shares = encode_all(p, g, msg)
+        expected = _scalar_encode(g.field, msg.u, g.g_full)
+        assert [s.node_index for s in shares] == list(range(n))
+        assert [list(s.symbols) for s in shares] == [list(col) for col in zip(*expected)]
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
+    """One GeneratorSet serves failed nodes, helper sets and helper orders
+    in turn, so a repair map cached under too short a key shows up."""
+    p = make_params(20, 10, 5)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"regenerate:{flavor}")
+    shares = encode_all(p, g, pack_message(p, [rng.randrange(32) for _ in range(p.B)]))
+    calls = []
+    for failed in rng.sample(range(p.n), 8):
+        pool = [h for h in range(p.n) if h != failed]
+        helper_set = rng.sample(pool, p.d)
+        calls += [(failed, helper_set), (failed, helper_set[::-1]), (failed, rng.sample(helper_set, p.d))]
+        other = rng.choice([h for h in range(p.n) if h not in helper_set])
+        calls.append((other, helper_set))  # same helpers, another failed node
+        calls.append((failed, rng.sample(pool, p.d)))
+    rng.shuffle(calls)
+    for failed, order in calls * 2:
+        consistent = [(h, helper_symbol(g, shares[h], failed)) for h in order]
+        assert regenerate(p, g, failed, consistent) == shares[failed]
+        arbitrary = [(h, rng.randrange(32)) for h in order]
+        assert regenerate(p, g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
+
+
+def test_generator_maps_are_built_on_first_use(gen746):
+    g = generator_set(gen746.params)
+    assert "g_map" not in vars(g) and not g.repair_maps
+    p = g.params
+    shares = encode_all(p, g, pack_message(p, [i % 8 for i in range(p.B)]))
+    g_map = vars(g)["g_map"]
+    encode_all(p, g, pack_message(p, [1] * p.B))
+    assert vars(g)["g_map"] is g_map
+    helpers = [(h, helper_symbol(g, shares[h], 0)) for h in range(1, 7)]
+    regenerate(p, g, 0, helpers)
+    regenerate(p, g, 0, helpers)
+    regenerate(p, g, 0, helpers[::-1])
+    assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
+
+
 def test_regeneration_zero_message(gen746):
     p = gen746.params
     shares = encode_all(p, gen746, pack_message(p, [0] * p.B))

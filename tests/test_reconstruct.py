@@ -344,6 +344,19 @@ def test_progressive_no_errors_accesses_k():
         assert report.erroneous_nodes == frozenset()
 
 
+def test_progressive_reads_build_no_encode_or_repair_map():
+    """A read uses neither the encoder's map nor a repair map, so building
+    either on a read's GeneratorSet would only cost time."""
+    rng = random.Random(5)
+    message, shares = fresh_case(P20, GEN20, rng)
+    for bad in (frozenset(), frozenset({1, 4, 9})):
+        gen = generator_set(P20)
+        source = corrupting_source(gen, shares, bad, rng)
+        report = reconstruct_progressive(P20, gen, source, make_integrity_checker(P20), rng)
+        assert report.recovered_message == message
+        assert "g_map" not in vars(gen) and not gen.repair_maps
+
+
 def test_progressive_exhaustive_bad_patterns_7_4_6():
     """Every 1- and 2-node corruption pattern, several random draws each:
     always recovered, bad accessed nodes identified, access cost bounded."""
