@@ -36,6 +36,7 @@ from .reconstruct import (
     check_crc,
     crc_payload_length,
     make_integrity_checker,
+    reconstruct_file,
     reconstruct_progressive,
 )
 from .rs import BadLength, DecodeResult, RsCode
@@ -70,6 +71,7 @@ __all__ = [
     "apply_patch",
     "DecodeReport",
     "reconstruct_progressive",
+    "reconstruct_file",
     "attach_crc",
     "check_crc",
     "crc_payload_length",

@@ -36,6 +36,7 @@ from .reconstruct import (
     crc_payload_length,
     crc_trailer_length,
     make_integrity_checker,
+    reconstruct_file,
     reconstruct_progressive,
 )
 from .shares import (
@@ -45,6 +46,7 @@ from .shares import (
     ShareFile,
     ShareFormatError,
     share_filename,
+    stripe_count,
     write_share,
 )
 from .sim import SimConfig, corrupt_symbols, run_sweep, write_csv, write_gnuplot_script
@@ -105,9 +107,9 @@ def cmd_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     symbols = bytes_to_symbols(data, params.m)
-    stripe_count = max(1, -(-len(symbols) // payload_len))
+    stripes = stripe_count(len(data), params.m, payload_len)
     node_stripes: list[list[tuple[int, ...]]] = [[] for _ in range(params.n)]
-    for s in range(stripe_count):
+    for s in range(stripes):
         chunk = symbols[s * payload_len : (s + 1) * payload_len]
         chunk += [0] * (payload_len - len(chunk))
         message = attach_crc(params, chunk)
@@ -127,14 +129,14 @@ def cmd_encode(args) -> int:
         flavor=args.flavor,
         primitive_poly=gen.field.poly,
         file_length=len(data),
-        stripe_count=stripe_count,
+        stripe_count=stripes,
         payload_symbols_per_stripe=payload_len,
         crc_scheme=CRC_SCHEME,
         shares=entries,
     )
     manifest.save(out_dir / "manifest.json")
     print(
-        f"encoded {len(data)} bytes into {params.n} shares: {stripe_count} stripe(s), "
+        f"encoded {len(data)} bytes into {params.n} shares: {stripes} stripe(s), "
         f"{payload_len} payload symbols ({payload_len * params.m} bits) + "
         f"{crc_trailer_length(params.m)} integrity symbols per stripe"
     )
@@ -151,30 +153,32 @@ def cmd_reconstruct(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    payload_len = manifest.payload_symbols_per_stripe
-    integrity = make_integrity_checker(params)
-    collected: list[int] = []
-    for s in range(manifest.stripe_count):
+    def source(node, stripe):
+        column = shares.column(node, stripe)
+        if column is not None and node in corrupt:
+            hook_rng = random.Random(f"{args.seed}:corrupt:{stripe}:{node}")
+            return corrupt_symbols(hook_rng, gen.field, column)
+        return column
 
-        def source(node, _stripe=s):
-            column = shares.column(node, _stripe)
-            if column is not None and node in corrupt:
-                hook_rng = random.Random(f"{args.seed}:corrupt:{_stripe}:{node}")
-                return corrupt_symbols(hook_rng, gen.field, column)
-            return column
-
-        rng = random.Random(f"{args.seed}:stripe:{s}")
-        report = reconstruct_progressive(params, gen, source, integrity, rng)
+    result = reconstruct_file(params, gen, source, manifest.stripe_count, make_integrity_checker(params), args.seed)
+    for s, report in result.progressive.items():
         if not report.success:
             print(f"stripe {s}: FAIL ({report.failure_reason}) after {report.nodes_accessed} nodes")
-            return EXIT_DECODE_FAIL
+            continue
         bad_labels = sorted(node + 1 for node in report.erroneous_nodes)
         print(
             f"stripe {s}: nodes_accessed={report.nodes_accessed} rounds={report.rounds} "
             f"bad_nodes={bad_labels}"
         )
-        collected.extend(report.recovered_message[:payload_len])
+    print(
+        f"file: {result.trusted_stripes} stripe(s) from the trusted set, {len(result.progressive)} progressive, "
+        f"{shares.files_read} share file(s) read, bad_nodes={sorted(node + 1 for node in result.bad_nodes)}"
+    )
+    if not result.success:
+        return EXIT_DECODE_FAIL
 
+    payload_len = manifest.payload_symbols_per_stripe
+    collected = [symbol for message in result.messages for symbol in message[:payload_len]]
     Path(args.output).write_bytes(symbols_to_bytes(collected, params.m, manifest.file_length))
     print(f"reconstructed {manifest.file_length} bytes -> {args.output}")
     return EXIT_OK

@@ -365,6 +365,7 @@ def update_patch(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix, symbo
 
     An encoded entry changes iff its generator coefficient is nonzero, so
     the patch support is exactly the support of the touched generator rows.
+    Only the touched share rows are encoded, not the whole stripe.
     """
     if not 0 <= new_value < gen.field.order:
         raise ValueError(f"value {new_value} outside field of order {gen.field.order}")
@@ -382,15 +383,14 @@ def update_patch(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix, symbo
     if c != r:
         touched.append((c, block * alpha + r))
 
-    shares = encode_all(params, gen, msg)
+    u = msg.u
     field = gen.field
     patch = set()
     for share_row, gen_row in touched:
-        grow = gen.g_full[gen_row]
-        for j, coeff in enumerate(grow):
+        old_row = gen.g_map.apply(u[share_row])
+        for j, coeff in enumerate(gen.g_full[gen_row]):
             if coeff:
-                old = shares[j].symbols[share_row]
-                patch.add((j, share_row, old ^ field.mul(delta_v, coeff)))
+                patch.add((j, share_row, old_row[j] ^ field.mul(delta_v, coeff)))
     return patch
 
 

@@ -68,6 +68,29 @@ so its missing diagonal is p_rr = h_r^-1 * sum_{c != r} h_c p_rc, which is
 exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
 recover_z.  The result and the round trace match the general round.
 
+All of that depends only on the ordered k nodes, so KNodeDecoder builds it
+once, from one inverse: a linalg.LinearMap for Gbar_access that turns each
+column y_c into column c of M = Gbar_access^T Y, the logs of the pair-solve
+coefficients 1 / (lambda_r + lambda_c) and lambda_c / (lambda_r + lambda_c),
+the logs of h_c / h_r for the diagonal fill, and a LinearMap for G^-1, run
+twice (over P_sel's rows, then over the result's columns) to give Z.  The
+v = 0 round of reconstruct_progressive and the read session below use this
+one decoder.
+
+A file is read by reconstruct_file, one session per file.  Stripe 0 runs
+reconstruct_progressive with the stripe's own seeded generator.  After any
+accepted progressive stripe, the trusted set becomes the first k nodes, in
+access order, of that stripe's accessed nodes minus its erroneous ones, and
+the session builds a KNodeDecoder for it (once per distinct set).  Every
+later stripe is decoded from the trusted nodes' k columns alone and accepted
+only if its message passes the integrity check, the same check that alone
+decides the v = 0 round.  A missing trusted column or a failed check sends
+that stripe to reconstruct_progressive, seeded exactly as a stripe read on
+its own would be.  So a node caught lying or missing is not read again while
+the trusted set holds, a clean file is read from k nodes, and every stripe
+still passes the CRC before it is accepted.  The decoder lives in the
+session, never on the GeneratorSet, so nothing grows across files.
+
 Rows live in Gbar's row space.  row_decode works in the root-based
 [n, alpha] code, so it scales each row by GeneratorSet.col_scale first
 (all ones except for shortened vandermonde generators) and unscales the
@@ -83,7 +106,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
-from .linalg import gf_dot, invert, mat_mul, mat_vec, transpose
+from .linalg import LinearMap, gf_dot, invert, mat_mul, mat_vec, transpose
 from .msr import GeneratorSet, MessageMatrix, MsrParams, WrongLength, unpack_message
 from .rs import RsCode
 
@@ -100,6 +123,9 @@ __all__ = [
     "classify_columns",
     "recover_z",
     "reconstruct_progressive",
+    "KNodeDecoder",
+    "FileReport",
+    "reconstruct_file",
     "crc_trailer_length",
     "crc_payload_length",
     "attach_crc",
@@ -413,25 +439,85 @@ def _peel(field, g_inv, p_sel) -> list[list[int]]:
     return z
 
 
-def _k_node_round(params, gen, pair: PairSolve, integrity, trace):
-    """The v = 0 round over exactly k nodes, in closed form (see the module
-    docstring); returns the same result and trace entry as _attempt_round."""
-    field = gen.field
-    alpha = params.alpha
-    nodes = pair.nodes
-    j = len(nodes)
-    g_inv = invert(field, [[gen.gbar[i][node] for node in nodes[:alpha]] for i in range(alpha)])
-    h = mat_vec(field, g_inv, gen.gbar_cols[nodes[alpha]]) + [1]
+class KNodeDecoder:
+    """The closed-form decoder of one ordered set of exactly k nodes (module
+    docstring), built once and applied to every stripe read from them.
 
-    zs = []
-    for mat in (pair.p, pair.q):
-        p_sel = [list(mat[r][:alpha]) for r in range(alpha)]
-        for r in range(alpha):
-            off_diagonal = [mat[r][c] if c != r else 0 for c in range(j)]
-            p_sel[r][r] = field.div(gf_dot(field, h, off_diagonal), h[r])
-        zs.append(tuple(tuple(row) for row in _peel(field, g_inv, p_sel)))
+    decode() is linear in the k columns and unchecked: the caller accepts
+    its message only if the integrity check passes.
+    """
 
-    message = unpack_message(params, MessageMatrix(z1=zs[0], z2=zs[1]))
+    def __init__(self, params: MsrParams, gen: GeneratorSet, nodes):
+        field = gen.field
+        exp, log = field.exp, field.log
+        q1 = field.order - 1
+        alpha = params.alpha
+        self.params, self.field, self.nodes = params, field, tuple(nodes)
+        if len(self.nodes) != params.k:
+            raise ValueError(f"need exactly k={params.k} nodes, got {len(self.nodes)}")
+        gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
+        g_inv = invert(field, [row[:alpha] for row in gbar_access])
+        h = mat_vec(field, g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
+        # y_c -> column c of M = Gbar_access^T Y
+        self.m_map = LinearMap(field, gbar_access)
+        # x -> x G^-1, applied to P_sel's rows and then to the result's columns
+        self.peel_map = LinearMap(field, g_inv)
+        # pair (r, c), r < c, with s = m_rc + m_cr and w = lambda_c + lambda_r:
+        # q = s / w and p = m_rc + s lambda_c / w, as logs of 1 / w and lambda_c / w
+        lam = [log[gen.delta[node]] for node in self.nodes]
+        self.pairs = []
+        for r in range(params.k):
+            for c in range(r + 1, params.k):
+                lw = log[exp[lam[r]] ^ exp[lam[c]]]
+                self.pairs.append((r, c, (lam[c] - lw) % q1, -lw % q1))
+        # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
+        lh = [log[x] for x in h]
+        self.diagonal = [
+            [(c, (lh[c] - lh[r]) % q1) for c in range(params.k) if c != r] for r in range(alpha)
+        ]
+
+    def decode(self, columns) -> list[int]:
+        """The B-symbol message that the k columns, in node order, encode."""
+        exp, log = self.field.exp, self.field.log
+        k, alpha = self.params.k, self.params.alpha
+        m_cols = [self.m_map.apply(col) for col in columns]  # m_cols[c][r] = m_rc
+        p = [[0] * k for _ in range(alpha)]
+        q = [[0] * k for _ in range(alpha)]
+        for r, c, l_p, l_q in self.pairs:
+            m_rc = m_cols[c][r]
+            s = m_rc ^ m_cols[r][c]
+            if s:
+                ls = log[s]
+                p[r][c] = m_rc ^ exp[ls + l_p]
+                q[r][c] = exp[ls + l_q]
+            else:
+                p[r][c] = m_rc
+            if c < alpha:
+                p[c][r], q[c][r] = p[r][c], q[r][c]
+        peel = self.peel_map.apply
+        message = []
+        for mat in (p, q):
+            for r, terms in enumerate(self.diagonal):
+                row = mat[r]
+                acc = 0
+                for c, lc in terms:
+                    if row[c]:
+                        acc ^= exp[log[row[c]] + lc]
+                row[r] = acc
+            # Z = G^-T P_sel G^-1 is symmetric; only its upper triangle is read
+            w = [peel(row[:alpha]) for row in mat]
+            z = [peel(col) for col in zip(*w)]
+            for r in range(alpha):
+                message += z[r][r:]
+        return message
+
+
+def _k_node_round(params, gen, access: AccessSet, integrity, trace):
+    """The v = 0 round over exactly k nodes, through a KNodeDecoder built for
+    this access set; returns the same result and trace entry as
+    _attempt_round at v = 0 on the pair-solved access set."""
+    message = KNodeDecoder(params, gen, access.nodes).decode(access.columns)
+    j = len(access.nodes)
     if not integrity(message):
         trace.append(RoundTrace(0, j, "integrity"))
         return None
@@ -494,7 +580,7 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, k: int) -> list[tup
         return supports
     code = gen.code_alpha
     field, scale = code.field, gen.col_scale
-    unaccessed = [i for i in range(code.n) if i not in nodes]
+    gamma_u = code.locator([i for i in range(code.n) if i not in nodes])
     head = code.n - j + 1  # |X_r|
     # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1
     hankels = []
@@ -503,7 +589,7 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, k: int) -> list[tup
         for c, node in enumerate(nodes):
             if c != r:
                 word[node] = field.mul(row[c], scale[node])
-        u = code.forney_syndromes(code.syndromes(word), code.locator(unaccessed + [nodes[r]]))
+        u = code.forney_syndromes(code.syndromes(word), code.extend_locator(gamma_u, nodes[r]))
         hankels.append([u[t - v + 1 : t + 1][::-1] for t in range(head + v - 1, len(u))])
 
     # E = P + (c,) with P a size-(v-1) prefix.  With a = U_r * Gamma_P,
@@ -592,10 +678,10 @@ def reconstruct_progressive(
         if j < min(k + 2 * v, n):
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
-        pair = pair_solve(gen, access, pair)
         if v == 0:  # always exactly k nodes
-            result = _k_node_round(params, gen, pair, integrity, trace)
+            result = _k_node_round(params, gen, access, integrity, trace)
         else:
+            pair = pair_solve(gen, access, pair)
             result = _attempt_round(params, gen, pair, v, integrity, trace)
         if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
             for combo in _trial_order(gen, pair, v, k):
@@ -609,3 +695,69 @@ def reconstruct_progressive(
 
     reason = FAIL_RAN_OUT_OF_NODES if starved else FAIL_INTEGRITY_AT_MAX
     return DecodeReport(None, len(nodes), tuple(nodes), v_cap, frozenset(), reason, trace)
+
+
+# ---------------------------------------------------------------------------
+# file-level read session
+
+
+@dataclass
+class FileReport:
+    """The outcome of reconstruct_file.
+
+    messages holds the decoded stripes in order and stops at the first
+    stripe that failed; progressive maps every stripe that ran
+    reconstruct_progressive to its report.
+    """
+
+    stripe_count: int
+    messages: list[list[int]]
+    progressive: dict[int, DecodeReport]
+
+    @property
+    def success(self) -> bool:
+        return len(self.messages) == self.stripe_count
+
+    @property
+    def trusted_stripes(self) -> int:
+        """Stripes decoded from the trusted set alone."""
+        return len(self.messages) - sum(report.success for report in self.progressive.values())
+
+    @property
+    def bad_nodes(self) -> frozenset[int]:
+        """Every node a progressive stripe found erroneous."""
+        return frozenset().union(*(report.erroneous_nodes for report in self.progressive.values()))
+
+
+def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count: int, integrity, seed) -> FileReport:
+    """Decode stripes 0 .. stripe_count - 1 of one file (module docstring,
+    read session).
+
+    source(node, stripe) returns the node's alpha symbols of that stripe, or
+    None.  A stripe runs reconstruct_progressive, with the generator
+    random.Random(f"{seed}:stripe:{stripe}"), when no trusted set exists
+    yet, when a trusted node's column is missing, or when the trusted set's
+    message fails the integrity check.  Decoding stops at the first stripe
+    that fails.
+    """
+    messages: list[list[int]] = []
+    progressive: dict[int, DecodeReport] = {}
+    decoder = None
+    for s in range(stripe_count):
+        if decoder is not None:
+            columns = [source(node, s) for node in decoder.nodes]
+            if None not in columns:
+                message = decoder.decode(columns)
+                if integrity(message):
+                    messages.append(message)
+                    continue
+        rng = random.Random(f"{seed}:stripe:{s}")
+        report = reconstruct_progressive(params, gen, lambda node: source(node, s), integrity, rng)
+        progressive[s] = report
+        if not report.success:
+            break
+        messages.append(report.recovered_message)
+        trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
+        if decoder is None or decoder.nodes != trusted:
+            decoder = KNodeDecoder(params, gen, trusted)
+    return FileReport(stripe_count, messages, progressive)

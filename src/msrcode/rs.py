@@ -239,6 +239,11 @@ class RsCode:
                     loc[j] ^= exp[log[c] + i]
         return loc
 
+    def extend_locator(self, locator: list[int], position: int) -> list[int]:
+        """locator * (1 - a^position z): one more erased position, in O(deg)."""
+        exp, log = self.field.exp, self.field.log
+        return [a ^ (exp[log[b] + position] if b else 0) for a, b in zip(locator + [0], [0] + locator)]
+
     def forney_syndromes(self, synd: list[int], locator: list[int]) -> list[int]:
         """Erasure-adjusted (Forney) syndromes synd * locator mod z^(n-kappa).
 
@@ -332,9 +337,7 @@ class ErasureContext:
             return DecodeResult(tuple(received), frozenset())
         synd = smap.unpack(packed)
 
-        gamma = self.locator
-        if extra is not None:  # Gamma_X = Gamma_U * (1 + X_r z)
-            gamma = [a ^ (exp[log[b] + extra] if b else 0) for a, b in zip(gamma + [0], [0] + gamma)]
+        gamma = self.locator if extra is None else code.extend_locator(self.locator, extra)
         adjusted = code.forney_syndromes(synd, gamma)
         stream = adjusted[s:]
         if any(stream):

@@ -29,9 +29,10 @@ import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .msr import FLAVORS, InvalidParams, MsrParams, make_params
+from .msr import FLAVORS, InvalidParams, MsrParams, WrongLength, make_params
+from .reconstruct import crc_payload_length
 
-__all__ = ["ShareFile", "Manifest", "ShareDir", "read_share", "write_share", "share_filename", "MAGIC", "FORMAT_VERSION"]
+__all__ = ["ShareFile", "Manifest", "ShareDir", "read_share", "write_share", "share_filename", "stripe_count", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 1
@@ -47,6 +48,13 @@ class ShareFormatError(ValueError):
 
 def symbol_width(m: int) -> int:
     return (m + 7) // 8
+
+
+def stripe_count(file_length: int, m: int, payload: int) -> int:
+    """Stripes holding file_length bytes as ceil(8 * file_length / m)
+    symbols, payload per stripe; an empty file still gets one."""
+    symbols = -(-8 * file_length // m)
+    return max(1, -(-symbols // payload))
 
 
 def share_filename(node_index: int) -> str:
@@ -161,8 +169,7 @@ class Manifest:
         for entry in raw["shares"]:
             if not (isinstance(entry, dict) and isinstance(entry.get("node"), int) and isinstance(entry.get("file"), str)):
                 raise ShareFormatError(f"{path}: manifest share entries need an int node and a str file")
-        if raw["stripe_count"] < 1:
-            raise ShareFormatError(f"{path}: manifest stripe_count must be at least 1")
+        _check_layout(path, raw)
         if sorted(entry["node"] for entry in raw["shares"]) != list(range(1, raw["n"] + 1)):
             raise ShareFormatError(f"{path}: manifest must name one share file per node 1..{raw['n']}")
         names = [entry["file"] for entry in raw["shares"]]
@@ -179,6 +186,27 @@ class Manifest:
 _MANIFEST_TYPES = {"int": int, "str": str, "list[dict]": list}
 
 
+def _check_layout(path, raw: dict) -> None:
+    """The stripe layout and schemes must be the ones encode writes, so a
+    reader never slices the payload, pads the output or trusts a CRC
+    differently from how the file was written."""
+    if raw.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise ShareFormatError(f"{path}: unsupported manifest format_version {raw['format_version']}")
+    if raw["crc_scheme"] != CRC_SCHEME:
+        raise ShareFormatError(f"{path}: unsupported crc_scheme {raw['crc_scheme']!r}")
+    try:
+        payload = crc_payload_length(make_params(raw["n"], raw["k"], raw["m"]))
+    except (InvalidParams, WrongLength) as exc:
+        raise ShareFormatError(f"{path}: {exc}") from exc
+    if raw["payload_symbols_per_stripe"] != payload:
+        raise ShareFormatError(f"{path}: manifest payload_symbols_per_stripe must be {payload}")
+    if raw["file_length"] < 0:
+        raise ShareFormatError(f"{path}: manifest file_length is negative")
+    stripes = stripe_count(raw["file_length"], raw["m"], payload)
+    if raw["stripe_count"] != stripes:
+        raise ShareFormatError(f"{path}: manifest stripe_count must be {stripes} for {raw['file_length']} bytes")
+
+
 class ShareDir:
     """A share directory read lazily, node by node.
 
@@ -192,6 +220,7 @@ class ShareDir:
         self.root = Path(share_dir)
         self.manifest = Manifest.load(Path(manifest_path) if manifest_path else self.root / "manifest.json")
         self._shares: dict[int, ShareFile | None] = {}
+        self.files_read = 0  # share files read from disk so far, well-formed or not
 
     def file(self, node: int) -> Path:
         return self.root / self.manifest.file_for_node(node)
@@ -204,13 +233,15 @@ class ShareDir:
         return None if share is None else share.stripes[stripe]
 
     def _load(self, node: int) -> ShareFile | None:
-        path = self.file(node)
         try:
-            share = read_share(path)
-        except (OSError, ShareFormatError, InvalidParams):
+            share = read_share(self.file(node))
+        except OSError:  # missing, a directory, unreadable: nothing was read
             return None
+        except (ShareFormatError, InvalidParams):
+            share = None
+        self.files_read += 1
         m = self.manifest
-        if (share.n, share.k, share.m, share.node_index, share.stripe_count) != (m.n, m.k, m.m, node, m.stripe_count):
+        if share is None or (share.n, share.k, share.m, share.node_index, share.stripe_count) != (m.n, m.k, m.m, node, m.stripe_count):
             return None
         return share
 

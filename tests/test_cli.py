@@ -139,6 +139,26 @@ def test_reconstruct_deterministic(tmp_path, capsys):
     assert outputs[0][0] == data
 
 
+def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
+    """A clean multi-stripe file is read from its first stripe's k nodes
+    alone: the other n - k share files are never opened."""
+    import msrcode.shares
+
+    data = bytes(random.Random(10).randrange(256) for _ in range(1000))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    parsed = []
+    read_share = msrcode.shares.read_share
+    monkeypatch.setattr(msrcode.shares, "read_share", lambda path: parsed.append(path) or read_share(path))
+    capsys.readouterr()
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
+    assert dst.read_bytes() == data
+    assert len(parsed) == len(set(parsed)) == 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("stripe 0: nodes_accessed=10 rounds=0 ")
+    assert lines[1] == "file: 19 stripe(s) from the trusted set, 1 progressive, 10 share file(s) read, bad_nodes=[]"
+
+
 def test_manifest_plus_k_shares_suffice(tmp_path):
     data = bytes(range(200))
     src, out = encode_dir(tmp_path, data)
@@ -156,7 +176,7 @@ def test_manifest_plus_k_shares_suffice(tmp_path):
 
 def test_roundtrip_large_file_with_corruption(tmp_path):
     # randomized size up to 1 MiB; the dominant cost is per-stripe decoding,
-    # so this is the slowest test in the suite (about a minute)
+    # so this is the slowest test in the suite (about 8 s on one 2.1 GHz core)
     rng = random.Random(2**20)
     size = rng.randrange(1 << 20)
     data = rng.randbytes(size)
@@ -353,10 +373,21 @@ def _drop(key):
         pytest.param(_set("shares", [{"node": 1}]), id="bad-share-entry"),
         pytest.param(_set("primitive_poly", 0b100001), id="not-primitive"),
         pytest.param(_set("primitive_poly", 0b1011), id="wrong-degree-poly"),
+        # the layout encode writes for 300 bytes: 83 payload symbols, 6 stripes
+        pytest.param(_set("payload_symbols_per_stripe", -1), id="payload-negative"),
+        pytest.param(_set("payload_symbols_per_stripe", 0), id="payload-zero"),
+        pytest.param(_set("payload_symbols_per_stripe", 90), id="payload-whole-stripe"),
+        pytest.param(_set("payload_symbols_per_stripe", 200), id="payload-beyond-stripe"),
+        pytest.param(_set("file_length", 10**6), id="file-length-beyond-stripes"),
+        pytest.param(_set("file_length", -5), id="file-length-negative"),
+        pytest.param(_set("file_length", 0), id="file-length-zero"),
+        pytest.param(_set("crc_scheme", "other"), id="unknown-crc-scheme"),
+        pytest.param(_set("format_version", 9), id="unknown-format-version"),
     ],
 )
 def test_malformed_manifest_exits_1(tmp_path, capsys, edit):
-    src, out = encode_dir(tmp_path, b"manifest check", n=20, k=10, m=5)
+    data = bytes(random.Random(300).randrange(256) for _ in range(300))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     path = out / "manifest.json"
     path.write_text(edit(json.loads(path.read_text())))
     capsys.readouterr()

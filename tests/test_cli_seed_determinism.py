@@ -41,15 +41,15 @@ CASES = {
 
 DIGESTS = {
     "20-10-gf32-lying": [
-        "6db6fc295d1cdec2", "5f81a14342e0d9fc", "ce3372e02cd8dfe5", "6312786ef1ae4b1c", "df018ac23b08d094",
-        "434a2239f0a296d5", "819992fd976ba02d", "9d38fa30c54cf30a", "43a835811b8196b9", "fcd4aa809e859e04",
+        "1d24c773699a4ee8", "fe7a8939f212ed1b", "1d24c773699a4ee8", "1d24c773699a4ee8", "1d24c773699a4ee8",
+        "8c181a87276f8a4f", "fe7a8939f212ed1b", "1d24c773699a4ee8", "1d24c773699a4ee8", "8c181a87276f8a4f",
     ],
     "24-12-gf256-lying": [
-        "d99d70d3be5db53a", "63cc0bac81d8359a", "f4651f4565e1c174", "9a678838823b8955", "9d87831668ff4c78",
-        "ad85cd897422e375", "1572fa64109e170e", "b4cbeabc5b7f9c6d", "fcdfbf6af68ab30c", "ada8001c2eabcb95",
+        "477cf5da44814757", "226709a9f7c35c1a", "ee57a33f6b192dde", "2a2f245c5ee86c07", "226709a9f7c35c1a",
+        "dec72a553950d205", "226709a9f7c35c1a", "ee57a33f6b192dde", "477cf5da44814757", "83e59db728ab2593",
     ],
-    "20-10-gf32-degraded": ["f9948aaa45350299", "a5796c81f2f52ac2", "a394e85f9b97feeb"],
-    "24-12-gf256-degraded": ["8c9a8eaf3a00608c", "bac79a251742736b", "c85eaad15e083a64"],
+    "20-10-gf32-degraded": ["1c9b9c0067a9a87b", "1c9b9c0067a9a87b", "1c9b9c0067a9a87b"],
+    "24-12-gf256-degraded": ["4771d54103193f37", "4771d54103193f37", "947b24e3c4b0596e"],
 }
 
 

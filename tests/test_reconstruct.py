@@ -12,6 +12,7 @@ from msrcode.linalg import gf_dot, mat_mul
 from msrcode.msr import encode_all, generator_set, make_params, pack_message
 from msrcode.reconstruct import (
     AccessSet,
+    KNodeDecoder,
     RowDecode,
     _attempt_round,
     _k_node_round,
@@ -475,31 +476,37 @@ def test_progressive_shortened_vandermonde_20_10():
     ],
 )
 def test_k_node_round_matches_general_round(n, k, m, flavor):
-    """Same message (or rejection) and same trace as _attempt_round at v = 0,
-    on garbage columns and on encodings with 0 to 2 corrupt nodes."""
+    """One KNodeDecoder per node set, applied to several stripes, gives the
+    same message (or rejection) and the same trace as _attempt_round at
+    v = 0, on garbage columns and on encodings with 0 to 2 corrupt nodes."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     crc = make_integrity_checker(params)
     rng = random.Random(n * 1000 + k * 10 + m)
-    for trial in range(30):
+    for _ in range(6):
         nodes = tuple(rng.sample(range(n), k))
-        bad = []
-        if trial % 2:
-            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
-        else:
-            message, shares = fresh_case(params, gen, rng)
-            cols = [shares[i].symbols for i in nodes]
-            bad = rng.sample(range(k), rng.randrange(3))
-            for b in bad:
-                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
-        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
-        for integrity in (crc, lambda candidate: True):
-            general_trace, closed_trace = [], []
-            expected = _attempt_round(params, gen, pair, 0, integrity, general_trace)
-            assert _k_node_round(params, gen, pair, integrity, closed_trace) == expected
-            assert closed_trace == general_trace
-        if trial % 2 == 0 and not bad:
-            assert expected == (message, frozenset())
+        decoder = KNodeDecoder(params, gen, nodes)
+        for stripe in range(5):
+            bad = []
+            if stripe % 2:
+                cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+            else:
+                message, shares = fresh_case(params, gen, rng)
+                cols = [shares[i].symbols for i in nodes]
+                bad = rng.sample(range(k), rng.randrange(3))
+                for b in bad:
+                    cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+            access = AccessSet(nodes=nodes, columns=tuple(cols))
+            pair = pair_solve(gen, access)
+            decoded = decoder.decode(cols)
+            for integrity in (crc, lambda candidate: True):
+                general_trace, closed_trace = [], []
+                expected = _attempt_round(params, gen, pair, 0, integrity, general_trace)
+                assert _k_node_round(params, gen, access, integrity, closed_trace) == expected
+                assert closed_trace == general_trace
+                assert ((decoded, frozenset()) if integrity(decoded) else None) == expected
+            if stripe % 2 == 0 and not bad:
+                assert expected == (message, frozenset())
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
@@ -513,7 +520,9 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
     monkeypatch.setattr(
         reconstruct,
         "_k_node_round",
-        lambda params, gen, pair, integrity, trace: _attempt_round(params, gen, pair, 0, integrity, trace),
+        lambda params, gen, access, integrity, trace: _attempt_round(
+            params, gen, pair_solve(gen, access), 0, integrity, trace
+        ),
     )
     general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
     assert closed == general
@@ -855,3 +864,129 @@ def test_pair_solve_extends_a_prefix(n, k, m):
             assert pair_solve(gen, full, base) == expected
     with pytest.raises(ValueError):
         pair_solve(gen, full, pair_solve(gen, AccessSet(nodes=nodes[1:3], columns=tuple(cols[1:3]))))
+
+
+# ---------------------------------------------------------------------------
+# file-level read session against per-stripe progressive reads
+
+
+def file_source(gen, stripes, missing=frozenset(), liars=None, gaps=frozenset()):
+    """source(node, stripe) over encoded stripes.  Missing nodes give None;
+    liars[node] is the first stripe from which the node returns seeded
+    garbage; a (node, stripe) pair in gaps gives None for that stripe only."""
+    liars = liars or {}
+
+    def source(node, stripe):
+        if node in missing or (node, stripe) in gaps:
+            return None
+        column = stripes[stripe][node].symbols
+        if stripe >= liars.get(node, len(stripes)):
+            return corrupt_symbols(random.Random(f"{node}:{stripe}"), gen.field, column)
+        return column
+
+    return source
+
+
+def progressive_read(params, gen, source, stripe, seed):
+    rng = random.Random(f"{seed}:stripe:{stripe}")
+    return reconstruct_progressive(params, gen, lambda node: source(node, stripe), make_integrity_checker(params), rng)
+
+
+def per_stripe_reads(params, gen, source, stripe_count, seed):
+    """The reference: every stripe through reconstruct_progressive, up to
+    the first failure; returns the messages and the failing report."""
+    messages = []
+    for s in range(stripe_count):
+        report = progressive_read(params, gen, source, s, seed)
+        if not report.success:
+            return messages, report
+        messages.append(report.recovered_message)
+    return messages, None
+
+
+# id -> (n, k, m, flavor, stripes, missing, liars from stripe 0,
+#        (liars, from stripe) drawn anywhere, a trusted node lying from stripe,
+#        (a trusted node, the one stripe it is missing))
+SESSION_CASES = {
+    "clean-systematic": (20, 10, 5, "systematic", 6, 0, 0, None, None, None),
+    "lying-systematic": (20, 10, 5, "systematic", 6, 2, 3, None, None, None),
+    "capability-vandermonde": (20, 10, 5, "vandermonde", 5, 0, 5, None, None, None),
+    "late-liar-vandermonde": (20, 10, 5, "vandermonde", 6, 3, 1, None, 3, None),
+    "gap-systematic": (20, 10, 5, "systematic", 6, 1, 2, None, None, 2),
+    "byzantine-24-12": (24, 12, 8, "systematic", 8, 3, 3, None, None, None),
+    "late-liar-24-12": (24, 12, 8, "systematic", 8, 3, 2, None, 2, None),
+    "gap-24-12": (24, 12, 8, "systematic", 8, 3, 2, None, None, 5),
+    "beyond-capability": (20, 10, 5, "systematic", 4, 0, 6, None, None, None),
+    "beyond-from-stripe-2": (20, 10, 5, "vandermonde", 5, 0, 0, (11, 2), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SESSION_CASES))
+def test_read_session_matches_per_stripe_progressive(case):
+    """reconstruct_file returns the messages of per-stripe
+    reconstruct_progressive runs and fails at the same stripe with the same
+    reason.  A trusted node that starts lying, or misses one stripe, sends
+    exactly that stripe to the progressive path."""
+    n, k, m, flavor, stripe_count, missing, lying, spread, late, gap = SESSION_CASES[case]
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    integrity = make_integrity_checker(params)
+    for seed in range(3):
+        rng = random.Random(f"{case}:{seed}")
+        messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(stripe_count)))
+        drawn = rng.sample(range(n), missing + lying)
+        liars = dict.fromkeys(drawn[missing:], 0)
+        if spread:
+            liars.update(dict.fromkeys(rng.sample(range(n), spread[0]), spread[1]))
+        gaps = set()
+        if late or gap:
+            # stripe 0 is read the same way by both paths, so its report
+            # names the session's first trusted set
+            first = progressive_read(params, gen, file_source(gen, stripes, set(drawn[:missing]), liars), 0, seed)
+            trusted = [node for node in first.accessed_nodes if node not in first.erroneous_nodes][:k]
+            if late:
+                liars[trusted[0]] = late
+            if gap:
+                gaps.add((trusted[-1], gap))
+        source = file_source(gen, stripes, set(drawn[:missing]), liars, gaps)
+
+        session = reconstruct.reconstruct_file(params, gen, source, stripe_count, integrity, seed)
+        expected, failure = per_stripe_reads(params, gen, source, stripe_count, seed)
+        assert session.messages == expected
+        assert session.success == (failure is None)
+        if failure is None:
+            assert expected == list(messages)
+        else:
+            assert max(session.progressive) == len(expected)
+            assert session.progressive[len(expected)].failure_reason == failure.failure_reason
+        # a stripe sent to the progressive path is read as it would be alone
+        for s, report in session.progressive.items():
+            assert report == progressive_read(params, gen, source, s, seed)
+        assert 0 in session.progressive
+        if session.success:
+            # a trusted node that starts lying or misses a stripe costs that
+            # stripe alone a progressive read; the stripes after it come from
+            # the new trusted set, which leaves the node out
+            assert list(session.progressive) == [0] + [stripe for stripe in (late, gap) if stripe]
+        assert session.trusted_stripes == len(session.messages) - sum(r.success for r in session.progressive.values())
+        assert session.bad_nodes <= set(liars)
+
+
+def test_read_session_reads_only_the_trusted_nodes():
+    """After stripe 0, a clean file is read from its k trusted nodes alone."""
+    gen = GEN20
+    rng = random.Random(77)
+    stripes = [fresh_case(P20, gen, rng)[1] for _ in range(6)]
+    requested = []
+    inner = file_source(gen, stripes)
+
+    def source(node, stripe):
+        requested.append((node, stripe))
+        return inner(node, stripe)
+
+    session = reconstruct.reconstruct_file(P20, gen, source, 6, make_integrity_checker(P20), 3)
+    assert session.success and session.trusted_stripes == 5
+    first = [node for node, stripe in requested if stripe == 0]
+    assert len(first) == P20.k
+    for s in range(1, 6):
+        assert [node for node, stripe in requested if stripe == s] == first
