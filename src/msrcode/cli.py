@@ -247,7 +247,10 @@ def cmd_update(args) -> int:
     old_packed = pack_message(params, message)
     payload_patch = update_patch(params, gen, old_packed, args.symbol, args.value)
     old_shares = encode_all(params, gen, old_packed)
-    new_shares = encode_all(params, gen, pack_message(params, new_message))
+    # C = U @ G is linear in U, so the new shares are the old ones plus
+    # dU @ G, and only the rows of dU with a nonzero entry contribute
+    delta_u = pack_message(params, [a ^ b for a, b in zip(new_message, message)]).u
+    delta_rows = {row: gen.g_map.apply(urow) for row, urow in enumerate(delta_u) if any(urow)}
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
@@ -255,8 +258,9 @@ def cmd_update(args) -> int:
     changes = {}
     skipped = []
     for node in range(params.n):
-        old, new = old_shares[node].symbols, new_shares[node].symbols
-        if new == old:
+        old = old_shares[node].symbols
+        rows = [(row, old[row] ^ delta[node]) for row, delta in delta_rows.items() if delta[node]]
+        if not rows:
             continue
         column = shares.column(node, args.stripe)
         if column is None:
@@ -265,7 +269,7 @@ def cmd_update(args) -> int:
         if column != old:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
-        changes[node] = [(row, new[row]) for row in range(params.alpha) if new[row] != old[row]]
+        changes[node] = rows
     for node, rows in changes.items():
         shares.patch(node, args.stripe, rows)
     rewritten = sum(len(rows) for rows in changes.values())

@@ -11,9 +11,11 @@ through LinearMap: per input, two lookup tables whose entries pack all of
 that input's outputs into one int, so applying the map costs two lookups
 and an XOR per input instead of a field multiply per matrix entry.  A map
 with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
-tables.  Building them costs far more than one application, so callers
-build each map once per GeneratorSet (encode), per repair set (the failed
-node and its helpers in order) or per RsCode (decode), never per stripe.
+tables.  Building them takes, per input, m - 1 packed doublings (a few
+big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
+still far more than one application, so callers build each map once per
+GeneratorSet (encode), per repair set (the failed node and its helpers in
+order) or per RsCode (decode), never per stripe.
 gf_dot stays for one-off products, and as the scalar reference the tests
 check LinearMap against.
 """
@@ -110,20 +112,31 @@ class LinearMap:
     is linear over GF(2) in x_i, so it is the XOR of the images of x_i's low
     and high bit halves, low[i][x & lmask] ^ high[i][x >> half], and each
     half's table is filled from the images of its single bits.  Bit b of
-    x_i is the field element a^b, so its image at output t is
-    a^(b + log matrix[i][t]).
+    x_i is the field element a^b, so its image is the packed row times a^b:
+    bit 0's image is the row itself, and each next bit's is the previous
+    one times a, done on all outputs at once by packed doubling: every
+    m-bit field shifts left by one, and each field whose top bit fell out
+    is XORed with poly ^ 2^m, which is a^m.  So a bit costs a few big-int
+    operations whatever the number of outputs.
     """
 
     def __init__(self, field: Field, matrix):
-        exp, log, m = field.exp, field.log, field.m
+        m = field.m
         self.m, self.mask = m, field.order - 1
         self.outputs = len(matrix[0])
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
+        # bit 0 of every m-bit field, its top bit, and the bits below the top
+        ones = ((1 << m * self.outputs) - 1) // self.mask
+        top, keep = ones << (m - 1), ones * (self.mask >> 1)
+        low_poly = field.poly ^ field.order
         self.low, self.high = [], []
         for row in matrix:
-            logs = [(m * t, log[c]) for t, c in enumerate(row) if c]
-            basis = [sum(exp[b + lc] << shift for shift, lc in logs) for b in range(m)]
+            image = sum(c << m * t for t, c in enumerate(row))
+            basis = [image]
+            for _ in range(m - 1):
+                image = ((image & keep) << 1) ^ (((image & top) >> (m - 1)) * low_poly)
+                basis.append(image)
             tables = []
             for bits in (basis[: self.half], basis[self.half :]):
                 table = [0]

@@ -80,8 +80,11 @@ one decoder.
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
 accepted progressive stripe, the trusted set becomes the first k nodes, in
-access order, of that stripe's accessed nodes minus its erroneous ones, and
-the session builds a KNodeDecoder for it (once per distinct set).  Every
+access order, of that stripe's accessed nodes minus its erroneous ones.
+The session holds one KNodeDecoder at a time and rebuilds it only when asked
+for other nodes, both by the trusted set and by the v = 0 round of its
+progressive stripes; on a clean read stripe 0's first round and the trusted
+set ask for the same k nodes, so one decoder serves the whole file.  Every
 later stripe is decoded from the trusted nodes' k columns alone and accepted
 only if its message passes the integrity check, the same check that alone
 decides the v = 0 round.  A missing trusted column or a failed check sends
@@ -99,6 +102,7 @@ decoded codeword.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
@@ -512,11 +516,11 @@ class KNodeDecoder:
         return message
 
 
-def _k_node_round(params, gen, access: AccessSet, integrity, trace):
-    """The v = 0 round over exactly k nodes, through a KNodeDecoder built for
-    this access set; returns the same result and trace entry as
+def _k_node_round(decoder: KNodeDecoder, access: AccessSet, integrity, trace):
+    """The v = 0 round over exactly k nodes, through the KNodeDecoder of
+    this access set's nodes; returns the same result and trace entry as
     _attempt_round at v = 0 on the pair-solved access set."""
-    message = KNodeDecoder(params, gen, access.nodes).decode(access.columns)
+    message = decoder.decode(access.columns)
     j = len(access.nodes)
     if not integrity(message):
         trace.append(RoundTrace(0, j, "integrity"))
@@ -627,6 +631,7 @@ def reconstruct_progressive(
     source,
     integrity,
     rng: random.Random | None = None,
+    k_decoder=None,
 ) -> DecodeReport:
     """Run the progressive reconstruction loop against a share source.
 
@@ -635,10 +640,13 @@ def reconstruct_progressive(
     accepts or rejects a candidate B-symbol message.  All node choices come
     from ``rng``, so a seeded generator makes the whole run deterministic.
     TRIAL_BUDGET caps the subset enumeration of the erasure-trial fallback
-    on supply-capped rounds.
+    on supply-capped rounds.  k_decoder(nodes) gives the v = 0 round the
+    KNodeDecoder of its k nodes; by default a new one is built.
     """
     if rng is None:
         rng = random.Random()
+    if k_decoder is None:
+        k_decoder = functools.partial(KNodeDecoder, params, gen)
     n, k, alpha = params.n, params.k, params.alpha
     v_cap = params.error_capability
     requested: set[int] = set()
@@ -679,7 +687,7 @@ def reconstruct_progressive(
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
         if v == 0:  # always exactly k nodes
-            result = _k_node_round(params, gen, access, integrity, trace)
+            result = _k_node_round(k_decoder(access.nodes), access, integrity, trace)
         else:
             pair = pair_solve(gen, access, pair)
             result = _attempt_round(params, gen, pair, v, integrity, trace)
@@ -742,22 +750,28 @@ def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count:
     """
     messages: list[list[int]] = []
     progressive: dict[int, DecodeReport] = {}
-    decoder = None
+    decoder = None  # the session's one decoder, rebuilt when asked for other nodes
+
+    def k_decoder(nodes) -> KNodeDecoder:
+        nonlocal decoder
+        if decoder is None or decoder.nodes != nodes:
+            decoder = KNodeDecoder(params, gen, nodes)
+        return decoder
+
+    trusted = None
     for s in range(stripe_count):
-        if decoder is not None:
-            columns = [source(node, s) for node in decoder.nodes]
+        if trusted is not None:
+            columns = [source(node, s) for node in trusted]
             if None not in columns:
-                message = decoder.decode(columns)
+                message = k_decoder(trusted).decode(columns)
                 if integrity(message):
                     messages.append(message)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
-        report = reconstruct_progressive(params, gen, lambda node: source(node, s), integrity, rng)
+        report = reconstruct_progressive(params, gen, lambda node: source(node, s), integrity, rng, k_decoder)
         progressive[s] = report
         if not report.success:
             break
         messages.append(report.recovered_message)
         trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
-        if decoder is None or decoder.nodes != trusted:
-            decoder = KNodeDecoder(params, gen, trusted)
     return FileReport(stripe_count, messages, progressive)

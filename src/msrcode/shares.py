@@ -18,12 +18,17 @@ parameters, generator flavor, the primitive polynomial, the original file
 length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
+A body is parsed with one struct.unpack of all its symbols ("B" or "H"
+per symbol, little-endian), range-checked once through its largest symbol,
+and cut into per-stripe tuples; write_share packs it with one struct.pack.
+
 ShareDir is how the command-line tool reads and patches a share directory,
 so the layout above is known to this module alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -57,6 +62,11 @@ def stripe_count(file_length: int, m: int, payload: int) -> int:
     return max(1, -(-symbols // payload))
 
 
+def _body_format(m: int, count: int) -> str:
+    """The struct format of count little-endian symbols of GF(2^m)."""
+    return f"<{count}{'B' if symbol_width(m) == 1 else 'H'}"
+
+
 def share_filename(node_index: int) -> str:
     """Canonical share name; the label is 1-based like all external output."""
     return f"share_{node_index + 1:03d}.msrc"
@@ -76,14 +86,9 @@ class ShareFile:
 
 
 def write_share(path, share: ShareFile) -> None:
-    width = symbol_width(share.m)
-    blob = bytearray(
-        _HEADER.pack(MAGIC, FORMAT_VERSION, share.n, share.k, share.m, share.node_index, share.stripe_count)
-    )
-    for stripe in share.stripes:
-        for sym in stripe:
-            blob += int(sym).to_bytes(width, "little")
-    Path(path).write_bytes(bytes(blob))
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, share.n, share.k, share.m, share.node_index, share.stripe_count)
+    symbols = list(itertools.chain.from_iterable(share.stripes))
+    Path(path).write_bytes(header + struct.pack(_body_format(share.m, len(symbols)), *symbols))
 
 
 def read_share(path) -> ShareFile:
@@ -98,23 +103,17 @@ def read_share(path) -> ShareFile:
     params = make_params(n, k, m)  # re-validates the header tuple
     if not 0 <= node_index < n:
         raise ShareFormatError(f"{path}: node index {node_index} out of range")
-    width = symbol_width(m)
-    expected = stripe_count * params.alpha * width
+    count = stripe_count * params.alpha
+    expected = count * symbol_width(m)
     body = blob[HEADER_SIZE:]
     if len(body) != expected:
         raise ShareFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    stripes = []
-    pos = 0
-    limit = 1 << m
-    for _ in range(stripe_count):
-        stripe = []
-        for _ in range(params.alpha):
-            value = int.from_bytes(body[pos : pos + width], "little")
-            if value >= limit:
-                raise ShareFormatError(f"{path}: symbol {value} outside GF(2^{m})")
-            stripe.append(value)
-            pos += width
-        stripes.append(tuple(stripe))
+    values = struct.unpack(_body_format(m, count), body)
+    top = max(values, default=0)
+    if top >= 1 << m:
+        raise ShareFormatError(f"{path}: symbol {top} outside GF(2^{m})")
+    alpha = params.alpha
+    stripes = [values[pos : pos + alpha] for pos in range(0, count, alpha)]
     return ShareFile(n=n, k=k, m=m, node_index=node_index, stripes=stripes)
 
 

@@ -159,6 +159,27 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
     assert lines[1] == "file: 19 stripe(s) from the trusted set, 1 progressive, 10 share file(s) read, bad_nodes=[]"
 
 
+def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
+    """A clean read's trusted set is the k nodes of stripe 0's first round,
+    so the decoder that round built serves every later stripe too."""
+    import msrcode.reconstruct
+
+    data = random.Random(12).randbytes(1024)
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    built = []
+
+    class CountingDecoder(msrcode.reconstruct.KNodeDecoder):
+        def __init__(self, params, gen, nodes):
+            built.append(tuple(nodes))
+            super().__init__(params, gen, nodes)
+
+    monkeypatch.setattr(msrcode.reconstruct, "KNodeDecoder", CountingDecoder)
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
+    assert dst.read_bytes() == data
+    assert len(built) == 1
+
+
 def test_manifest_plus_k_shares_suffice(tmp_path):
     data = bytes(range(200))
     src, out = encode_dir(tmp_path, data)

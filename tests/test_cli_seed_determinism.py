@@ -37,6 +37,8 @@ CASES = {
     "24-12-gf256-lying": (24, 12, 8, 1024, (), "1,2,3", range(10)),
     "20-10-gf32-degraded": (20, 10, 5, 400, (4, 6, 9, 12, 15, 17, 19), "2,8", range(3)),
     "24-12-gf256-degraded": (24, 12, 8, 600, (3, 5, 10, 14, 18, 21, 23), "2,8", range(3)),
+    # m > 8: two bytes per stored symbol
+    "20-10-gf2048-degraded": (20, 10, 11, 600, (4, 9, 15), "2,8", range(3)),
 }
 
 DIGESTS = {
@@ -50,6 +52,7 @@ DIGESTS = {
     ],
     "20-10-gf32-degraded": ["1c9b9c0067a9a87b", "1c9b9c0067a9a87b", "1c9b9c0067a9a87b"],
     "24-12-gf256-degraded": ["4771d54103193f37", "4771d54103193f37", "947b24e3c4b0596e"],
+    "20-10-gf2048-degraded": ["6049b7e53e6ef1b2", "6049b7e53e6ef1b2", "6049b7e53e6ef1b2"],
 }
 
 
@@ -58,12 +61,14 @@ WRITE_CASES = {
     "20-10-gf32-systematic": (20, 10, 5, "systematic", 600),
     "24-12-gf256-systematic": (24, 12, 8, "systematic", 1024),
     "20-10-gf32-vandermonde": (20, 10, 5, "vandermonde", 600),
+    "20-10-gf2048-systematic": (20, 10, 11, "systematic", 600),
 }
 
 WRITE_DIGESTS = {
     "20-10-gf32-systematic": {"encode": "d1173ac7aa1d797e", "repair": "940f3b04182ace3b", "update": "683ad3f5b8e278ce"},
     "24-12-gf256-systematic": {"encode": "ecb5705d06f2de37", "repair": "53da8bd54e742eb3", "update": "a4378a08b8f9a897"},
     "20-10-gf32-vandermonde": {"encode": "da19bde36eb40e1b", "repair": "e5f6453f35900a44", "update": "87823769ab537c74"},
+    "20-10-gf2048-systematic": {"encode": "575b0eb4785da260", "repair": "ec4ce4a32de85650", "update": "4d2681a073edd57c"},
 }
 
 

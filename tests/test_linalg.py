@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from msrcode.field import Field
+from msrcode.field import DEFAULT_PRIMITIVE_POLYS, Field, NotPrimitive
 from msrcode.linalg import LinearMap, gf_dot, mat_vec, transpose
 
 # (inputs, outputs): a single entry, wide, tall and the shapes the codes use
@@ -64,3 +64,47 @@ def test_maps_are_linear_in_their_inputs():
         ys = [_symbol(rng, field) for _ in range(6)]
         sums = [x ^ y for x, y in zip(xs, ys)]
         assert lmap.packed(sums, range(6)) == lmap.packed(xs, range(6)) ^ lmap.packed(ys, range(6))
+
+
+def reference_tables(field, matrix):
+    """LinearMap's low and high tables built per bit and per output:
+    bit b of input i maps output t to a^(b + log matrix[i][t])."""
+    exp, log, m = field.exp, field.log, field.m
+    half = (m + 1) // 2
+    low, high = [], []
+    for row in matrix:
+        logs = [(m * t, log[c]) for t, c in enumerate(row) if c]
+        basis = [sum(exp[b + lc] << shift for shift, lc in logs) for b in range(m)]
+        for tables, bits in ((low, basis[:half]), (high, basis[half:])):
+            table = [0]
+            for bit in bits:
+                table += [x ^ bit for x in table]
+            tables.append(table)
+    return low, high
+
+
+def other_primitive_poly(m):
+    """The smallest primitive polynomial of degree m but the default one."""
+    for poly in range((1 << m) + 1, 1 << (m + 1), 2):
+        if poly == DEFAULT_PRIMITIVE_POLYS[m]:
+            continue
+        try:
+            return Field(m, poly).poly
+        except NotPrimitive:
+            continue
+    return None  # x^2 + x + 1 is the only primitive polynomial of degree 2
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_tables_match_per_bit_reference(m):
+    """Packed doubling reads field.poly, so check the tables under the
+    default polynomial and under another one of the same degree."""
+    polys = [DEFAULT_PRIMITIVE_POLYS[m], other_primitive_poly(m)]
+    assert (polys[1] is None) == (m == 2)
+    rng = random.Random(f"tables:{m}")
+    for poly in filter(None, polys):
+        field = Field(m, poly)
+        for inputs, outputs in SHAPES + [(18, 20)]:
+            matrix = _matrix(rng, field, inputs, outputs)
+            lmap = LinearMap(field, matrix)
+            assert (lmap.low, lmap.high) == reference_tables(field, matrix)

@@ -502,7 +502,7 @@ def test_k_node_round_matches_general_round(n, k, m, flavor):
             for integrity in (crc, lambda candidate: True):
                 general_trace, closed_trace = [], []
                 expected = _attempt_round(params, gen, pair, 0, integrity, general_trace)
-                assert _k_node_round(params, gen, access, integrity, closed_trace) == expected
+                assert _k_node_round(decoder, access, integrity, closed_trace) == expected
                 assert closed_trace == general_trace
                 assert ((decoded, frozenset()) if integrity(decoded) else None) == expected
             if stripe % 2 == 0 and not bad:
@@ -520,8 +520,8 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
     monkeypatch.setattr(
         reconstruct,
         "_k_node_round",
-        lambda params, gen, access, integrity, trace: _attempt_round(
-            params, gen, pair_solve(gen, access), 0, integrity, trace
+        lambda decoder, access, integrity, trace: _attempt_round(
+            P20, gen, pair_solve(gen, access), 0, integrity, trace
         ),
     )
     general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
