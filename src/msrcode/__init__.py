@@ -35,7 +35,6 @@ from .reconstruct import (
     attach_crc,
     check_crc,
     crc_payload_length,
-    make_integrity_checker,
     reconstruct_file,
     reconstruct_progressive,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "attach_crc",
     "check_crc",
     "crc_payload_length",
-    "make_integrity_checker",
     "SimConfig",
     "SimPoint",
     "run_trial",

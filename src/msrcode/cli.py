@@ -35,7 +35,6 @@ from .reconstruct import (
     attach_crc,
     crc_payload_length,
     crc_trailer_length,
-    make_integrity_checker,
     reconstruct_file,
     reconstruct_progressive,
 )
@@ -113,7 +112,7 @@ def cmd_encode(args) -> int:
         chunk = symbols[s * payload_len : (s + 1) * payload_len]
         chunk += [0] * (payload_len - len(chunk))
         message = attach_crc(params, chunk)
-        shares = encode_all(params, gen, pack_message(params, message))
+        shares = encode_all(gen, pack_message(params, message))
         for node, share in enumerate(shares):
             node_stripes[node].append(share.symbols)
 
@@ -160,7 +159,7 @@ def cmd_reconstruct(args) -> int:
             return corrupt_symbols(hook_rng, gen.field, column)
         return column
 
-    result = reconstruct_file(params, gen, source, manifest.stripe_count, make_integrity_checker(params), args.seed)
+    result = reconstruct_file(gen, source, manifest.stripe_count, args.seed)
     for s, report in result.progressive.items():
         if not report.success:
             print(f"stripe {s}: FAIL ({report.failure_reason}) after {report.nodes_accessed} nodes")
@@ -204,7 +203,7 @@ def cmd_repair(args) -> int:
             (h, helper_symbol(gen, NodeShare(h, shares.column(h, s)), failed))
             for h in helper_nodes
         ]
-        stripes.append(regenerate(params, gen, failed, helpers).symbols)
+        stripes.append(regenerate(gen, failed, helpers).symbols)
     path = shares.file(failed)
     write_share(path, ShareFile(params.n, params.k, params.m, failed, stripes))
     total = params.d * manifest.stripe_count
@@ -230,9 +229,7 @@ def cmd_update(args) -> int:
     if not 0 <= args.value < gen.field.order:
         return _fail(f"value {args.value} outside GF(2^{params.m})")
     rng = random.Random(f"update:{args.stripe}")
-    report = reconstruct_progressive(
-        params, gen, lambda node: shares.column(node, args.stripe), make_integrity_checker(params), rng
-    )
+    report = reconstruct_progressive(gen, lambda node: shares.column(node, args.stripe), rng)
     if not report.success:
         print(f"stripe {args.stripe}: cannot read back current content ({report.failure_reason})")
         return EXIT_DECODE_FAIL
@@ -245,8 +242,8 @@ def cmd_update(args) -> int:
     new_payload[args.symbol] = args.value
     new_message = attach_crc(params, new_payload)
     old_packed = pack_message(params, message)
-    payload_patch = update_patch(params, gen, old_packed, args.symbol, args.value)
-    old_shares = encode_all(params, gen, old_packed)
+    payload_patch = update_patch(gen, old_packed, args.symbol, args.value)
+    old_shares = encode_all(gen, old_packed)
     # C = U @ G is linear in U, so the new shares are the old ones plus
     # dU @ G, and only the rows of dU with a nonzero entry contribute
     delta_u = pack_message(params, [a ^ b for a, b in zip(new_message, message)]).u
@@ -289,6 +286,8 @@ def cmd_update(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.gnuplot and not args.out:
+        return _fail("--gnuplot plots the CSV written by --out; give --out too")
     try:
         params = make_params(args.n, args.k, args.m)
         config = SimConfig(
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
         write_csv(points, sys.stdout)
     if args.gnuplot:
         with open(args.gnuplot, "w") as fp:
-            write_gnuplot_script(fp, args.out or "sweep.csv")
+            write_gnuplot_script(fp, args.out)
         print(f"wrote {args.gnuplot}")
 
     print(f"\n[{params.n},{params.k},{params.d}] m={params.m} trials={config.trials} seed={config.seed}")
@@ -403,7 +402,7 @@ def build_parser() -> _Parser:
     simp.add_argument("--corruption", choices=["column", "symbol"], default="column")
     simp.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
     simp.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    simp.add_argument("--gnuplot", default=None, help="also emit a gnuplot script")
+    simp.add_argument("--gnuplot", default=None, help="also emit a gnuplot script plotting --out")
     simp.set_defaults(func=cmd_simulate)
 
     par = sub.add_parser("params", help="derive and validate a parameter tuple")

@@ -290,7 +290,7 @@ class NodeShare:
     symbols: tuple[int, ...]
 
 
-def encode_all(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix) -> list[NodeShare]:
+def encode_all(gen: GeneratorSet, msg: MessageMatrix) -> list[NodeShare]:
     """C = U @ G; share j is column j."""
     g_map = gen.g_map
     c_rows = [g_map.apply(urow) for urow in msg.u]
@@ -305,7 +305,7 @@ def helper_symbol(gen: GeneratorSet, helper_share: NodeShare, failed: int) -> in
     return gf_dot(gen.field, helper_share.symbols, gen.gbar_cols[failed])
 
 
-def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> NodeShare:
+def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
     """Exactly rebuild the failed node's column from d helper symbols.
 
     Each helper h contributes psi_h . w where psi_h = [gbar_h; lambda_h * gbar_h]
@@ -316,6 +316,7 @@ def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> No
     on the failed node and the helper order, so it is built once per pair
     and cached on gen.
     """
+    params = gen.params
     if not 0 <= failed < params.n:
         raise BadIndex(f"node index {failed} outside [0, {params.n})")
     helpers = list(helpers)
@@ -330,12 +331,13 @@ def regenerate(params: MsrParams, gen: GeneratorSet, failed: int, helpers) -> No
     key = (failed, tuple(indices))
     repair_map = gen.repair_maps.get(key)
     if repair_map is None:
-        repair_map = gen.repair_maps[key] = _repair_map(params, gen, failed, indices)
+        repair_map = gen.repair_maps[key] = _repair_map(gen, failed, indices)
     return NodeShare(node_index=failed, symbols=tuple(repair_map.apply([sym for _, sym in helpers])))
 
 
-def _repair_map(params: MsrParams, gen: GeneratorSet, failed: int, indices) -> LinearMap:
+def _repair_map(gen: GeneratorSet, failed: int, indices) -> LinearMap:
     """h -> [I | lambda_f I] Psi_S^-1 h for the helpers S = indices, in order."""
+    params = gen.params
     psi = [[gen.g_full[i][h] for i in range(params.d)] for h in indices]
     try:
         inv = invert(gen.field, psi)
@@ -359,7 +361,7 @@ def update_complexity(gen: GeneratorSet) -> int:
     return max(sum(1 for c in row if c) for row in gen.g_full)
 
 
-def update_patch(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix, symbol_index: int, new_value):
+def update_patch(gen: GeneratorSet, msg: MessageMatrix, symbol_index: int, new_value):
     """Minimal set of (node_index, share_row, new_symbol) entries that
     re-encoding with the changed message symbol would produce.
 
@@ -369,6 +371,7 @@ def update_patch(params: MsrParams, gen: GeneratorSet, msg: MessageMatrix, symbo
     """
     if not 0 <= new_value < gen.field.order:
         raise ValueError(f"value {new_value} outside field of order {gen.field.order}")
+    params = gen.params
     block, r, c = symbol_position(params, symbol_index)
     flat = unpack_message(params, msg)
     delta_v = flat[symbol_index] ^ new_value

@@ -134,7 +134,6 @@ __all__ = [
     "crc_payload_length",
     "attach_crc",
     "check_crc",
-    "make_integrity_checker",
 ]
 
 FAIL_RAN_OUT_OF_NODES = "RanOutOfNodes"
@@ -188,10 +187,6 @@ def check_crc(params: MsrParams, message) -> bool:
     t = crc_trailer_length(params.m)
     payload, trailer = message[: params.B - t], message[params.B - t :]
     return _crc_of(payload, params.m) == symbols_to_int(trailer, params.m)
-
-
-def make_integrity_checker(params: MsrParams):
-    return lambda message: check_crc(params, message)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +443,11 @@ class KNodeDecoder:
     docstring), built once and applied to every stripe read from them.
 
     decode() is linear in the k columns and unchecked: the caller accepts
-    its message only if the integrity check passes.
+    its message only if check_crc passes.
     """
 
-    def __init__(self, params: MsrParams, gen: GeneratorSet, nodes):
+    def __init__(self, gen: GeneratorSet, nodes):
+        params = gen.params
         field = gen.field
         exp, log = field.exp, field.log
         q1 = field.order - 1
@@ -516,13 +512,13 @@ class KNodeDecoder:
         return message
 
 
-def _k_node_round(decoder: KNodeDecoder, access: AccessSet, integrity, trace):
+def _k_node_round(decoder: KNodeDecoder, access: AccessSet, trace):
     """The v = 0 round over exactly k nodes, through the KNodeDecoder of
     this access set's nodes; returns the same result and trace entry as
     _attempt_round at v = 0 on the pair-solved access set."""
     message = decoder.decode(access.columns)
     j = len(access.nodes)
-    if not integrity(message):
+    if not check_crc(decoder.params, message):
         trace.append(RoundTrace(0, j, "integrity"))
         return None
     trace.append(RoundTrace(0, j, "accepted"))
@@ -535,7 +531,8 @@ def _gate_can_pass(j: int, v: int, k: int) -> bool:
     return j - v - k + 2 > v
 
 
-def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra_erased=frozenset()):
+def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_erased=frozenset()):
+    params = gen.params
     nodes = pair.nodes
     j = len(nodes)
     trial = tuple(sorted(extra_erased)) if extra_erased else None
@@ -566,21 +563,21 @@ def _attempt_round(params, gen, pair: PairSolve, v: int, integrity, trace, extra
         z2=tuple(tuple(r) for r in z2),
     )
     message = unpack_message(params, msg)
-    if not integrity(message):
+    if not check_crc(params, message):
         trace.append(RoundTrace(v, j, "integrity", trial))
         return None
     trace.append(RoundTrace(v, j, "accepted", trial))
     return message, frozenset(nodes[c] for c in p_cls.erroneous)
 
 
-def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, k: int) -> list[tuple[int, ...]]:
+def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int) -> list[tuple[int, ...]]:
     """Every size-v erasure support (positions into the access order) in
     descending syndrome score, ties in enumeration order; the score is
     defined in the module docstring."""
     nodes = pair.nodes
     j = len(nodes)
     supports = list(itertools.combinations(range(j), v))
-    if j - k - v <= 0:
+    if j - gen.params.k - v <= 0:
         return supports
     code = gen.code_alpha
     field, scale = code.field, gen.col_scale
@@ -625,28 +622,20 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, k: int) -> list[tup
     return sorted(supports, key=lambda support: -score[support])
 
 
-def reconstruct_progressive(
-    params: MsrParams,
-    gen: GeneratorSet,
-    source,
-    integrity,
-    rng: random.Random | None = None,
-    k_decoder=None,
-) -> DecodeReport:
+def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_decoder=None) -> DecodeReport:
     """Run the progressive reconstruction loop against a share source.
 
     source(node_index) returns the node's alpha symbols, or None if the node
-    is unreachable; no node is ever requested twice.  integrity(message)
-    accepts or rejects a candidate B-symbol message.  All node choices come
+    is unreachable; no node is ever requested twice.  A candidate B-symbol
+    message is accepted only if check_crc passes.  All node choices come
     from ``rng``, so a seeded generator makes the whole run deterministic.
     TRIAL_BUDGET caps the subset enumeration of the erasure-trial fallback
     on supply-capped rounds.  k_decoder(nodes) gives the v = 0 round the
     KNodeDecoder of its k nodes; by default a new one is built.
     """
-    if rng is None:
-        rng = random.Random()
+    params = gen.params
     if k_decoder is None:
-        k_decoder = functools.partial(KNodeDecoder, params, gen)
+        k_decoder = functools.partial(KNodeDecoder, gen)
     n, k, alpha = params.n, params.k, params.alpha
     v_cap = params.error_capability
     requested: set[int] = set()
@@ -687,14 +676,14 @@ def reconstruct_progressive(
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
         if v == 0:  # always exactly k nodes
-            result = _k_node_round(k_decoder(access.nodes), access, integrity, trace)
+            result = _k_node_round(k_decoder(access.nodes), access, trace)
         else:
             pair = pair_solve(gen, access, pair)
-            result = _attempt_round(params, gen, pair, v, integrity, trace)
+            result = _attempt_round(gen, pair, v, trace)
         if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
-            for combo in _trial_order(gen, pair, v, k):
+            for combo in _trial_order(gen, pair, v):
                 extra = frozenset(pair.nodes[c] for c in combo)
-                result = _attempt_round(params, gen, pair, v, integrity, trace, extra_erased=extra)
+                result = _attempt_round(gen, pair, v, trace, extra_erased=extra)
                 if result is not None:
                     break
         if result is not None:
@@ -737,7 +726,7 @@ class FileReport:
         return frozenset().union(*(report.erroneous_nodes for report in self.progressive.values()))
 
 
-def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count: int, integrity, seed) -> FileReport:
+def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> FileReport:
     """Decode stripes 0 .. stripe_count - 1 of one file (module docstring,
     read session).
 
@@ -745,8 +734,7 @@ def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count:
     None.  A stripe runs reconstruct_progressive, with the generator
     random.Random(f"{seed}:stripe:{stripe}"), when no trusted set exists
     yet, when a trusted node's column is missing, or when the trusted set's
-    message fails the integrity check.  Decoding stops at the first stripe
-    that fails.
+    message fails check_crc.  Decoding stops at the first stripe that fails.
     """
     messages: list[list[int]] = []
     progressive: dict[int, DecodeReport] = {}
@@ -755,7 +743,7 @@ def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count:
     def k_decoder(nodes) -> KNodeDecoder:
         nonlocal decoder
         if decoder is None or decoder.nodes != nodes:
-            decoder = KNodeDecoder(params, gen, nodes)
+            decoder = KNodeDecoder(gen, nodes)
         return decoder
 
     trusted = None
@@ -764,14 +752,14 @@ def reconstruct_file(params: MsrParams, gen: GeneratorSet, source, stripe_count:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
                 message = k_decoder(trusted).decode(columns)
-                if integrity(message):
+                if check_crc(gen.params, message):
                     messages.append(message)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
-        report = reconstruct_progressive(params, gen, lambda node: source(node, s), integrity, rng, k_decoder)
+        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, k_decoder)
         progressive[s] = report
         if not report.success:
             break
         messages.append(report.recovered_message)
-        trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
+        trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: gen.params.k]
     return FileReport(stripe_count, messages, progressive)

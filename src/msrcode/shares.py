@@ -166,7 +166,7 @@ class Manifest:
         if raw["flavor"] not in FLAVORS:
             raise ShareFormatError(f"{path}: manifest flavor must be one of {FLAVORS}")
         for entry in raw["shares"]:
-            if not (isinstance(entry, dict) and isinstance(entry.get("node"), int) and isinstance(entry.get("file"), str)):
+            if not (isinstance(entry, dict) and type(entry.get("node")) is int and isinstance(entry.get("file"), str)):
                 raise ShareFormatError(f"{path}: manifest share entries need an int node and a str file")
         _check_layout(path, raw)
         if sorted(entry["node"] for entry in raw["shares"]) != list(range(1, raw["n"] + 1)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field import Field
 from .msr import GeneratorSet, MsrParams, encode_all, generator_set, pack_message
-from .reconstruct import attach_crc, crc_payload_length, make_integrity_checker, reconstruct_progressive
+from .reconstruct import attach_crc, crc_payload_length, reconstruct_progressive
 
 __all__ = [
     "SimConfig",
@@ -88,22 +88,16 @@ def corrupt_symbols(rng: random.Random, field: Field, symbols, mode: str = "colu
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
-def run_trial(
-    params: MsrParams,
-    gen: GeneratorSet,
-    p: float,
-    rng: random.Random,
-    corruption: str = "column",
-) -> TrialResult:
+def run_trial(gen: GeneratorSet, p: float, rng: random.Random, corruption: str = "column") -> TrialResult:
     """One encode -> corrupt -> reconstruct round trip.
 
     Raises if the reconstructor claims success with a wrong message (a CRC
     collision); that must never happen in practice.
     """
-    field = gen.field
+    params, field = gen.params, gen.field
     payload = [rng.randrange(field.order) for _ in range(crc_payload_length(params))]
     message = attach_crc(params, payload)
-    shares = encode_all(params, gen, pack_message(params, message))
+    shares = encode_all(gen, pack_message(params, message))
     bad = frozenset(i for i in range(params.n) if rng.random() < p)
 
     def source(node: int):
@@ -112,7 +106,7 @@ def run_trial(
             return corrupt_symbols(rng, field, symbols, corruption)
         return symbols
 
-    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    report = reconstruct_progressive(gen, source, rng)
     if report.success and list(report.recovered_message) != message:
         raise RuntimeError("reconstruction returned a wrong message that passed integrity")
     return TrialResult(success=report.success, nodes_accessed=report.nodes_accessed, num_bad=len(bad))
@@ -128,10 +122,9 @@ def _trial_rng(seed: int, p_index: int, trial_index: int) -> random.Random:
     return random.Random(f"{seed}:{p_index}:{trial_index}")
 
 
-def run_sweep(config: SimConfig, gen: GeneratorSet | None = None) -> list[SimPoint]:
+def run_sweep(config: SimConfig) -> list[SimPoint]:
     params = config.params
-    if gen is None:
-        gen = generator_set(params, config.flavor)
+    gen = generator_set(params, config.flavor)
     points = []
     for p_index, p in enumerate(config.p_grid):
         failures = 0
@@ -139,7 +132,7 @@ def run_sweep(config: SimConfig, gen: GeneratorSet | None = None) -> list[SimPoi
         nodes_total = 0
         for trial_index in range(config.trials):
             rng = _trial_rng(config.seed, p_index, trial_index)
-            result = run_trial(params, gen, p, rng, config.corruption)
+            result = run_trial(gen, p, rng, config.corruption)
             if not result.success:
                 failures += 1
             if not baseline_success_model(params, result.num_bad):

@@ -32,7 +32,6 @@ from msrcode.msr import (
 from msrcode.reconstruct import (
     attach_crc,
     crc_payload_length,
-    make_integrity_checker,
     reconstruct_progressive,
 )
 from msrcode.rs import RsCode, poly_eval
@@ -51,20 +50,20 @@ def inject_and_reconstruct(params, gen, bad, seed):
     rng = random.Random(seed)
     payload = [rng.randrange(gen.field.order) for _ in range(crc_payload_length(params))]
     message = attach_crc(params, payload)
-    shares = encode_all(params, gen, pack_message(params, message))
+    shares = encode_all(gen, pack_message(params, message))
 
     def source(node):
         symbols = shares[node].symbols
         return corrupt_symbols(rng, gen.field, symbols) if node in bad else symbols
 
-    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    report = reconstruct_progressive(gen, source, rng)
     return message, report
 
 
 def test_criterion_1_failure_rate_comparison_at_p01():
     start = time.monotonic()
     config = SimConfig(params=P20, p_grid=[0.1], trials=1000, seed=20240101)
-    (point,) = run_sweep(config, GEN20)
+    (point,) = run_sweep(config)
     elapsed = time.monotonic() - start
     assert 0.001 <= point.proposed_failure_rate <= 0.025, point
     assert 0.55 <= point.baseline_failure_rate <= 0.67, point
@@ -144,13 +143,13 @@ def test_criterion_4_regeneration_exactness():
     for params, gen in DESK:
         rng = random.Random(params.n)
         message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-        shares = encode_all(params, gen, pack_message(params, message))
+        shares = encode_all(gen, pack_message(params, message))
         for failed in range(params.n):
             pool = [h for h in range(params.n) if h != failed]
             helpers_idx = pool[: params.d] if params.n - 1 == params.d else rng.sample(pool, params.d)
             helpers = [(h, helper_symbol(gen, shares[h], failed)) for h in helpers_idx]
             assert len(helpers) == params.d  # transfer: d symbols per stripe
-            assert regenerate(params, gen, failed, helpers) == shares[failed]
+            assert regenerate(gen, failed, helpers) == shares[failed]
         transfers[(params.n, params.k)] = (params.d, params.B)
     print(
         f"[acceptance] criterion 4 (regeneration): PASS every node of [7,4,6] and "
@@ -176,14 +175,14 @@ def test_criterion_5_update_complexity_and_patches():
         for _ in range(3):
             message = [rng.randrange(gen.field.order) for _ in range(params.B)]
             msg = pack_message(params, message)
-            shares = encode_all(params, gen, msg)
+            shares = encode_all(gen, msg)
             for _ in range(175):
                 t = rng.randrange(params.B)
                 value = rng.randrange(gen.field.order)
-                patch = update_patch(params, gen, msg, t, value)
+                patch = update_patch(gen, msg, t, value)
                 changed = list(message)
                 changed[t] = value
-                assert apply_patch(shares, patch) == encode_all(params, gen, pack_message(params, changed))
+                assert apply_patch(shares, patch) == encode_all(gen, pack_message(params, changed))
                 checked += 1
     assert checked >= 1000
     print(
@@ -254,7 +253,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(616)
     for _ in range(200):
         message = [rng.randrange(8) for _ in range(P746.B)]
-        shares = encode_all(P746, GEN746, pack_message(P746, message))
+        shares = encode_all(GEN746, pack_message(P746, message))
         col = rng.randrange(7)
         original = list(shares[col].symbols)
         bad = list(corrupt_symbols(rng, GEN746.field, original))
@@ -279,7 +278,7 @@ def test_criterion_6_property_suites():
                 continue  # capped rounds go through erasure trials instead
             for _ in range(15):
                 message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-                shares = encode_all(params, gen, pack_message(params, message))
+                shares = encode_all(gen, pack_message(params, message))
                 nodes = tuple(rng.sample(range(params.n), j))
                 bad_pos = rng.sample(range(j), v)
                 cols = [shares[i].symbols for i in nodes]

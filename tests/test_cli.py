@@ -169,9 +169,9 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     built = []
 
     class CountingDecoder(msrcode.reconstruct.KNodeDecoder):
-        def __init__(self, params, gen, nodes):
+        def __init__(self, gen, nodes):
             built.append(tuple(nodes))
-            super().__init__(params, gen, nodes)
+            super().__init__(gen, nodes)
 
     monkeypatch.setattr(msrcode.reconstruct, "KNodeDecoder", CountingDecoder)
     dst = tmp_path / "restored.bin"
@@ -362,6 +362,18 @@ def test_simulate_gnuplot_emission(tmp_path):
     assert "plot" in gp.read_text()
 
 
+def test_simulate_gnuplot_without_out_exits_1(tmp_path, capsys):
+    # the script would plot a CSV that stdout output never wrote
+    gp = tmp_path / "plot.gp"
+    rc = main([
+        "simulate", "--n", "7", "--k", "4", "--m", "3", "--p-grid", "0",
+        "--trials", "5", "--gnuplot", str(gp),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not gp.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed manifests
 
@@ -392,6 +404,10 @@ def _drop(key):
         pytest.param(_set("n", "20"), id="wrong-type"),
         pytest.param(_set("flavor", "cauchy"), id="unknown-flavor"),
         pytest.param(_set("shares", [{"node": 1}]), id="bad-share-entry"),
+        pytest.param(
+            lambda doc: json.dumps({**doc, "shares": [{**e, "node": True} if e["node"] == 1 else e for e in doc["shares"]]}),
+            id="bool-share-node",
+        ),
         pytest.param(_set("primitive_poly", 0b100001), id="not-primitive"),
         pytest.param(_set("primitive_poly", 0b1011), id="wrong-degree-poly"),
         # the layout encode writes for 300 bytes: 83 payload symbols, 6 stripes

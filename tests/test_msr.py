@@ -198,7 +198,7 @@ def test_symbol_position_covers_everything():
 
 def test_encode_zero_message(gen746):
     p = gen746.params
-    shares = encode_all(p, gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, pack_message(p, [0] * p.B))
     assert all(s.symbols == (0, 0, 0) for s in shares)
 
 
@@ -207,7 +207,7 @@ def test_encode_matches_manual_product(gen746):
     rng = random.Random(3)
     message = [rng.randrange(8) for _ in range(p.B)]
     msg = pack_message(p, message)
-    shares = encode_all(p, gen746, msg)
+    shares = encode_all(gen746, msg)
     f = gen746.field
     for j in range(p.n):
         for r in range(p.alpha):
@@ -224,14 +224,14 @@ def test_regeneration_exact_7_4_6(flavor):
     rng = random.Random(17)
     for _ in range(10):
         message = [rng.randrange(8) for _ in range(p.B)]
-        shares = encode_all(p, g, pack_message(p, message))
+        shares = encode_all(g, pack_message(p, message))
         for failed in range(p.n):
             helpers = [
                 (h, helper_symbol(g, shares[h], failed))
                 for h in range(p.n)
                 if h != failed
             ]
-            rebuilt = regenerate(p, g, failed, helpers)
+            rebuilt = regenerate(g, failed, helpers)
             assert rebuilt == shares[failed]
 
 
@@ -240,12 +240,12 @@ def test_regeneration_exact_20_10_random_helper_sets():
     g = generator_set(p)
     rng = random.Random(29)
     message = [rng.randrange(32) for _ in range(p.B)]
-    shares = encode_all(p, g, pack_message(p, message))
+    shares = encode_all(g, pack_message(p, message))
     for failed in range(p.n):
         pool = [h for h in range(p.n) if h != failed]
         helpers_idx = rng.sample(pool, p.d)
         helpers = [(h, helper_symbol(g, shares[h], failed)) for h in helpers_idx]
-        assert regenerate(p, g, failed, helpers) == shares[failed]
+        assert regenerate(g, failed, helpers) == shares[failed]
 
 
 def _scalar_encode(field, u, g_full):
@@ -304,7 +304,7 @@ def test_encode_all_matches_scalar_product(n, k, m, flavor):
     messages += [[rng.choice((0, top, rng.randrange(1 << m))) for _ in range(p.B)] for _ in range(12)]
     for message in messages:
         msg = pack_message(p, message)
-        shares = encode_all(p, g, msg)
+        shares = encode_all(g, msg)
         expected = _scalar_encode(g.field, msg.u, g.g_full)
         assert [s.node_index for s in shares] == list(range(n))
         assert [list(s.symbols) for s in shares] == [list(col) for col in zip(*expected)]
@@ -317,7 +317,7 @@ def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
     p = make_params(20, 10, 5)
     g = generator_set(p, flavor)
     rng = random.Random(f"regenerate:{flavor}")
-    shares = encode_all(p, g, pack_message(p, [rng.randrange(32) for _ in range(p.B)]))
+    shares = encode_all(g, pack_message(p, [rng.randrange(32) for _ in range(p.B)]))
     calls = []
     for failed in rng.sample(range(p.n), 8):
         pool = [h for h in range(p.n) if h != failed]
@@ -329,39 +329,39 @@ def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
     rng.shuffle(calls)
     for failed, order in calls * 2:
         consistent = [(h, helper_symbol(g, shares[h], failed)) for h in order]
-        assert regenerate(p, g, failed, consistent) == shares[failed]
+        assert regenerate(g, failed, consistent) == shares[failed]
         arbitrary = [(h, rng.randrange(32)) for h in order]
-        assert regenerate(p, g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
+        assert regenerate(g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
 
 
 def test_generator_maps_are_built_on_first_use(gen746):
     g = generator_set(gen746.params)
     assert "g_map" not in vars(g) and not g.repair_maps
     p = g.params
-    shares = encode_all(p, g, pack_message(p, [i % 8 for i in range(p.B)]))
+    shares = encode_all(g, pack_message(p, [i % 8 for i in range(p.B)]))
     g_map = vars(g)["g_map"]
-    encode_all(p, g, pack_message(p, [1] * p.B))
+    encode_all(g, pack_message(p, [1] * p.B))
     assert vars(g)["g_map"] is g_map
     helpers = [(h, helper_symbol(g, shares[h], 0)) for h in range(1, 7)]
-    regenerate(p, g, 0, helpers)
-    regenerate(p, g, 0, helpers)
-    regenerate(p, g, 0, helpers[::-1])
+    regenerate(g, 0, helpers)
+    regenerate(g, 0, helpers)
+    regenerate(g, 0, helpers[::-1])
     assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
 
 
 def test_regeneration_zero_message(gen746):
     p = gen746.params
-    shares = encode_all(p, gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, pack_message(p, [0] * p.B))
     helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 7)]
-    assert regenerate(p, gen746, 0, helpers).symbols == (0, 0, 0)
+    assert regenerate(gen746, 0, helpers).symbols == (0, 0, 0)
 
 
 def test_regeneration_wrong_helper_count(gen746):
     p = gen746.params
-    shares = encode_all(p, gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, pack_message(p, [0] * p.B))
     helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 6)]
     with pytest.raises(WrongHelperCount):
-        regenerate(p, gen746, 0, helpers)
+        regenerate(gen746, 0, helpers)
 
 
 def test_repair_bandwidth_arithmetic(gen746):
@@ -397,7 +397,7 @@ def test_update_patch_diagonal_support(gen746):
     message = [rng.randrange(8) for _ in range(p.B)]
     msg = pack_message(p, message)
     # message index 0 is the (0, 0) diagonal entry of the first block
-    patch = update_patch(p, gen746, msg, 0, message[0] ^ 5)
+    patch = update_patch(gen746, msg, 0, message[0] ^ 5)
     rows = {r for _, r, _ in patch}
     nodes = {j for j, _, _ in patch}
     assert rows == {0}
@@ -408,7 +408,7 @@ def test_update_patch_diagonal_support(gen746):
 def test_update_patch_noop(gen746):
     p = gen746.params
     msg = pack_message(p, list(range(12)))
-    assert update_patch(p, gen746, msg, 3, 3) == set()
+    assert update_patch(gen746, msg, 3, 3) == set()
 
 
 @pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])
@@ -419,14 +419,14 @@ def test_update_patch_equals_reencode(n, k, m, flavor):
     rng = random.Random(n * 100 + k)
     message = [rng.randrange(g.field.order) for _ in range(p.B)]
     msg = pack_message(p, message)
-    shares = encode_all(p, g, msg)
+    shares = encode_all(g, msg)
     for _ in range(60):
         t = rng.randrange(p.B)
         value = rng.randrange(g.field.order)
-        patch = update_patch(p, g, msg, t, value)
+        patch = update_patch(g, msg, t, value)
         changed = list(message)
         changed[t] = value
-        expected = encode_all(p, g, pack_message(p, changed))
+        expected = encode_all(g, pack_message(p, changed))
         assert apply_patch(shares, patch) == expected
         # every reported entry genuinely changed
         for node, row, new in patch:
@@ -436,4 +436,4 @@ def test_update_patch_equals_reencode(n, k, m, flavor):
 def test_update_patch_bad_index(gen746):
     msg = pack_message(gen746.params, list(range(12)))
     with pytest.raises(BadIndex):
-        update_patch(gen746.params, gen746, msg, 12, 0)
+        update_patch(gen746, msg, 12, 0)

@@ -21,7 +21,6 @@ from msrcode.reconstruct import (
     classify_columns,
     crc_payload_length,
     crc_trailer_length,
-    make_integrity_checker,
     pair_solve,
     reconstruct_progressive,
     recover_z,
@@ -42,7 +41,7 @@ def fresh_case(params, gen, rng, with_crc=True):
         message = attach_crc(params, payload)
     else:
         message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-    shares = encode_all(params, gen, pack_message(params, message))
+    shares = encode_all(gen, pack_message(params, message))
     return message, shares
 
 
@@ -120,7 +119,7 @@ def test_crc_parameters_are_the_standard_ones():
 
 def test_pair_solve_zero_message():
     msg = pack_message(P746, [0] * P746.B)
-    shares = encode_all(P746, GEN746, msg)
+    shares = encode_all(GEN746, msg)
     access = AccessSet(nodes=tuple(range(7)), columns=tuple(s.symbols for s in shares))
     pair = pair_solve(GEN746, access)
     for r in range(7):
@@ -136,7 +135,7 @@ def test_pair_solve_z2_zero_matches_product_oracle():
     half = P746.alpha * (P746.alpha + 1) // 2
     message = [rng.randrange(8) for _ in range(half)] + [0] * half
     msg = pack_message(P746, message)
-    shares = encode_all(P746, GEN746, msg)
+    shares = encode_all(GEN746, msg)
     access = AccessSet(nodes=tuple(range(7)), columns=tuple(s.symbols for s in shares))
     pair = pair_solve(GEN746, access)
     p_true, _ = true_pq(GEN746, msg)
@@ -331,7 +330,7 @@ def run_injected(params, gen, bad, seed, mode="column"):
     rng = random.Random(seed)
     message, shares = fresh_case(params, gen, rng)
     source = corrupting_source(gen, shares, bad, rng, mode)
-    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    report = reconstruct_progressive(gen, source, rng)
     return message, report
 
 
@@ -353,7 +352,7 @@ def test_progressive_reads_build_no_encode_or_repair_map():
     for bad in (frozenset(), frozenset({1, 4, 9})):
         gen = generator_set(P20)
         source = corrupting_source(gen, shares, bad, rng)
-        report = reconstruct_progressive(P20, gen, source, make_integrity_checker(P20), rng)
+        report = reconstruct_progressive(gen, source, rng)
         assert report.recovered_message == message
         assert "g_map" not in vars(gen) and not gen.repair_maps
 
@@ -418,7 +417,7 @@ def test_progressive_unreachable_supply():
         calls.append(node)
         return shares[node].symbols if node in reachable else None
 
-    report = reconstruct_progressive(P746, GEN746, source, make_integrity_checker(P746), rng)
+    report = reconstruct_progressive(GEN746, source, rng)
     assert report.success
     assert report.recovered_message == message
     assert report.nodes_accessed == 4
@@ -432,7 +431,7 @@ def test_progressive_too_few_reachable():
     def source(node):
         return shares[node].symbols if node < 3 else None
 
-    report = reconstruct_progressive(P746, GEN746, source, make_integrity_checker(P746), rng)
+    report = reconstruct_progressive(GEN746, source, rng)
     assert not report.success
     assert report.failure_reason == "RanOutOfNodes"
 
@@ -475,17 +474,17 @@ def test_progressive_shortened_vandermonde_20_10():
         (24, 12, 8, "vandermonde"),
     ],
 )
-def test_k_node_round_matches_general_round(n, k, m, flavor):
+def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
     """One KNodeDecoder per node set, applied to several stripes, gives the
     same message (or rejection) and the same trace as _attempt_round at
-    v = 0, on garbage columns and on encodings with 0 to 2 corrupt nodes."""
+    v = 0, on garbage columns and on encodings with 0 to 2 corrupt nodes;
+    once under the CRC and once with a check that accepts everything."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
-    crc = make_integrity_checker(params)
     rng = random.Random(n * 1000 + k * 10 + m)
     for _ in range(6):
         nodes = tuple(rng.sample(range(n), k))
-        decoder = KNodeDecoder(params, gen, nodes)
+        decoder = KNodeDecoder(gen, nodes)
         for stripe in range(5):
             bad = []
             if stripe % 2:
@@ -499,12 +498,13 @@ def test_k_node_round_matches_general_round(n, k, m, flavor):
             access = AccessSet(nodes=nodes, columns=tuple(cols))
             pair = pair_solve(gen, access)
             decoded = decoder.decode(cols)
-            for integrity in (crc, lambda candidate: True):
+            for accept in (check_crc, lambda params, candidate: True):
+                monkeypatch.setattr(reconstruct, "check_crc", accept)
                 general_trace, closed_trace = [], []
-                expected = _attempt_round(params, gen, pair, 0, integrity, general_trace)
-                assert _k_node_round(decoder, access, integrity, closed_trace) == expected
+                expected = _attempt_round(gen, pair, 0, general_trace)
+                assert _k_node_round(decoder, access, closed_trace) == expected
                 assert closed_trace == general_trace
-                assert ((decoded, frozenset()) if integrity(decoded) else None) == expected
+                assert ((decoded, frozenset()) if accept(params, decoded) else None) == expected
             if stripe % 2 == 0 and not bad:
                 assert expected == (message, frozenset())
 
@@ -520,9 +520,7 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
     monkeypatch.setattr(
         reconstruct,
         "_k_node_round",
-        lambda decoder, access, integrity, trace: _attempt_round(
-            P20, gen, pair_solve(gen, access), 0, integrity, trace
-        ),
+        lambda decoder, access, trace: _attempt_round(gen, pair_solve(gen, access), 0, trace),
     )
     general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
     assert closed == general
@@ -541,7 +539,7 @@ def run_capped(params, gen, missing, liars, seed):
     gone = frozenset(drawn[:missing])
     lying = corrupting_source(gen, shares, frozenset(drawn[missing:]), rng)
     source = lambda node: None if node in gone else lying(node)
-    report = reconstruct_progressive(params, gen, source, make_integrity_checker(params), rng)
+    report = reconstruct_progressive(gen, source, rng)
     return message, report
 
 
@@ -549,7 +547,7 @@ def erasure_trials(report):
     return [entry.erasure_trial for entry in report.trace if entry.erasure_trial is not None]
 
 
-def scored_order(gen, pair, v, k):
+def scored_order(gen, pair, v):
     """Reference for _trial_order: the score straight from its definition,
     one Forney-syndrome product per row and support."""
     code = gen.code_alpha
@@ -601,7 +599,7 @@ def test_trial_order_matches_scored_reference(n, k, m, flavor):
             for b in rng.sample(range(j), rng.randrange(min(v + 2, j))):
                 cols[b] = corrupt_symbols(rng, gen.field, cols[b])
         pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
-        assert reconstruct._trial_order(gen, pair, v, k) == scored_order(gen, pair, v, k)
+        assert reconstruct._trial_order(gen, pair, v) == scored_order(gen, pair, v)
         checked += 1
 
 
@@ -629,7 +627,7 @@ def test_ranked_trials_report_like_plain_enumeration(monkeypatch, n, k, m, flavo
     seeds = [n * 1000 + missing * 10 + liars + 7 * s for s in seeds]
     ranked = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
     monkeypatch.setattr(
-        reconstruct, "_trial_order", lambda gen, pair, v, k: itertools.combinations(range(len(pair.nodes)), v)
+        reconstruct, "_trial_order", lambda gen, pair, v: itertools.combinations(range(len(pair.nodes)), v)
     )
     plain = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
     for (message, got), (_, want) in zip(ranked, plain):
@@ -817,9 +815,9 @@ def test_gate_impossible_rounds_skip_row_decoding(monkeypatch):
     calls = []
     attempt, decode = reconstruct._attempt_round, reconstruct.row_decode
 
-    def spy_attempt(params, gen, pair, v, *args, **kwargs):
+    def spy_attempt(gen, pair, v, *args, **kwargs):
         calls.append((v, len(pair.nodes), 0))
-        return attempt(params, gen, pair, v, *args, **kwargs)
+        return attempt(gen, pair, v, *args, **kwargs)
 
     def spy_decode(code, mat, nodes, *args):
         v, j, count = calls[-1]
@@ -889,7 +887,7 @@ def file_source(gen, stripes, missing=frozenset(), liars=None, gaps=frozenset())
 
 def progressive_read(params, gen, source, stripe, seed):
     rng = random.Random(f"{seed}:stripe:{stripe}")
-    return reconstruct_progressive(params, gen, lambda node: source(node, stripe), make_integrity_checker(params), rng)
+    return reconstruct_progressive(gen, lambda node: source(node, stripe), rng)
 
 
 def per_stripe_reads(params, gen, source, stripe_count, seed):
@@ -930,7 +928,6 @@ def test_read_session_matches_per_stripe_progressive(case):
     n, k, m, flavor, stripe_count, missing, lying, spread, late, gap = SESSION_CASES[case]
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
-    integrity = make_integrity_checker(params)
     for seed in range(3):
         rng = random.Random(f"{case}:{seed}")
         messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(stripe_count)))
@@ -950,7 +947,7 @@ def test_read_session_matches_per_stripe_progressive(case):
                 gaps.add((trusted[-1], gap))
         source = file_source(gen, stripes, set(drawn[:missing]), liars, gaps)
 
-        session = reconstruct.reconstruct_file(params, gen, source, stripe_count, integrity, seed)
+        session = reconstruct.reconstruct_file(gen, source, stripe_count, seed)
         expected, failure = per_stripe_reads(params, gen, source, stripe_count, seed)
         assert session.messages == expected
         assert session.success == (failure is None)
@@ -984,7 +981,7 @@ def test_read_session_reads_only_the_trusted_nodes():
         requested.append((node, stripe))
         return inner(node, stripe)
 
-    session = reconstruct.reconstruct_file(P20, gen, source, 6, make_integrity_checker(P20), 3)
+    session = reconstruct.reconstruct_file(gen, source, 6, 3)
     assert session.success and session.trusted_stripes == 5
     first = [node for node, stripe in requested if stripe == 0]
     assert len(first) == P20.k

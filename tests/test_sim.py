@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from msrcode import sim
 from msrcode.msr import generator_set, make_params
 from msrcode.sim import (
     CSV_HEADER,
@@ -29,13 +30,13 @@ def binom_tail(n, p, at_least):
 
 def test_trial_p_zero():
     for seed in range(10):
-        r = run_trial(P746, GEN746, 0.0, random.Random(seed))
+        r = run_trial(GEN746, 0.0, random.Random(seed))
         assert r.success and r.nodes_accessed == P746.k and r.num_bad == 0
 
 
 def test_trial_p_one_always_fails():
     for seed in range(5):
-        r = run_trial(P20, GEN20, 1.0, random.Random(seed))
+        r = run_trial(GEN20, 1.0, random.Random(seed))
         assert not r.success and r.num_bad == 20
 
 
@@ -44,7 +45,7 @@ def test_trial_success_rate_matches_binomial_7_4_6():
     the rate tracks P(Bin(7, 0.1) <= 2) within 3 sigma of 1000 trials."""
     trials = 1000
     p = 0.1
-    ok = sum(run_trial(P746, GEN746, p, random.Random(f"s:{i}")).success for i in range(trials))
+    ok = sum(run_trial(GEN746, p, random.Random(f"s:{i}")).success for i in range(trials))
     expected = 1 - binom_tail(7, p, P746.error_capability + 1)
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(ok / trials - expected) <= 3 * sigma + 0.01
@@ -61,7 +62,7 @@ def test_baseline_model_thresholds():
 
 def test_sweep_p_zero_row():
     cfg = SimConfig(params=P746, p_grid=[0.0], trials=25, seed=9)
-    (pt,) = run_sweep(cfg, GEN746)
+    (pt,) = run_sweep(cfg)
     assert pt.proposed_failure_rate == 0.0
     assert pt.baseline_failure_rate == 0.0
     assert pt.mean_nodes_accessed == P746.k
@@ -70,7 +71,7 @@ def test_sweep_p_zero_row():
 
 def test_sweep_dominance_and_monotone_cost():
     cfg = SimConfig(params=P746, p_grid=[0.0, 0.15, 0.35, 0.5], trials=120, seed=3)
-    points = run_sweep(cfg, GEN746)
+    points = run_sweep(cfg)
     for pt in points:
         assert pt.proposed_failure_rate <= pt.baseline_failure_rate
         assert P746.k <= pt.mean_nodes_accessed <= P746.n
@@ -78,12 +79,20 @@ def test_sweep_dominance_and_monotone_cost():
     assert all(b >= a - 0.15 for a, b in zip(means, means[1:]))
 
 
+def test_sweep_builds_the_configured_code(monkeypatch):
+    built = []
+    real = sim.generator_set
+    monkeypatch.setattr(sim, "generator_set", lambda params, flavor: built.append((params, flavor)) or real(params, flavor))
+    run_sweep(SimConfig(params=P746, p_grid=[0.0], trials=2, flavor="vandermonde"))
+    assert built == [(P746, "vandermonde")]
+
+
 def test_sweep_csv_deterministic():
     cfg = SimConfig(params=P746, p_grid=[0.0, 0.2], trials=40, seed=77)
     bufs = []
     for _ in range(2):
         buf = io.StringIO()
-        write_csv(run_sweep(cfg, GEN746), buf)
+        write_csv(run_sweep(cfg), buf)
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
     assert bufs[0].splitlines()[0] == CSV_HEADER
@@ -104,7 +113,7 @@ def test_failure_rate_tracks_binomial_model_20_10():
     trials = 400
     for p_index, p in enumerate([0.05, 0.1]):
         fails = sum(
-            not run_trial(P20, GEN20, p, random.Random(f"f:{p_index}:{i}")).success
+            not run_trial(GEN20, p, random.Random(f"f:{p_index}:{i}")).success
             for i in range(trials)
         )
         model = binom_tail(20, p, P20.error_capability + 1)
@@ -154,19 +163,19 @@ def test_beyond_capability_lucky_recovery_rate():
         trial_rng = random.Random(f"lucky:{i}")
         bad = frozenset(rng.sample(range(20), 6))
         # drive the decoder directly so the corrupted set size is exact
-        from msrcode.reconstruct import attach_crc, crc_payload_length, make_integrity_checker, reconstruct_progressive
+        from msrcode.reconstruct import attach_crc, crc_payload_length, reconstruct_progressive
         from msrcode.msr import encode_all, pack_message
         from msrcode.sim import corrupt_symbols
 
         payload = [trial_rng.randrange(32) for _ in range(crc_payload_length(P20))]
         message = attach_crc(P20, payload)
-        shares = encode_all(P20, GEN20, pack_message(P20, message))
+        shares = encode_all(GEN20, pack_message(P20, message))
 
         def source(node):
             s = shares[node].symbols
             return corrupt_symbols(trial_rng, GEN20.field, s) if node in bad else s
 
-        report = reconstruct_progressive(P20, GEN20, source, make_integrity_checker(P20), trial_rng)
+        report = reconstruct_progressive(GEN20, source, trial_rng)
         if report.success:
             assert report.recovered_message == message
             wins += 1
