@@ -10,9 +10,11 @@ parameter error, 2 reconstruction failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -56,7 +58,21 @@ EXIT_DECODE_FAIL = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; remap to 1."""
+    """argparse exits with status 2 on usage errors; remap to 1.
+
+    arguments(parser), if given, adds this parser's arguments just before
+    its first parse.
+    """
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,10 +85,10 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
-def _build_context(manifest: Manifest):
-    params = manifest.params()
-    field = Field(params.m, manifest.primitive_poly)
-    gen = generator_set(params, manifest.flavor, field)
+def _build_context(shares: ShareDir):
+    params = shares.params
+    field = Field(params.m, shares.manifest.primitive_poly)
+    gen = generator_set(params, shares.manifest.flavor, field)
     return params, gen
 
 
@@ -146,7 +162,7 @@ def cmd_encode(args) -> int:
 def cmd_reconstruct(args) -> int:
     shares = ShareDir(args.share_dir, args.manifest)
     manifest = shares.manifest
-    params, gen = _build_context(manifest)
+    params, gen = _build_context(shares)
     try:
         corrupt = _parse_node_list(args.corrupt_nodes, params.n)
     except ValueError as exc:
@@ -186,7 +202,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_repair(args) -> int:
     shares = ShareDir(args.share_dir, args.manifest)
     manifest = shares.manifest
-    params, gen = _build_context(manifest)
+    params, gen = _build_context(shares)
     if not 1 <= args.failed <= params.n:
         return _fail(f"node label {args.failed} outside 1..{params.n}")
     failed = args.failed - 1
@@ -220,7 +236,7 @@ def cmd_repair(args) -> int:
 def cmd_update(args) -> int:
     shares = ShareDir(args.share_dir, args.manifest)
     manifest = shares.manifest
-    params, gen = _build_context(manifest)
+    params, gen = _build_context(shares)
     payload_len = manifest.payload_symbols_per_stripe
     if not 0 <= args.stripe < manifest.stripe_count:
         return _fail(f"stripe {args.stripe} outside 0..{manifest.stripe_count - 1}")
@@ -357,60 +373,82 @@ def cmd_params(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _encode_arguments(p: _Parser) -> None:
+    p.add_argument("input")
+    p.add_argument("out_dir")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
+    p.set_defaults(func=cmd_encode)
+
+
+def _reconstruct_arguments(p: _Parser) -> None:
+    p.add_argument("share_dir")
+    p.add_argument("output")
+    p.add_argument("--manifest", default=None, help="default: <share_dir>/manifest.json")
+    p.add_argument("--corrupt-nodes", default=None, help="test hook: 1-based labels, comma separated")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_reconstruct)
+
+
+def _repair_arguments(p: _Parser) -> None:
+    p.add_argument("share_dir")
+    p.add_argument("--failed", type=int, required=True, help="1-based node label")
+    p.add_argument("--manifest", default=None)
+    p.set_defaults(func=cmd_repair)
+
+
+def _update_arguments(p: _Parser) -> None:
+    p.add_argument("share_dir")
+    p.add_argument("--stripe", type=int, required=True)
+    p.add_argument("--symbol", type=int, required=True, help="payload symbol index within the stripe")
+    p.add_argument("--value", type=int, required=True)
+    p.add_argument("--manifest", default=None)
+    p.set_defaults(func=cmd_update)
+
+
+def _simulate_arguments(p: _Parser) -> None:
+    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--p-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--corruption", choices=["column", "symbol"], default="column")
+    p.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
+    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    p.add_argument("--gnuplot", default=None, help="also emit a gnuplot script plotting --out")
+    p.set_defaults(func=cmd_simulate)
+
+
+def _params_arguments(p: _Parser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.set_defaults(func=cmd_params)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="msrcode", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    enc = sub.add_parser("encode", help="encode a file into n share files plus a manifest")
-    enc.add_argument("input")
-    enc.add_argument("out_dir")
-    enc.add_argument("--n", type=int, required=True)
-    enc.add_argument("--k", type=int, required=True)
-    enc.add_argument("--m", type=int, required=True)
-    enc.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
-    enc.set_defaults(func=cmd_encode)
-
-    rec = sub.add_parser("reconstruct", help="rebuild the original file from shares")
-    rec.add_argument("share_dir")
-    rec.add_argument("output")
-    rec.add_argument("--manifest", default=None, help="default: <share_dir>/manifest.json")
-    rec.add_argument("--corrupt-nodes", default=None, help="test hook: 1-based labels, comma separated")
-    rec.add_argument("--seed", type=int, default=0)
-    rec.set_defaults(func=cmd_reconstruct)
-
-    rep = sub.add_parser("repair", help="regenerate one node's share file from d helpers")
-    rep.add_argument("share_dir")
-    rep.add_argument("--failed", type=int, required=True, help="1-based node label")
-    rep.add_argument("--manifest", default=None)
-    rep.set_defaults(func=cmd_repair)
-
-    upd = sub.add_parser("update", help="change one payload symbol, rewriting only affected bytes")
-    upd.add_argument("share_dir")
-    upd.add_argument("--stripe", type=int, required=True)
-    upd.add_argument("--symbol", type=int, required=True, help="payload symbol index within the stripe")
-    upd.add_argument("--value", type=int, required=True)
-    upd.add_argument("--manifest", default=None)
-    upd.set_defaults(func=cmd_update)
-
-    simp = sub.add_parser("simulate", help="Monte Carlo failure-rate sweep")
-    simp.add_argument("--n", type=int, default=20)
-    simp.add_argument("--k", type=int, default=10)
-    simp.add_argument("--m", type=int, default=5)
-    simp.add_argument("--p-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5")
-    simp.add_argument("--trials", type=int, default=1000)
-    simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument("--corruption", choices=["column", "symbol"], default="column")
-    simp.add_argument("--flavor", choices=["systematic", "vandermonde"], default="systematic")
-    simp.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    simp.add_argument("--gnuplot", default=None, help="also emit a gnuplot script plotting --out")
-    simp.set_defaults(func=cmd_simulate)
-
-    par = sub.add_parser("params", help="derive and validate a parameter tuple")
-    par.add_argument("--n", type=int, required=True)
-    par.add_argument("--k", type=int, required=True)
-    par.add_argument("--m", type=int, required=True)
-    par.set_defaults(func=cmd_params)
-
+    """The msrcode parser.  Each subcommand gets its arguments only when it
+    parses, so a run builds the arguments of the one it invokes."""
+    # what every HelpFormatter would ask the terminal for on its own, once
+    width = shutil.get_terminal_size().columns - 2
+    parser = _Parser(
+        prog="msrcode",
+        description=__doc__,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
+    )
+    command = functools.partial(_Parser, formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=command)
+    sub.add_parser("encode", help="encode a file into n share files plus a manifest", arguments=_encode_arguments)
+    sub.add_parser("reconstruct", help="rebuild the original file from shares", arguments=_reconstruct_arguments)
+    sub.add_parser("repair", help="regenerate one node's share file from d helpers", arguments=_repair_arguments)
+    sub.add_parser(
+        "update", help="change one payload symbol, rewriting only affected bytes", arguments=_update_arguments
+    )
+    sub.add_parser("simulate", help="Monte Carlo failure-rate sweep", arguments=_simulate_arguments)
+    sub.add_parser("params", help="derive and validate a parameter tuple", arguments=_params_arguments)
     return parser
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .field import Field
 
-__all__ = ["gf_dot", "mat_mul", "mat_vec", "transpose", "identity", "rank", "invert", "LinearMap"]
+__all__ = ["gf_dot", "mat_mul", "mat_vec", "transpose", "identity", "rank", "row_reduce", "invert", "LinearMap"]
 
 
 class SingularMatrix(ValueError):
@@ -57,8 +57,11 @@ def identity(size: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
 
 
-def _eliminate(field: Field, aug: list[list[int]], cols: int) -> int:
-    """Row-reduce ``aug`` in place over its first ``cols`` columns; return rank."""
+def _eliminate(field: Field, aug: list[list[int]], cols: int, above: bool = True) -> int:
+    """Row-reduce ``aug`` in place over its first ``cols`` columns; return
+    rank.  With above=False only the rows below each pivot are cleared,
+    which leaves an echelon form with the same rank in about half the
+    work."""
     exp, log = field.exp, field.log
     q1 = field.order - 1
     rank_ = 0
@@ -70,19 +73,20 @@ def _eliminate(field: Field, aug: list[list[int]], cols: int) -> int:
             continue
         aug[rank_], aug[pivot] = aug[pivot], aug[rank_]
         prow = aug[rank_]
-        pinv = exp[q1 - log[prow[col]]]
         if prow[col] != 1:
-            lp = log[pinv]
+            lp = q1 - log[prow[col]]
             for j in range(col, width):
                 if prow[j]:
                     prow[j] = exp[log[prow[j]] + lp]
-        for r in range(rows):
-            if r != rank_ and aug[r][col]:
-                lf = log[aug[r][col]]
-                row = aug[r]
-                for j in range(col, width):
-                    if prow[j]:
-                        row[j] ^= exp[log[prow[j]] + lf]
+        terms = None  # the pivot row's nonzero entries as logs, once a row needs them
+        for r in range(0 if above else rank_ + 1, rows):
+            row = aug[r]
+            if r != rank_ and row[col]:
+                if terms is None:
+                    terms = [(j, log[prow[j]]) for j in range(col, width) if prow[j]]
+                lf = log[row[col]]
+                for j, lp in terms:
+                    row[j] ^= exp[lp + lf]
         rank_ += 1
         if rank_ == rows:
             break
@@ -93,7 +97,15 @@ def rank(field: Field, a) -> int:
     work = [list(row) for row in a]
     if not work:
         return 0
-    return _eliminate(field, work, len(work[0]))
+    return _eliminate(field, work, len(work[0]), above=False)
+
+
+def row_reduce(field: Field, a) -> list[list[int]]:
+    """The nonzero rows of a's reduced row echelon form, in pivot order."""
+    work = [list(row) for row in a]
+    if not work:
+        return []
+    return work[: _eliminate(field, work, len(work[0]))]
 
 
 def invert(field: Field, a) -> list[list[int]]:

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .field import Field
-from .linalg import LinearMap, SingularMatrix, gf_dot, invert, rank
-from .rs import RsCode, poly_eval
+from .linalg import LinearMap, SingularMatrix, gf_dot, invert, rank, row_reduce
+from .rs import RsCode
 
 __all__ = [
     "MsrParams",
@@ -52,6 +52,7 @@ __all__ = [
     "BadIndex",
     "make_params",
     "generator_set",
+    "stacked_rank",
     "pack_message",
     "unpack_message",
     "encode_all",
@@ -194,21 +195,49 @@ def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | 
     g_full = [list(row) for row in gbar]
     g_full += [[field.mul(c, lam) for c, lam in zip(row, delta)] for row in gbar]
 
-    if rank(field, g_full) != params.d:
+    if stacked_rank(field, gbar, delta) != params.d:
         raise AssertionError("stacked generator matrix is rank deficient")
     # Every stacked row, column-scaled, is a codeword of the root-based
     # [n, d] code: the scale depends only on the points a^j, not on the
-    # dimension, so it serves Gbar and the stacked matrix alike.
+    # dimension, so it serves Gbar and the stacked matrix alike.  The value
+    # of a row at the root a^t is the sum of row[j] * scale[j] * a^(j t);
+    # weights[t] holds the logs of scale[j] * a^(j t).
+    exp, log = field.exp, field.log
+    weights = [[(log[s] + j * t) % q1 for j, s in enumerate(col_scale)] for t in range(1, params.n - params.d + 1)]
     for row in g_full:
-        scaled = [field.mul(c, s) for c, s in zip(row, col_scale)]
-        for j in range(1, params.n - params.d + 1):
-            if poly_eval(field, scaled, field.exp[j]) != 0:
+        terms = [(j, log[c]) for j, c in enumerate(row) if c]
+        for weight in weights:
+            value = 0
+            for j, lc in terms:
+                value ^= exp[lc + weight[j]]
+            if value:
                 raise AssertionError("generator row does not vanish at a prescribed root")
 
     return GeneratorSet(
         params=params, field=field, flavor=flavor, gbar=gbar, delta=delta,
         g_full=g_full, code_alpha=code_alpha, col_scale=col_scale,
     )
+
+
+def stacked_rank(field: Field, gbar, delta) -> int:
+    """rank [Gbar; Gbar @ Delta] from one reduction of Gbar alone.
+
+    Row operations take Gbar to [I | X] on its pivot columns A and the
+    others R, and take Gbar @ Delta to [Delta_A | X Delta_R] at the same
+    time.  Subtracting Delta_A times the top block leaves [0 | K] with
+    K[i][j] = X[i][j] * (lambda_(R_j) + lambda_(A_i)), so the rank is
+    rank(Gbar) + rank(K), and K has only alpha x (n - alpha) entries.
+    The reduction visits the last alpha columns first: there a systematic
+    Gbar is the identity, which reduces with no arithmetic.
+    """
+    n, alpha = len(delta), len(gbar)
+    order = list(range(n - alpha, n)) + list(range(n - alpha))
+    reduced = row_reduce(field, [[row[j] for j in order] for row in gbar])
+    lam = [delta[j] for j in order]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    others = [c for c in range(n) if c not in pivots]
+    k = [[field.mul(row[c], lam[c] ^ lam[p]) for c in others] for row, p in zip(reduced, pivots)]
+    return len(reduced) + rank(field, k)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    correct columns emerge, for both P and Q, naming the same nodes.
 4. recover_z: erroneous columns are transposed into their rows (symmetry
    repair), alpha correct columns and alpha rows are inverted out to give
-   the symmetric message block, and the unpacked message must pass the
-   integrity check (CRC-32) before it is returned.
+   the symmetric message block (P and Q share the inverse when they pick
+   the same columns), and the unpacked message must pass the integrity
+   check (CRC-32) before it is returned.
 
 When the node supply caps the round below j = k + 2v, plain per-row
 decoding can sit exactly at the distance bound (s + 2v = d_min) and fail
@@ -388,13 +389,16 @@ def classify_columns(mat, rows, nodes, v: int, k: int) -> Classification:
     )
 
 
-def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes) -> list[list[int]]:
+def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes, inverses: dict) -> list[list[int]]:
     """Rebuild the symmetric alpha x alpha message block from an accepted round.
 
     Erroneous columns (whose corrected values the clean rows carry) are
     transposed into their own failed rows, then alpha correct columns and
     alpha rows are peeled off with one matrix inverse.  A non-symmetric
     block means some row miscorrected and the round must be rejected.
+    inverses maps the selected nodes to that inverse and is filled as
+    needed; one round shares it between its P and Q blocks, which usually
+    select the same nodes.
     """
     field = gen.field
     alpha = gen.params.alpha
@@ -420,8 +424,10 @@ def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes) -> list[
     # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
     if p_sel != transpose(p_sel):
         raise AsymmetryDetected("recovered block is not symmetric")
-    gbar_sel = [[gen.gbar[i][nodes[c]] for c in sel] for i in range(alpha)]
-    return _peel(field, invert(field, gbar_sel), p_sel)
+    key = tuple(nodes[c] for c in sel)
+    if key not in inverses:
+        inverses[key] = invert(field, [[gen.gbar[i][node] for node in key] for i in range(alpha)])
+    return _peel(field, inverses[key], p_sel)
 
 
 def _peel(field, g_inv, p_sel) -> list[list[int]]:
@@ -553,8 +559,9 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
         trace.append(RoundTrace(v, j, "agreement", trial))
         return None
     try:
-        z1 = recover_z(pair.p, p_rows, p_cls, gen, nodes)
-        z2 = recover_z(pair.q, q_rows, q_cls, gen, nodes)
+        inverses = {}
+        z1 = recover_z(pair.p, p_rows, p_cls, gen, nodes, inverses)
+        z2 = recover_z(pair.q, q_rows, q_cls, gen, nodes, inverses)
     except AsymmetryDetected:
         trace.append(RoundTrace(v, j, "asymmetry", trial))
         return None

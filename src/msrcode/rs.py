@@ -150,15 +150,19 @@ class RsCode:
         the [D | I] form whose every row has Hamming weight exactly d_min."""
         n, kappa = self.n, self.kappa
         parity = n - kappa
+        g = self.gen_poly  # monic of degree parity, so x^parity = g[:parity] mod g
+        mul = self.field.mul
+        rem = g[:parity]
         rows = []
         for i in range(kappa):
-            mono = [0] * (parity + i) + [1]
-            rem = poly_mod(self.field, mono, self.gen_poly)
-            row = [0] * n
-            for j, c in enumerate(rem):
-                row[j] = c
+            row = rem + [0] * kappa
             row[parity + i] = 1
             rows.append(row)
+            # x^(parity+i+1) mod g = x * rem mod g: shift up, fold the top back
+            top = rem[-1]
+            rem = [0] + rem[:-1]
+            if top:
+                rem = [c ^ mul(top, gc) for c, gc in zip(rem, g)]
         return rows
 
     def vandermonde_generator(self) -> list[list[int]]:

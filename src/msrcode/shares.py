@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -91,8 +92,14 @@ def write_share(path, share: ShareFile) -> None:
     Path(path).write_bytes(header + struct.pack(_body_format(share.m, len(symbols)), *symbols))
 
 
-def read_share(path) -> ShareFile:
-    blob = Path(path).read_bytes()
+def read_share(path, params: MsrParams | None = None) -> ShareFile:
+    """Parse one share file; any malformation raises ShareFormatError.
+
+    The header's (n, k, m) is validated by make_params, or, when params
+    are given (already validated, say from a manifest), must equal theirs.
+    """
+    with open(path, "rb") as fp:
+        blob = fp.read()
     if len(blob) < HEADER_SIZE:
         raise ShareFormatError(f"{path}: truncated header")
     magic, version, n, k, m, node_index, stripe_count = _HEADER.unpack_from(blob)
@@ -100,7 +107,10 @@ def read_share(path) -> ShareFile:
         raise ShareFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ShareFormatError(f"{path}: unsupported version {version}")
-    params = make_params(n, k, m)  # re-validates the header tuple
+    if params is None:
+        params = make_params(n, k, m)  # re-validates the header tuple
+    elif (n, k, m) != (params.n, params.k, params.m):
+        raise ShareFormatError(f"{path}: header code ({n}, {k}, {m}) is not ({params.n}, {params.k}, {params.m})")
     if not 0 <= node_index < n:
         raise ShareFormatError(f"{path}: node index {node_index} out of range")
     count = stripe_count * params.alpha
@@ -166,7 +176,9 @@ class Manifest:
         if raw["flavor"] not in FLAVORS:
             raise ShareFormatError(f"{path}: manifest flavor must be one of {FLAVORS}")
         for entry in raw["shares"]:
-            if not (isinstance(entry, dict) and type(entry.get("node")) is int and isinstance(entry.get("file"), str)):
+            if not (isinstance(entry, dict) and entry.keys() == {"node", "file"}):
+                raise ShareFormatError(f"{path}: manifest share entries need exactly the keys node and file")
+            if not (type(entry["node"]) is int and isinstance(entry["file"], str)):
                 raise ShareFormatError(f"{path}: manifest share entries need an int node and a str file")
         _check_layout(path, raw)
         if sorted(entry["node"] for entry in raw["shares"]) != list(range(1, raw["n"] + 1)):
@@ -174,7 +186,7 @@ class Manifest:
         names = [entry["file"] for entry in raw["shares"]]
         for name in names:
             # repair writes to this name: it must stay inside the share directory
-            if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+            if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
                 raise ShareFormatError(f"{path}: manifest share file {name!r} is not a plain file name")
         if len(set(names)) != len(names):
             raise ShareFormatError(f"{path}: manifest names the same share file for two nodes")
@@ -212,17 +224,20 @@ class ShareDir:
     A node's file is parsed on the first request for one of its columns and
     cached.  A file that is missing, unreadable, malformed or whose header
     disagrees with the manifest makes the node an erasure (None), so one bad
-    file costs one node, not the run.
+    file costs one node, not the run.  The manifest's parameters and file
+    names are looked up once, not per file.
     """
 
     def __init__(self, share_dir, manifest_path=None):
         self.root = Path(share_dir)
         self.manifest = Manifest.load(Path(manifest_path) if manifest_path else self.root / "manifest.json")
+        self.params = self.manifest.params()
+        self._names = {entry["node"] - 1: entry["file"] for entry in self.manifest.shares}
         self._shares: dict[int, ShareFile | None] = {}
         self.files_read = 0  # share files read from disk so far, well-formed or not
 
     def file(self, node: int) -> Path:
-        return self.root / self.manifest.file_for_node(node)
+        return self.root / self._names[node]
 
     def column(self, node: int, stripe: int) -> tuple[int, ...] | None:
         """The node's alpha symbols of one stripe, or None for an erasure."""
@@ -233,22 +248,21 @@ class ShareDir:
 
     def _load(self, node: int) -> ShareFile | None:
         try:
-            share = read_share(self.file(node))
+            share = read_share(self.file(node), self.params)
         except OSError:  # missing, a directory, unreadable: nothing was read
             return None
-        except (ShareFormatError, InvalidParams):
+        except ShareFormatError:
             share = None
         self.files_read += 1
-        m = self.manifest
-        if share is None or (share.n, share.k, share.m, share.node_index, share.stripe_count) != (m.n, m.k, m.m, node, m.stripe_count):
+        if share is None or (share.node_index, share.stripe_count) != (node, self.manifest.stripe_count):
             return None
         return share
 
     def patch(self, node: int, stripe: int, changes) -> None:
         """Overwrite symbols of one stripe in place; changes are
         (row, value) pairs, and only those symbols are written."""
-        width = symbol_width(self.manifest.m)
-        alpha = self.manifest.params().alpha
+        width = symbol_width(self.params.m)
+        alpha = self.params.alpha
         with open(self.file(node), "r+b") as fp:
             for row, value in changes:
                 fp.seek(HEADER_SIZE + (stripe * alpha + row) * width)

@@ -148,7 +148,7 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     parsed = []
     read_share = msrcode.shares.read_share
-    monkeypatch.setattr(msrcode.shares, "read_share", lambda path: parsed.append(path) or read_share(path))
+    monkeypatch.setattr(msrcode.shares, "read_share", lambda path, *rest: parsed.append(path) or read_share(path, *rest))
     capsys.readouterr()
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
@@ -407,6 +407,10 @@ def _drop(key):
         pytest.param(
             lambda doc: json.dumps({**doc, "shares": [{**e, "node": True} if e["node"] == 1 else e for e in doc["shares"]]}),
             id="bool-share-node",
+        ),
+        pytest.param(
+            lambda doc: json.dumps({**doc, "shares": [{**doc["shares"][0], "fiel": "typo.msrc"}] + doc["shares"][1:]}),
+            id="unknown-share-entry-key",
         ),
         pytest.param(_set("primitive_poly", 0b100001), id="not-primitive"),
         pytest.param(_set("primitive_poly", 0b1011), id="wrong-degree-poly"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrcode.field import Field
 from msrcode.linalg import rank
 from msrcode.msr import (
     BadIndex,
@@ -19,12 +20,13 @@ from msrcode.msr import (
     make_params,
     pack_message,
     regenerate,
+    stacked_rank,
     symbol_position,
     unpack_message,
     update_complexity,
     update_patch,
 )
-from msrcode.rs import poly_eval
+from msrcode.rs import RsCode, poly_eval
 
 # (n, k, m) tuples exercising full-length and shortened codes
 DESK_PARAMS = [(7, 4, 3), (15, 8, 4), (9, 5, 4), (20, 10, 5)]
@@ -98,6 +100,77 @@ def test_delta_distinct_and_rank(n, k, m, flavor):
     g = generator_set(p, flavor)
     assert len(set(g.delta)) == n
     assert rank(g.field, g.g_full) == p.d
+
+
+@pytest.mark.parametrize("n,k,m", DESK_PARAMS)
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+def test_stacked_rank_matches_reference(n, k, m, flavor):
+    g = generator_set(make_params(n, k, m), flavor)
+    assert stacked_rank(g.field, g.gbar, g.delta) == rank(g.field, g.g_full) == 2 * (k - 1)
+
+
+def _random_stack(rng, field, n, alpha, kind):
+    """A (Gbar, delta) pair of the given kind; the deficient kinds make the
+    reference rank fall below 2 alpha."""
+    draw = lambda: rng.randrange(field.order)
+    delta = [rng.randrange(1, field.order) for _ in range(n)]
+    gbar = [[draw() for _ in range(n)] for _ in range(alpha)]
+    if kind == "systematic":
+        gbar = RsCode(n, alpha, field).systematic_generator()
+        delta = [field.exp[j * alpha % (field.order - 1)] for j in range(n)]
+    if kind == "repeated-lambda":
+        i, j = rng.sample(range(n), 2)
+        delta[i] = delta[j]
+    elif kind == "flat-lambda":
+        # Gbar @ (Delta - c I) lives on the alpha - 1 columns where lambda != c
+        keep = set(rng.sample(range(n), alpha - 1))
+        c = delta[0]
+        delta = [lam if j in keep else c for j, lam in enumerate(delta)]
+    elif kind == "dependent-row":
+        a, b = draw(), draw()
+        gbar[-1] = [field.mul(a, x) ^ field.mul(b, y) for x, y in zip(gbar[0], gbar[1 % alpha])]
+    elif kind == "singular-tail":
+        # the last alpha columns, which the reduction visits first, are singular
+        for row in gbar:
+            row[n - 1 - rng.randrange(alpha)] = 0
+    elif kind == "sparse":
+        gbar = [[x if rng.random() < 0.3 else 0 for x in row] for row in gbar]
+    return gbar, delta
+
+
+def test_stacked_rank_matches_reference_on_random_stacks():
+    """The alpha x (n - alpha) proof against the full elimination of
+    [Gbar; Gbar @ Delta], on 420 random stacks, a third of them or more
+    rank deficient."""
+    rng = random.Random(2501)
+    kinds = ["random", "systematic", "repeated-lambda", "flat-lambda", "dependent-row", "singular-tail", "sparse"]
+    verdicts = {True: 0, False: 0}
+    for trial in range(420):
+        m = rng.choice([2, 3, 4, 5, 8])
+        field = Field(m)
+        n = rng.randrange(3, min(field.order - 1, 24) + 1)
+        alpha = rng.randrange(1, (n - 1) // 2 + 1)
+        gbar, delta = _random_stack(rng, field, n, alpha, kinds[trial % len(kinds)])
+        stack = [list(row) for row in gbar] + [[field.mul(c, lam) for c, lam in zip(row, delta)] for row in gbar]
+        expected = rank(field, stack)
+        assert stacked_rank(field, gbar, delta) == expected, (m, n, alpha, kinds[trial % len(kinds)])
+        verdicts[expected == 2 * alpha] += 1
+    assert min(verdicts.values()) >= 140, verdicts
+
+
+def test_generator_set_rejects_a_rank_deficient_stack(monkeypatch):
+    """A Gbar whose last row is the sum of two others still vanishes at
+    every root, so only the rank check can catch it."""
+    systematic = RsCode.systematic_generator
+
+    def deficient(code):
+        rows = systematic(code)
+        rows[-1] = [x ^ y for x, y in zip(rows[0], rows[1])]
+        return rows
+
+    monkeypatch.setattr(RsCode, "systematic_generator", deficient)
+    with pytest.raises(AssertionError, match="rank deficient"):
+        generator_set(make_params(20, 10, 5))
 
 
 @pytest.mark.parametrize("n,k,m", DESK_PARAMS)

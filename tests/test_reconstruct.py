@@ -314,11 +314,11 @@ def test_recover_z_clean_full_access():
     pair = pair_solve(GEN746, AccessSet(nodes=nodes, columns=tuple(s.symbols for s in shares)))
     rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
     cls = classify_columns(pair.p, rows, pair.nodes, 0, P746.k)
-    z1 = recover_z(pair.p, rows, cls, GEN746, pair.nodes)
+    z1 = recover_z(pair.p, rows, cls, GEN746, pair.nodes, {})
     assert tuple(tuple(r) for r in z1) == msg.z1
     rows_q = row_decode(GEN746.code_alpha, pair.q, pair.nodes)
     cls_q = classify_columns(pair.q, rows_q, pair.nodes, 0, P746.k)
-    z2 = recover_z(pair.q, rows_q, cls_q, GEN746, pair.nodes)
+    z2 = recover_z(pair.q, rows_q, cls_q, GEN746, pair.nodes, {})
     assert tuple(tuple(r) for r in z2) == msg.z2
 
 
@@ -806,6 +806,39 @@ def test_progressive_reports_match_reference_path(monkeypatch):
     assert fast == reference
     assert any(report.failure_reason for _, report in fast)
     assert any(entry.erasure_trial for _, report in fast for entry in report.trace)
+
+
+def test_accepted_round_inverts_once_for_both_blocks(monkeypatch):
+    """[24,12] over GF(2^8) with 3 missing and 3 lying nodes: P and Q of an
+    accepted round select the same alpha nodes, so recovering Z1 and Z2
+    costs one inverse, not two, and the reports are unchanged."""
+    params = make_params(24, 12, 8)
+    gen = generator_set(params)
+    cases = [(params, gen, 3, 3, 7700 + s) for s in range(10)]
+    expected = [run_capped(*case) for case in cases]
+    recover, invert = reconstruct.recover_z, reconstruct.invert
+    rounds = []  # per recover_z call: (id of the round's memo, inverses computed)
+
+    def spy_recover(*args):
+        rounds.append((id(args[5]), 0))
+        return recover(*args)
+
+    def spy_invert(*args):
+        if rounds:
+            memo, count = rounds[-1]
+            rounds[-1] = (memo, count + 1)
+        return invert(*args)
+
+    monkeypatch.setattr(reconstruct, "recover_z", spy_recover)
+    monkeypatch.setattr(reconstruct, "invert", spy_invert)
+    for case, reference in zip(cases, expected):
+        rounds.clear()
+        assert run_capped(*case) == reference
+        assert reference[1].success and reference[1].rounds > 0
+        # the last two recover_z calls are the accepted round's P and Q
+        (p_memo, p_count), (q_memo, q_count) = rounds[-2:]
+        assert p_memo == q_memo
+        assert (p_count, q_count) == (1, 0)
 
 
 def test_gate_impossible_rounds_skip_row_decoding(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from msrcode.field import Field
 from msrcode.linalg import rank
-from msrcode.rs import BadLength, RsCode, poly_eval
+from msrcode.rs import BadLength, RsCode, poly_eval, poly_mod
 
 GF8 = Field(3)
 GF32 = Field(5)
@@ -87,6 +87,22 @@ def test_systematic_rows_weight_dmin(n, kappa, field):
     for row in code.systematic_generator():
         assert sum(1 for c in row if c) == code.d_min
         assert code.is_codeword(row)
+
+
+def test_systematic_generator_matches_poly_mod_reference():
+    """Each row's remainder, built as x times the previous one mod g, equals
+    x^(n-kappa+i) mod g computed afresh, for every code of GF(2^m), m <= 5."""
+    for m in range(2, 6):
+        field = Field(m)
+        for n in range(2, field.order):
+            for kappa in range(1, n):
+                code = RsCode(n, kappa, field)
+                parity = n - kappa
+                for i, row in enumerate(code.systematic_generator()):
+                    rem = poly_mod(field, [0] * (parity + i) + [1], code.gen_poly)
+                    expected = rem + [0] * (n - len(rem))
+                    expected[parity + i] = 1
+                    assert row == expected, (m, n, kappa, i)
 
 
 def test_vandermonde_rows(code73):

@@ -40,9 +40,9 @@ def share_dir(tmp_path):
 def test_column_parses_each_node_once_and_only_on_demand(share_dir, monkeypatch):
     parsed = []
 
-    def counting_read_share(path):
+    def counting_read_share(path, *rest):
         parsed.append(path.name)
-        return read_share(path)
+        return read_share(path, *rest)
 
     monkeypatch.setattr(shares_mod, "read_share", counting_read_share)
     shares = ShareDir(share_dir)
