@@ -15,7 +15,8 @@ tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
 GeneratorSet (encode), per repair set (the failed node and its helpers in
-order) or per RsCode (decode), never per stripe.
+order), per RsCode (decode) or per k-node set (the closed-form decoder,
+and per trusted set, for long files, its composed map), never per stripe.
 gf_dot stays for one-off products, and as the scalar reference the tests
 check LinearMap against.
 """
@@ -134,17 +135,35 @@ class LinearMap:
 
     def __init__(self, field: Field, matrix):
         m = field.m
+        self._fill(field, [sum(c << m * t for t, c in enumerate(row)) for row in matrix], len(matrix[0]))
+
+    @classmethod
+    def from_images(cls, field: Field, images, outputs: int) -> "LinearMap":
+        """The map whose input i has the packed image images[i] (output t
+        in bits m*t .. m*t + m - 1), the same map as LinearMap(field,
+        matrix) when images[i] packs matrix row i."""
+        linear_map = cls.__new__(cls)
+        linear_map._fill(field, images, outputs)
+        return linear_map
+
+    @staticmethod
+    def table_entries(m: int) -> int:
+        """Table entries per input over GF(2^m): 2^ceil(m/2) low and
+        2^floor(m/2) high."""
+        return (1 << (m + 1) // 2) + (1 << m // 2)
+
+    def _fill(self, field: Field, images, outputs: int) -> None:
+        m = field.m
         self.m, self.mask = m, field.order - 1
-        self.outputs = len(matrix[0])
+        self.outputs = outputs
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
         # bit 0 of every m-bit field, its top bit, and the bits below the top
-        ones = ((1 << m * self.outputs) - 1) // self.mask
+        ones = ((1 << m * outputs) - 1) // self.mask
         top, keep = ones << (m - 1), ones * (self.mask >> 1)
         low_poly = field.poly ^ field.order
         self.low, self.high = [], []
-        for row in matrix:
-            image = sum(c << m * t for t, c in enumerate(row))
+        for image in images:
             basis = [image]
             for _ in range(m - 1):
                 image = ((image & keep) << 1) ^ (((image & top) >> (m - 1)) * low_poly)

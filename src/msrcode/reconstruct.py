@@ -76,7 +76,11 @@ coefficients 1 / (lambda_r + lambda_c) and lambda_c / (lambda_r + lambda_c),
 the logs of h_c / h_r for the diagonal fill, and a LinearMap for G^-1, run
 twice (over P_sel's rows, then over the result's columns) to give Z.  The
 v = 0 round of reconstruct_progressive and the read session below use this
-one decoder.
+one decoder.  Those stages make a linear map from the k * alpha column
+symbols to the B message symbols, and KNodeDecoder.compose() folds them into
+one LinearMap built from the decoder's own parts (its docstring), after
+which decode() is one table pass instead of k + 4 * alpha map applications,
+the pair solve and the diagonal fill.
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
@@ -94,6 +98,19 @@ its own would be.  So a node caught lying or missing is not read again while
 the trusted set holds, a clean file is read from k nodes, and every stripe
 still passes the CRC before it is accepted.  The decoder lives in the
 session, never on the GeneratorSet, so nothing grows across files.
+
+The session composes the trusted set's decoder when, at a stripe it decodes
+from that set, at least LinearMap.table_entries(m) = 2^ceil(m/2) +
+2^floor(m/2) stripes are left (this one included): 12 at m = 5, 32 at m = 8.
+The build fills that many table entries per input and grows with them.  On
+[20,10]/GF(2^5) it costs about six staged decodes and on [24,12]/GF(2^8)
+about ten, while a composed stripe decodes in about a seventh of the staged
+time, so it repays itself after about 7 and 12 stripes.  The threshold sits
+at or above that break-even and follows from the kernel's layout rather
+than a setting.  Shorter files, and every
+single-stripe round (stripe 0's v = 0 round, update, simulate), keep the
+staged decode, which is also the tests' reference for the composed one.
+Either path gives the same message, so the choice changes no output.
 
 Rows live in Gbar's row space.  row_decode works in the root-based
 [n, alpha] code, so it scales each row by GeneratorSet.col_scale first
@@ -470,20 +487,98 @@ class KNodeDecoder:
         self.peel_map = LinearMap(field, g_inv)
         # pair (r, c), r < c, with s = m_rc + m_cr and w = lambda_c + lambda_r:
         # q = s / w and p = m_rc + s lambda_c / w, as logs of 1 / w and lambda_c / w
-        lam = [log[gen.delta[node]] for node in self.nodes]
+        self.lam = lam = [log[gen.delta[node]] for node in self.nodes]
         self.pairs = []
         for r in range(params.k):
             for c in range(r + 1, params.k):
                 lw = log[exp[lam[r]] ^ exp[lam[c]]]
                 self.pairs.append((r, c, (lam[c] - lw) % q1, -lw % q1))
         # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
-        lh = [log[x] for x in h]
+        self.lh = lh = [log[x] for x in h]
         self.diagonal = [
             [(c, (lh[c] - lh[r]) % q1) for c in range(params.k) if c != r] for r in range(alpha)
         ]
+        self.g_inv, self.gbar_access = g_inv, gbar_access
+        self.composed = None  # the one map compose() folds the stages into
+
+    def compose(self) -> None:
+        """Fold the staged decode into one LinearMap from the k * alpha
+        column symbols (symbol t of column c is input c * alpha + t) to the
+        B message symbols; decode() then applies that map alone.  The build
+        costs several staged decodes, so reconstruct_file composes a trusted
+        set's decoder once, and only with enough stripes left.
+
+        The map is read off the decoder's own parts, never by decoding unit
+        vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
+        p_rc (r < c) adds S = E_rc + E_cr + s_r E_rr + s_c E_cc to P_sel,
+        the last two through the diagonal fill, and any term with an index
+        of alpha or more drops out.  As s_r s_c = 1, S = s_r u u^T with
+        u = e_r + s_c e_c, so row a of its Z = G^-T S G^-1 is
+        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two peel_map lookups.  The
+        upper triangles of those rows give the pair map, from the
+        k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message symbols,
+        and P and Q share it.  Symbol t of column c enters m_rc with weight
+        gbar_access[t][r], so with w = lambda_r + lambda_c it adds
+        gbar_access[t][r] lambda_r / w to p_rc and gbar_access[t][r] / w to
+        q_rc: its image is the pair map on those k - 1 pairs, once per block.
+        """
+        field = self.field
+        exp, log, m = field.exp, field.log, field.m
+        q1 = field.order - 1
+        k, alpha = self.params.k, self.params.alpha
+        g_inv, lh, lam = self.g_inv, self.lh, self.lam
+        peel = self.peel_map
+        # a block's message half: row a's upper triangle starts at offsets[a]
+        triangle = alpha * (alpha + 1) // 2
+        offsets = [m * (a * alpha - a * (a - 1) // 2) for a in range(alpha)]
+        span = m * triangle
+        low, high, lmask, half = peel.low, peel.high, peel.lmask, peel.half
+        pair_of = [[0] * k for _ in range(k)]
+        images = []
+        for i, (r, c, _, _) in enumerate(self.pairs):
+            pair_of[r][c] = pair_of[c][r] = i
+            l_r = (lh[c] - lh[r]) % q1  # log s_r; s_c = 1 / s_r
+            image = 0
+            for a in range(alpha):
+                v = g_inv[r][a]
+                if c < alpha and g_inv[c][a]:
+                    v ^= exp[log[g_inv[c][a]] + q1 - l_r]
+                if not v:
+                    continue
+                x = exp[log[v] + l_r]
+                row = low[r][x & lmask] ^ high[r][x >> half]
+                if c < alpha:
+                    row ^= low[c][v & lmask] ^ high[c][v >> half]
+                image ^= (row >> m * a) << offsets[a]
+            images.append(image)
+        pair_map = LinearMap.from_images(field, images, triangle)
+
+        images = []
+        p_in, q_in = [0] * len(self.pairs), [0] * len(self.pairs)
+        for c in range(k):
+            # (r, pair {r, c}, log lambda_r / w, log 1 / w) for every r != c
+            terms = []
+            for r in range(k):
+                if r != c:
+                    i = pair_of[r][c]
+                    l_q = self.pairs[i][3]
+                    terms.append((r, i, (lam[r] + l_q) % q1, l_q))
+            indices = [i for _, i, _, _ in terms]
+            for row in self.gbar_access:
+                for r, i, l_p, l_q in terms:
+                    if row[r]:
+                        l_g = log[row[r]]
+                        p_in[i], q_in[i] = exp[l_g + l_p], exp[l_g + l_q]
+                    else:
+                        p_in[i] = q_in[i] = 0
+                images.append(pair_map.packed(p_in, indices) ^ (pair_map.packed(q_in, indices) << span))
+        self.composed = LinearMap.from_images(field, images, self.params.B)
 
     def decode(self, columns) -> list[int]:
-        """The B-symbol message that the k columns, in node order, encode."""
+        """The B-symbol message that the k columns, in node order, encode:
+        through the composed map once compose() has run, else in stages."""
+        if self.composed is not None:
+            return self.composed.apply([x for col in columns for x in col])
         exp, log = self.field.exp, self.field.log
         k, alpha = self.params.k, self.params.alpha
         m_cols = [self.m_map.apply(col) for col in columns]  # m_cols[c][r] = m_rc
@@ -753,12 +848,19 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
             decoder = KNodeDecoder(gen, nodes)
         return decoder
 
+    # compose() fills this many table entries per input, and its build grows
+    # with them: it repays itself after about 7 stripes at m = 5 and 12 at
+    # m = 8, under these 12 and 32, so fewer stripes left stay staged
+    compose_from = LinearMap.table_entries(gen.field.m)
     trusted = None
     for s in range(stripe_count):
         if trusted is not None:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
-                message = k_decoder(trusted).decode(columns)
+                trusted_decoder = k_decoder(trusted)
+                if trusted_decoder.composed is None and stripe_count - s >= compose_from:
+                    trusted_decoder.compose()
+                message = trusted_decoder.decode(columns)
                 if check_crc(gen.params, message):
                     messages.append(message)
                     continue

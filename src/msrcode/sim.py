@@ -161,6 +161,7 @@ def write_csv(points: list[SimPoint], fp) -> None:
 
 def write_gnuplot_script(fp, csv_name: str) -> None:
     """Convenience: a gnuplot script plotting both failure-rate curves."""
+    quoted = csv_name.replace("'", "''")  # gnuplot's only escape inside single quotes
     fp.write(
         "set datafile separator ','\n"
         "set key top left\n"
@@ -168,6 +169,6 @@ def write_gnuplot_script(fp, csv_name: str) -> None:
         "set xlabel 'node corruption probability'\n"
         "set ylabel 'reconstruction failure rate'\n"
         "set title 'Reconstruction failure rate'\n"
-        f"plot '{csv_name}' every ::1 using 1:2 with linespoints title 'progressive decoder', \\\n"
-        f"     '{csv_name}' every ::1 using 1:3 with linespoints title 'prior decoder model'\n"
+        f"plot '{quoted}' every ::1 using 1:2 with linespoints title 'progressive decoder', \\\n"
+        f"     '{quoted}' every ::1 using 1:3 with linespoints title 'prior decoder model'\n"
     )

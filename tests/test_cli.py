@@ -161,23 +161,43 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
 
 def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     """A clean read's trusted set is the k nodes of stripe 0's first round,
-    so the decoder that round built serves every later stripe too."""
+    so the decoder that round built serves every later stripe too.  With
+    19 stripes left, at least the 12 table entries per input of GF(2^5),
+    that decoder is composed once; a 4-stripe read and an update, a
+    single-stripe round, stay staged."""
     import msrcode.reconstruct
 
     data = random.Random(12).randbytes(1024)
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    built = []
+    built, composed = [], []
 
     class CountingDecoder(msrcode.reconstruct.KNodeDecoder):
         def __init__(self, gen, nodes):
             built.append(tuple(nodes))
             super().__init__(gen, nodes)
 
+        def compose(self):
+            composed.append(self.nodes)
+            super().compose()
+
     monkeypatch.setattr(msrcode.reconstruct, "KNodeDecoder", CountingDecoder)
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
     assert dst.read_bytes() == data
     assert len(built) == 1
+    assert composed == built
+
+    built.clear(), composed.clear()
+    assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
+    assert built and not composed
+
+    small = tmp_path / "small"
+    small.mkdir()
+    data = random.Random(13).randbytes(200)
+    src, out = encode_dir(small, data, n=20, k=10, m=5)
+    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
+    assert dst.read_bytes() == data
+    assert built and not composed
 
 
 def test_manifest_plus_k_shares_suffice(tmp_path):
@@ -196,8 +216,9 @@ def test_manifest_plus_k_shares_suffice(tmp_path):
 
 
 def test_roundtrip_large_file_with_corruption(tmp_path):
-    # randomized size up to 1 MiB; the dominant cost is per-stripe decoding,
-    # so this is the slowest test in the suite (about 8 s on one 2.1 GHz core)
+    # randomized size up to 1 MiB (here 13,519 stripes); per-stripe decoding
+    # and the CRC's bit packing dominate, so this is the slowest test in the
+    # suite (about 5 s on one 2.1 GHz core)
     rng = random.Random(2**20)
     size = rng.randrange(1 << 20)
     data = rng.randbytes(size)
@@ -352,14 +373,19 @@ def test_simulate_csv_deterministic(tmp_path):
 
 
 def test_simulate_gnuplot_emission(tmp_path):
-    csv = tmp_path / "sweep.csv"
-    gp = tmp_path / "plot.gp"
-    rc = main([
-        "simulate", "--n", "7", "--k", "4", "--m", "3", "--p-grid", "0",
-        "--trials", "5", "--out", str(csv), "--gnuplot", str(gp),
-    ])
-    assert rc == 0
-    assert "plot" in gp.read_text()
+    """The script names the CSV inside gnuplot single quotes, where a quote
+    is written twice."""
+    for csv_name in ("sweep.csv", "it's.csv"):
+        csv = tmp_path / csv_name
+        gp = tmp_path / "plot.gp"
+        rc = main([
+            "simulate", "--n", "7", "--k", "4", "--m", "3", "--p-grid", "0",
+            "--trials", "5", "--out", str(csv), "--gnuplot", str(gp),
+        ])
+        assert rc == 0
+        assert csv.exists()
+        quoted = "'" + str(csv).replace("'", "''") + "'"
+        assert gp.read_text().count(f"{quoted} every ::1") == 2
 
 
 def test_simulate_gnuplot_without_out_exits_1(tmp_path, capsys):

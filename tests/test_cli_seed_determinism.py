@@ -39,6 +39,9 @@ CASES = {
     "24-12-gf256-degraded": (24, 12, 8, 600, (3, 5, 10, 14, 18, 21, 23), "2,8", range(3)),
     # m > 8: two bytes per stored symbol
     "20-10-gf2048-degraded": (20, 10, 11, 600, (4, 9, 15), "2,8", range(3)),
+    # 79 stripes, 78 of them decoded from the trusted set: enough to compose
+    # its decoder, which the shorter cases never do
+    "20-10-gf32-long-lying": (20, 10, 5, 4096, (), "1,2,3", range(3)),
 }
 
 DIGESTS = {
@@ -53,6 +56,7 @@ DIGESTS = {
     "20-10-gf32-degraded": ["1c9b9c0067a9a87b", "1c9b9c0067a9a87b", "1c9b9c0067a9a87b"],
     "24-12-gf256-degraded": ["4771d54103193f37", "4771d54103193f37", "947b24e3c4b0596e"],
     "20-10-gf2048-degraded": ["6049b7e53e6ef1b2", "6049b7e53e6ef1b2", "6049b7e53e6ef1b2"],
+    "20-10-gf32-long-lying": ["8a18682358852342", "bdd20e14dfe15c85", "8a18682358852342"],
 }
 
 

@@ -108,3 +108,20 @@ def test_tables_match_per_bit_reference(m):
             matrix = _matrix(rng, field, inputs, outputs)
             lmap = LinearMap(field, matrix)
             assert (lmap.low, lmap.high) == reference_tables(field, matrix)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_from_images_matches_matrix_constructor(m):
+    """A map built from its rows' packed images has the same tables, and so
+    the same products, as the one built from the matrix."""
+    field = Field(m)
+    rng = random.Random(f"images:{m}")
+    for inputs, outputs in SHAPES:
+        matrix = _matrix(rng, field, inputs, outputs)
+        images = [sum(c << m * t for t, c in enumerate(row)) for row in matrix]
+        lmap = LinearMap.from_images(field, images, outputs)
+        reference = LinearMap(field, matrix)
+        assert (lmap.low, lmap.high) == (reference.low, reference.high)
+        xs = [_symbol(rng, field) for _ in range(inputs)]
+        assert lmap.apply(xs) == mat_vec(field, transpose(matrix), xs)
+        assert len(lmap.low[0]) + len(lmap.high[0]) == LinearMap.table_entries(m)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from msrcode import reconstruct
-from msrcode.linalg import gf_dot, mat_mul
+from msrcode.linalg import LinearMap, gf_dot, mat_mul
 from msrcode.msr import encode_all, generator_set, make_params, pack_message
 from msrcode.reconstruct import (
     AccessSet,
@@ -463,17 +463,17 @@ def test_progressive_shortened_vandermonde_20_10():
 # closed-form k-node round against the general v = 0 round
 
 
-@pytest.mark.parametrize(
-    "n,k,m,flavor",
-    [
-        (20, 10, 5, "systematic"),
-        (15, 5, 4, "systematic"),
-        (24, 12, 8, "systematic"),
-        (7, 4, 3, "vandermonde"),
-        (20, 10, 5, "vandermonde"),
-        (24, 12, 8, "vandermonde"),
-    ],
-)
+K_NODE_CODES = [
+    (20, 10, 5, "systematic"),
+    (15, 5, 4, "systematic"),
+    (24, 12, 8, "systematic"),
+    (7, 4, 3, "vandermonde"),
+    (20, 10, 5, "vandermonde"),
+    (24, 12, 8, "vandermonde"),
+]
+
+
+@pytest.mark.parametrize("n,k,m,flavor", K_NODE_CODES)
 def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
     """One KNodeDecoder per node set, applied to several stripes, gives the
     same message (or rejection) and the same trace as _attempt_round at
@@ -507,6 +507,35 @@ def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
                 assert ((decoded, frozenset()) if accept(params, decoded) else None) == expected
             if stripe % 2 == 0 and not bad:
                 assert expected == (message, frozenset())
+
+
+@pytest.mark.parametrize("n,k,m,flavor", K_NODE_CODES + [(20, 10, 11, "systematic")])
+def test_composed_decode_matches_staged_decode(n, k, m, flavor):
+    """compose() folds the staged decode into one map: on garbage columns,
+    fresh encodings and encodings with 1 or 2 corrupt columns, the composed
+    decoder returns exactly the staged decoder's message."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    rng = random.Random(f"compose:{n}:{k}:{m}:{flavor}")
+    for _ in range(4):
+        nodes = tuple(rng.sample(range(n), k))
+        staged, composed = KNodeDecoder(gen, nodes), KNodeDecoder(gen, nodes)
+        composed.compose()
+        assert staged.composed is None and composed.composed is not None
+        composed.m_map = composed.peel_map = None  # the staged body must not run
+        for kind in ("garbage", "fresh", "corrupt") * 4:
+            if kind == "garbage":
+                cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+            else:
+                message, shares = fresh_case(params, gen, rng)
+                cols = [shares[i].symbols for i in nodes]
+                if kind == "corrupt":
+                    for b in rng.sample(range(k), rng.randint(1, 2)):
+                        cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+            expected = staged.decode(cols)
+            assert composed.decode(cols) == expected
+            if kind == "fresh":
+                assert expected == message
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
@@ -949,6 +978,10 @@ SESSION_CASES = {
     "gap-24-12": (24, 12, 8, "systematic", 8, 3, 2, None, None, 5),
     "beyond-capability": (20, 10, 5, "systematic", 4, 0, 6, None, None, None),
     "beyond-from-stripe-2": (20, 10, 5, "vandermonde", 5, 0, 0, (11, 2), None, None),
+    # long enough that the trusted set's decoder is composed (12 stripes left
+    # at m = 5), so a composed decoder meets a lying or a missing node
+    "long-late-liar": (20, 10, 5, "systematic", 16, 0, 2, None, 2, None),
+    "long-gap": (20, 10, 5, "vandermonde", 14, 1, 1, None, None, 3),
 }
 
 
@@ -1000,6 +1033,21 @@ def test_read_session_matches_per_stripe_progressive(case):
             assert list(session.progressive) == [0] + [stripe for stripe in (late, gap) if stripe]
         assert session.trusted_stripes == len(session.messages) - sum(r.success for r in session.progressive.values())
         assert session.bad_nodes <= set(liars)
+
+
+def test_read_session_composes_with_enough_stripes_left(monkeypatch):
+    """The trusted set's decoder is composed once exactly when at least
+    LinearMap.table_entries(m) stripes are left for it, 12 at m = 5."""
+    rng = random.Random(78)
+    stripes = [fresh_case(P20, GEN20, rng)[1] for _ in range(13)]
+    composed = []
+    compose = KNodeDecoder.compose
+    monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
+    for count in (12, 13):
+        composed.clear()
+        session = reconstruct.reconstruct_file(GEN20, file_source(GEN20, stripes), count, 3)
+        assert session.success and session.trusted_stripes == count - 1
+        assert len(composed) == (count - 1 >= LinearMap.table_entries(P20.m) == 12)
 
 
 def test_read_session_reads_only_the_trusted_nodes():
