@@ -13,7 +13,6 @@ from .msr import (
     BadIndex,
     GeneratorSet,
     InvalidParams,
-    MessageMatrix,
     MsrParams,
     NodeShare,
     SingularHelperSet,
@@ -24,9 +23,7 @@ from .msr import (
     generator_set,
     helper_symbol,
     make_params,
-    pack_message,
     regenerate,
-    unpack_message,
     update_complexity,
     update_patch,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "BadLength",
     "MsrParams",
     "GeneratorSet",
-    "MessageMatrix",
     "NodeShare",
     "InvalidParams",
     "WrongLength",
@@ -60,8 +56,6 @@ __all__ = [
     "FLAVORS",
     "make_params",
     "generator_set",
-    "pack_message",
-    "unpack_message",
     "encode_all",
     "helper_symbol",
     "regenerate",

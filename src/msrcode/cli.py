@@ -28,7 +28,6 @@ from .msr import (
     generator_set,
     helper_symbol,
     make_params,
-    pack_message,
     regenerate,
     update_complexity,
     update_patch,
@@ -128,7 +127,7 @@ def cmd_encode(args) -> int:
         chunk = symbols[s * payload_len : (s + 1) * payload_len]
         chunk += [0] * (payload_len - len(chunk))
         message = attach_crc(params, chunk)
-        shares = encode_all(gen, pack_message(params, message))
+        shares = encode_all(gen, message)
         for node, share in enumerate(shares):
             node_stripes[node].append(share.symbols)
 
@@ -254,35 +253,28 @@ def cmd_update(args) -> int:
         print("value unchanged; empty patch, nothing rewritten")
         return EXIT_OK
 
-    new_payload = list(message[:payload_len])
-    new_payload[args.symbol] = args.value
-    new_message = attach_crc(params, new_payload)
-    old_packed = pack_message(params, message)
-    payload_patch = update_patch(gen, old_packed, args.symbol, args.value)
-    old_shares = encode_all(gen, old_packed)
-    # C = U @ G is linear in U, so the new shares are the old ones plus
-    # dU @ G, and only the rows of dU with a nonzero entry contribute
-    delta_u = pack_message(params, [a ^ b for a, b in zip(new_message, message)]).u
-    delta_rows = {row: gen.g_map.apply(urow) for row, urow in enumerate(delta_u) if any(urow)}
+    # the printed patch is the payload change alone; the written one also
+    # refreshes the integrity trailer
+    changed = list(message)
+    changed[args.symbol] = args.value
+    payload_patch = update_patch(gen, message, changed)
+    changes: dict[int, list[tuple[int, int]]] = {}
+    for node, row, value in update_patch(gen, message, attach_crc(params, changed[:payload_len])):
+        changes.setdefault(node, []).append((row, value))
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
     # repair to rebuild
-    changes = {}
+    old_shares = encode_all(gen, message)
     skipped = []
-    for node in range(params.n):
-        old = old_shares[node].symbols
-        rows = [(row, old[row] ^ delta[node]) for row, delta in delta_rows.items() if delta[node]]
-        if not rows:
-            continue
+    for node in sorted(changes):
         column = shares.column(node, args.stripe)
         if column is None:
             skipped.append(node + 1)
-            continue
-        if column != old:
+            del changes[node]
+        elif column != old_shares[node].symbols:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
-        changes[node] = rows
     for node, rows in changes.items():
         shares.patch(node, args.stripe, rows)
     rewritten = sum(len(rows) for rows in changes.values())

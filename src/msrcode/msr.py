@@ -11,7 +11,10 @@ generates the [n, d] RS code with roots a^1..a^(n-d), provided
 gcd(2^m - 1, alpha) = 1 (which makes the lambda_j pairwise distinct).  The
 B = k*alpha message symbols are packed into two symmetric alpha x alpha
 matrices Z1, Z2; the codeword matrix is C = [Z1 Z2] @ G and node j stores
-column j.
+column j.  Every entry point takes and returns the message as the flat list
+of B symbols: Z1 and Z2 exist only inside encode_all and update_patch,
+which gather the rows of [Z1 Z2] from it through GeneratorSet._u_rows, and
+the decoders flatten the blocks they recover in the same order.
 
 Two Gbar flavors are supported: "systematic" ([D | I], every row of weight
 n - alpha + 1, which minimizes update complexity) and "vandermonde" (the
@@ -33,6 +36,7 @@ pays for each map once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -43,7 +47,6 @@ from .rs import RsCode
 __all__ = [
     "MsrParams",
     "GeneratorSet",
-    "MessageMatrix",
     "NodeShare",
     "InvalidParams",
     "WrongLength",
@@ -53,8 +56,6 @@ __all__ = [
     "make_params",
     "generator_set",
     "stacked_rank",
-    "pack_message",
-    "unpack_message",
     "encode_all",
     "helper_symbol",
     "regenerate",
@@ -144,8 +145,8 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; g_map and repair_maps are
-    memos of maps derived from it, built on first use.
+    Treat as immutable after construction; g_map, _u_rows and repair_maps
+    are memos of maps derived from it, built on first use.
     """
 
     params: MsrParams
@@ -167,6 +168,22 @@ class GeneratorSet:
         """u -> u @ g_full: one row of U to one row of the codeword matrix.
         Lazy, since reads never encode."""
         return LinearMap(self.field, self.g_full)
+
+    @cached_property
+    def _u_rows(self) -> list[operator.itemgetter]:
+        """_u_rows[r](message) is row r of the information matrix
+        U = [Z1 Z2] of a flat B-symbol message.  Each half of the message
+        fills its block's upper triangle, diagonal included, row-major, and
+        the block is mirrored below it.  Lazy, since reads never encode."""
+        alpha = self.params.alpha
+        index = [[0] * (2 * alpha) for _ in range(alpha)]
+        t = 0
+        for offset in (0, alpha):
+            for r in range(alpha):
+                for c in range(r, alpha):
+                    index[r][offset + c] = index[c][offset + r] = t
+                    t += 1
+        return [operator.itemgetter(*row) for row in index]
 
     @cached_property
     def repair_maps(self) -> dict[tuple[int, tuple[int, ...]], LinearMap]:
@@ -241,72 +258,6 @@ def stacked_rank(field: Field, gbar, delta) -> int:
 
 
 # ---------------------------------------------------------------------------
-# message packing
-
-
-@dataclass(frozen=True)
-class MessageMatrix:
-    """B message symbols arranged as two symmetric alpha x alpha matrices."""
-
-    z1: tuple[tuple[int, ...], ...]
-    z2: tuple[tuple[int, ...], ...]
-
-    @property
-    def u(self) -> list[list[int]]:
-        """The alpha x d information matrix [Z1 Z2]."""
-        return [list(r1) + list(r2) for r1, r2 in zip(self.z1, self.z2)]
-
-
-def _triangle_positions(alpha: int):
-    for r in range(alpha):
-        for c in range(r, alpha):
-            yield r, c
-
-
-def pack_message(params: MsrParams, message) -> MessageMatrix:
-    """Fill Z1's upper triangle row-major (diagonal included) with the first
-    half of the message, mirror it, then fill Z2 from the second half."""
-    if len(message) != params.B:
-        raise WrongLength(f"message must have {params.B} symbols, got {len(message)}")
-    alpha = params.alpha
-    half = alpha * (alpha + 1) // 2
-    mats = []
-    for offset in (0, half):
-        z = [[0] * alpha for _ in range(alpha)]
-        for idx, (r, c) in enumerate(_triangle_positions(alpha)):
-            v = message[offset + idx]
-            z[r][c] = v
-            z[c][r] = v
-        mats.append(tuple(tuple(row) for row in z))
-    return MessageMatrix(z1=mats[0], z2=mats[1])
-
-
-def unpack_message(params: MsrParams, msg: MessageMatrix) -> list[int]:
-    alpha = params.alpha
-    out = []
-    for z in (msg.z1, msg.z2):
-        out.extend(z[r][c] for r, c in _triangle_positions(alpha))
-    return out
-
-
-def symbol_position(params: MsrParams, index: int) -> tuple[int, int, int]:
-    """Map a message index to (block, row, col): block 0 for Z1, 1 for Z2,
-    with row <= col in the upper triangle."""
-    alpha = params.alpha
-    half = alpha * (alpha + 1) // 2
-    if not 0 <= index < params.B:
-        raise BadIndex(f"symbol index {index} outside [0, {params.B})")
-    block, idx = divmod(index, half)
-    r = 0
-    row_len = alpha
-    while idx >= row_len:
-        idx -= row_len
-        row_len -= 1
-        r += 1
-    return (block, r, r + idx)
-
-
-# ---------------------------------------------------------------------------
 # encoding, repair, update
 
 
@@ -319,10 +270,16 @@ class NodeShare:
     symbols: tuple[int, ...]
 
 
-def encode_all(gen: GeneratorSet, msg: MessageMatrix) -> list[NodeShare]:
-    """C = U @ G; share j is column j."""
+def _check_length(params: MsrParams, message) -> None:
+    if len(message) != params.B:
+        raise WrongLength(f"message must have {params.B} symbols, got {len(message)}")
+
+
+def encode_all(gen: GeneratorSet, message) -> list[NodeShare]:
+    """C = U @ G for U = [Z1 Z2] of the B-symbol message; share j is column j."""
+    _check_length(gen.params, message)
     g_map = gen.g_map
-    c_rows = [g_map.apply(urow) for urow in msg.u]
+    c_rows = [g_map.apply(u_row(message)) for u_row in gen._u_rows]
     return [NodeShare(node_index=j, symbols=col) for j, col in enumerate(zip(*c_rows))]
 
 
@@ -390,39 +347,29 @@ def update_complexity(gen: GeneratorSet) -> int:
     return max(sum(1 for c in row if c) for row in gen.g_full)
 
 
-def update_patch(gen: GeneratorSet, msg: MessageMatrix, symbol_index: int, new_value):
-    """Minimal set of (node_index, share_row, new_symbol) entries that
-    re-encoding with the changed message symbol would produce.
+def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, int, int]]:
+    """The (node_index, share_row, new_symbol) entries in which the encoding
+    of new_message differs from that of old_message, and no others.
 
-    An encoded entry changes iff its generator coefficient is nonzero, so
-    the patch support is exactly the support of the touched generator rows.
-    Only the touched share rows are encoded, not the whole stripe.
+    C = U @ G is linear in U, so share row r changes by row r of dU @ G,
+    where dU = [Z1 Z2] of the symbol-wise difference of the two messages.
+    Only the rows of dU with a nonzero entry are encoded, old and change,
+    and an entry is patched only where its change is nonzero.  So a changed
+    diagonal symbol of Z touches the support of one generator row, an
+    off-diagonal one the supports of two.
     """
-    if not 0 <= new_value < gen.field.order:
-        raise ValueError(f"value {new_value} outside field of order {gen.field.order}")
     params = gen.params
-    block, r, c = symbol_position(params, symbol_index)
-    flat = unpack_message(params, msg)
-    delta_v = flat[symbol_index] ^ new_value
-    if delta_v == 0:
-        return set()
-
-    # Changed U entries: (r, c) in the chosen block, plus the mirror (c, r)
-    # for off-diagonal symbols.  Each one perturbs a single share row through
-    # one row of the stacked generator.
-    alpha = params.alpha
-    touched = [(r, block * alpha + c)]
-    if c != r:
-        touched.append((c, block * alpha + r))
-
-    u = msg.u
-    field = gen.field
+    _check_length(params, old_message)
+    _check_length(params, new_message)
+    delta = [a ^ b for a, b in zip(old_message, new_message)]
+    g_map = gen.g_map
     patch = set()
-    for share_row, gen_row in touched:
-        old_row = gen.g_map.apply(u[share_row])
-        for j, coeff in enumerate(gen.g_full[gen_row]):
-            if coeff:
-                patch.add((j, share_row, old_row[j] ^ field.mul(delta_v, coeff)))
+    for share_row, u_row in enumerate(gen._u_rows):
+        delta_row = u_row(delta)
+        if any(delta_row):
+            change = g_map.apply(delta_row)
+            old_row = g_map.apply(u_row(old_message))
+            patch.update((j, share_row, old ^ c) for j, (old, c) in enumerate(zip(old_row, change)) if c)
     return patch
 
 

@@ -129,7 +129,7 @@ from math import comb
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
 from .linalg import LinearMap, gf_dot, invert, mat_mul, mat_vec, transpose
-from .msr import GeneratorSet, MessageMatrix, MsrParams, WrongLength, unpack_message
+from .msr import GeneratorSet, MsrParams, WrongLength
 from .rs import RsCode
 
 __all__ = [
@@ -660,11 +660,10 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
     except AsymmetryDetected:
         trace.append(RoundTrace(v, j, "asymmetry", trial))
         return None
-    msg = MessageMatrix(
-        z1=tuple(tuple(r) for r in z1),
-        z2=tuple(tuple(r) for r in z2),
-    )
-    message = unpack_message(params, msg)
+    message = []
+    for z in (z1, z2):
+        for r in range(params.alpha):
+            message += z[r][r:]
     if not check_crc(params, message):
         trace.append(RoundTrace(v, j, "integrity", trial))
         return None

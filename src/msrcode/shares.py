@@ -144,13 +144,6 @@ class Manifest:
     def params(self) -> MsrParams:
         return make_params(self.n, self.k, self.m)
 
-    def file_for_node(self, node_index: int) -> str:
-        label = node_index + 1
-        for entry in self.shares:
-            if entry["node"] == label:
-                return entry["file"]
-        raise ShareFormatError(f"manifest has no share for node {label}")
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 

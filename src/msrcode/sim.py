@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .field import Field
-from .msr import GeneratorSet, MsrParams, encode_all, generator_set, pack_message
+from .msr import GeneratorSet, MsrParams, encode_all, generator_set
 from .reconstruct import attach_crc, crc_payload_length, reconstruct_progressive
 
 __all__ = [
@@ -97,7 +97,7 @@ def run_trial(gen: GeneratorSet, p: float, rng: random.Random, corruption: str =
     params, field = gen.params, gen.field
     payload = [rng.randrange(field.order) for _ in range(crc_payload_length(params))]
     message = attach_crc(params, payload)
-    shares = encode_all(gen, pack_message(params, message))
+    shares = encode_all(gen, message)
     bad = frozenset(i for i in range(params.n) if rng.random() < p)
 
     def source(node: int):

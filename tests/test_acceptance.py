@@ -24,7 +24,6 @@ from msrcode.msr import (
     generator_set,
     helper_symbol,
     make_params,
-    pack_message,
     regenerate,
     update_complexity,
     update_patch,
@@ -50,7 +49,7 @@ def inject_and_reconstruct(params, gen, bad, seed):
     rng = random.Random(seed)
     payload = [rng.randrange(gen.field.order) for _ in range(crc_payload_length(params))]
     message = attach_crc(params, payload)
-    shares = encode_all(gen, pack_message(params, message))
+    shares = encode_all(gen, message)
 
     def source(node):
         symbols = shares[node].symbols
@@ -143,7 +142,7 @@ def test_criterion_4_regeneration_exactness():
     for params, gen in DESK:
         rng = random.Random(params.n)
         message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-        shares = encode_all(gen, pack_message(params, message))
+        shares = encode_all(gen, message)
         for failed in range(params.n):
             pool = [h for h in range(params.n) if h != failed]
             helpers_idx = pool[: params.d] if params.n - 1 == params.d else rng.sample(pool, params.d)
@@ -174,15 +173,13 @@ def test_criterion_5_update_complexity_and_patches():
         rng = random.Random(params.n * 31)
         for _ in range(3):
             message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-            msg = pack_message(params, message)
-            shares = encode_all(gen, msg)
+            shares = encode_all(gen, message)
             for _ in range(175):
                 t = rng.randrange(params.B)
-                value = rng.randrange(gen.field.order)
-                patch = update_patch(gen, msg, t, value)
                 changed = list(message)
-                changed[t] = value
-                assert apply_patch(shares, patch) == encode_all(gen, pack_message(params, changed))
+                changed[t] = rng.randrange(gen.field.order)
+                patch = update_patch(gen, message, changed)
+                assert apply_patch(shares, patch) == encode_all(gen, changed)
                 checked += 1
     assert checked >= 1000
     print(
@@ -253,7 +250,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(616)
     for _ in range(200):
         message = [rng.randrange(8) for _ in range(P746.B)]
-        shares = encode_all(GEN746, pack_message(P746, message))
+        shares = encode_all(GEN746, message)
         col = rng.randrange(7)
         original = list(shares[col].symbols)
         bad = list(corrupt_symbols(rng, GEN746.field, original))
@@ -278,7 +275,7 @@ def test_criterion_6_property_suites():
                 continue  # capped rounds go through erasure trials instead
             for _ in range(15):
                 message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-                shares = encode_all(gen, pack_message(params, message))
+                shares = encode_all(gen, message)
                 nodes = tuple(rng.sample(range(params.n), j))
                 bad_pos = rng.sample(range(j), v)
                 cols = [shares[i].symbols for i in nodes]

@@ -1,13 +1,19 @@
-"""The public API's shape: the GeneratorSet is the only code argument, and
-the README's library sketch runs as written."""
+"""The public API's shape: the GeneratorSet is the only code argument, the
+message is the same flat list going into the encoder and out of the
+decoders, and the README's library sketch runs as written."""
 
 import importlib
 import inspect
 import pkgutil
+import random
 import re
 from pathlib import Path
 
+import pytest
+
 import msrcode
+from msrcode.reconstruct import KNodeDecoder
+from msrcode.sim import corrupt_symbols
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +50,33 @@ def test_readme_library_sketch_runs():
     blocks = re.findall(r"^## Library sketch\n\n```python\n(.*?)^```", README.read_text(), re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], f"{README}:library-sketch", "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "n,k,m,flavor", [(7, 4, 3, "systematic"), (7, 4, 3, "vandermonde"), (20, 10, 5, "systematic")]
+)
+def test_decoded_message_goes_straight_into_the_encoder(n, k, m, flavor):
+    """The decoders return the flat B-symbol list that encode_all takes, so
+    a decoded message re-encodes to the shares it was decoded from."""
+    params = msrcode.make_params(n, k, m)
+    gen = msrcode.generator_set(params, flavor)
+    rng = random.Random(f"api:{n}:{flavor}")
+    payload = [rng.randrange(gen.field.order) for _ in range(msrcode.crc_payload_length(params))]
+    shares = msrcode.encode_all(gen, msrcode.attach_crc(params, payload))
+    columns = [share.symbols for share in shares]
+
+    # lying nodes send the progressive decoder through its error-locating rounds
+    bad = frozenset(rng.sample(range(n), params.error_capability))
+
+    def source(node):
+        return corrupt_symbols(rng, gen.field, columns[node]) if node in bad else columns[node]
+
+    report = msrcode.reconstruct_progressive(gen, source, rng)
+    assert report.erroneous_nodes and report.erroneous_nodes <= bad
+    assert msrcode.encode_all(gen, report.recovered_message) == shares
+
+    nodes = sorted(rng.sample(range(n), k))
+    decoder = KNodeDecoder(gen, nodes)
+    assert msrcode.encode_all(gen, decoder.decode([columns[node] for node in nodes])) == shares
+    decoder.compose()
+    assert msrcode.encode_all(gen, decoder.decode([columns[node] for node in nodes])) == shares

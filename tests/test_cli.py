@@ -12,7 +12,7 @@ import pytest
 
 from msrcode.bits import bytes_to_symbols, symbols_to_bytes
 from msrcode.cli import main
-from msrcode.shares import HEADER_SIZE, Manifest, ShareFile, read_share, write_share
+from msrcode.shares import HEADER_SIZE, Manifest, ShareDir, ShareFile, read_share, write_share
 
 
 def sha(path):
@@ -55,12 +55,12 @@ def test_encode_layout_and_manifest(tmp_path):
     assert manifest.payload_symbols_per_stripe == 83  # 90 - 7 trailer symbols
     assert manifest.file_length == len(data)
     assert len(manifest.shares) == 20
-    share = read_share(out / manifest.file_for_node(0))
+    share = read_share(ShareDir(out).file(0))
     assert share.node_index == 0
     assert share.stripe_count == manifest.stripe_count
     # header + stripes * alpha symbols * 1 byte for m=5
     expected = HEADER_SIZE + manifest.stripe_count * 9
-    assert (out / manifest.file_for_node(0)).stat().st_size == expected
+    assert ShareDir(out).file(0).stat().st_size == expected
 
 
 def test_roundtrip_clean(tmp_path):
@@ -204,18 +204,18 @@ def test_manifest_plus_k_shares_suffice(tmp_path):
     data = bytes(range(200))
     src, out = encode_dir(tmp_path, data)
     # delete all but k = 4 shares
-    manifest = Manifest.load(out / "manifest.json")
+    shares = ShareDir(out)
     for node in (1, 4, 6):
-        (out / manifest.file_for_node(node)).unlink()
+        shares.file(node).unlink()
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst)]) == 0
     assert dst.read_bytes() == data
     # k - 1 shares must always fail
-    (out / manifest.file_for_node(0)).unlink()
+    shares.file(0).unlink()
     assert main(["reconstruct", str(out), str(dst)]) == 2
 
 
-def test_roundtrip_large_file_with_corruption(tmp_path):
+def test_roundtrip_large_file_with_corruption(tmp_path, capsys):
     # randomized size up to 1 MiB (here 13,519 stripes); per-stripe decoding
     # and the CRC's bit packing dominate, so this is the slowest test in the
     # suite (about 5 s on one 2.1 GHz core)
@@ -224,8 +224,12 @@ def test_roundtrip_large_file_with_corruption(tmp_path):
     data = rng.randbytes(size)
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     dst = tmp_path / "restored.bin"
-    rc = main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "6,17", "--seed", "12"])
+    # at seed 12 stripe 0 opens nodes 1, 3, 5, 7, 9, 13, 14, 15, 16 and 19,
+    # so both liars are read and must be located
+    rc = main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "3,14", "--seed", "12"])
     assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[-2]
+    assert summary.startswith("file: ") and summary.endswith("bad_nodes=[3, 14]")
     assert dst.read_bytes() == data
 
 
@@ -247,8 +251,8 @@ def test_share_order_independent(tmp_path):
 def test_repair_byte_identical(tmp_path, capsys):
     data = bytes(random.Random(3).randrange(256) for _ in range(1024))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    manifest = Manifest.load(out / "manifest.json")
-    target = out / manifest.file_for_node(2)
+    shares = ShareDir(out)
+    target = shares.file(2)
     before = sha(target)
     target.unlink()
     rc = main(["repair", str(out), "--failed", "3"])
@@ -262,9 +266,9 @@ def test_repair_byte_identical(tmp_path, capsys):
 def test_repair_all_nodes_7_4_6(tmp_path):
     data = b"exactly regenerated, not merely equivalent"
     src, out = encode_dir(tmp_path, data)
-    manifest = Manifest.load(out / "manifest.json")
+    shares = ShareDir(out)
     for node in range(7):
-        target = out / manifest.file_for_node(node)
+        target = shares.file(node)
         before = sha(target)
         target.unlink()
         assert main(["repair", str(out), "--failed", str(node + 1)]) == 0
@@ -274,9 +278,9 @@ def test_repair_all_nodes_7_4_6(tmp_path):
 def test_repair_not_enough_helpers(tmp_path):
     data = b"helpers required: d of them"
     src, out = encode_dir(tmp_path, data)
-    manifest = Manifest.load(out / "manifest.json")
+    shares = ShareDir(out)
     for node in (1, 2):
-        (out / manifest.file_for_node(node)).unlink()
+        shares.file(node).unlink()
     rc = main(["repair", str(out), "--failed", "1"])
     assert rc == 1
 
@@ -531,7 +535,7 @@ def _bad_magic(path, out, manifest):
 
 def _other_node(path, out, manifest):
     # a well-formed share, but node 6's
-    path.write_bytes((out / manifest.file_for_node(5)).read_bytes())
+    path.write_bytes(ShareDir(out).file(5).read_bytes())
 
 
 def _wrong_stripe_count(path, out, manifest):
@@ -567,14 +571,14 @@ def test_bad_share_is_an_erasure(tmp_path, damage):
     data = bytes(random.Random(6).randrange(256) for _ in range(1000))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     manifest = Manifest.load(out / "manifest.json")
-    damage(out / manifest.file_for_node(4), out, manifest)
+    damage(ShareDir(out).file(4), out, manifest)
 
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "3"]) == 0
     assert dst.read_bytes() == data
 
     # repair of node 3 needs all 18 remaining nodes, so it must skip node 5
-    target = out / manifest.file_for_node(2)
+    target = ShareDir(out).file(2)
     before = sha(target)
     target.unlink()
     assert main(["repair", str(out), "--failed", "3"]) == 0
@@ -592,10 +596,10 @@ def test_lying_shares_beyond_capability_exit_2(tmp_path):
     # capability + 1 = 6 well-formed shares whose every symbol is wrong
     data = bytes(random.Random(7).randrange(256) for _ in range(600))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    manifest = Manifest.load(out / "manifest.json")
+    shares = ShareDir(out)
     rng = random.Random(8)
     for node in (0, 3, 7, 11, 15, 19):
-        _lie(out / manifest.file_for_node(node), rng)
+        _lie(shares.file(node), rng)
     assert main(["reconstruct", str(out), str(tmp_path / "restored.bin"), "--seed", "1"]) == 2
 
 
@@ -606,7 +610,7 @@ def test_unreadable_shares_beyond_erasure_capability_exit_2(tmp_path):
     manifest = Manifest.load(out / "manifest.json")
     for index, node in enumerate(range(7, 18)):
         damage = BAD_SHARES[index % len(BAD_SHARES)].values[0]
-        damage(out / manifest.file_for_node(node), out, manifest)
+        damage(ShareDir(out).file(node), out, manifest)
     assert main(["reconstruct", str(out), str(tmp_path / "restored.bin")]) == 2
     assert main(["update", str(out), "--stripe", "0", "--symbol", "0", "--value", "1"]) == 2
     assert main(["repair", str(out), "--failed", "1"]) == 1

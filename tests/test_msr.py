@@ -3,13 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from msrcode.field import Field
 from msrcode.linalg import rank
 from msrcode.msr import (
-    BadIndex,
     InvalidParams,
     WrongHelperCount,
     WrongLength,
@@ -18,14 +15,12 @@ from msrcode.msr import (
     generator_set,
     helper_symbol,
     make_params,
-    pack_message,
     regenerate,
     stacked_rank,
-    symbol_position,
-    unpack_message,
     update_complexity,
     update_patch,
 )
+from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.rs import RsCode, poly_eval
 
 # (n, k, m) tuples exercising full-length and shortened codes
@@ -221,48 +216,52 @@ def test_systematic_g_full_row_weights_20_10():
 # message packing
 
 
-def test_pack_layout(gen746):
-    p = gen746.params
-    msg = pack_message(p, list(range(1, 13)))
-    assert msg.z1[0] == (1, 2, 3)
-    assert msg.z1[1][0] == 2  # mirror of (0, 1)
-    assert msg.z1 == tuple(zip(*msg.z1))
-    assert msg.z2 == tuple(zip(*msg.z2))
-    assert msg.u[0] == [1, 2, 3, 7, 8, 9]
+def _u_matrix(p, message):
+    """[Z1 Z2] entry by entry: each block's upper triangle, diagonal
+    included, row-major from its half of the message, then mirrored."""
+    half = p.alpha * (p.alpha + 1) // 2
+    triangle = [(r, c) for r in range(p.alpha) for c in range(r, p.alpha)]
+    u = [[0] * p.d for _ in range(p.alpha)]
+    for t, value in enumerate(message):
+        offset = t // half * p.alpha
+        r, c = triangle[t % half]
+        u[r][offset + c] = u[c][offset + r] = value
+    return u
 
 
-def test_pack_zero(gen746):
-    p = gen746.params
-    msg = pack_message(p, [0] * 12)
-    assert all(v == 0 for row in msg.u for v in row)
+def test_pack_layout():
+    g = generator_set(make_params(7, 4, 5))
+    message = list(range(1, 13))
+    # Z1 = [[1, 2, 3], [2, 4, 5], [3, 5, 6]], Z2 likewise from 7..12
+    u = [[1, 2, 3, 7, 8, 9], [2, 4, 5, 8, 10, 11], [3, 5, 6, 9, 11, 12]]
+    assert _u_matrix(g.params, message) == u
+    expected = _scalar_encode(g.field, u, g.g_full)
+    assert [list(s.symbols) for s in encode_all(g, message)] == [list(col) for col in zip(*expected)]
 
 
 def test_pack_wrong_length(gen746):
-    with pytest.raises(WrongLength):
-        pack_message(gen746.params, [0] * 11)
+    good = [0] * gen746.params.B
+    for bad in ([0] * 11, [0] * 13):
+        with pytest.raises(WrongLength):
+            encode_all(gen746, bad)
+        with pytest.raises(WrongLength):
+            update_patch(gen746, good, bad)
+        with pytest.raises(WrongLength):
+            update_patch(gen746, bad, bad)
 
 
-@settings(max_examples=100)
-@given(st.data())
-def test_pack_unpack_roundtrip(data):
-    n, k, m = data.draw(st.sampled_from(DESK_PARAMS))
+@pytest.mark.parametrize("n,k,m", DESK_PARAMS)
+def test_every_message_symbol_reaches_the_codeword(n, k, m):
+    """Each of the B symbols has a place of its own in [Z1 Z2], so the B
+    unit messages encode to linearly independent codewords."""
     p = make_params(n, k, m)
-    message = data.draw(
-        st.lists(st.integers(0, (1 << m) - 1), min_size=p.B, max_size=p.B)
-    )
-    assert unpack_message(p, pack_message(p, message)) == message
-
-
-def test_symbol_position_covers_everything():
-    p = make_params(7, 4, 3)
-    seen = set()
+    g = generator_set(p)
+    codewords = []
     for t in range(p.B):
-        block, r, c = symbol_position(p, t)
-        assert r <= c
-        seen.add((block, r, c))
-    assert len(seen) == p.B
-    with pytest.raises(BadIndex):
-        symbol_position(p, p.B)
+        unit = [0] * p.B
+        unit[t] = 1
+        codewords.append([x for share in encode_all(g, unit) for x in share.symbols])
+    assert rank(g.field, codewords) == p.B
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def test_symbol_position_covers_everything():
 
 def test_encode_zero_message(gen746):
     p = gen746.params
-    shares = encode_all(gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, [0] * p.B)
     assert all(s.symbols == (0, 0, 0) for s in shares)
 
 
@@ -279,14 +278,14 @@ def test_encode_matches_manual_product(gen746):
     p = gen746.params
     rng = random.Random(3)
     message = [rng.randrange(8) for _ in range(p.B)]
-    msg = pack_message(p, message)
-    shares = encode_all(gen746, msg)
+    shares = encode_all(gen746, message)
+    u = _u_matrix(p, message)
     f = gen746.field
     for j in range(p.n):
         for r in range(p.alpha):
             acc = 0
             for i in range(p.d):
-                acc ^= f.mul(msg.u[r][i], gen746.g_full[i][j])
+                acc ^= f.mul(u[r][i], gen746.g_full[i][j])
             assert shares[j].symbols[r] == acc
 
 
@@ -297,7 +296,7 @@ def test_regeneration_exact_7_4_6(flavor):
     rng = random.Random(17)
     for _ in range(10):
         message = [rng.randrange(8) for _ in range(p.B)]
-        shares = encode_all(g, pack_message(p, message))
+        shares = encode_all(g, message)
         for failed in range(p.n):
             helpers = [
                 (h, helper_symbol(g, shares[h], failed))
@@ -313,7 +312,7 @@ def test_regeneration_exact_20_10_random_helper_sets():
     g = generator_set(p)
     rng = random.Random(29)
     message = [rng.randrange(32) for _ in range(p.B)]
-    shares = encode_all(g, pack_message(p, message))
+    shares = encode_all(g, message)
     for failed in range(p.n):
         pool = [h for h in range(p.n) if h != failed]
         helpers_idx = rng.sample(pool, p.d)
@@ -376,9 +375,8 @@ def test_encode_all_matches_scalar_product(n, k, m, flavor):
     messages = [[0] * p.B, [top] * p.B]
     messages += [[rng.choice((0, top, rng.randrange(1 << m))) for _ in range(p.B)] for _ in range(12)]
     for message in messages:
-        msg = pack_message(p, message)
-        shares = encode_all(g, msg)
-        expected = _scalar_encode(g.field, msg.u, g.g_full)
+        shares = encode_all(g, message)
+        expected = _scalar_encode(g.field, _u_matrix(p, message), g.g_full)
         assert [s.node_index for s in shares] == list(range(n))
         assert [list(s.symbols) for s in shares] == [list(col) for col in zip(*expected)]
 
@@ -390,7 +388,7 @@ def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
     p = make_params(20, 10, 5)
     g = generator_set(p, flavor)
     rng = random.Random(f"regenerate:{flavor}")
-    shares = encode_all(g, pack_message(p, [rng.randrange(32) for _ in range(p.B)]))
+    shares = encode_all(g, [rng.randrange(32) for _ in range(p.B)])
     calls = []
     for failed in rng.sample(range(p.n), 8):
         pool = [h for h in range(p.n) if h != failed]
@@ -411,9 +409,9 @@ def test_generator_maps_are_built_on_first_use(gen746):
     g = generator_set(gen746.params)
     assert "g_map" not in vars(g) and not g.repair_maps
     p = g.params
-    shares = encode_all(g, pack_message(p, [i % 8 for i in range(p.B)]))
+    shares = encode_all(g, [i % 8 for i in range(p.B)])
     g_map = vars(g)["g_map"]
-    encode_all(g, pack_message(p, [1] * p.B))
+    encode_all(g, [1] * p.B)
     assert vars(g)["g_map"] is g_map
     helpers = [(h, helper_symbol(g, shares[h], 0)) for h in range(1, 7)]
     regenerate(g, 0, helpers)
@@ -424,14 +422,14 @@ def test_generator_maps_are_built_on_first_use(gen746):
 
 def test_regeneration_zero_message(gen746):
     p = gen746.params
-    shares = encode_all(gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, [0] * p.B)
     helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 7)]
     assert regenerate(gen746, 0, helpers).symbols == (0, 0, 0)
 
 
 def test_regeneration_wrong_helper_count(gen746):
     p = gen746.params
-    shares = encode_all(gen746, pack_message(p, [0] * p.B))
+    shares = encode_all(gen746, [0] * p.B)
     helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 6)]
     with pytest.raises(WrongHelperCount):
         regenerate(gen746, 0, helpers)
@@ -468,9 +466,10 @@ def test_update_patch_diagonal_support(gen746):
     p = gen746.params
     rng = random.Random(31)
     message = [rng.randrange(8) for _ in range(p.B)]
-    msg = pack_message(p, message)
     # message index 0 is the (0, 0) diagonal entry of the first block
-    patch = update_patch(gen746, msg, 0, message[0] ^ 5)
+    changed = list(message)
+    changed[0] ^= 5
+    patch = update_patch(gen746, message, changed)
     rows = {r for _, r, _ in patch}
     nodes = {j for j, _, _ in patch}
     assert rows == {0}
@@ -479,34 +478,28 @@ def test_update_patch_diagonal_support(gen746):
 
 
 def test_update_patch_noop(gen746):
-    p = gen746.params
-    msg = pack_message(p, list(range(12)))
-    assert update_patch(gen746, msg, 3, 3) == set()
+    message = [i % 8 for i in range(gen746.params.B)]
+    assert update_patch(gen746, message, list(message)) == set()
 
 
 @pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 def test_update_patch_equals_reencode(n, k, m, flavor):
+    """Changes of one to four symbols, each also as the CRC-refreshing
+    change of its payload that the update command writes."""
     p = make_params(n, k, m)
     g = generator_set(p, flavor)
     rng = random.Random(n * 100 + k)
-    message = [rng.randrange(g.field.order) for _ in range(p.B)]
-    msg = pack_message(p, message)
-    shares = encode_all(g, msg)
-    for _ in range(60):
-        t = rng.randrange(p.B)
-        value = rng.randrange(g.field.order)
-        patch = update_patch(g, msg, t, value)
+    payload_len = crc_payload_length(p)
+    message = attach_crc(p, [rng.randrange(g.field.order) for _ in range(payload_len)])
+    shares = encode_all(g, message)
+    for trial in range(60):
         changed = list(message)
-        changed[t] = value
-        expected = encode_all(g, pack_message(p, changed))
-        assert apply_patch(shares, patch) == expected
-        # every reported entry genuinely changed
-        for node, row, new in patch:
-            assert shares[node].symbols[row] != new
-
-
-def test_update_patch_bad_index(gen746):
-    msg = pack_message(gen746.params, list(range(12)))
-    with pytest.raises(BadIndex):
-        update_patch(gen746, msg, 12, 0)
+        for t in rng.sample(range(p.B), 1 + trial % 4):
+            changed[t] = rng.randrange(g.field.order)
+        for new in (changed, attach_crc(p, changed[:payload_len])):
+            patch = update_patch(g, message, new)
+            assert apply_patch(shares, patch) == encode_all(g, new)
+            # every reported entry genuinely changes
+            for node, row, value in patch:
+                assert shares[node].symbols[row] != value

@@ -9,7 +9,7 @@ import pytest
 
 from msrcode import reconstruct
 from msrcode.linalg import LinearMap, gf_dot, mat_mul
-from msrcode.msr import encode_all, generator_set, make_params, pack_message
+from msrcode.msr import encode_all, generator_set, make_params
 from msrcode.reconstruct import (
     AccessSet,
     KNodeDecoder,
@@ -41,7 +41,7 @@ def fresh_case(params, gen, rng, with_crc=True):
         message = attach_crc(params, payload)
     else:
         message = [rng.randrange(gen.field.order) for _ in range(params.B)]
-    shares = encode_all(gen, pack_message(params, message))
+    shares = encode_all(gen, message)
     return message, shares
 
 
@@ -55,12 +55,27 @@ def corrupting_source(gen, shares, bad, rng, mode="column"):
     return source
 
 
-def true_pq(gen, msg):
+def z_blocks(params, message):
+    """Z1 and Z2 of a flat message: each block's upper triangle, diagonal
+    included, row-major from its half of the message, then mirrored."""
+    alpha = params.alpha
+    symbols = iter(message)
+    blocks = []
+    for _ in range(2):
+        z = [[0] * alpha for _ in range(alpha)]
+        for r in range(alpha):
+            for c in range(r, alpha):
+                z[r][c] = z[c][r] = next(symbols)
+        blocks.append(z)
+    return blocks
+
+
+def true_pq(gen, message):
     """Oracle: the full n x n products Gbar^T Z Gbar for Z1 and Z2."""
     cols = [list(c) for c in gen.gbar_cols]  # n x alpha, rows are Gbar^T
     out = []
-    for z in (msg.z1, msg.z2):
-        zg = mat_mul(gen.field, [list(r) for r in z], gen.gbar)
+    for z in z_blocks(gen.params, message):
+        zg = mat_mul(gen.field, z, gen.gbar)
         out.append(mat_mul(gen.field, cols, zg))
     return out
 
@@ -118,8 +133,7 @@ def test_crc_parameters_are_the_standard_ones():
 
 
 def test_pair_solve_zero_message():
-    msg = pack_message(P746, [0] * P746.B)
-    shares = encode_all(GEN746, msg)
+    shares = encode_all(GEN746, [0] * P746.B)
     access = AccessSet(nodes=tuple(range(7)), columns=tuple(s.symbols for s in shares))
     pair = pair_solve(GEN746, access)
     for r in range(7):
@@ -134,11 +148,10 @@ def test_pair_solve_z2_zero_matches_product_oracle():
     rng = random.Random(5)
     half = P746.alpha * (P746.alpha + 1) // 2
     message = [rng.randrange(8) for _ in range(half)] + [0] * half
-    msg = pack_message(P746, message)
-    shares = encode_all(GEN746, msg)
+    shares = encode_all(GEN746, message)
     access = AccessSet(nodes=tuple(range(7)), columns=tuple(s.symbols for s in shares))
     pair = pair_solve(GEN746, access)
-    p_true, _ = true_pq(GEN746, msg)
+    p_true, _ = true_pq(GEN746, message)
     for r in range(7):
         for c in range(7):
             if r == c:
@@ -150,11 +163,10 @@ def test_pair_solve_z2_zero_matches_product_oracle():
 def test_pair_solve_clean_full_access_matches_oracle():
     rng = random.Random(6)
     message, shares = fresh_case(P746, GEN746, rng, with_crc=False)
-    msg = pack_message(P746, message)
     nodes = tuple(rng.sample(range(7), 6))
     access = AccessSet(nodes=nodes, columns=tuple(shares[i].symbols for i in nodes))
     pair = pair_solve(GEN746, access)
-    p_true, q_true = true_pq(GEN746, msg)
+    p_true, q_true = true_pq(GEN746, message)
     for r, nr in enumerate(nodes):
         for c, nc in enumerate(nodes):
             if r == c:
@@ -207,11 +219,10 @@ def test_corrupted_column_floods_gram_product():
 def test_row_decode_clean_at_k_nodes():
     rng = random.Random(9)
     message, shares = fresh_case(P746, GEN746, rng, with_crc=False)
-    msg = pack_message(P746, message)
     nodes = tuple(rng.sample(range(7), 4))
     access = AccessSet(nodes=nodes, columns=tuple(shares[i].symbols for i in nodes))
     pair = pair_solve(GEN746, access)
-    p_true, _ = true_pq(GEN746, msg)
+    p_true, _ = true_pq(GEN746, message)
     rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
     for r, nr in enumerate(nodes):
         rd = rows[r]
@@ -223,13 +234,12 @@ def test_row_decode_one_bad_among_k_plus_2():
     rng = random.Random(10)
     for _ in range(40):
         message, shares = fresh_case(P746, GEN746, rng, with_crc=False)
-        msg = pack_message(P746, message)
         nodes = tuple(rng.sample(range(7), 6))
         bad_pos = rng.randrange(6)
         cols = [shares[i].symbols for i in nodes]
         cols[bad_pos] = corrupt_symbols(rng, GEN746.field, cols[bad_pos])
         pair = pair_solve(GEN746, AccessSet(nodes=nodes, columns=tuple(cols)))
-        p_true, _ = true_pq(GEN746, msg)
+        p_true, _ = true_pq(GEN746, message)
         rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
         for r, nr in enumerate(nodes):
             if r == bad_pos:
@@ -309,17 +319,17 @@ def test_classify_separation_20_10():
 def test_recover_z_clean_full_access():
     rng = random.Random(14)
     message, shares = fresh_case(P746, GEN746, rng, with_crc=False)
-    msg = pack_message(P746, message)
     nodes = tuple(range(7))
     pair = pair_solve(GEN746, AccessSet(nodes=nodes, columns=tuple(s.symbols for s in shares)))
     rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
     cls = classify_columns(pair.p, rows, pair.nodes, 0, P746.k)
+    z1_true, z2_true = z_blocks(P746, message)
     z1 = recover_z(pair.p, rows, cls, GEN746, pair.nodes, {})
-    assert tuple(tuple(r) for r in z1) == msg.z1
+    assert [list(r) for r in z1] == z1_true
     rows_q = row_decode(GEN746.code_alpha, pair.q, pair.nodes)
     cls_q = classify_columns(pair.q, rows_q, pair.nodes, 0, P746.k)
     z2 = recover_z(pair.q, rows_q, cls_q, GEN746, pair.nodes, {})
-    assert tuple(tuple(r) for r in z2) == msg.z2
+    assert [list(r) for r in z2] == z2_true
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,12 @@ def test_beyond_capability_lucky_recovery_rate():
         bad = frozenset(rng.sample(range(20), 6))
         # drive the decoder directly so the corrupted set size is exact
         from msrcode.reconstruct import attach_crc, crc_payload_length, reconstruct_progressive
-        from msrcode.msr import encode_all, pack_message
+        from msrcode.msr import encode_all
         from msrcode.sim import corrupt_symbols
 
         payload = [trial_rng.randrange(32) for _ in range(crc_payload_length(P20))]
         message = attach_crc(P20, payload)
-        shares = encode_all(GEN20, pack_message(P20, message))
+        shares = encode_all(GEN20, message)
 
         def source(node):
             s = shares[node].symbols
