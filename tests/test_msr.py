@@ -239,6 +239,15 @@ def test_pack_layout():
     assert [list(s.symbols) for s in encode_all(g, message)] == [list(col) for col in zip(*expected)]
 
 
+def test_pack_zero(gen746):
+    """The zero message packs to the zero U = [Z1 Z2], in the packing the
+    encoder uses and in the reference layout above."""
+    p = gen746.params
+    zero = [0] * p.B
+    assert all(not any(u_row(zero)) for u_row in gen746._u_rows)
+    assert all(v == 0 for row in _u_matrix(p, zero) for v in row)
+
+
 def test_pack_wrong_length(gen746):
     good = [0] * gen746.params.B
     for bad in ([0] * 11, [0] * 13):
@@ -480,6 +489,15 @@ def test_update_patch_diagonal_support(gen746):
 def test_update_patch_noop(gen746):
     message = [i % 8 for i in range(gen746.params.B)]
     assert update_patch(gen746, message, list(message)) == set()
+
+
+def test_update_patch_bad_index(gen746):
+    """Writing symbol B of a B-symbol message lengthens it; update_patch
+    refuses the result rather than patching a symbol that does not exist."""
+    message = list(range(gen746.params.B))
+    changed = message + [5]
+    with pytest.raises(WrongLength):
+        update_patch(gen746, message, changed)
 
 
 @pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])
