@@ -14,11 +14,14 @@ with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
-GeneratorSet (encode), per repair set (the failed node and its helpers in
-order), per RsCode (decode) or per k-node set (the closed-form decoder,
-and per trusted set, for long files, its composed map), never per stripe.
-gf_dot stays for one-off products, and as the scalar reference the tests
-check LinearMap against.
+GeneratorSet (encode, and Gbar^T for every pair solve), per repair set (the
+failed node and its helpers in order), per RsCode (decode) or per k-node
+set (the closed-form decoder's peel map, and per trusted set, for long
+files, its composed map), never per stripe.  The one map built per round is
+the peel map of the nodes an accepted progressive round selects: it comes
+with their inverse, and its P and Q apply it 4 * alpha times.  gf_dot
+stays for one-off products, and as the scalar reference the tests check
+LinearMap against.
 """
 
 from __future__ import annotations

@@ -145,8 +145,8 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; g_map, _u_rows and repair_maps
-    are memos of maps derived from it, built on first use.
+    Treat as immutable after construction; g_map, gbar_map, _u_rows and
+    repair_maps are memos of maps derived from it, built on first use.
     """
 
     params: MsrParams
@@ -168,6 +168,13 @@ class GeneratorSet:
         """u -> u @ g_full: one row of U to one row of the codeword matrix.
         Lazy, since reads never encode."""
         return LinearMap(self.field, self.g_full)
+
+    @cached_property
+    def gbar_map(self) -> LinearMap:
+        """y -> Gbar^T y: a node column's products with every node's Gbar
+        column, which the decoders pair-solve.  Lazy, since only reads and
+        updates decode."""
+        return LinearMap(self.field, self.gbar)
 
     @cached_property
     def _u_rows(self) -> list[operator.itemgetter]:

@@ -8,9 +8,11 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    unordered node pair (i, j) yields the 2x2 system
        m_ij = p + q * lambda_j,   m_ji = p + q * lambda_i,
    solvable because the lambda are pairwise distinct.  The p values form a
-   symmetric matrix P-tilde (diagonal unknown); q gives Q-tilde.  A round
-   only adds nodes to the previous one, so it keeps the previous round's
-   entries and solves only the pairs with a new node.
+   symmetric matrix P-tilde (diagonal unknown); q gives Q-tilde.  m_rc is
+   entry nodes[r] of y_c's image under GeneratorSet.gbar_map, y -> Gbar^T y
+   over all n nodes.  A round only adds nodes to the previous one, so it
+   keeps the previous round's entries and images, maps only its new
+   columns and solves only the pairs with a new node.
 2. row_decode: each row of P-tilde extends to a codeword of the [n, k-1]
    code, so it is decoded by errors-and-erasures with the unaccessed
    positions (and a trial's extra nodes) and the row's own diagonal
@@ -23,11 +25,12 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    v + 2 when j = k + 2v nodes are held), and as correct when at most v
    disagree.  The round is accepted only if exactly v erroneous and j - v
    correct columns emerge, for both P and Q, naming the same nodes.
-4. recover_z: erroneous columns are transposed into their rows (symmetry
-   repair), alpha correct columns and alpha rows are inverted out to give
-   the symmetric message block (P and Q share the inverse when they pick
-   the same columns), and the unpacked message must pass the integrity
-   check (CRC-32) before it is returned.
+4. recover_z: alpha correct, decoded columns and the decoded rows of the
+   same nodes form P_sel, which must be symmetric; with G those nodes'
+   Gbar columns, _peel gives the message block Z = G^-T P_sel G^-1 through
+   one LinearMap of G^-1 (P and Q share it when they pick the same
+   columns), and the message must pass the integrity check (CRC-32) before
+   it is returned.
 
 When the node supply caps the round below j = k + 2v, plain per-row
 decoding can sit exactly at the distance bound (s + 2v = d_min) and fail
@@ -70,17 +73,18 @@ exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
 recover_z.  The result and the round trace match the general round.
 
 All of that depends only on the ordered k nodes, so KNodeDecoder builds it
-once, from one inverse: a linalg.LinearMap for Gbar_access that turns each
-column y_c into column c of M = Gbar_access^T Y, the logs of the pair-solve
-coefficients 1 / (lambda_r + lambda_c) and lambda_c / (lambda_r + lambda_c),
-the logs of h_c / h_r for the diagonal fill, and a LinearMap for G^-1, run
-twice (over P_sel's rows, then over the result's columns) to give Z.  The
-v = 0 round of reconstruct_progressive and the read session below use this
-one decoder.  Those stages make a linear map from the k * alpha column
-symbols to the B message symbols, and KNodeDecoder.compose() folds them into
-one LinearMap built from the decoder's own parts (its docstring), after
-which decode() is one table pass instead of k + 4 * alpha map applications,
-the pair solve and the diagonal fill.
+once, from one inverse: the logs of the pair-solve coefficients
+1 / (lambda_r + lambda_c) and lambda_c / (lambda_r + lambda_c), the logs of
+h_c / h_r for the diagonal fill, and a linalg.LinearMap for G^-1, which
+_peel runs twice (over P_sel's rows, then over the result's columns) to
+give Z, as in recover_z.  Column c of M = Gbar_access^T Y is read off
+y_c's image under gen.gbar_map, the map pair_solve uses.  The v = 0
+round of reconstruct_progressive and the read session below use this one
+decoder.  Those stages make a linear map from the k * alpha column symbols
+to the B message symbols, and KNodeDecoder.compose() folds them into one
+LinearMap built from the decoder's own parts (its docstring), after which
+decode() is one table pass instead of k + 4 * alpha map applications, the
+pair solve and the diagonal fill.
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
@@ -128,7 +132,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
-from .linalg import LinearMap, gf_dot, invert, mat_mul, mat_vec, transpose
+from .linalg import LinearMap, invert, mat_vec
 from .msr import GeneratorSet, MsrParams, WrongLength
 from .rs import RsCode
 
@@ -225,12 +229,15 @@ class PairSolve:
 
     p[r][c] (r != c) was produced from the Y columns of nodes[r] and
     nodes[c]; diagonals stay None because a single equation cannot separate
-    p_ii from q_ii.
+    p_ii from q_ii.  images[c] is Gbar^T y_c as gen.gbar_map packs it:
+    column c's product with every node's Gbar column, m_rc in the m bits
+    from m * nodes[r].
     """
 
     nodes: tuple[int, ...]
     p: tuple[tuple[int | None, ...], ...]
     q: tuple[tuple[int | None, ...], ...]
+    images: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,6 @@ class Classification:
 
     erroneous: frozenset[int]
     correct: frozenset[int]
-    ambiguous: frozenset[int]
     counts: tuple[int, ...]
     threshold: int
     decidable: bool
@@ -285,8 +291,9 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
 
     Entry (r, c) depends only on nodes r and c and their columns, so
     ``base``, a PairSolve over a prefix of ``access.nodes`` (the previous
-    round's), keeps its entries and only the pairs with a later node are
-    solved.
+    round's), keeps its entries and column images, and only the later
+    columns are mapped through gen.gbar_map and only the pairs with a later
+    node are solved.
     """
     nodes = access.nodes
     j = len(nodes)
@@ -295,22 +302,26 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
     held = 0 if base is None else len(base.nodes)
     if base is not None and base.nodes != nodes[:held]:
         raise ValueError("base pair solve is not over a prefix of the access set")
-    field = gen.field
-    cols = gen.gbar_cols
     p: list[list[int | None]] = [[None] * j for _ in range(j)]
     q: list[list[int | None]] = [[None] * j for _ in range(j)]
+    gbar_map = gen.gbar_map
+    images = ()
     if base is not None:
+        images = base.images
         for r in range(held):
             p[r][:held] = base.p[r]
             q[r][:held] = base.q[r]
+    images += tuple(gbar_map.packed(col, range(len(col))) for col in access.columns[held:])
 
-    mul, inv = field.mul, field.inv
+    mul, inv = gen.field.mul, gen.field.inv
+    m, mask = gbar_map.m, gbar_map.mask
     for r in range(j):
         lam_r = gen.delta[nodes[r]]
+        shift_r = m * nodes[r]
         for c in range(max(r + 1, held), j):
             lam_c = gen.delta[nodes[c]]
-            m_rc = gf_dot(field, cols[nodes[r]], access.columns[c])
-            m_cr = gf_dot(field, cols[nodes[c]], access.columns[r])
+            m_rc = images[c] >> shift_r & mask
+            m_cr = images[r] >> m * nodes[c] & mask
             qv = mul(m_rc ^ m_cr, inv(lam_c ^ lam_r))
             pv = m_rc ^ mul(qv, lam_c)
             p[r][c] = p[c][r] = pv
@@ -319,6 +330,7 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
         nodes=nodes,
         p=tuple(tuple(row) for row in p),
         q=tuple(tuple(row) for row in q),
+        images=images,
     )
 
 
@@ -388,77 +400,53 @@ def classify_columns(mat, rows, nodes, v: int, k: int) -> Classification:
                 counts[c] += 1
     threshold = j - v - k + 2
     decidable = threshold > v
-    err, cor, amb = set(), set(), set()
-    for c in range(j):
-        if counts[c] >= threshold and decidable:
-            err.add(c)
-        elif counts[c] <= v:
-            cor.add(c)
-        else:
-            amb.add(c)
     return Classification(
-        erroneous=frozenset(err),
-        correct=frozenset(cor),
-        ambiguous=frozenset(amb),
+        erroneous=frozenset(c for c in range(j) if decidable and counts[c] >= threshold),
+        correct=frozenset(c for c in range(j) if counts[c] <= v),
         counts=tuple(counts),
         threshold=threshold,
         decidable=decidable,
     )
 
 
-def recover_z(mat, rows, cls: Classification, gen: GeneratorSet, nodes, inverses: dict) -> list[list[int]]:
-    """Rebuild the symmetric alpha x alpha message block from an accepted round.
+def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, peel_maps: dict) -> list[int]:
+    """The upper triangle, row-major, of the symmetric alpha x alpha message
+    block of an accepted round: its half of the flat message.
 
-    Erroneous columns (whose corrected values the clean rows carry) are
-    transposed into their own failed rows, then alpha correct columns and
-    alpha rows are peeled off with one matrix inverse.  A non-symmetric
-    block means some row miscorrected and the round must be rejected.
-    inverses maps the selected nodes to that inverse and is filled as
+    alpha correct, decoded columns are selected, and the rows of the same
+    nodes give P_sel, which one inverse peels to Z.  A non-symmetric P_sel
+    means some row miscorrected and the round must be rejected.  peel_maps
+    maps the selected nodes to the peel map of that inverse and is filled as
     needed; one round shares it between its P and Q blocks, which usually
     select the same nodes.
     """
-    field = gen.field
     alpha = gen.params.alpha
-    j = len(nodes)
-
-    block = []
-    for r in range(j):
-        rd = rows[r]
-        if rd.decoded:
-            block.append([rd.codeword[nodes[c]] for c in range(j)])
-        else:
-            block.append([mat[r][c] if c != r else 0 for c in range(j)])
-    for e in sorted(cls.erroneous):
-        for s in range(j):
-            block[e][s] = block[s][e]
-
     usable = [c for c in sorted(cls.correct) if rows[c].decoded]
     if len(usable) < alpha:
         raise AsymmetryDetected("not enough decoded correct columns to invert")
     sel = usable[:alpha]
-
-    p_sel = [[block[r][c] for c in sel] for r in sel]
-    # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
-    if p_sel != transpose(p_sel):
-        raise AsymmetryDetected("recovered block is not symmetric")
     key = tuple(nodes[c] for c in sel)
-    if key not in inverses:
-        inverses[key] = invert(field, [[gen.gbar[i][node] for node in key] for i in range(alpha)])
-    return _peel(field, inverses[key], p_sel)
+    p_sel = [tuple(rows[r].codeword[node] for node in key) for r in sel]
+    # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
+    if p_sel != list(zip(*p_sel)):
+        raise AsymmetryDetected("recovered block is not symmetric")
+    if key not in peel_maps:
+        g = [[row[node] for node in key] for row in gen.gbar]
+        peel_maps[key] = LinearMap(gen.field, invert(gen.field, g))
+    return _peel(peel_maps[key], p_sel)
 
 
-def _peel(field, g_inv, p_sel) -> list[list[int]]:
-    """Z = G^-T @ P_sel @ G^-1 from the one inverse g_inv = G^-1, undoing
-    P_sel = G^T @ Z @ G on the chosen positions.  P_sel is symmetric, so Z
-    is too: only its upper triangle is computed, then mirrored."""
-    g_cols = transpose(g_inv)
-    w_cols = transpose(mat_mul(field, p_sel, g_inv))
-    size = len(g_inv)
-    z = [[0] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(r, size):
-            z[r][c] = z[c][r] = gf_dot(field, g_cols[r], w_cols[c])
-    return z
+def _peel(peel_map: LinearMap, p_sel) -> list[int]:
+    """The upper triangle, row-major, of Z = G^-T @ P_sel @ G^-1, undoing
+    P_sel = G^T @ Z @ G on the chosen positions, where peel_map is
+    x -> x @ G^-1: once over P_sel's rows, then over the result's columns.
+    P_sel is symmetric, so Z is too."""
+    peel = peel_map.apply
+    w = [peel(row) for row in p_sel]
+    half = []
+    for r, col in enumerate(zip(*w)):
+        half += peel(col)[r:]
+    return half
 
 
 class KNodeDecoder:
@@ -481,9 +469,10 @@ class KNodeDecoder:
         gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
         g_inv = invert(field, [row[:alpha] for row in gbar_access])
         h = mat_vec(field, g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
-        # y_c -> column c of M = Gbar_access^T Y
-        self.m_map = LinearMap(field, gbar_access)
-        # x -> x G^-1, applied to P_sel's rows and then to the result's columns
+        # y_c -> Gbar^T y_c, packed: m_rc sits at bit shifts[r]
+        self.gbar_map = gen.gbar_map
+        self.shifts = [field.m * node for node in self.nodes]
+        # x -> x G^-1, the map _peel takes
         self.peel_map = LinearMap(field, g_inv)
         # pair (r, c), r < c, with s = m_rc + m_cr and w = lambda_c + lambda_r:
         # q = s / w and p = m_rc + s lambda_c / w, as logs of 1 / w and lambda_c / w
@@ -581,12 +570,13 @@ class KNodeDecoder:
             return self.composed.apply([x for col in columns for x in col])
         exp, log = self.field.exp, self.field.log
         k, alpha = self.params.k, self.params.alpha
-        m_cols = [self.m_map.apply(col) for col in columns]  # m_cols[c][r] = m_rc
+        mask, shifts = self.field.order - 1, self.shifts
+        images = [self.gbar_map.packed(col, range(alpha)) for col in columns]
         p = [[0] * k for _ in range(alpha)]
         q = [[0] * k for _ in range(alpha)]
         for r, c, l_p, l_q in self.pairs:
-            m_rc = m_cols[c][r]
-            s = m_rc ^ m_cols[r][c]
+            m_rc = images[c] >> shifts[r] & mask
+            s = m_rc ^ images[r] >> shifts[c] & mask
             if s:
                 ls = log[s]
                 p[r][c] = m_rc ^ exp[ls + l_p]
@@ -595,7 +585,6 @@ class KNodeDecoder:
                 p[r][c] = m_rc
             if c < alpha:
                 p[c][r], q[c][r] = p[r][c], q[r][c]
-        peel = self.peel_map.apply
         message = []
         for mat in (p, q):
             for r, terms in enumerate(self.diagonal):
@@ -605,11 +594,7 @@ class KNodeDecoder:
                     if row[c]:
                         acc ^= exp[log[row[c]] + lc]
                 row[r] = acc
-            # Z = G^-T P_sel G^-1 is symmetric; only its upper triangle is read
-            w = [peel(row[:alpha]) for row in mat]
-            z = [peel(col) for col in zip(*w)]
-            for r in range(alpha):
-                message += z[r][r:]
+            message += _peel(self.peel_map, [row[:alpha] for row in mat])
         return message
 
 
@@ -654,16 +639,11 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
         trace.append(RoundTrace(v, j, "agreement", trial))
         return None
     try:
-        inverses = {}
-        z1 = recover_z(pair.p, p_rows, p_cls, gen, nodes, inverses)
-        z2 = recover_z(pair.q, q_rows, q_cls, gen, nodes, inverses)
+        peel_maps = {}
+        message = recover_z(p_rows, p_cls, gen, nodes, peel_maps) + recover_z(q_rows, q_cls, gen, nodes, peel_maps)
     except AsymmetryDetected:
         trace.append(RoundTrace(v, j, "asymmetry", trial))
         return None
-    message = []
-    for z in (z1, z2):
-        for r in range(params.alpha):
-            message += z[r][r:]
     if not check_crc(params, message):
         trace.append(RoundTrace(v, j, "integrity", trial))
         return None

@@ -323,13 +323,13 @@ def test_recover_z_clean_full_access():
     pair = pair_solve(GEN746, AccessSet(nodes=nodes, columns=tuple(s.symbols for s in shares)))
     rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
     cls = classify_columns(pair.p, rows, pair.nodes, 0, P746.k)
-    z1_true, z2_true = z_blocks(P746, message)
-    z1 = recover_z(pair.p, rows, cls, GEN746, pair.nodes, {})
-    assert [list(r) for r in z1] == z1_true
+    z1_true, z2_true = (
+        [z[r][c] for r in range(P746.alpha) for c in range(r, P746.alpha)] for z in z_blocks(P746, message)
+    )
+    assert recover_z(rows, cls, GEN746, pair.nodes, {}) == z1_true
     rows_q = row_decode(GEN746.code_alpha, pair.q, pair.nodes)
     cls_q = classify_columns(pair.q, rows_q, pair.nodes, 0, P746.k)
-    z2 = recover_z(pair.q, rows_q, cls_q, GEN746, pair.nodes, {})
-    assert [list(r) for r in z2] == z2_true
+    assert recover_z(rows_q, cls_q, GEN746, pair.nodes, {}) == z2_true
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +532,7 @@ def test_composed_decode_matches_staged_decode(n, k, m, flavor):
         staged, composed = KNodeDecoder(gen, nodes), KNodeDecoder(gen, nodes)
         composed.compose()
         assert staged.composed is None and composed.composed is not None
-        composed.m_map = composed.peel_map = None  # the staged body must not run
+        composed.gbar_map = composed.peel_map = None  # the staged body must not run
         for kind in ("garbage", "fresh", "corrupt") * 4:
             if kind == "garbage":
                 cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
@@ -859,7 +859,7 @@ def test_accepted_round_inverts_once_for_both_blocks(monkeypatch):
     rounds = []  # per recover_z call: (id of the round's memo, inverses computed)
 
     def spy_recover(*args):
-        rounds.append((id(args[5]), 0))
+        rounds.append((id(args[4]), 0))
         return recover(*args)
 
     def spy_invert(*args):
@@ -934,6 +934,49 @@ def test_pair_solve_extends_a_prefix(n, k, m):
             assert pair_solve(gen, full, base) == expected
     with pytest.raises(ValueError):
         pair_solve(gen, full, pair_solve(gen, AccessSet(nodes=nodes[1:3], columns=tuple(cols[1:3]))))
+
+
+def reference_pair_solve(gen, access):
+    """Reference for pair_solve: each pair's m_rc and m_cr as two scalar
+    dot products of a node's Gbar column with the other node's column."""
+    nodes, field = access.nodes, gen.field
+    j = len(nodes)
+    p = [[None] * j for _ in range(j)]
+    q = [[None] * j for _ in range(j)]
+    for r in range(j):
+        for c in range(r + 1, j):
+            m_rc = gf_dot(field, gen.gbar_cols[nodes[r]], access.columns[c])
+            m_cr = gf_dot(field, gen.gbar_cols[nodes[c]], access.columns[r])
+            q[r][c] = q[c][r] = field.mul(m_rc ^ m_cr, field.inv(gen.delta[nodes[c]] ^ gen.delta[nodes[r]]))
+            p[r][c] = p[c][r] = m_rc ^ field.mul(q[r][c], gen.delta[nodes[c]])
+    return p, q
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5), (24, 12, 8)])
+def test_pair_solve_matches_scalar_reference(n, k, m, flavor):
+    """pair_solve through gen.gbar_map, from scratch and extended from a
+    prefix, gives the scalar reference's P and Q on garbage columns, fresh
+    encodings and encodings with corrupted columns."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    rng = random.Random(f"pair:{n}:{k}:{m}:{flavor}")
+    for kind in ("garbage", "fresh", "corrupt") * 3:
+        nodes = tuple(rng.sample(range(n), rng.randrange(k, n + 1)))
+        if kind == "garbage":
+            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+        else:
+            message, shares = fresh_case(params, gen, rng)
+            cols = [shares[i].symbols for i in nodes]
+            if kind == "corrupt":
+                for b in rng.sample(range(len(nodes)), rng.randint(1, 3)):
+                    cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        access = AccessSet(nodes=nodes, columns=tuple(cols))
+        held = rng.randrange(2, len(nodes))
+        prefix = AccessSet(nodes=nodes[:held], columns=tuple(cols[:held]))
+        base = pair_solve(gen, prefix)
+        for pair, solved in ((base, prefix), (pair_solve(gen, access), access), (pair_solve(gen, access, base), access)):
+            assert ([list(row) for row in pair.p], [list(row) for row in pair.q]) == reference_pair_solve(gen, solved)
 
 
 # ---------------------------------------------------------------------------
