@@ -57,21 +57,7 @@ EXIT_DECODE_FAIL = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; remap to 1.
-
-    arguments(parser), if given, adds this parser's arguments just before
-    its first parse.
-    """
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments(self)
-            self._arguments = None
-        return super().parse_known_args(args, namespace)
+    """argparse exits with status 2 on usage errors; remap to 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -421,9 +407,22 @@ def _params_arguments(p: _Parser) -> None:
     p.set_defaults(func=cmd_params)
 
 
+class _Commands(dict):
+    """The subcommand parsers by name, as the subparsers action holds them.
+    Until its first lookup a value is the function that builds the parser
+    with its arguments; argparse looks up only the command it parses, so a
+    run builds that command's parser alone."""
+
+    def __getitem__(self, name):
+        parser = super().__getitem__(name)
+        if callable(parser):
+            parser = self[name] = parser()
+        return parser
+
+
 def build_parser() -> _Parser:
-    """The msrcode parser.  Each subcommand gets its arguments only when it
-    parses, so a run builds the arguments of the one it invokes."""
+    """The msrcode parser.  Each subcommand's parser is built, arguments
+    included, only when it parses (_Commands)."""
     # what every HelpFormatter would ask the terminal for on its own, once
     width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
@@ -431,8 +430,20 @@ def build_parser() -> _Parser:
         description=__doc__,
         formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
     )
-    command = functools.partial(_Parser, formatter_class=functools.partial(argparse.HelpFormatter, width=width))
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=command)
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+
+    def deferred(arguments, **kwargs):
+        # add_parser records the command's prog and help, and files this
+        # build of its parser under its name in _Commands
+        def build() -> _Parser:
+            command = _Parser(formatter_class=formatter, **kwargs)
+            arguments(command)
+            return command
+
+        return build
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=deferred)
+    sub.choices = sub._name_parser_map = _Commands()
     sub.add_parser("encode", help="encode a file into n share files plus a manifest", arguments=_encode_arguments)
     sub.add_parser("reconstruct", help="rebuild the original file from shares", arguments=_reconstruct_arguments)
     sub.add_parser("repair", help="regenerate one node's share file from d helpers", arguments=_repair_arguments)

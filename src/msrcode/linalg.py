@@ -6,7 +6,7 @@ Matrices are lists of row lists of ints.  Everything here is desk-scale
 bindings are fast enough.
 
 A fixed map applied to many vectors (the encoder's stacked generator, a
-repair map, a Reed-Solomon code's syndrome and evaluation maps) goes
+repair map, a Reed-Solomon code's evaluation map and Forney maps) goes
 through LinearMap: per input, two lookup tables whose entries pack all of
 that input's outputs into one int, so applying the map costs two lookups
 and an XOR per input instead of a field multiply per matrix entry.  A map
@@ -15,20 +15,23 @@ tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
 GeneratorSet (encode, and Gbar^T for every pair solve), per repair set (the
-failed node and its helpers in order), per RsCode (decode) or per k-node
-set (the closed-form decoder's peel map, and per trusted set, for long
-files, its composed map), never per stripe.  The one map built per round is
-the peel map of the nodes an accepted progressive round selects: it comes
-with their inverse, and its P and Q apply it 4 * alpha times.  gf_dot
-stays for one-off products, and as the scalar reference the tests check
-LinearMap against.
+failed node and its helpers in order), per RsCode (decode: the evaluation
+map, and the syndrome map, which is the Forney map of no erasures), per
+erasure set (its Forney map) or per k-node set (the closed-form decoder's
+peel map, and per trusted set, for long files, its composed map), never per
+stripe.  Two maps are built per progressive round: the Forney map of the
+round's erasure set (one more per erasure trial), which every row of its P
+and Q applies, and the peel map of the nodes an accepted round selects,
+which comes with their inverse and which its P and Q apply 4 * alpha times.
+gf_dot stays for one-off products, and as the scalar reference the tests
+check LinearMap against.
 """
 
 from __future__ import annotations
 
 from .field import Field
 
-__all__ = ["gf_dot", "mat_mul", "mat_vec", "transpose", "identity", "rank", "row_reduce", "invert", "LinearMap"]
+__all__ = ["gf_dot", "mat_vec", "identity", "rank", "row_reduce", "invert", "LinearMap"]
 
 
 class SingularMatrix(ValueError):
@@ -46,15 +49,6 @@ def gf_dot(field: Field, xs, ys) -> int:
 
 def mat_vec(field: Field, a, v) -> list[int]:
     return [gf_dot(field, row, v) for row in a]
-
-
-def mat_mul(field: Field, a, b) -> list[list[int]]:
-    bt = transpose(b)
-    return [[gf_dot(field, row, col) for col in bt] for row in a]
-
-
-def transpose(a) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
 
 
 def identity(size: int) -> list[list[int]]:

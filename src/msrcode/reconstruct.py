@@ -17,9 +17,15 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    code, so it is decoded by errors-and-erasures with the unaccessed
    positions (and a trial's extra nodes) and the row's own diagonal
    erased.  The first part is the same for every row of P and Q, so a
-   round builds one rs.ErasureContext for it and each row adds only its
-   diagonal: syndromes over the held positions only, and a syndrome
-   recheck that adds just the corrected symbols' syndromes.
+   round builds one rs.ErasureContext for it, whose one linear map takes a
+   row's held symbols straight to its Forney syndromes, and each row adds
+   only its diagonal, one (1 + X_r z) step.  A lying node corrupts the same
+   column of every row, so the rows share their error positions: the
+   context keeps the error locator that Berlekamp-Massey found for an
+   earlier row, and a later row whose Forney syndromes fit it takes its
+   errata without running Berlekamp-Massey.  The syndrome recheck, which
+   maps just the corrected symbols, and a fallback to Berlekamp-Massey
+   give every row the result of its own decode.
 3. classify_columns: a node column counts as erroneous when at least
    j - v - k + 2 decoded rows disagree with its received values (this is
    v + 2 when j = k + 2v nodes are held), and as correct when at most v
@@ -45,10 +51,11 @@ j <= k + 2v - 2 is recorded as a gate failure without decoding any row.
 The trials run in order of a syndrome score, so the true support usually
 comes first.  Row r of P, erased at X_r (the unaccessed nodes and its own
 diagonal), has Forney syndromes U_r = S(w_r) * Gamma_X_r mod z^(n - alpha),
-whose coefficients from |X_r| on vanish exactly when every error of the row
-lies in X_r.  Since Gamma_(X_r + E) = Gamma_X_r * Gamma_E, a support E
-explains row r when (U_r * Gamma_E)_t = 0 for t in [|X_r| + v, n - alpha),
-and E scores the rows outside it that it explains.  Under the true support
+read off the failed round's erasure context, whose coefficients from |X_r|
+on vanish exactly when every error of the row lies in X_r.  Since
+Gamma_(X_r + E) = Gamma_X_r * Gamma_E, a support E explains row r when
+(U_r * Gamma_E)_t = 0 for t in [|X_r| + v, n - alpha), and E scores the
+rows outside it that it explains.  Under the true support
 every clean row passes; under a wrong one a lying column stays unerased and
 each clean row passes only by chance, about 2^-m per check.  Ranking only
 reorders the same candidates under the same gates, so the outcome is the
@@ -617,7 +624,9 @@ def _gate_can_pass(j: int, v: int, k: int) -> bool:
     return j - v - k + 2 > v
 
 
-def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_erased=frozenset()):
+def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_erased=frozenset(), context=None):
+    """One round, or one erasure trial, over the pair-solved nodes; context
+    is the round's rs.ErasureContext, built here when not given."""
     params = gen.params
     nodes = pair.nodes
     j = len(nodes)
@@ -627,7 +636,8 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
         return None
 
     code = gen.code_alpha
-    context = _round_context(code, nodes, extra_erased)
+    if context is None:
+        context = _round_context(code, nodes, extra_erased)
     p_rows = row_decode(code, pair.p, nodes, extra_erased, gen.col_scale, context)
     p_cls = classify_columns(pair.p, p_rows, nodes, v, params.k)
     if not p_cls.accepted(v):
@@ -651,10 +661,11 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
     return message, frozenset(nodes[c] for c in p_cls.erroneous)
 
 
-def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int) -> list[tuple[int, ...]]:
+def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, context) -> list[tuple[int, ...]]:
     """Every size-v erasure support (positions into the access order) in
     descending syndrome score, ties in enumeration order; the score is
-    defined in the module docstring."""
+    defined in the module docstring.  context is the failed round's
+    rs.ErasureContext, whose erasures are the unaccessed positions."""
     nodes = pair.nodes
     j = len(nodes)
     supports = list(itertools.combinations(range(j), v))
@@ -662,7 +673,6 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int) -> list[tuple[int, 
         return supports
     code = gen.code_alpha
     field, scale = code.field, gen.col_scale
-    gamma_u = code.locator([i for i in range(code.n) if i not in nodes])
     head = code.n - j + 1  # |X_r|
     # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1
     hankels = []
@@ -671,7 +681,7 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int) -> list[tuple[int, 
         for c, node in enumerate(nodes):
             if c != r:
                 word[node] = field.mul(row[c], scale[node])
-        u = code.forney_syndromes(code.syndromes(word), code.extend_locator(gamma_u, nodes[r]))
+        u = context.adjusted(word, nodes[r])
         hankels.append([u[t - v + 1 : t + 1][::-1] for t in range(head + v - 1, len(u))])
 
     # E = P + (c,) with P a size-(v-1) prefix.  With a = U_r * Gamma_P,
@@ -760,9 +770,10 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
             result = _k_node_round(k_decoder(access.nodes), access, trace)
         else:
             pair = pair_solve(gen, access, pair)
-            result = _attempt_round(gen, pair, v, trace)
+            context = _round_context(gen.code_alpha, pair.nodes, ())
+            result = _attempt_round(gen, pair, v, trace, context=context)
         if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
-            for combo in _trial_order(gen, pair, v):
+            for combo in _trial_order(gen, pair, v, context):
                 extra = frozenset(pair.nodes[c] for c in combo)
                 result = _attempt_round(gen, pair, v, trace, extra_erased=extra)
                 if result is not None:

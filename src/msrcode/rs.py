@@ -18,22 +18,36 @@ distance: it returns the unique codeword within s + 2e < d_min of the word
 Many words often erase the same positions U (every row of a progressive
 round does, plus its own diagonal), so decoding is split in two.  An
 ErasureContext, built once per U, holds the locator Gamma_U, its values
-Gamma_U(X_i^-1) at the known positions and Gamma_U'(X_i^-1) on U.  Its
-decode() then handles one word with at most one extra erased position r:
-syndromes over the known positions only, Gamma_X = Gamma_U * (1 + X_r z)
-in O(|U|), Berlekamp-Massey only when the Forney stream is nonzero, Chien
-search over the known positions only, and Psi'(X_i^-1) for Psi = Gamma_U *
-(1 + X_r z) * Lambda from whichever factor vanishes at X_i^-1.  The
-recheck is incremental: syndromes are linear, so S(corrected) = S(received)
-+ sum e_i X_i^t, and only the errata positions are added.
-decode_errors_erasures is the one-word call of that same path.
+Gamma_U(X_i^-1) at the known positions, Gamma_U'(X_i^-1) on U, and one
+linear map straight to the Forney syndromes S * Gamma_U mod z^(n-kappa).
+Its decode() then handles one word with at most one extra erased position
+r: one pass of that map over the known positions, one (1 + X_r z) step,
+Berlekamp-Massey only when the Forney stream is nonzero, Chien search over
+the known positions only, and Psi'(X_i^-1) for Psi = Gamma_U * (1 + X_r z)
+* Lambda from whichever factor vanishes at X_i^-1.  The recheck is
+incremental: the map is linear, so the corrected word's image is the
+received word's plus the errata's, and only the errata positions are
+mapped.  decode_errors_erasures is the one-word call of that same path, and
+syndromes() is the map of the empty erasure set.
+
+Words that erase the same U often also share their error positions: every
+row of a round is corrupted in the columns of the same lying nodes, so the
+rows form an interleaved code with a common error locator (Schmidt,
+Sidorenko and Bossert, collaborative decoding of interleaved RS codes).
+The context keeps the last locator Lambda that Berlekamp-Massey found for a
+word that decoded, and a later word whose stream satisfies Lambda's
+recurrence, with 2 deg(Lambda) within the stream and its r not a root,
+takes Lambda's errata instead, falling back to Berlekamp-Massey when they
+fail the recheck.  Both paths return the unique codeword within s + 2e <=
+n - kappa, so the result is the same.
 
 Syndromes and polynomial values at every X_i^-1 are GF(2^m)-linear maps,
 applied through linalg.LinearMap, the same table kernel the encoder and
 repair use: per-input lookup tables whose entries pack all outputs into
 one int, so a syndrome costs two lookups and an XOR per known symbol.  Each
-RsCode builds its two maps once, on first decode, never per word; each
-takes about 2^(m/2+1) * n * (n - kappa) * m bits.
+RsCode builds its evaluation map once, on first decode, and each
+ErasureContext its Forney map, never per word; each takes about
+2^(m/2+1) * n * (n - kappa) * m bits.
 """
 
 from __future__ import annotations
@@ -211,13 +225,6 @@ class RsCode:
     # -- decoding ----------------------------------------------------------
 
     @cached_property
-    def _syndrome_map(self) -> LinearMap:
-        """Position i's symbol w -> its syndromes w * (a^i)^t, t = 1..n-kappa."""
-        exp, q1 = self.field.exp, self.field.order - 1
-        rows = [[exp[i * t % q1] for t in range(1, self.n - self.kappa + 1)] for i in range(self.n)]
-        return LinearMap(self.field, rows)
-
-    @cached_property
     def _evaluation_map(self) -> LinearMap:
         """The coefficient c of z^t -> c * X_i^-t at every position i, for
         t < n - kappa; applied to a polynomial, its values there."""
@@ -225,10 +232,15 @@ class RsCode:
         rows = [[exp[-i * t % q1] for i in range(self.n)] for t in range(self.n - self.kappa)]
         return LinearMap(self.field, rows)
 
+    @cached_property
+    def _plain_context(self) -> ErasureContext:
+        """The context of the empty erasure set, whose Forney map is the
+        plain syndrome map."""
+        return ErasureContext(self, frozenset())
+
     def syndromes(self, word) -> list[int]:
         """S_t = sum_i word[i] * (a^i)^t for t = 1..n-kappa."""
-        smap = self._syndrome_map
-        return smap.unpack(smap.packed(word, range(self.n)))
+        return self._plain_context.adjusted(word)
 
     def locator(self, positions) -> list[int]:
         """The erasure locator prod over positions i of (1 - a^i z)."""
@@ -242,11 +254,6 @@ class RsCode:
                 if c:
                     loc[j] ^= exp[log[c] + i]
         return loc
-
-    def extend_locator(self, locator: list[int], position: int) -> list[int]:
-        """locator * (1 - a^position z): one more erased position, in O(deg)."""
-        exp, log = self.field.exp, self.field.log
-        return [a ^ (exp[log[b] + position] if b else 0) for a, b in zip(locator + [0], [0] + locator)]
 
     def forney_syndromes(self, synd: list[int], locator: list[int]) -> list[int]:
         """Erasure-adjusted (Forney) syndromes synd * locator mod z^(n-kappa).
@@ -299,33 +306,88 @@ class ErasureContext:
     """Errors-and-erasures decoding for words that all erase the positions U.
 
     Built once per erasure set by RsCode.erasure_context; decode() then
-    handles one word, with at most one extra erased position of its own.
+    handles one word, with at most one extra erased position r of its own.
     The context holds the parts that depend on U alone: the locator
-    Gamma_U, its values Gamma_U(X_i^-1) at the known positions and its
-    derivative's values Gamma_U'(X_i^-1) on U.
+    Gamma_U, its values Gamma_U(X_i^-1) at the known positions, its
+    derivative's values Gamma_U'(X_i^-1) on U, and forney_map, which takes
+    a word straight to its Forney syndromes S * Gamma_U; a word's own r is
+    one more (1 + X_r z) step.  It also keeps the last error locator that
+    Berlekamp-Massey found for a word that then decoded, with its roots and
+    its values at every position: words that share their error positions,
+    like the rows of one progressive round, reuse it (decode()).
     """
 
     def __init__(self, code: RsCode, erased: frozenset[int]):
         field = code.field
-        exp = field.exp
+        exp, log = field.exp, field.log
         q1 = field.order - 1
         self.code = code
         self.erased = erased
         self.known = tuple(i for i in range(code.n) if i not in erased)
         self.locator = code.locator(erased)
         deriv = _poly_deriv(self.locator)
-        # exp[q1 - i] = X_i^-1 for every position 0 <= i < n <= q1
-        self.locator_at = {i: poly_eval(field, self.locator, exp[q1 - i]) for i in self.known}
-        self.deriv_at = {i: poly_eval(field, deriv, exp[q1 - i]) for i in erased}
+        # exp[q1 - i] = X_i^-1 for every position 0 <= i < n <= q1, and
+        # neither value is zero, as Gamma_U has simple roots, all on U
+        self.log_locator_at = {i: log[poly_eval(field, self.locator, exp[q1 - i])] for i in self.known}
+        self.log_deriv_at = [(i, log[poly_eval(field, deriv, exp[q1 - i])]) for i in erased]
+        # the last locator that decoded a word: (Lambda, its roots, its
+        # values at every position, and for each i on U and at the roots
+        # the log of Psi'(X_i^-1) / (1 + X_r X_i^-1), which is free of r)
+        self._located = None
+
+    @cached_property
+    def forney_map(self) -> LinearMap:
+        """Position i's symbol w -> w times coefficients 0 .. n-kappa-1 of
+        X_i Gamma_U(z) / (1 - X_i z), the Forney syndromes S * Gamma_U mod
+        z^(n-kappa) of a word that is w at i and zero elsewhere.  Its
+        coefficients follow c_t = X_i (Gamma_t + c_(t-1)), so the images
+        need no matrix.  With U empty it is the plain syndrome map, and as
+        Gamma_U(0) = 1 two words have equal images exactly when they have
+        equal syndromes."""
+        code, field = self.code, self.code.field
+        exp, log, m = field.exp, field.log, field.m
+        limit = code.n - code.kappa
+        gamma = (self.locator + [0] * limit)[:limit]
+        images = []
+        for i in range(code.n):  # X_i = a^i, so log X_i = i
+            c = image = 0
+            for t, g in enumerate(gamma):
+                c ^= g
+                c = exp[log[c] + i] if c else 0
+                image |= c << m * t
+            images.append(image)
+        return LinearMap.from_images(field, images, limit)
+
+    def _extend(self, adjusted: list[int], extra: int | None) -> list[int]:
+        """adjusted * (1 + X_extra z) mod z^(n-kappa), or adjusted itself."""
+        if extra is None:
+            return adjusted
+        exp, log = self.code.field.exp, self.code.field.log
+        return adjusted[:1] + [a ^ exp[log[b] + extra] if b else a for a, b in zip(adjusted[1:], adjusted)]
+
+    def adjusted(self, word, extra: int | None = None) -> list[int]:
+        """The Forney syndromes S * Gamma_U * (1 + X_extra z) mod
+        z^(n-kappa) of ``word``'s symbols at the known positions other than
+        ``extra``."""
+        indices = self.known if extra is None else [i for i in self.known if i != extra]
+        fmap = self.forney_map
+        return self._extend(fmap.unpack(fmap.packed(word, indices)), extra)
 
     def decode(self, word, extra: int | None = None) -> DecodeResult | None:
         """Decode a length-n word, ignoring its symbols on U and at ``extra``
-        (a known position, or None)."""
+        (a known position, or None).
+
+        A nonzero Forney stream first tries the remembered locator Lambda of
+        e errors, when the stream satisfies Lambda's recurrence, 2e fits in
+        the stream and ``extra`` is not a root.  Its errata are kept only if
+        the recheck passes; then the word lies within s + 2e <= n - kappa
+        of a codeword, the unique one there, which Berlekamp-Massey would
+        find too, with the same nonzero errata.  Otherwise the word goes
+        through Berlekamp-Massey as usual.
+        """
         if extra in self.erased:
             raise ValueError("the extra erasure must be a known position")
         code, field = self.code, self.code.field
-        exp, log = field.exp, field.log
-        q1 = field.order - 1
         s = len(self.erased) + (extra is not None)
         if s > code.n - code.kappa:
             return None
@@ -334,49 +396,96 @@ class ErasureContext:
             received[i] = word[i]
         if extra is not None:
             received[extra] = 0
-        smap, emap = code._syndrome_map, code._evaluation_map
-        packed = smap.packed(received, self.known)
+        fmap = self.forney_map
+        packed = fmap.packed(received, self.known)
         if not packed:
             # the zero-filled word is a codeword: the erased values were zero
             return DecodeResult(tuple(received), frozenset())
-        synd = smap.unpack(packed)
-
-        gamma = self.locator if extra is None else code.extend_locator(self.locator, extra)
-        adjusted = code.forney_syndromes(synd, gamma)
+        adjusted = self._extend(fmap.unpack(packed), extra)
         stream = adjusted[s:]
-        if any(stream):
-            lam, errs = _berlekamp_massey(field, stream)
-            if 2 * errs > len(stream) or len(lam) - 1 != errs:
-                return None
-            lam_at = emap.apply(lam)
-            roots = [i for i in self.known if lam_at[i] == 0 and i != extra]
-            if len(roots) != errs:
-                return None
-            omega = code.forney_syndromes(adjusted, lam)
-            lam_d_at = emap.apply(_poly_deriv(lam))
-        else:
-            lam_at, roots, omega = [1] * code.n, [], adjusted
-        omega_at = emap.apply(omega)
-
-        # Psi = Gamma_U * (1 + X_r z) * Lambda; at a root of one factor,
-        # Psi' is that factor's derivative times the other two
-        terms = [(i, field.mul(self.deriv_at[i], lam_at[i])) for i in self.erased]
-        if extra is not None:
-            terms.append((extra, field.mul(field.mul(self.locator_at[extra], exp[extra]), lam_at[extra])))
-        terms += [(i, field.mul(self.locator_at[i], lam_d_at[i])) for i in roots]
-        errata = {}
-        for i, den in terms:
-            if extra is not None and i != extra:
-                den = field.mul(den, 1 ^ exp[extra + q1 - i])
-            if den == 0:
-                return None
-            errata[i] = field.div(omega_at[i], den)
-            received[i] ^= errata[i]
-        # syndromes are linear: S(corrected) = S(received) + sum e_i X_i^t
-        if smap.packed(errata, errata) != packed:
+        if not any(stream):
+            return self._correct(received, packed, extra, adjusted, None)
+        located = self._located
+        if located is not None and _fits(field, located[0], stream) and extra not in located[1]:
+            result = self._correct(received, packed, extra, adjusted, located)
+            if result is not None:
+                return result
+        lam, errs = _berlekamp_massey(field, stream)
+        if 2 * errs > len(stream) or len(lam) - 1 != errs:
             return None
-        corrected = frozenset(i for i in roots if errata[i])
-        return DecodeResult(tuple(received), corrected)
+        emap = code._evaluation_map
+        lam_at = emap.apply(lam)
+        roots = [i for i in self.known if lam_at[i] == 0 and i != extra]
+        if len(roots) != errs:
+            return None
+        # Psi = Gamma_U * (1 + X_r z) * Lambda; at a root of one factor,
+        # Psi' is that factor's derivative times the other two.  Lambda has
+        # errs simple roots, all at known positions other than r, so no
+        # factor here vanishes.
+        log, q1 = field.log, field.order - 1
+        lam_d_at = emap.apply(_poly_deriv(lam))
+        dens = [(i, (ld + log[lam_at[i]]) % q1) for i, ld in self.log_deriv_at]
+        dens += [(i, (self.log_locator_at[i] + log[lam_d_at[i]]) % q1) for i in roots]
+        located = (lam, roots, lam_at, dens)
+        result = self._correct(received, packed, extra, adjusted, located)
+        if result is not None:
+            self._located = located
+        return result
+
+    def _correct(self, received, packed, extra, adjusted, located) -> DecodeResult | None:
+        """Add to ``received`` the errata of ``located`` (None: no errors),
+        if the corrected word's Forney syndromes vanish.  Each value is
+        Omega(X_i^-1) / Psi'(X_i^-1), in logs."""
+        code, field = self.code, self.code.field
+        exp, log, q1 = field.exp, field.log, field.order - 1
+        emap = code._evaluation_map
+        if located is None:
+            roots, dens, omega, lam_r = (), self.log_deriv_at, adjusted, 0
+        else:
+            lam, roots, lam_at, dens = located
+            omega = code.forney_syndromes(adjusted, lam)
+            lam_r = log[lam_at[extra]] if extra is not None else 0
+        omega_at = emap.packed(omega, range(len(omega)))
+        m, mask = emap.m, emap.mask
+        # Psi'(X_i^-1) is den times the factor (1 + X_r z) at X_i^-1, and at
+        # X_r^-1 it is X_r times Gamma_U and Lambda there
+        errata = {}
+        for i, den in dens:
+            value = omega_at >> m * i & mask
+            if value:
+                if extra is not None:
+                    den += log[1 ^ exp[extra + q1 - i]]
+                errata[i] = exp[(log[value] - den) % q1]
+        if extra is not None:
+            value = omega_at >> m * extra & mask
+            if value:
+                errata[extra] = exp[(log[value] - self.log_locator_at[extra] - extra - lam_r) % q1]
+        # the map is linear: the corrected word's image is the received
+        # word's plus the errata's, zero exactly when they are equal
+        if self.forney_map.packed(errata, errata) != packed:
+            return None
+        for i, value in errata.items():
+            received[i] ^= value
+        return DecodeResult(tuple(received), frozenset(i for i in roots if i in errata))
+
+
+def _fits(field: Field, lam: list[int], stream: list[int]) -> bool:
+    """Whether the LFSR with connection polynomial lam, of length
+    deg(lam) = e with 2e <= len(stream), generates ``stream``."""
+    e = len(lam) - 1
+    if 2 * e > len(stream):
+        return False
+    exp, log = field.exp, field.log
+    terms = [(l, log[c]) for l, c in enumerate(lam) if c]
+    for t in range(e, len(stream)):
+        acc = 0
+        for l, lc in terms:
+            x = stream[t - l]
+            if x:
+                acc ^= exp[lc + log[x]]
+        if acc:
+            return False
+    return True
 
 
 def _berlekamp_massey(field: Field, stream: list[int]) -> tuple[list[int], int]:

@@ -5,10 +5,15 @@ import random
 import pytest
 
 from msrcode.field import DEFAULT_PRIMITIVE_POLYS, Field, NotPrimitive
-from msrcode.linalg import LinearMap, gf_dot, mat_vec, transpose
+from msrcode.linalg import LinearMap, gf_dot, mat_vec
 
 # (inputs, outputs): a single entry, wide, tall and the shapes the codes use
 SHAPES = [(1, 1), (3, 7), (9, 2), (6, 6)]
+
+
+def transpose(a):
+    """Reference helper: the rows of a's transpose."""
+    return [list(col) for col in zip(*a)]
 
 
 def _symbol(rng, field):

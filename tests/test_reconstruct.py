@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from msrcode import reconstruct
-from msrcode.linalg import LinearMap, gf_dot, mat_mul
+from msrcode import reconstruct, rs
+from msrcode.linalg import LinearMap, gf_dot
 from msrcode.msr import encode_all, generator_set, make_params
 from msrcode.reconstruct import (
     AccessSet,
@@ -68,6 +68,11 @@ def z_blocks(params, message):
                 z[r][c] = z[c][r] = next(symbols)
         blocks.append(z)
     return blocks
+
+
+def mat_mul(field, a, b):
+    """Reference helper: the matrix product a @ b, entry by entry."""
+    return [[gf_dot(field, row, col) for col in zip(*b)] for row in a]
 
 
 def true_pq(gen, message):
@@ -638,7 +643,8 @@ def test_trial_order_matches_scored_reference(n, k, m, flavor):
             for b in rng.sample(range(j), rng.randrange(min(v + 2, j))):
                 cols[b] = corrupt_symbols(rng, gen.field, cols[b])
         pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
-        assert reconstruct._trial_order(gen, pair, v) == scored_order(gen, pair, v)
+        context = reconstruct._round_context(gen.code_alpha, nodes, ())
+        assert reconstruct._trial_order(gen, pair, v, context) == scored_order(gen, pair, v)
         checked += 1
 
 
@@ -666,7 +672,7 @@ def test_ranked_trials_report_like_plain_enumeration(monkeypatch, n, k, m, flavo
     seeds = [n * 1000 + missing * 10 + liars + 7 * s for s in seeds]
     ranked = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
     monkeypatch.setattr(
-        reconstruct, "_trial_order", lambda gen, pair, v: itertools.combinations(range(len(pair.nodes)), v)
+        reconstruct, "_trial_order", lambda gen, pair, v, context: itertools.combinations(range(len(pair.nodes)), v)
     )
     plain = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
     for (message, got), (_, want) in zip(ranked, plain):
@@ -810,6 +816,82 @@ def test_row_decode_matches_per_row_reference(n, k, m, flavor):
             want = reference_row_decode(code, mat, nodes, extra, gen.col_scale)
             assert row_decode(code, mat, nodes, extra, gen.col_scale) == want
             assert row_decode(code, mat, nodes, extra, gen.col_scale, context) == want
+
+
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
+def test_shared_locator_decodes_match_reference(monkeypatch, n, k, m):
+    """A context that remembers the locator of errors E decodes like the
+    reference: a word with errors on a strict subset of E reuses it without
+    Berlekamp-Massey, while a liar's own row (its diagonal in E) and a word
+    with one more error outside E skip it and run Berlekamp-Massey once.
+    Each word computes one set of errata."""
+    gen = generator_set(make_params(n, k, m))
+    code = gen.code_alpha
+    nsyn = code.n - code.kappa
+    bm_calls, errata_calls = [], []
+    berlekamp_massey, correct = rs._berlekamp_massey, rs.ErasureContext._correct
+    monkeypatch.setattr(rs, "_berlekamp_massey", lambda *args: bm_calls.append(1) or berlekamp_massey(*args))
+    monkeypatch.setattr(rs.ErasureContext, "_correct", lambda *args: errata_calls.append(1) or correct(*args))
+    rng = random.Random(n * 7 + m)
+    generator = code.systematic_generator()
+
+    def word_with_errors(positions):
+        word = code.encode([rng.randrange(code.field.order) for _ in range(code.kappa)], generator)
+        for i in positions:
+            word[i] ^= rng.randrange(1, code.field.order)
+        return word
+
+    for trial in range(40):
+        erased = rng.sample(range(n), rng.randrange(nsyn - 6))
+        known = [i for i in range(n) if i not in erased]
+        # s + 2(e + 1) <= n - kappa with s = |U| + 1: one more error still decodes
+        e = rng.randrange(2, (nsyn - len(erased) - 1) // 2)
+        errors = rng.sample(known, e)
+        clean = [i for i in known if i not in errors]
+        cases = [
+            ("subset", rng.sample(errors, rng.randrange(1, e)), rng.choice(clean), 0),
+            ("own row", errors, rng.choice(errors), 1),
+            ("outside", errors + [rng.choice(clean)], None, 1),
+        ]
+        for name, positions, extra, runs in cases:
+            context = code.erasure_context(erased)
+            primer = context.decode(word_with_errors(errors), rng.choice(clean))
+            assert primer is not None and primer.corrected_positions == frozenset(errors)
+            word = word_with_errors(positions)
+            if extra is None:
+                extra = rng.choice([i for i in clean if i not in positions])
+            bm_calls.clear()
+            errata_calls.clear()
+            got = context.decode(word, extra)
+            assert (len(bm_calls), len(errata_calls)) == (runs, 1), (trial, name)
+            assert got is not None, (trial, name)
+            want = reference_decode(code, word, erased + [extra])
+            assert (got.codeword, got.corrected_positions) == want, (trial, name)
+
+
+def test_round_reuses_the_shared_locator(monkeypatch):
+    """A full-supply [24,12] over GF(2^8) round at v = 3 with 3 lying
+    columns runs Berlekamp-Massey on fewer words than it has rows and
+    decodes every row like the per-row reference."""
+    params = make_params(24, 12, 8)
+    gen = generator_set(params)
+    code = gen.code_alpha
+    bm_calls = []
+    berlekamp_massey = rs._berlekamp_massey
+    monkeypatch.setattr(rs, "_berlekamp_massey", lambda *args: bm_calls.append(1) or berlekamp_massey(*args))
+    rng = random.Random(2412)
+    for _ in range(4):
+        message, shares = fresh_case(params, gen, rng)
+        nodes = tuple(rng.sample(range(params.n), params.k + 6))
+        cols = [shares[i].symbols for i in nodes]
+        for b in rng.sample(range(len(nodes)), 3):
+            cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+        context = reconstruct._round_context(code, nodes, frozenset())
+        bm_calls.clear()
+        got = [row_decode(code, mat, nodes, frozenset(), gen.col_scale, context) for mat in (pair.p, pair.q)]
+        assert 0 < len(bm_calls) < 2 * len(nodes)
+        assert got == [reference_row_decode(code, mat, nodes, frozenset(), gen.col_scale) for mat in (pair.p, pair.q)]
 
 
 # (n, k, m, flavor, missing shares, lying shares): supply-capped and

@@ -1,6 +1,8 @@
 """Reed-Solomon codec: generator construction and errors-and-erasures decoding."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -326,6 +328,42 @@ def test_forney_syndromes_vanish_exactly_when_errors_are_erased():
         assert not any(adjusted[len(erased) :])
         missed = erased[1:]  # leaves errors[0] unerased
         assert any(code.forney_syndromes(synd, code.locator(missed))[len(missed) :])
+
+
+def reference_syndromes(code, word):
+    """S_t = sum_i word[i] * (a^i)^t for t = 1..n-kappa, term by term."""
+    field = code.field
+    return [
+        functools.reduce(operator.xor, (field.mul(x, field.pow(field.exp[i], t)) for i, x in enumerate(word)), 0)
+        for t in range(1, code.n - code.kappa + 1)
+    ]
+
+
+@pytest.mark.parametrize("n,kappa,m", [(7, 3, 3), (20, 9, 5), (24, 11, 8)])
+def test_forney_map_equals_syndromes_times_locator(n, kappa, m):
+    """An erasure set's forney_map sends a word to forney_syndromes(S,
+    locator(U)) with S its syndromes, for U empty too, where it is the
+    syndrome map; one extra erased position is one more locator factor."""
+    code = RsCode(n, kappa, Field(m))
+    rng = random.Random(n * 10 + m)
+    for trial in range(60):
+        word = [rng.randrange(code.field.order) for _ in range(n)]
+        erased = rng.sample(range(n), 0 if trial % 4 == 0 else rng.randrange(n - kappa))
+        context = code.erasure_context(erased)
+        synd = reference_syndromes(code, word)
+        fmap = context.forney_map
+        assert fmap.unpack(fmap.packed(word, range(n))) == code.forney_syndromes(synd, code.locator(erased))
+        known = [i for i in range(n) if i not in erased]
+        assert context.adjusted(word) == code.forney_syndromes(
+            reference_syndromes(code, [x if i in known else 0 for i, x in enumerate(word)]), code.locator(erased)
+        )
+        extra = rng.choice(known)
+        held = [x if i in known and i != extra else 0 for i, x in enumerate(word)]
+        assert context.adjusted(word, extra) == code.forney_syndromes(
+            reference_syndromes(code, held), code.locator(erased + [extra])
+        )
+        if not erased:
+            assert code.syndromes(word) == synd
 
 
 def test_decoder_is_exact_bounded_distance_against_codebook(code73):
