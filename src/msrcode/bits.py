@@ -7,6 +7,8 @@ converting back requires the intended byte length (or symbol count).
 
 from __future__ import annotations
 
+from math import lcm
+
 __all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "symbols_to_int"]
 
 
@@ -31,23 +33,25 @@ def symbols_to_bytes(symbols, m: int, byte_length: int | None = None) -> bytes:
     """Concatenate m-bit symbols MSB-first and return the leading bytes.
 
     byte_length truncates zero padding introduced by bytes_to_symbols; when
-    omitted, every whole byte of the bitstream is returned.
+    omitted, every whole byte of the bitstream is returned.  m may be any
+    width, e.g. a stripe's whole payload packed into one int.  The symbols
+    are joined in runs whose bits fill whole bytes, at least 8 / gcd(m, 8)
+    symbols and about 256 bits, so the work stays linear in their number.
     """
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for sym in symbols:
-        acc = (acc << m) | sym
-        nbits += m
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-            acc &= (1 << nbits) - 1
+    symbols = list(symbols)
+    run_width = lcm(m, 8)
+    group = run_width // m * max(1, 256 // run_width)
+    out = []
+    for start in range(0, len(symbols), group):
+        acc = 0
+        run = symbols[start : start + group]
+        for sym in run:
+            acc = (acc << m) | sym
+        pad = -len(run) * m % 8
+        out.append((acc << pad).to_bytes((len(run) * m + pad) // 8, "big"))
     if byte_length is None:
-        return bytes(out)
-    if byte_length > len(out) and nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out[:byte_length])
+        byte_length = len(symbols) * m // 8
+    return b"".join(out)[:byte_length]
 
 
 def int_to_symbols(value: int, m: int, count: int) -> list[int]:
@@ -64,3 +68,4 @@ def symbols_to_int(symbols, m: int) -> int:
     for sym in symbols:
         acc = (acc << m) | sym
     return acc
+

@@ -177,9 +177,11 @@ def cmd_reconstruct(args) -> int:
     if not result.success:
         return EXIT_DECODE_FAIL
 
-    payload_len = manifest.payload_symbols_per_stripe
-    collected = [symbol for message in result.messages for symbol in message[:payload_len]]
-    Path(args.output).write_bytes(symbols_to_bytes(collected, params.m, manifest.file_length))
+    # each stripe's bitstream holds its payload above the CRC trailer
+    trailer = crc_trailer_length(params.m) * params.m
+    payloads = (value >> trailer for value in result.bitstreams)
+    data = symbols_to_bytes(payloads, manifest.payload_symbols_per_stripe * params.m, manifest.file_length)
+    Path(args.output).write_bytes(data)
     print(f"reconstructed {manifest.file_length} bytes -> {args.output}")
     return EXIT_OK
 

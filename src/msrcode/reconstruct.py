@@ -91,7 +91,9 @@ decoder.  Those stages make a linear map from the k * alpha column symbols
 to the B message symbols, and KNodeDecoder.compose() folds them into one
 LinearMap built from the decoder's own parts (its docstring), after which
 decode() is one table pass instead of k + 4 * alpha map applications, the
-pair solve and the diagonal fill.
+pair solve and the diagonal fill.  The composed map lays its outputs out
+MSB-first, so that pass yields the stripe's bitstream, the message packed
+into one int as bits.symbols_to_int packs it (KNodeDecoder.bitstream).
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
@@ -101,14 +103,21 @@ The session holds one KNodeDecoder at a time and rebuilds it only when asked
 for other nodes, both by the trusted set and by the v = 0 round of its
 progressive stripes; on a clean read stripe 0's first round and the trusted
 set ask for the same k nodes, so one decoder serves the whole file.  Every
-later stripe is decoded from the trusted nodes' k columns alone and accepted
-only if its message passes the integrity check, the same check that alone
-decides the v = 0 round.  A missing trusted column or a failed check sends
-that stripe to reconstruct_progressive, seeded exactly as a stripe read on
-its own would be.  So a node caught lying or missing is not read again while
-the trusted set holds, a clean file is read from k nodes, and every stripe
-still passes the CRC before it is accepted.  The decoder lives in the
-session, never on the GeneratorSet, so nothing grows across files.
+later stripe is decoded from the trusted nodes' k columns alone, straight
+to its bitstream, and accepted only if that int passes the integrity check,
+the same check_crc that alone decides the v = 0 round (which also checks the
+bitstream, and unpacks it only once accepted).  check_crc reads the CRC-32
+trailer off the low bits and hashes the payload bits above it as bytes, so a
+trusted stripe is never split into symbols: the session keeps each accepted
+stripe as its int (FileReport.bitstreams), and the CLI joins the payload
+bits into the file with bits.symbols_to_bytes, one payload per symbol.  The
+rounds that locate errors hand check_crc their message list, which it packs
+once.  A missing trusted column or a failed check sends that stripe to
+reconstruct_progressive, seeded exactly as a stripe read on its own would
+be.  So a node caught lying or missing is not read again while the trusted
+set holds, a clean file is read from k nodes, and every stripe still passes
+the CRC before it is accepted.  The decoder lives in the session, never on
+the GeneratorSet, so nothing grows across files.
 
 The session composes the trusted set's decoder when, at a stripe it decodes
 from that set, at least LinearMap.table_entries(m) = 2^ceil(m/2) +
@@ -195,27 +204,37 @@ def crc_payload_length(params: MsrParams) -> int:
     return params.B - t
 
 
-def _crc_of(payload, m: int) -> int:
-    nbytes = (len(payload) * m + 7) // 8
-    return zlib.crc32(symbols_to_bytes(payload, m, nbytes))
-
-
 def attach_crc(params: MsrParams, payload) -> list[int]:
     """Append the CRC-32 of the payload bits as the final trailer symbols,
     MSB-first with the high bits zero-padded."""
     expected = crc_payload_length(params)
     if len(payload) != expected:
         raise WrongLength(f"payload must have {expected} symbols, got {len(payload)}")
-    t = crc_trailer_length(params.m)
-    return list(payload) + int_to_symbols(_crc_of(payload, params.m), params.m, t)
+    m = params.m
+    crc = zlib.crc32(symbols_to_bytes(payload, m, (expected * m + 7) // 8))
+    return list(payload) + int_to_symbols(crc, m, crc_trailer_length(m))
 
 
 def check_crc(params: MsrParams, message) -> bool:
-    if len(message) != params.B:
+    """Whether ``message`` ends in the CRC-32 of its payload bits.  It is a
+    stripe's B symbols, as attach_crc returns them, or the same symbols
+    packed MSB-first into one int (bits.symbols_to_int), as
+    KNodeDecoder.bitstream returns them; a list is packed once.  The payload
+    is the top bits, zero-padded to whole bytes, and the trailer the low
+    crc_trailer_length(m) * m bits.  A list of other than B symbols, a value
+    wider than B symbols, or a code with no room for a payload, fails."""
+    if not isinstance(message, int):
+        if len(message) != params.B:
+            return False
+        message = symbols_to_int(message, params.m)
+    m = params.m
+    trailer = crc_trailer_length(m) * m
+    payload_bits = params.B * m - trailer
+    if payload_bits <= 0 or message >> params.B * m:
         return False
-    t = crc_trailer_length(params.m)
-    payload, trailer = message[: params.B - t], message[params.B - t :]
-    return _crc_of(payload, params.m) == symbols_to_int(trailer, params.m)
+    pad = -payload_bits % 8
+    payload = (message >> trailer << pad).to_bytes((payload_bits + pad) // 8, "big")
+    return zlib.crc32(payload) == message & ((1 << trailer) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +519,13 @@ class KNodeDecoder:
     def compose(self) -> None:
         """Fold the staged decode into one LinearMap from the k * alpha
         column symbols (symbol t of column c is input c * alpha + t) to the
-        B message symbols; decode() then applies that map alone.  The build
-        costs several staged decodes, so reconstruct_file composes a trusted
-        set's decoder once, and only with enough stripes left.
+        B message symbols, laid out MSB-first: message symbol t is output
+        B - 1 - t, at bits m * (B - 1 - t), so the packed image is the
+        stripe's bitstream (bitstream()), with the payload on top and the CRC
+        trailer in the low bits.  bitstream() and decode() then apply that
+        map alone.  The build costs several staged decodes, so
+        reconstruct_file composes a trusted set's decoder once, and only
+        with enough stripes left.
 
         The map is read off the decoder's own parts, never by decoding unit
         vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
@@ -510,23 +533,31 @@ class KNodeDecoder:
         the last two through the diagonal fill, and any term with an index
         of alpha or more drops out.  As s_r s_c = 1, S = s_r u u^T with
         u = e_r + s_c e_c, so row a of its Z = G^-T S G^-1 is
-        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two peel_map lookups.  The
-        upper triangles of those rows give the pair map, from the
-        k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message symbols,
-        and P and Q share it.  Symbol t of column c enters m_rc with weight
-        gbar_access[t][r], so with w = lambda_r + lambda_c it adds
-        gbar_access[t][r] lambda_r / w to p_rc and gbar_access[t][r] / w to
-        q_rc: its image is the pair map on those k - 1 pairs, once per block.
+        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two lookups in a copy of
+        peel_map with its outputs reversed, where entries a .. alpha - 1 of
+        the row are its low alpha - a outputs, last entry lowest.  So one
+        mask and one shift put that segment of the row's upper triangle in
+        place, reversed like the rest.  Those rows give the pair map, from
+        the k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message
+        symbols, and P and Q share it, P shifted above Q.  Symbol t of
+        column c enters m_rc with weight gbar_access[t][r], so with
+        w = lambda_r + lambda_c it adds gbar_access[t][r] lambda_r / w to
+        p_rc and gbar_access[t][r] / w to q_rc: its image is the pair map on
+        those k - 1 pairs, once per block.
         """
         field = self.field
         exp, log, m = field.exp, field.log, field.m
         q1 = field.order - 1
         k, alpha = self.params.k, self.params.alpha
         g_inv, lh, lam = self.g_inv, self.lh, self.lam
-        peel = self.peel_map
-        # a block's message half: row a's upper triangle starts at offsets[a]
+        # x -> x G^-1 with output b at bits m * (alpha - 1 - b)
+        peel = LinearMap(field, [row[::-1] for row in g_inv])
+        # a block's message half, reversed: row a's upper-triangle segment,
+        # alpha - a symbols from offset a * alpha - a(a - 1)/2, has its last
+        # symbol at bit shifts[a]
         triangle = alpha * (alpha + 1) // 2
-        offsets = [m * (a * alpha - a * (a - 1) // 2) for a in range(alpha)]
+        masks = [(1 << m * (alpha - a)) - 1 for a in range(alpha)]
+        shifts = [m * (triangle - (a + 1) * alpha + a * (a + 1) // 2) for a in range(alpha)]
         span = m * triangle
         low, high, lmask, half = peel.low, peel.high, peel.lmask, peel.half
         pair_of = [[0] * k for _ in range(k)]
@@ -545,7 +576,7 @@ class KNodeDecoder:
                 row = low[r][x & lmask] ^ high[r][x >> half]
                 if c < alpha:
                     row ^= low[c][v & lmask] ^ high[c][v >> half]
-                image ^= (row >> m * a) << offsets[a]
+                image ^= (row & masks[a]) << shifts[a]
             images.append(image)
         pair_map = LinearMap.from_images(field, images, triangle)
 
@@ -567,14 +598,23 @@ class KNodeDecoder:
                         p_in[i], q_in[i] = exp[l_g + l_p], exp[l_g + l_q]
                     else:
                         p_in[i] = q_in[i] = 0
-                images.append(pair_map.packed(p_in, indices) ^ (pair_map.packed(q_in, indices) << span))
+                images.append(pair_map.packed(p_in, indices) << span ^ pair_map.packed(q_in, indices))
         self.composed = LinearMap.from_images(field, images, self.params.B)
+
+    def bitstream(self, columns) -> int:
+        """The message decode() returns, packed MSB-first into one int
+        (bits.symbols_to_int), the form check_crc takes: one table pass
+        once compose() has run."""
+        if self.composed is None:
+            return symbols_to_int(self.decode(columns), self.field.m)
+        flat = [x for col in columns for x in col]
+        return self.composed.packed(flat, range(len(flat)))
 
     def decode(self, columns) -> list[int]:
         """The B-symbol message that the k columns, in node order, encode:
         through the composed map once compose() has run, else in stages."""
         if self.composed is not None:
-            return self.composed.apply([x for col in columns for x in col])
+            return int_to_symbols(self.bitstream(columns), self.field.m, self.params.B)
         exp, log = self.field.exp, self.field.log
         k, alpha = self.params.k, self.params.alpha
         mask, shifts = self.field.order - 1, self.shifts
@@ -609,13 +649,13 @@ def _k_node_round(decoder: KNodeDecoder, access: AccessSet, trace):
     """The v = 0 round over exactly k nodes, through the KNodeDecoder of
     this access set's nodes; returns the same result and trace entry as
     _attempt_round at v = 0 on the pair-solved access set."""
-    message = decoder.decode(access.columns)
+    value = decoder.bitstream(access.columns)
     j = len(access.nodes)
-    if not check_crc(decoder.params, message):
+    if not check_crc(decoder.params, value):
         trace.append(RoundTrace(0, j, "integrity"))
         return None
     trace.append(RoundTrace(0, j, "accepted"))
-    return message, frozenset()
+    return int_to_symbols(value, decoder.params.m, decoder.params.B), frozenset()
 
 
 def _gate_can_pass(j: int, v: int, k: int) -> bool:
@@ -673,16 +713,30 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, context) -> list[tu
         return supports
     code = gen.code_alpha
     field, scale = code.field, gen.col_scale
+    exp, log = field.exp, field.log
     head = code.n - j + 1  # |X_r|
-    # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1
+    # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1;
+    # its entries are logs, None for zero
     hankels = []
     for r, row in enumerate(pair.p):
         word = [0] * code.n
         for c, node in enumerate(nodes):
             if c != r:
                 word[node] = field.mul(row[c], scale[node])
-        u = context.adjusted(word, nodes[r])
+        u = [log[x] if x else None for x in context.adjusted(word, nodes[r])]
         hankels.append([u[t - v + 1 : t + 1][::-1] for t in range(head + v - 1, len(u))])
+
+    def products(rows, terms) -> list[int]:
+        """rows @ g, with g's nonzero coefficients given as (index, log)."""
+        out = []
+        for row in rows:
+            acc = 0
+            for i, lg in terms:
+                lx = row[i]
+                if lx is not None:
+                    acc ^= exp[lx + lg]
+            out.append(acc)
+        return out
 
     # E = P + (c,) with P a size-(v-1) prefix.  With a = U_r * Gamma_P,
     # (U_r * Gamma_E)_t = a_t + X_c a_(t-1), so row r passes E exactly when
@@ -693,20 +747,21 @@ def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, context) -> list[tu
     score = dict.fromkeys(supports, 0)
     for prefix in itertools.combinations(range(j - 1), v - 1):
         gamma = code.locator([nodes[c] for c in prefix])
+        terms = [(i, log[g]) for i, g in enumerate(gamma) if g]
         first = prefix[-1] + 1 if prefix else 0
         for r, hankel in enumerate(hankels):
             if r in prefix:
                 continue
-            a = mat_vec(field, hankel[:2], gamma)  # the rest only if needed
+            a = products(hankel[:2], terms)  # the rest only if needed
             if a[0]:
                 ratio = field.div(a[1], a[0])
-                c = position.get(field.log[ratio]) if ratio else None
+                c = position.get(log[ratio]) if ratio else None
                 if c is None or c < first or c == r:
                     continue
-                a += mat_vec(field, hankel[2:], gamma)
+                a += products(hankel[2:], terms)
                 if all(field.mul(ratio, x) == y for x, y in zip(a[1:], a[2:])):
                     score[prefix + (c,)] += 1
-            elif not any(a + mat_vec(field, hankel[2:], gamma)):
+            elif not any(a + products(hankel[2:], terms)):
                 for c in range(first, j):
                     if c != r:
                         score[prefix + (c,)] += 1
@@ -794,23 +849,31 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
 class FileReport:
     """The outcome of reconstruct_file.
 
-    messages holds the decoded stripes in order and stops at the first
-    stripe that failed; progressive maps every stripe that ran
-    reconstruct_progressive to its report.
+    bitstreams holds the decoded stripes in order, each packed MSB-first
+    into one int as check_crc took it, and stops at the first stripe that
+    failed; progressive maps every stripe that ran reconstruct_progressive
+    to its report.
     """
 
+    params: MsrParams
     stripe_count: int
-    messages: list[list[int]]
+    bitstreams: list[int]
     progressive: dict[int, DecodeReport]
 
     @property
+    def messages(self) -> list[list[int]]:
+        """The decoded stripes as B-symbol message lists."""
+        m, count = self.params.m, self.params.B
+        return [int_to_symbols(value, m, count) for value in self.bitstreams]
+
+    @property
     def success(self) -> bool:
-        return len(self.messages) == self.stripe_count
+        return len(self.bitstreams) == self.stripe_count
 
     @property
     def trusted_stripes(self) -> int:
         """Stripes decoded from the trusted set alone."""
-        return len(self.messages) - sum(report.success for report in self.progressive.values())
+        return len(self.bitstreams) - sum(report.success for report in self.progressive.values())
 
     @property
     def bad_nodes(self) -> frozenset[int]:
@@ -828,7 +891,8 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     yet, when a trusted node's column is missing, or when the trusted set's
     message fails check_crc.  Decoding stops at the first stripe that fails.
     """
-    messages: list[list[int]] = []
+    params = gen.params
+    bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
 
@@ -850,15 +914,15 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
                 trusted_decoder = k_decoder(trusted)
                 if trusted_decoder.composed is None and stripe_count - s >= compose_from:
                     trusted_decoder.compose()
-                message = trusted_decoder.decode(columns)
-                if check_crc(gen.params, message):
-                    messages.append(message)
+                value = trusted_decoder.bitstream(columns)
+                if check_crc(params, value):
+                    bitstreams.append(value)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
         report = reconstruct_progressive(gen, lambda node: source(node, s), rng, k_decoder)
         progressive[s] = report
         if not report.success:
             break
-        messages.append(report.recovered_message)
-        trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: gen.params.k]
-    return FileReport(stripe_count, messages, progressive)
+        bitstreams.append(symbols_to_int(report.recovered_message, params.m))
+        trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
+    return FileReport(params, stripe_count, bitstreams, progressive)

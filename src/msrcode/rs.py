@@ -28,7 +28,9 @@ the known positions only, and Psi'(X_i^-1) for Psi = Gamma_U * (1 + X_r z)
 incremental: the map is linear, so the corrected word's image is the
 received word's plus the errata's, and only the errata positions are
 mapped.  decode_errors_erasures is the one-word call of that same path, and
-syndromes() is the map of the empty erasure set.
+syndromes() is the map of the empty erasure set; both use the code's one
+cached context of that set, and a one-word call with erasures builds its
+own.
 
 Words that erase the same U often also share their error positions: every
 row of a round is corrupted in the columns of the same lying nodes, so the
@@ -290,10 +292,13 @@ class RsCode:
         erasures, v symbol errors elsewhere), or None when there is none.
         Beyond that radius another codeword may lie closer than the one
         sent; callers needing integrity must check the result themselves.
+        With no erasures the word goes through the code's cached context of
+        the empty set; any other set builds its own.
         """
         if len(symbols) != self.n:
             raise ValueError(f"word length {len(symbols)} != n {self.n}")
-        return self.erasure_context(erasures).decode(symbols)
+        context = self.erasure_context(erasures) if erasures else self._plain_context
+        return context.decode(symbols)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(list(word)))

@@ -80,3 +80,24 @@ def test_decoded_message_goes_straight_into_the_encoder(n, k, m, flavor):
     assert msrcode.encode_all(gen, decoder.decode([columns[node] for node in nodes])) == shares
     decoder.compose()
     assert msrcode.encode_all(gen, decoder.decode([columns[node] for node in nodes])) == shares
+
+
+@pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])
+def test_check_crc_takes_what_attach_crc_and_the_decoders_give(n, k, m):
+    """The public CRC pair agrees: check_crc passes attach_crc's symbol list
+    as it is, and also that message packed into one int, the form a
+    KNodeDecoder's bitstream() gives; a tampered message fails in both."""
+    params = msrcode.make_params(n, k, m)
+    gen = msrcode.generator_set(params)
+    rng = random.Random(f"api-crc:{n}")
+    payload = [rng.randrange(gen.field.order) for _ in range(msrcode.crc_payload_length(params))]
+    message = msrcode.attach_crc(params, payload)
+    assert msrcode.check_crc(params, message)
+    shares = msrcode.encode_all(gen, message)
+    decoder = KNodeDecoder(gen, range(k))
+    value = decoder.bitstream([shares[node].symbols for node in range(k)])
+    assert msrcode.check_crc(params, value)
+    tampered = list(message)
+    tampered[0] ^= 1
+    assert not msrcode.check_crc(params, tampered)
+    assert not msrcode.check_crc(params, value ^ 1 << params.B * m - 1)

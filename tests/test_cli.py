@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from msrcode.bits import bytes_to_symbols, symbols_to_bytes
+from msrcode.bits import bytes_to_symbols, symbols_to_bytes, symbols_to_int
 from msrcode.cli import main
+from msrcode.msr import make_params
+from msrcode.reconstruct import crc_payload_length
 from msrcode.shares import HEADER_SIZE, Manifest, ShareDir, ShareFile, read_share, write_share
 
 
@@ -34,6 +37,25 @@ def encode_dir(tmp_path, data: bytes, n=7, k=4, m=3, flavor="systematic", name="
 # bit packing helpers
 
 
+def reference_symbols_to_bytes(symbols, m, byte_length=None):
+    """MSB-first packing one byte at a time, the reference for
+    symbols_to_bytes."""
+    out = bytearray()
+    acc = nbits = 0
+    for sym in symbols:
+        acc = (acc << m) | sym
+        nbits += m
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+            acc &= (1 << nbits) - 1
+    if byte_length is None:
+        return bytes(out)
+    if byte_length > len(out) and nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out[:byte_length])
+
+
 def test_bit_packing_roundtrip():
     rng = random.Random(0)
     for m in (3, 5, 8, 11):
@@ -42,6 +64,27 @@ def test_bit_packing_roundtrip():
             symbols = bytes_to_symbols(data, m)
             assert all(0 <= s < (1 << m) for s in symbols)
             assert symbols_to_bytes(symbols, m, size) == data
+            for length in (None, 0, size // 2, size + 1):
+                assert symbols_to_bytes(symbols, m, length) == reference_symbols_to_bytes(symbols, m, length)
+
+    # wide symbols: each stripe's payload as one int, joined into the file.
+    # 8 / gcd(bits, 8) stripes fill whole bytes (8 for 415 bits at m = 5, 1
+    # for 1024 bits at m = 8); cover 1 to 2 * group + 1 stripes and every
+    # file length that ends inside the last stripe
+    for n, k, m in ((20, 10, 5), (24, 12, 8)):
+        payload_len = crc_payload_length(make_params(n, k, m))
+        bits = payload_len * m
+        group = 8 // math.gcd(bits, 8)
+        assert (bits, group) in {(415, 8), (1024, 1)}
+        payloads = [[rng.randrange(1 << m) for _ in range(payload_len)] for _ in range(2 * group + 1)]
+        values = [symbols_to_int(payload, m) for payload in payloads]
+        for count in range(1, 2 * group + 2):
+            flat = [symbol for payload in payloads[:count] for symbol in payload]
+            whole = reference_symbols_to_bytes(flat, m, len(flat))
+            for length in range((count - 1) * bits // 8 + 1, count * bits // 8 + 1):
+                assert symbols_to_bytes(values[:count], bits, length) == whole[:length]
+            assert symbols_to_bytes(values[:count], bits) == reference_symbols_to_bytes(flat, m)
+        assert symbols_to_bytes([], bits, 0) == b""
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +259,9 @@ def test_manifest_plus_k_shares_suffice(tmp_path):
 
 
 def test_roundtrip_large_file_with_corruption(tmp_path, capsys):
-    # randomized size up to 1 MiB (here 13,519 stripes); per-stripe decoding
-    # and the CRC's bit packing dominate, so this is the slowest test in the
-    # suite (about 5 s on one 2.1 GHz core)
+    # randomized size up to 1 MiB (here 13,519 stripes); encode takes about
+    # four fifths of it, so this is the slowest test in the suite (about
+    # 2.5 s on a 2-core Xeon)
     rng = random.Random(2**20)
     size = rng.randrange(1 << 20)
     data = rng.randbytes(size)

@@ -4,10 +4,12 @@ and end-to-end fault injection."""
 import itertools
 import math
 import random
+import zlib
 
 import pytest
 
 from msrcode import reconstruct, rs
+from msrcode.bits import symbols_to_bytes, symbols_to_int
 from msrcode.linalg import LinearMap, gf_dot
 from msrcode.msr import encode_all, generator_set, make_params
 from msrcode.reconstruct import (
@@ -124,6 +126,42 @@ def test_crc_random_corruption_never_passes():
         if tampered != message and check_crc(P20, tampered):
             passes += 1
     assert passes == 0
+
+
+def crc_reference(params, message):
+    """The list-form check: CRC-32 of the payload symbols packed into bytes,
+    against the trailer symbols read as an int."""
+    m, t = params.m, crc_trailer_length(params.m)
+    payload, trailer = message[: params.B - t], message[params.B - t :]
+    return zlib.crc32(symbols_to_bytes(payload, m, (len(payload) * m + 7) // 8)) == symbols_to_int(trailer, m)
+
+
+@pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5), (20, 10, 7), (24, 12, 8)])
+def test_check_crc_on_the_packed_int_matches_the_list_form(n, k, m):
+    """check_crc on a stripe's MSB-first int, and on its symbol list,
+    agrees with the list-form reference on valid messages, single-symbol
+    tampering and garbage; a value wider than B symbols fails even when its
+    low B symbols pass, and so does a list one symbol short or long."""
+    params = make_params(n, k, m)
+    rng = random.Random(f"crc:{n}:{k}:{m}")
+    passed = 0
+    for _ in range(200):
+        payload = [rng.randrange(1 << m) for _ in range(crc_payload_length(params))]
+        message = attach_crc(params, payload)
+        tampered = list(message)
+        tampered[rng.randrange(params.B)] ^= rng.randrange(1, 1 << m)
+        garbage = [rng.randrange(1 << m) for _ in range(params.B)]
+        for candidate in (message, tampered, garbage):
+            value = symbols_to_int(candidate, m)
+            expected = crc_reference(params, candidate)
+            assert check_crc(params, value) == expected == check_crc(params, candidate)
+            passed += expected
+        value = symbols_to_int(message, m)
+        assert not check_crc(params, value | 1 << params.B * m + rng.randrange(8))
+        assert not check_crc(params, message[:-1]) and not check_crc(params, message + [0])
+    assert passed >= 200
+    # B = 2 symbols leave no room for a payload beside a 32-bit trailer
+    assert not check_crc(make_params(3, 2, 2), 0)
 
 
 def test_crc_parameters_are_the_standard_ones():
@@ -528,7 +566,8 @@ def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
 def test_composed_decode_matches_staged_decode(n, k, m, flavor):
     """compose() folds the staged decode into one map: on garbage columns,
     fresh encodings and encodings with 1 or 2 corrupt columns, the composed
-    decoder returns exactly the staged decoder's message."""
+    decoder returns exactly the staged decoder's message, and its bitstream
+    is that message packed MSB-first."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     rng = random.Random(f"compose:{n}:{k}:{m}:{flavor}")
@@ -548,6 +587,7 @@ def test_composed_decode_matches_staged_decode(n, k, m, flavor):
                     for b in rng.sample(range(k), rng.randint(1, 2)):
                         cols[b] = corrupt_symbols(rng, gen.field, cols[b])
             expected = staged.decode(cols)
+            assert composed.bitstream(cols) == symbols_to_int(expected, m) == staged.bitstream(cols)
             assert composed.decode(cols) == expected
             if kind == "fresh":
                 assert expected == message

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrcode import rs
 from msrcode.field import Field
 from msrcode.linalg import rank
 from msrcode.rs import BadLength, RsCode, poly_eval, poly_mod
@@ -364,6 +365,35 @@ def test_forney_map_equals_syndromes_times_locator(n, kappa, m):
         )
         if not erased:
             assert code.syndromes(word) == synd
+
+
+@pytest.mark.parametrize("n,kappa,m", [(7, 3, 3), (20, 9, 5), (24, 11, 8)])
+def test_one_word_decodes_without_erasures_share_the_plain_context(monkeypatch, n, kappa, m):
+    """decode_errors_erasures with no erasures builds one ErasureContext,
+    on the first call, and no more; each result equals a fresh context's
+    decode, on seeded words with 0 to radius + 2 errors, in groups that
+    share their error positions so the remembered locator is tried."""
+    code = RsCode(n, kappa, Field(m))
+    gen = code.systematic_generator()
+    rng = random.Random(f"plain:{n}:{kappa}:{m}")
+    radius = (n - kappa) // 2
+    words = []
+    for group in range(12):
+        positions = rng.sample(range(n), group % (radius + 3))
+        for _ in range(4):
+            word = code.encode([rng.randrange(code.field.order) for _ in range(kappa)], gen)
+            for pos in positions[: rng.randrange(len(positions) + 1)]:
+                word[pos] ^= rng.randrange(1, code.field.order)
+            words.append(word)
+    built = []
+    init = rs.ErasureContext.__init__
+    monkeypatch.setattr(rs.ErasureContext, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    got = [code.decode_errors_erasures(word) for word in words]
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert got == [rs.ErasureContext(code, frozenset()).decode(word) for word in words]
+    assert any(result is None for result in got)
+    assert any(result is not None and result.corrected_positions for result in got)
 
 
 def test_decoder_is_exact_bounded_distance_against_codebook(code73):
