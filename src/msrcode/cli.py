@@ -30,7 +30,7 @@ from .msr import (
     make_params,
     regenerate,
     update_complexity,
-    update_patch,
+    update_delta,
 )
 from .reconstruct import (
     attach_crc,
@@ -242,18 +242,19 @@ def cmd_update(args) -> int:
         return EXIT_OK
 
     # the printed patch is the payload change alone; the written one also
-    # refreshes the integrity trailer
+    # refreshes the integrity trailer.  Each new symbol is the old one, off
+    # the shares the check below compares with, plus its change.
     changed = list(message)
     changed[args.symbol] = args.value
-    payload_patch = update_patch(gen, message, changed)
+    payload_patch = update_delta(gen, message, changed)
+    old_shares = encode_all(gen, message)
     changes: dict[int, list[tuple[int, int]]] = {}
-    for node, row, value in update_patch(gen, message, attach_crc(params, changed[:payload_len])):
-        changes.setdefault(node, []).append((row, value))
+    for (node, row), change in update_delta(gen, message, attach_crc(params, changed[:payload_len])).items():
+        changes.setdefault(node, []).append((row, old_shares[node].symbols[row] ^ change))
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
     # repair to rebuild
-    old_shares = encode_all(gen, message)
     skipped = []
     for node in sorted(changes):
         column = shares.column(node, args.stripe)
@@ -267,7 +268,7 @@ def cmd_update(args) -> int:
         shares.patch(node, args.stripe, rows)
     rewritten = sum(len(rows) for rows in changes.values())
 
-    payload_nodes = sorted({node + 1 for node, _, _ in payload_patch})
+    payload_nodes = sorted({node + 1 for node, _ in payload_patch})
     print(
         f"payload symbol {args.symbol} ({manifest.flavor} flavor): patch touches "
         f"{len(payload_nodes)} node(s) {payload_nodes}, {len(payload_patch)} symbol(s)"

@@ -14,8 +14,9 @@ with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
-GeneratorSet (encode, and Gbar^T for every pair solve), per repair set (the
-failed node and its helpers in order), per RsCode (decode: the evaluation
+GeneratorSet (encode, Gbar^T for every pair solve, and the systematic
+flavor's T^-1 that repair maps pass through), per failed node and helper
+order (its repair map), per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
 peel map, and per trusted set, for long files, its composed map), never per

@@ -12,7 +12,7 @@ gcd(2^m - 1, alpha) = 1 (which makes the lambda_j pairwise distinct).  The
 B = k*alpha message symbols are packed into two symmetric alpha x alpha
 matrices Z1, Z2; the codeword matrix is C = [Z1 Z2] @ G and node j stores
 column j.  Every entry point takes and returns the message as the flat list
-of B symbols: Z1 and Z2 exist only inside encode_all and update_patch,
+of B symbols: Z1 and Z2 exist only inside encode_all and update_delta,
 which gather the rows of [Z1 Z2] from it through GeneratorSet._u_rows, and
 the decoders flatten the blocks they recover in the same order.
 
@@ -25,12 +25,27 @@ root-based code with its columns scaled.  GeneratorSet.col_scale holds that
 per-column scale (all ones for systematic and at full length), so decoders
 working in the root-based code multiply by it first and divide after.
 
-Encoding and exact repair are fixed linear maps applied to every stripe:
-C = U @ G, and node f from the helpers S in order is [I | lambda_f I] @
-Psi_S^-1.  Each is built once as a linalg.LinearMap and cached on the
+Encoding and exact repair are fixed linear maps applied to every stripe.
+Encoding is C = U @ G.  Repair rests on G's shape: write x_j = a^j, so
+lambda_j = x_j^alpha.  For the vandermonde flavor G is exactly the d-row
+Vandermonde matrix V_d, row i being x_j^i, since Delta multiplies column j
+of V_alpha by x_j^alpha.  The d helper symbols are then the values at the
+helper points x_h of the polynomial P whose coefficients are
+w = [Z1 gbar_f; Z2 gbar_f], so solving Psi_S w = h is interpolation, and
+node f's column w1 + lambda_f w2 is P mod (x^alpha - lambda_f).  For the
+systematic flavor Gbar = T @ V_alpha @ diag(s), with s the code's
+evaluation_scale(), so G = blockdiag(T, T) @ V_d @ diag(s): helper h's
+symbol is divided by s_h before interpolating, and the folded polynomial Q
+maps to the column through T^-1, which is V_alpha @ diag(s) on the last
+alpha columns, where Gbar is the identity: output r is
+s_t Q(x_t) for t = n - alpha + r.
+
+Each map is built once as a linalg.LinearMap and cached on the
 GeneratorSet, G's map on first encode and each repair map on first use of
 its (failed node, helper order), so a command that handles many stripes
-pays for each map once.
+pays for each map once.  A repair map costs O(d^2) field operations to
+build, plus its table fill: one synthetic division of the helpers' master
+polynomial per helper, not a d x d inversion.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .field import Field
-from .linalg import LinearMap, SingularMatrix, gf_dot, invert, rank, row_reduce
+from .linalg import LinearMap, gf_dot, rank, row_reduce
 from .rs import RsCode
 
 __all__ = [
@@ -60,6 +75,7 @@ __all__ = [
     "helper_symbol",
     "regenerate",
     "update_complexity",
+    "update_delta",
     "update_patch",
     "apply_patch",
     "FLAVORS",
@@ -145,8 +161,9 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; g_map, gbar_map, _u_rows and
-    repair_maps are memos of maps derived from it, built on first use.
+    Treat as immutable after construction; g_map, gbar_map, _u_rows,
+    repair_maps and _tinv_map are memos of maps derived from it, built on
+    first use.
     """
 
     params: MsrParams
@@ -196,6 +213,20 @@ class GeneratorSet:
     def repair_maps(self) -> dict[tuple[int, tuple[int, ...]], LinearMap]:
         """(failed node, helper indices in order) -> its regenerate map."""
         return {}
+
+    @cached_property
+    def _tinv_map(self) -> LinearMap:
+        """Q -> Q @ T^-1 for the systematic flavor: the coefficients of a
+        polynomial Q of degree < alpha to its values s_t Q(x_t) at the last
+        alpha nodes t, whose columns of Gbar are the identity.  Lazy, since
+        only repairs use it."""
+        field, n, alpha = self.field, self.params.n, self.params.alpha
+        q1 = field.order - 1
+        last = range(n - alpha, n)
+        # s_t = 1 / (x_t * prod_{j != t} (x_t - x_j)), as logs
+        log_scale = [-(t + _log_product(field, t, (j for j in range(n) if j != t))) for t in last]
+        rows = [[field.exp[(ls + i * t) % q1] for t, ls in zip(last, log_scale)] for i in range(alpha)]
+        return LinearMap(field, rows)
 
 
 def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | None = None) -> GeneratorSet:
@@ -302,10 +333,11 @@ def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
     """Exactly rebuild the failed node's column from d helper symbols.
 
     Each helper h contributes psi_h . w where psi_h = [gbar_h; lambda_h * gbar_h]
-    is column h of the stacked generator and w = [Z1 gbar_f; Z2 gbar_f].
-    Stacking d helpers gives a d x d system Psi_S w = h whose matrix is d
-    columns of an MDS generator, hence invertible; the failed column is
-    w1 + lambda_f * w2 = [I | lambda_f I] Psi_S^-1 h.  That map depends only
+    is column h of the stacked generator and w = [Z1 gbar_f; Z2 gbar_f]; the
+    failed column is w1 + lambda_f * w2.  Psi_S is a scaled Vandermonde
+    matrix, so recovering w is interpolating the helper symbols over the
+    helper points and the column is the interpolant folded mod
+    (x^alpha - lambda_f) (see the module docstring).  That map depends only
     on the failed node and the helper order, so it is built once per pair
     and cached on gen.
     """
@@ -328,20 +360,61 @@ def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
     return NodeShare(node_index=failed, symbols=tuple(repair_map.apply([sym for _, sym in helpers])))
 
 
+def _log_product(field: Field, h: int, others) -> int:
+    """log of prod_j (x_h - x_j) over the node indices j in others."""
+    log = field.log
+    total = 0
+    for j in others:
+        diff = field.exp[h] ^ field.exp[j]
+        if not diff:  # unreachable for distinct indices below n <= 2^m - 1
+            raise SingularHelperSet(f"helper points of nodes {h} and {j} coincide")
+        total += log[diff]
+    return total
+
+
 def _repair_map(gen: GeneratorSet, failed: int, indices) -> LinearMap:
-    """h -> [I | lambda_f I] Psi_S^-1 h for the helpers S = indices, in order."""
-    params = gen.params
-    psi = [[gen.g_full[i][h] for i in range(params.d)] for h in indices]
-    try:
-        inv = invert(gen.field, psi)
-    except SingularMatrix as exc:  # unreachable for valid parameters
-        raise SingularHelperSet(str(exc)) from exc
-    alpha = params.alpha
-    lam = gen.delta[failed]
-    field = gen.field
-    # row j of the map is helper j's contribution: column j of R
-    rows = [[inv[i][j] ^ field.mul(lam, inv[alpha + i][j]) for i in range(alpha)] for j in range(params.d)]
-    return LinearMap(field, rows)
+    """h -> [I | lambda_f I] Psi_S^-1 h for the helpers S = indices, in order.
+
+    With M = prod_{h in S} (x - x_h), the Lagrange basis polynomial of
+    helper h is M / (x - x_h) over M'(x_h), and its row of the map is that
+    quotient, from one synthetic division of M, folded mod
+    (x^alpha - lambda_f) and weighted.  The vandermonde weight is
+    1 / M'(x_h).  The systematic one also divides by s_h, and
+    s_h M'(x_h) = 1 / (x_h prod_{j not in S} (x_h - x_j)), a product over
+    the n - d non-helper nodes; its rows then pass through T^-1.
+    """
+    field, params = gen.field, gen.params
+    exp, log = field.exp, field.log
+    q1 = field.order - 1
+    alpha, m = params.alpha, field.m
+    log_lam = log[gen.delta[failed]]
+    master = [1]
+    for h in indices:  # times (x - x_h)
+        master = [a ^ (exp[log[b] + h] if b else 0) for a, b in zip([0] + master, master + [0])]
+    systematic = gen.flavor == "systematic"
+    if systematic:
+        helper_set = set(indices)
+        others = [j for j in range(params.n) if j not in helper_set]
+    images = []
+    for h in indices:
+        if systematic:
+            log_weight = h + _log_product(field, h, others)
+        else:
+            log_weight = -_log_product(field, h, (i for i in indices if i != h))
+        # quotient[i] of M / (x - x_h), from the top: q_(i-1) = M_i + x_h q_i
+        quotient = [0] * params.d
+        quotient[-1] = c = 1
+        for i in range(params.d - 1, 0, -1):
+            c = quotient[i - 1] = master[i] ^ (exp[log[c] + h] if c else 0)
+        row = []
+        for low, high in zip(quotient, quotient[alpha:]):
+            folded = low ^ (exp[log[high] + log_lam] if high else 0)
+            row.append(exp[(log[folded] + log_weight) % q1] if folded else 0)
+        if systematic:
+            images.append(gen._tinv_map.packed(row, range(alpha)))
+        else:
+            images.append(sum(v << m * r for r, v in enumerate(row)))
+    return LinearMap.from_images(field, images, alpha)
 
 
 def update_complexity(gen: GeneratorSet) -> int:
@@ -354,14 +427,14 @@ def update_complexity(gen: GeneratorSet) -> int:
     return max(sum(1 for c in row if c) for row in gen.g_full)
 
 
-def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, int, int]]:
-    """The (node_index, share_row, new_symbol) entries in which the encoding
-    of new_message differs from that of old_message, and no others.
+def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int, int], int]:
+    """(node_index, share_row) -> the nonzero change of that encoded symbol
+    when old_message is rewritten as new_message; unchanged symbols are
+    absent.
 
     C = U @ G is linear in U, so share row r changes by row r of dU @ G,
     where dU = [Z1 Z2] of the symbol-wise difference of the two messages.
-    Only the rows of dU with a nonzero entry are encoded, old and change,
-    and an entry is patched only where its change is nonzero.  So a changed
+    Only the rows of dU with a nonzero entry are encoded.  So a changed
     diagonal symbol of Z touches the support of one generator row, an
     off-diagonal one the supports of two.
     """
@@ -370,14 +443,23 @@ def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, 
     _check_length(params, new_message)
     delta = [a ^ b for a, b in zip(old_message, new_message)]
     g_map = gen.g_map
-    patch = set()
+    changes = {}
     for share_row, u_row in enumerate(gen._u_rows):
         delta_row = u_row(delta)
         if any(delta_row):
-            change = g_map.apply(delta_row)
-            old_row = g_map.apply(u_row(old_message))
-            patch.update((j, share_row, old ^ c) for j, (old, c) in enumerate(zip(old_row, change)) if c)
-    return patch
+            changes.update(((j, share_row), c) for j, c in enumerate(g_map.apply(delta_row)) if c)
+    return changes
+
+
+def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, int, int]]:
+    """The (node_index, share_row, new_symbol) entries in which the encoding
+    of new_message differs from that of old_message, and no others: each
+    update_delta entry added to the old symbol, of which only the changed
+    rows are encoded."""
+    changes = update_delta(gen, old_message, new_message)
+    g_map = gen.g_map
+    old_rows = {r: g_map.apply(gen._u_rows[r](old_message)) for r in {r for _, r in changes}}
+    return {(j, r, old_rows[r][j] ^ c) for (j, r), c in changes.items()}
 
 
 def apply_patch(shares: list[NodeShare], patch) -> list[NodeShare]:

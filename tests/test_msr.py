@@ -18,6 +18,7 @@ from msrcode.msr import (
     regenerate,
     stacked_rank,
     update_complexity,
+    update_delta,
     update_patch,
 )
 from msrcode.reconstruct import attach_crc, crc_payload_length
@@ -414,9 +415,35 @@ def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
         assert regenerate(g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
 
 
+# full length: [3,2]/GF(2^2), [7,4]/GF(2^3), [31,6]/GF(2^5), [255,12]/GF(2^8)
+REPAIR_CODES = [(3, 2, 2), (7, 4, 3), (12, 5, 4), (20, 10, 5), (31, 6, 5), (24, 12, 8), (255, 12, 8), (24, 12, 16)]
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", REPAIR_CODES)
+def test_regenerate_interpolation_matches_scalar_solve(n, k, m, flavor):
+    """The closed-form repair map against a Gauss-Jordan solve of
+    Psi_S w = h per call, on random failed nodes, helper sets and helper
+    orders, with consistent and with arbitrary helper symbols."""
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"interpolate:{n}:{k}:{m}:{flavor}")
+    top = (1 << m) - 1
+    shares = encode_all(g, [rng.randrange(1 << m) for _ in range(p.B)])
+    for failed in rng.sample(range(n), min(n, 5)):
+        pool = [h for h in range(n) if h != failed]
+        helper_set = rng.sample(pool, p.d)
+        for order in (helper_set, helper_set[::-1], rng.sample(helper_set, p.d), rng.sample(pool, p.d)):
+            consistent = [(h, helper_symbol(g, shares[h], failed)) for h in order]
+            assert regenerate(g, failed, consistent) == shares[failed]
+            for symbols in ([top] * p.d, [rng.randrange(1 << m) for _ in order]):
+                arbitrary = list(zip(order, symbols))
+                assert regenerate(g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
+
+
 def test_generator_maps_are_built_on_first_use(gen746):
     g = generator_set(gen746.params)
-    assert "g_map" not in vars(g) and not g.repair_maps
+    assert "g_map" not in vars(g) and not g.repair_maps and "_tinv_map" not in vars(g)
     p = g.params
     shares = encode_all(g, [i % 8 for i in range(p.B)])
     g_map = vars(g)["g_map"]
@@ -427,6 +454,7 @@ def test_generator_maps_are_built_on_first_use(gen746):
     regenerate(g, 0, helpers)
     regenerate(g, 0, helpers[::-1])
     assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
+    assert "_tinv_map" in vars(g)  # one T^-1 map serves every systematic repair map
 
 
 def test_regeneration_zero_message(gen746):
@@ -517,7 +545,14 @@ def test_update_patch_equals_reencode(n, k, m, flavor):
             changed[t] = rng.randrange(g.field.order)
         for new in (changed, attach_crc(p, changed[:payload_len])):
             patch = update_patch(g, message, new)
-            assert apply_patch(shares, patch) == encode_all(g, new)
+            new_shares = encode_all(g, new)
+            assert apply_patch(shares, patch) == new_shares
+            assert update_delta(g, message, new) == {
+                (j, r): a ^ b
+                for j, (old_share, new_share) in enumerate(zip(shares, new_shares))
+                for r, (a, b) in enumerate(zip(old_share.symbols, new_share.symbols))
+                if a != b
+            }
             # every reported entry genuinely changes
             for node, row, value in patch:
                 assert shares[node].symbols[row] != value

@@ -1,8 +1,9 @@
-"""The names perfbench traces in msrcode.reconstruct still exist: a renamed
-or folded function would leave its span unwrapped and its per-layer metric
-reading zero without any error."""
+"""The names perfbench traces still exist: a renamed or folded function
+would leave its span unwrapped and its per-layer metric reading zero
+without any error."""
 
 import ast
+import importlib
 from pathlib import Path
 
 from msrcode import reconstruct
@@ -23,3 +24,24 @@ def test_reconstruct_trace_targets_resolve():
     assert set(attrs) >= {"pair_solve", "row_decode", "classify_columns", "recover_z", "check_crc", "invert"}
     for attr in attrs:
         assert callable(getattr(reconstruct, attr, None)), attr
+
+
+# Targets that already resolve to nothing: the CLI reads shares through
+# shares.ShareDir, not a read_share of its own, and msr solves no system
+# per repair.  Any other target that stops resolving is a new loss.
+DEAD_TARGETS = {("msrcode.cli", "read_share"), ("msrcode.msr", "solve")}
+
+
+def test_cli_trace_targets_resolve():
+    targets = {(owner, attr) for _, owner, attr in trace_targets()}
+    cli_names = {"helper_symbol", "regenerate", "write_share", "generator_set", "encode_all"}
+    assert {("msrcode.cli", attr) for attr in cli_names} <= targets
+    unresolved = set()
+    for owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        target = importlib.import_module(module)
+        if cls:
+            target = getattr(target, cls, None)
+        if not callable(getattr(target, attr, None)):
+            unresolved.add((owner, attr))
+    assert unresolved == DEAD_TARGETS
