@@ -9,23 +9,30 @@ from __future__ import annotations
 
 from math import lcm
 
-__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "symbols_to_int"]
+__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "symbols_to_int", "symbol_width"]
+
+
+def symbol_width(m: int) -> int:
+    """Bytes that hold one m-bit symbol on disk."""
+    return (m + 7) // 8
 
 
 def bytes_to_symbols(data: bytes, m: int) -> list[int]:
-    """Split a byte string into ceil(len*8 / m) symbols of m bits, MSB first."""
+    """Split a byte string into ceil(len*8 / m) symbols of m bits, MSB first.
+
+    m may be any width, e.g. a stripe's whole payload.  Like
+    symbols_to_bytes, it reads runs whose bits are whole symbols and whole
+    bytes, at least 8 / gcd(m, 8) symbols and about 256 bits, one
+    int.from_bytes each; the last run's last symbol is zero-padded."""
+    run_width = lcm(m, 8)
+    step = run_width // 8 * max(1, 256 // run_width)  # bytes per run
+    mask = (1 << m) - 1
     out = []
-    acc = 0
-    nbits = 0
-    for byte in data:
-        acc = (acc << 8) | byte
-        nbits += 8
-        while nbits >= m:
-            nbits -= m
-            out.append((acc >> nbits) & ((1 << m) - 1))
-            acc &= (1 << nbits) - 1
-    if nbits:
-        out.append((acc << (m - nbits)) & ((1 << m) - 1))
+    for start in range(0, len(data), step):
+        run = data[start : start + step]
+        count = -(-8 * len(run) // m)
+        acc = int.from_bytes(run, "big") << count * m - 8 * len(run)
+        out += [acc >> shift & mask for shift in range((count - 1) * m, -1, -m)]
     return out
 
 

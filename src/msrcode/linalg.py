@@ -14,8 +14,11 @@ with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
-GeneratorSet (encode, Gbar^T for every pair solve, and the systematic
-flavor's T^-1 that repair maps pass through), per failed node and helper
+GeneratorSet (encode, one row of U at a time; for a file with at least
+table_entries(m) stripes, the composed encode map from the whole message
+to every stored symbol, laid out as the share files' bytes; Gbar^T for
+every pair solve; and the systematic flavor's T^-1 that repair maps pass
+through), per failed node and helper
 order (its repair map), per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
@@ -119,7 +122,9 @@ class LinearMap:
     """The GF(2^m)-linear map x -> x @ matrix: input i scales row i, and
     output t is column t.
 
-    Each row's image of x_i is packed m bits per output into one int.  It
+    Each row's image of x_i is packed into one int, output t at bits
+    stride * t .. stride * t + m - 1, where stride is m unless the map was
+    built with a wider one (the encode map's whole bytes per symbol).  It
     is linear over GF(2) in x_i, so it is the XOR of the images of x_i's low
     and high bit halves, low[i][x & lmask] ^ high[i][x >> half], and each
     half's table is filled from the images of its single bits.  Bit b of
@@ -128,20 +133,22 @@ class LinearMap:
     one times a, done on all outputs at once by packed doubling: every
     m-bit field shifts left by one, and each field whose top bit fell out
     is XORed with poly ^ 2^m, which is a^m.  So a bit costs a few big-int
-    operations whatever the number of outputs.
+    operations whatever the number of outputs; a wider stride leaves the
+    bits above each field zero.
     """
 
     def __init__(self, field: Field, matrix):
         m = field.m
-        self._fill(field, [sum(c << m * t for t, c in enumerate(row)) for row in matrix], len(matrix[0]))
+        self._fill(field, [sum(c << m * t for t, c in enumerate(row)) for row in matrix], len(matrix[0]), m)
 
     @classmethod
-    def from_images(cls, field: Field, images, outputs: int) -> "LinearMap":
+    def from_images(cls, field: Field, images, outputs: int, stride: int | None = None) -> "LinearMap":
         """The map whose input i has the packed image images[i] (output t
-        in bits m*t .. m*t + m - 1), the same map as LinearMap(field,
-        matrix) when images[i] packs matrix row i."""
+        in bits stride*t .. stride*t + m - 1, the bits above it zero), the
+        same map as LinearMap(field, matrix) when images[i] packs matrix
+        row i at the default stride m."""
         linear_map = cls.__new__(cls)
-        linear_map._fill(field, images, outputs)
+        linear_map._fill(field, images, outputs, stride or field.m)
         return linear_map
 
     @staticmethod
@@ -150,14 +157,14 @@ class LinearMap:
         2^floor(m/2) high."""
         return (1 << (m + 1) // 2) + (1 << m // 2)
 
-    def _fill(self, field: Field, images, outputs: int) -> None:
+    def _fill(self, field: Field, images, outputs: int, stride: int) -> None:
         m = field.m
         self.m, self.mask = m, field.order - 1
-        self.outputs = outputs
+        self.outputs, self.stride = outputs, stride
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
-        # bit 0 of every m-bit field, its top bit, and the bits below the top
-        ones = ((1 << m * outputs) - 1) // self.mask
+        # bit 0 of every output field, its bit m - 1, and the bits below that
+        ones = ((1 << stride * outputs) - 1) // ((1 << stride) - 1)
         top, keep = ones << (m - 1), ones * (self.mask >> 1)
         low_poly = field.poly ^ field.order
         self.low, self.high = [], []
@@ -185,9 +192,22 @@ class LinearMap:
             acc ^= low[i][x & lmask] ^ high[i][x >> half]
         return acc
 
-    def unpack(self, acc: int) -> list[int]:
+    def packed_bitstream(self, value: int) -> int:
+        """The packed image of the inputs packed MSB-first into value, as
+        bits.symbols_to_int packs them: input i is bits
+        m*(inputs - 1 - i) .. m*(inputs - i) - 1, read from the low end."""
+        low, high, lmask, half = self.low, self.high, self.lmask, self.half
         m, mask = self.m, self.mask
-        return [(acc >> (m * t)) & mask for t in range(self.outputs)]
+        acc = 0
+        for i in range(len(low) - 1, -1, -1):
+            x = value & mask
+            acc ^= low[i][x & lmask] ^ high[i][x >> half]
+            value >>= m
+        return acc
+
+    def unpack(self, acc: int) -> list[int]:
+        stride, mask = self.stride, self.mask
+        return [(acc >> (stride * t)) & mask for t in range(self.outputs)]
 
     def apply(self, xs) -> list[int]:
         """xs @ matrix; a shorter xs leaves the trailing inputs at zero."""

@@ -55,6 +55,7 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
+from .bits import symbol_width
 from .field import Field
 from .linalg import LinearMap, gf_dot, rank, row_reduce
 from .rs import RsCode
@@ -161,9 +162,9 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; g_map, gbar_map, _u_rows,
-    repair_maps and _tinv_map are memos of maps derived from it, built on
-    first use.
+    Treat as immutable after construction; g_map, encode_map, gbar_map,
+    _u_rows, repair_maps and _tinv_map are memos of maps derived from it,
+    built on first use.
     """
 
     params: MsrParams
@@ -185,6 +186,34 @@ class GeneratorSet:
         """u -> u @ g_full: one row of U to one row of the codeword matrix.
         Lazy, since reads never encode."""
         return LinearMap(self.field, self.g_full)
+
+    @cached_property
+    def encode_map(self) -> LinearMap:
+        """A whole stripe's encode: the B message symbols to all n * alpha
+        stored symbols, output t = j * alpha + r being row r of node j's
+        share, at bits 8 * w * t with w = bits.symbol_width(m).  So
+        acc.to_bytes(n * alpha * w, "little") of a packed image is the
+        stripe's share bodies, node-major, each symbol in w little-endian
+        bytes.  Message symbol (block, r, c), r <= c, is entry (r, c) and
+        (c, r) of its block of U, so its image is row offset + c of G
+        placed at share row r plus, off the diagonal, row offset + r at
+        share row c: read straight off G, with no field product.  Lazy,
+        and built only for files with enough stripes to repay it (the
+        encode command)."""
+        params, field = self.params, self.field
+        alpha = params.alpha
+        stride = 8 * symbol_width(field.m)
+        # row i of G at share row 0 of every node
+        rows = [sum(c << stride * alpha * j for j, c in enumerate(row)) for row in self.g_full]
+        images = []
+        for offset in (0, alpha):
+            for r in range(alpha):
+                for c in range(r, alpha):
+                    image = rows[offset + c] << stride * r
+                    if c != r:
+                        image ^= rows[offset + r] << stride * c
+                    images.append(image)
+        return LinearMap.from_images(field, images, params.n * alpha, stride)
 
     @cached_property
     def gbar_map(self) -> LinearMap:

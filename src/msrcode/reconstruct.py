@@ -170,6 +170,7 @@ __all__ = [
     "reconstruct_file",
     "crc_trailer_length",
     "crc_payload_length",
+    "seal",
     "attach_crc",
     "check_crc",
 ]
@@ -204,19 +205,32 @@ def crc_payload_length(params: MsrParams) -> int:
     return params.B - t
 
 
+def seal(params: MsrParams, payload: int) -> int:
+    """A stripe's message packed MSB-first into one int: the payload's
+    crc_payload_length(params) * m bits shifted above the trailer, whose
+    crc_trailer_length(m) * m low bits hold the CRC-32 of the payload bits
+    zero-padded to whole bytes (one wide symbol, as bits.symbols_to_bytes
+    packs it).  This is the layout KNodeDecoder.bitstream decodes to and
+    check_crc checks."""
+    payload_bits = crc_payload_length(params) * params.m
+    crc = zlib.crc32(symbols_to_bytes([payload], payload_bits, (payload_bits + 7) // 8))
+    return payload << params.B * params.m - payload_bits | crc
+
+
 def attach_crc(params: MsrParams, payload) -> list[int]:
     """Append the CRC-32 of the payload bits as the final trailer symbols,
-    MSB-first with the high bits zero-padded."""
+    MSB-first with the high bits zero-padded: the symbols of seal()."""
     expected = crc_payload_length(params)
     if len(payload) != expected:
         raise WrongLength(f"payload must have {expected} symbols, got {len(payload)}")
-    m = params.m
-    crc = zlib.crc32(symbols_to_bytes(payload, m, (expected * m + 7) // 8))
-    return list(payload) + int_to_symbols(crc, m, crc_trailer_length(m))
+    m, t = params.m, crc_trailer_length(params.m)
+    crc = seal(params, symbols_to_int(payload, m)) & (1 << t * m) - 1
+    return list(payload) + int_to_symbols(crc, m, t)
 
 
 def check_crc(params: MsrParams, message) -> bool:
-    """Whether ``message`` ends in the CRC-32 of its payload bits.  It is a
+    """Whether ``message`` ends in the CRC-32 of its payload bits, the
+    trailer seal() puts there (computed here in place).  It is a
     stripe's B symbols, as attach_crc returns them, or the same symbols
     packed MSB-first into one int (bits.symbols_to_int), as
     KNodeDecoder.bitstream returns them; a list is packed once.  The payload

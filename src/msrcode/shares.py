@@ -21,6 +21,9 @@ length, the stripe layout, the integrity scheme, and one filename per node
 A body is parsed with one struct.unpack of all its symbols ("B" or "H"
 per symbol, little-endian), range-checked once through its largest symbol,
 and cut into per-stripe tuples; write_share packs it with one struct.pack.
+A long file's bodies skip the symbol tuples: share_bodies encodes each
+stripe straight to its bytes through GeneratorSet.encode_map, whose outputs
+sit at this layout's byte offsets, and write_body writes them.
 
 ShareDir is how the command-line tool reads and patches a share directory,
 so the layout above is known to this module alone.
@@ -32,13 +35,26 @@ import itertools
 import json
 import os
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .msr import FLAVORS, InvalidParams, MsrParams, WrongLength, make_params
-from .reconstruct import crc_payload_length
+from .bits import bytes_to_symbols, symbol_width
+from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, make_params
+from .reconstruct import crc_payload_length, seal
 
-__all__ = ["ShareFile", "Manifest", "ShareDir", "read_share", "write_share", "share_filename", "stripe_count", "MAGIC", "FORMAT_VERSION"]
+__all__ = [
+    "ShareFile",
+    "Manifest",
+    "ShareDir",
+    "read_share",
+    "write_share",
+    "write_body",
+    "share_bodies",
+    "share_filename",
+    "stripe_count",
+    "MAGIC",
+    "FORMAT_VERSION",
+]
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 1
@@ -50,10 +66,6 @@ CRC_SCHEME = "crc32-msb-bitpacked"
 
 class ShareFormatError(ValueError):
     pass
-
-
-def symbol_width(m: int) -> int:
-    return (m + 7) // 8
 
 
 def stripe_count(file_length: int, m: int, payload: int) -> int:
@@ -87,9 +99,37 @@ class ShareFile:
 
 
 def write_share(path, share: ShareFile) -> None:
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, share.n, share.k, share.m, share.node_index, share.stripe_count)
     symbols = list(itertools.chain.from_iterable(share.stripes))
-    Path(path).write_bytes(header + struct.pack(_body_format(share.m, len(symbols)), *symbols))
+    body = struct.pack(_body_format(share.m, len(symbols)), *symbols)
+    write_body(path, share.n, share.k, share.m, share.node_index, share.stripe_count, body)
+
+
+def write_body(path, n: int, k: int, m: int, node_index: int, stripe_count: int, body: bytes) -> None:
+    """Write a share file whose body is already in the payload layout
+    above, as share_bodies gives it."""
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, n, k, m, node_index, stripe_count)
+    Path(path).write_bytes(header + body)
+
+
+def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
+    """Every node's share body for the file data, in
+    stripe_count(len(data), m, payload) stripes: what write_share writes of
+    the encode_all columns of each stripe's attach_crc'ed payload.
+
+    Stripe s's payload is the file's bits s * P .. (s + 1) * P - 1 for
+    P = crc_payload_length(params) * m, zero-padded at the end, which
+    bits.bytes_to_symbols reads at width P, one int.from_bytes per run of
+    stripes that ends on a byte.  Each stripe is then one application of
+    gen.encode_map to its message int, reconstruct.seal(payload), and that
+    packed image's bytes are the stripe's part of every body, node-major;
+    node j's part is cut out of each stripe and joined."""
+    params = gen.params
+    payloads = bytes_to_symbols(data, crc_payload_length(params) * params.m) or [0]  # an empty file gets one stripe
+    encode_map = gen.encode_map
+    node_size = params.alpha * symbol_width(params.m)
+    stripe_size = params.n * node_size
+    stripes = [encode_map.packed_bitstream(seal(params, payload)).to_bytes(stripe_size, "little") for payload in payloads]
+    return [b"".join([stripe[lo : lo + node_size] for stripe in stripes]) for lo in range(0, stripe_size, node_size)]
 
 
 def read_share(path, params: MsrParams | None = None) -> ShareFile:
@@ -145,7 +185,9 @@ class Manifest:
         return make_params(self.n, self.k, self.m)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        # a shallow {field: value} dict: asdict's deep copy costs more than the dump
+        document = {f.name: getattr(self, f.name) for f in fields(self)}
+        Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Manifest":

@@ -1,5 +1,6 @@
 """CLI round trips over real files: encode, reconstruct, repair, update."""
 
+import functools
 import hashlib
 import json
 import math
@@ -13,9 +14,10 @@ import pytest
 
 from msrcode.bits import bytes_to_symbols, symbols_to_bytes, symbols_to_int
 from msrcode.cli import main
-from msrcode.msr import make_params
-from msrcode.reconstruct import crc_payload_length
-from msrcode.shares import HEADER_SIZE, Manifest, ShareDir, ShareFile, read_share, write_share
+from msrcode.linalg import LinearMap
+from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params
+from msrcode.reconstruct import attach_crc, crc_payload_length
+from msrcode.shares import HEADER_SIZE, Manifest, ShareDir, ShareFile, read_share, stripe_count, write_share
 
 
 def sha(path):
@@ -87,6 +89,37 @@ def test_bit_packing_roundtrip():
         assert symbols_to_bytes([], bits, 0) == b""
 
 
+def reference_bytes_to_symbols(data, m):
+    """MSB-first splitting one byte at a time, the reference for
+    bytes_to_symbols."""
+    out = []
+    acc = nbits = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        nbits += 8
+        while nbits >= m:
+            nbits -= m
+            out.append((acc >> nbits) & ((1 << m) - 1))
+            acc &= (1 << nbits) - 1
+    if nbits:
+        out.append((acc << (m - nbits)) & ((1 << m) - 1))
+    return out
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 415, 957, 1024])
+def test_bytes_to_symbols_matches_per_byte_reference(m):
+    """Every length up to three runs, and one past: a run is lcm(m, 8) bits
+    and at least about 256, so lengths end inside a run, on its boundary
+    and one byte either side.  415, 957 and 1024 bits are stripe payloads
+    of [20,10] at m = 5 and 11 and [24,12] at m = 8."""
+    rng = random.Random(f"split:{m}")
+    run = math.lcm(m, 8) * max(1, 256 // math.lcm(m, 8)) // 8
+    for size in range(3 * run + 2):
+        data = rng.randbytes(size)
+        assert bytes_to_symbols(data, m) == reference_bytes_to_symbols(data, m), size
+    assert bytes_to_symbols(b"\xff" * run, m) == reference_bytes_to_symbols(b"\xff" * run, m)
+
+
 # ---------------------------------------------------------------------------
 # encode / reconstruct
 
@@ -104,6 +137,54 @@ def test_encode_layout_and_manifest(tmp_path):
     # header + stripes * alpha symbols * 1 byte for m=5
     expected = HEADER_SIZE + manifest.stripe_count * 9
     assert ShareDir(out).file(0).stat().st_size == expected
+
+
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
+def test_encode_composes_its_map_from_the_threshold_on(tmp_path, monkeypatch, n, k, m):
+    """encode builds GeneratorSet.encode_map, once, for a file of at least
+    LinearMap.table_entries(m) stripes (12 at m = 5, 32 at m = 8) and not
+    for one stripe fewer; either way the shares are the staged encode's.
+    reconstruct, update, repair and simulate never build it."""
+    built = []
+    compose = GeneratorSet.encode_map.func
+
+    def counting(gen):
+        built.append(gen)
+        return compose(gen)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(GeneratorSet, "encode_map")
+    monkeypatch.setattr(GeneratorSet, "encode_map", prop)
+    params = make_params(n, k, m)
+    bits = crc_payload_length(params) * m
+    threshold = LinearMap.table_entries(m)
+    rng = random.Random(f"threshold:{m}")
+    for stripes in (threshold - 1, threshold):
+        size = stripes * bits // 8  # the longest file of that many stripes
+        assert stripe_count(size, m, bits // m) == stripes < stripe_count(size + 1, m, bits // m)
+        root = tmp_path / str(stripes)
+        root.mkdir()
+        data = rng.randbytes(size)
+        built.clear()
+        _, out = encode_dir(root, data, n=n, k=k, m=m)
+        assert len(built) == (stripes == threshold)
+        gen, shares = generator_set(params), ShareDir(out)
+        symbols, payload = bytes_to_symbols(data, m), bits // m
+        for s in range(stripes):
+            chunk = symbols[s * payload : (s + 1) * payload]
+            expected = encode_all(gen, attach_crc(params, chunk + [0] * (payload - len(chunk))))
+            assert [shares.column(node, s) for node in range(n)] == [share.symbols for share in expected]
+
+    built.clear()
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "2", "--seed", "3"]) == 0
+    assert dst.read_bytes() == data
+    assert main(["update", str(out), "--stripe", "1", "--symbol", "4", "--value", "1"]) == 0
+    (out / "share_003.msrc").unlink()
+    assert main(["repair", str(out), "--failed", "3"]) == 0
+    argv = ["simulate", "--n", str(n), "--k", str(k), "--m", str(m), "--p-grid", "0,0.1", "--trials", "2"]
+    assert main(argv + ["--out", str(tmp_path / "sim.csv")]) == 0
+    assert built == []
 
 
 def test_roundtrip_clean(tmp_path):
@@ -387,6 +468,41 @@ def test_update_noop(tmp_path, capsys):
 def test_update_bad_index(tmp_path):
     src, out = encode_dir(tmp_path, b"xyz", n=20, k=10, m=5)
     assert main(["update", str(out), "--stripe", "0", "--symbol", "83", "--value", "1"]) == 1
+
+
+def test_update_past_the_file_end_exits_1(tmp_path):
+    """A symbol wholly past the file's last byte, or a value with a bit
+    there, is padding, which encode leaves zero and reconstruct drops: the
+    update exits 1 and writes nothing.  A value that keeps those bits zero
+    updates the bits inside the file."""
+    # 1,000 bytes are exactly 1,600 symbols of GF(2^5); stripe 19 starts at
+    # symbol 19 * 83 = 1,577, so its symbol 50 (1,627) is past the end
+    data = random.Random(21).randbytes(1000)
+    _, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    before = _snapshot(out)
+    assert main(["update", str(out), "--stripe", "19", "--symbol", "50", "--value", "3"]) == 1
+    assert main(["update", str(out), "--stripe", "19", "--symbol", "23", "--value", "3"]) == 1
+    assert _snapshot(out) == before
+    assert main(["update", str(out), "--stripe", "19", "--symbol", "22", "--value", "3"]) == 0
+
+    # 1,001 bytes end 3 bits into symbol 1,601 (stripe 19, symbol 24): its
+    # low 2 bits are padding
+    data = random.Random(22).randbytes(1001)
+    root = tmp_path / "partial"
+    root.mkdir()
+    _, out = encode_dir(root, data, n=20, k=10, m=5)
+    before = _snapshot(out)
+    for value in (1, 2, 3, 31):
+        assert main(["update", str(out), "--stripe", "19", "--symbol", "24", "--value", str(value)]) == 1
+    assert _snapshot(out) == before
+    assert main(["update", str(out), "--stripe", "19", "--symbol", "24", "--value", "20"]) == 0
+    updated = data[:-1] + bytes([data[-1] & 0xF8 | 0b101])
+    dst = root / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst)]) == 0
+    assert dst.read_bytes() == updated
+    (root / "fresh").mkdir()
+    _, fresh = encode_dir(root / "fresh", updated, n=20, k=10, m=5)
+    assert _snapshot(out) == _snapshot(fresh)
 
 
 # ---------------------------------------------------------------------------

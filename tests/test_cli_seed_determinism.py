@@ -66,6 +66,11 @@ WRITE_CASES = {
     "24-12-gf256-systematic": (24, 12, 8, "systematic", 1024),
     "20-10-gf32-vandermonde": (20, 10, 5, "vandermonde", 600),
     "20-10-gf2048-systematic": (20, 10, 11, "systematic", 600),
+    # long enough for encode's composed map: 32 stripes at m = 8 (exactly
+    # its threshold), 103 at m = 11 and 79 of a shortened vandermonde code
+    "24-12-gf256-systematic-long": (24, 12, 8, "systematic", 4096),
+    "20-10-gf2048-systematic-long": (20, 10, 11, "systematic", 12288),
+    "20-10-gf32-vandermonde-long": (20, 10, 5, "vandermonde", 4096),
 }
 
 WRITE_DIGESTS = {
@@ -73,6 +78,9 @@ WRITE_DIGESTS = {
     "24-12-gf256-systematic": {"encode": "ecb5705d06f2de37", "repair": "53da8bd54e742eb3", "update": "a4378a08b8f9a897"},
     "20-10-gf32-vandermonde": {"encode": "da19bde36eb40e1b", "repair": "e5f6453f35900a44", "update": "87823769ab537c74"},
     "20-10-gf2048-systematic": {"encode": "575b0eb4785da260", "repair": "ec4ce4a32de85650", "update": "4d2681a073edd57c"},
+    "24-12-gf256-systematic-long": {"encode": "cca521e5483f33f5", "repair": "bbb820c2d8220855", "update": "9d8fa784bb960fd3"},
+    "20-10-gf2048-systematic-long": {"encode": "531635c25c43387d", "repair": "fc3acdc9f4e3a623", "update": "c7750f21c9527619"},
+    "20-10-gf32-vandermonde-long": {"encode": "e5e85af1844a3458", "repair": "ae6a29fce8062bbf", "update": "beee17411fa87da5"},
 }
 
 

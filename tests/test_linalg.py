@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from msrcode.bits import symbol_width, symbols_to_int
 from msrcode.field import DEFAULT_PRIMITIVE_POLYS, Field, NotPrimitive
 from msrcode.linalg import LinearMap, gf_dot, mat_vec
 
@@ -71,14 +72,16 @@ def test_maps_are_linear_in_their_inputs():
         assert lmap.packed(sums, range(6)) == lmap.packed(xs, range(6)) ^ lmap.packed(ys, range(6))
 
 
-def reference_tables(field, matrix):
+def reference_tables(field, matrix, stride=None):
     """LinearMap's low and high tables built per bit and per output:
-    bit b of input i maps output t to a^(b + log matrix[i][t])."""
+    bit b of input i maps output t, at bits stride * t, to
+    a^(b + log matrix[i][t])."""
     exp, log, m = field.exp, field.log, field.m
+    stride = stride or m
     half = (m + 1) // 2
     low, high = [], []
     for row in matrix:
-        logs = [(m * t, log[c]) for t, c in enumerate(row) if c]
+        logs = [(stride * t, log[c]) for t, c in enumerate(row) if c]
         basis = [sum(exp[b + lc] << shift for shift, lc in logs) for b in range(m)]
         for tables, bits in ((low, basis[:half]), (high, basis[half:])):
             table = [0]
@@ -102,8 +105,10 @@ def other_primitive_poly(m):
 
 @pytest.mark.parametrize("m", range(2, 17))
 def test_tables_match_per_bit_reference(m):
-    """Packed doubling reads field.poly, so check the tables under the
-    default polynomial and under another one of the same degree."""
+    """Packed doubling reads field.poly and the output stride, so check the
+    tables under the default polynomial and under another one of the same
+    degree, at stride m and at the byte-aligned stride of the encode map
+    (and one between for m = 8 and 16, where those coincide)."""
     polys = [DEFAULT_PRIMITIVE_POLYS[m], other_primitive_poly(m)]
     assert (polys[1] is None) == (m == 2)
     rng = random.Random(f"tables:{m}")
@@ -113,6 +118,12 @@ def test_tables_match_per_bit_reference(m):
             matrix = _matrix(rng, field, inputs, outputs)
             lmap = LinearMap(field, matrix)
             assert (lmap.low, lmap.high) == reference_tables(field, matrix)
+            for stride in {8 * symbol_width(m), m + 3}:
+                images = [sum(c << stride * t for t, c in enumerate(row)) for row in matrix]
+                strided = LinearMap.from_images(field, images, outputs, stride)
+                assert (strided.low, strided.high) == reference_tables(field, matrix, stride)
+                xs = [_symbol(rng, field) for _ in range(inputs)]
+                assert strided.unpack(strided.packed(xs, range(inputs))) == lmap.apply(xs)
 
 
 @pytest.mark.parametrize("m", range(2, 17))
@@ -129,4 +140,6 @@ def test_from_images_matches_matrix_constructor(m):
         assert (lmap.low, lmap.high) == (reference.low, reference.high)
         xs = [_symbol(rng, field) for _ in range(inputs)]
         assert lmap.apply(xs) == mat_vec(field, transpose(matrix), xs)
+        # the same inputs packed MSB-first into one int, input 0 on top
+        assert lmap.packed_bitstream(symbols_to_int(xs, m)) == lmap.packed(xs, range(inputs))
         assert len(lmap.low[0]) + len(lmap.high[0]) == LinearMap.table_entries(m)

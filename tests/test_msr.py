@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from msrcode.bits import symbol_width, symbols_to_int
 from msrcode.field import Field
 from msrcode.linalg import rank
 from msrcode.msr import (
@@ -391,6 +392,37 @@ def test_encode_all_matches_scalar_product(n, k, m, flavor):
         assert [list(s.symbols) for s in shares] == [list(col) for col in zip(*expected)]
 
 
+# a code for every m from 2 to 16: full length at m = 2 .. 5, where the
+# vandermonde flavor is unscaled, shortened (column-scaled) everywhere else
+ENCODE_CODES = [
+    (3, 2, 2), (7, 4, 3), (15, 8, 4), (10, 5, 4), (20, 10, 5), (31, 6, 5), (18, 9, 6), (20, 10, 7),
+    (24, 12, 8), (20, 10, 9), (18, 9, 10), (20, 10, 11), *((10, 5, m) for m in range(12, 17)),
+]
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", ENCODE_CODES)
+def test_encode_map_matches_encode_all(n, k, m, flavor):
+    """The composed map's image of a message packed MSB-first, as
+    little-endian bytes, is every node's column of encode_all in turn, each
+    symbol in symbol_width(m) bytes.  A message with one nonzero symbol
+    checks where that symbol lands (both places, off the diagonal); zero,
+    all-ones and random messages check the sums."""
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    width = symbol_width(m)
+    rng = random.Random(f"encode-map:{n}:{k}:{m}:{flavor}")
+    top = (1 << m) - 1
+    messages = [[0] * p.B, [top] * p.B]
+    messages += [[rng.randrange(1, top + 1) if j == i else 0 for j in range(p.B)] for i in range(p.B)]
+    messages += [[rng.choice((0, top, rng.randrange(top + 1))) for _ in range(p.B)] for _ in range(8)]
+    assert "encode_map" not in vars(g)
+    for message in messages:
+        expected = b"".join(x.to_bytes(width, "little") for share in encode_all(g, message) for x in share.symbols)
+        image = g.encode_map.packed_bitstream(symbols_to_int(message, m))
+        assert image.to_bytes(n * p.alpha * width, "little") == expected
+
+
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
     """One GeneratorSet serves failed nodes, helper sets and helper orders
@@ -455,6 +487,7 @@ def test_generator_maps_are_built_on_first_use(gen746):
     regenerate(g, 0, helpers[::-1])
     assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
     assert "_tinv_map" in vars(g)  # one T^-1 map serves every systematic repair map
+    assert "encode_map" not in vars(g)  # only a long file's encode composes it
 
 
 def test_regeneration_zero_message(gen746):

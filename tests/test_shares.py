@@ -2,6 +2,7 @@
 the share codec against a per-symbol reference."""
 
 import itertools
+import math
 import random
 import struct
 
@@ -9,9 +10,10 @@ import pytest
 
 import msrcode.shares as shares_mod
 from msrcode.cli import main
+from msrcode.bits import bytes_to_symbols
 from msrcode.field import Field
-from msrcode.msr import InvalidParams, WrongLength, make_params
-from msrcode.reconstruct import crc_payload_length
+from msrcode.msr import InvalidParams, WrongLength, encode_all, generator_set, make_params
+from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
     CRC_SCHEME,
     FORMAT_VERSION,
@@ -22,6 +24,7 @@ from msrcode.shares import (
     ShareFile,
     ShareFormatError,
     read_share,
+    share_bodies,
     share_filename,
     stripe_count,
     write_share,
@@ -174,6 +177,49 @@ def test_codec_matches_per_symbol_reference(tmp_path, m):
         assert ours.read_bytes() == ref.read_bytes()
         assert len(ref.read_bytes()) == HEADER_SIZE + stripes * params.alpha * ((m + 7) // 8)
         assert read_share(ours) == reference_read(ours) == share
+
+
+# a code with a payload for every m from 3 to 16, full length (unscaled
+# vandermonde) at m = 3 .. 5 and shortened (column-scaled) at every m but 3
+FILE_CODES = [
+    (7, 4, 3), (15, 8, 4), (10, 5, 4), (20, 10, 5), (31, 6, 5), (18, 9, 6), (20, 10, 7),
+    (24, 12, 8), (20, 10, 9), (18, 9, 10), (20, 10, 11), *((10, 5, m) for m in range(12, 17)),
+]
+
+
+def reference_bodies(gen, data):
+    """The staged encode: the file split into m-bit symbols, each stripe's
+    payload padded and attach_crc'ed, encode_all's columns, and each
+    node's symbols packed one int.to_bytes at a time."""
+    p = gen.params
+    payload = crc_payload_length(p)
+    symbols = bytes_to_symbols(data, p.m)
+    bodies = [bytearray() for _ in range(p.n)]
+    for s in range(stripe_count(len(data), p.m, payload)):
+        chunk = symbols[s * payload : (s + 1) * payload]
+        for share in encode_all(gen, attach_crc(p, chunk + [0] * (payload - len(chunk)))):
+            for symbol in share.symbols:
+                bodies[share.node_index] += symbol.to_bytes((p.m + 7) // 8, "little")
+    return [bytes(body) for body in bodies]
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", FILE_CODES)
+def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
+    """Empty and one-byte files, files ending inside a stripe, and files
+    ending one byte short of, on and one byte past a run of stripes whose
+    payloads end on a byte (8 / gcd(P, 8) stripes of P payload bits)."""
+    p = make_params(n, k, m)
+    gen = generator_set(p, flavor)
+    payload_bits = crc_payload_length(p) * m
+    run = math.lcm(payload_bits, 8) // 8  # bytes in one such run
+    rng = random.Random(f"bodies:{n}:{k}:{m}:{flavor}")
+    sizes = {0, 1, payload_bits // 16, payload_bits // 8 + 1, run - 1, run, run + 1, 2 * run, 2 * run + 3}
+    for size in sorted(sizes):
+        data = rng.randbytes(size)
+        bodies = share_bodies(gen, data)
+        assert len(bodies[0]) == stripe_count(size, m, crc_payload_length(p)) * p.alpha * ((m + 7) // 8)
+        assert bodies == reference_bodies(gen, data), size
 
 
 def rejected_bodies(m, blob):
