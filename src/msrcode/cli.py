@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .bits import bytes_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
-from .linalg import LinearMap
 from .msr import (
     InvalidParams,
     NodeShare,
@@ -46,6 +45,7 @@ from .shares import (
     ShareDir,
     ShareFile,
     ShareFormatError,
+    encode_map_pays,
     share_bodies,
     share_filename,
     stripe_count,
@@ -112,12 +112,10 @@ def cmd_encode(args) -> int:
     m = params.m
     stripes = stripe_count(len(data), m, payload_len)
     names = [share_filename(node) for node in range(params.n)]
-    # a long file goes straight from its bytes to the share bodies through
-    # one composed encode map.  Its build fills table_entries(m) entries per
-    # input, like a composed decoder's, and repays itself after about 6
-    # stripes at m = 4, 8 at m = 5, 15 at m = 8 and 30 at m = 11, under
-    # these 8, 12, 32 and 96; shorter files keep the staged encode
-    if stripes >= LinearMap.table_entries(m):
+    # a long file of a small enough code goes straight from its bytes to
+    # the share bodies through one composed encode map; others keep the
+    # staged encode
+    if encode_map_pays(params, stripes):
         for node, body in enumerate(share_bodies(gen, data)):
             write_body(out_dir / names[node], params.n, params.k, m, node, stripes, body)
     else:

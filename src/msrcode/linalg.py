@@ -14,9 +14,10 @@ with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
 still far more than one application, so callers build each map once per
-GeneratorSet (encode, one row of U at a time; for a file with at least
-table_entries(m) stripes, the composed encode map from the whole message
-to every stored symbol, laid out as the share files' bytes; Gbar^T for
+GeneratorSet (encode, one row of U at a time; for a long enough file of a
+small enough code (shares.encode_map_pays), the composed encode map from
+the whole message to every stored symbol, laid out as the share files'
+bytes; Gbar^T for
 every pair solve; and the systematic flavor's T^-1 that repair maps pass
 through), per failed node and helper
 order (its repair map), per RsCode (decode: the evaluation

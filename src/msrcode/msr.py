@@ -198,8 +198,9 @@ class GeneratorSet:
         (c, r) of its block of U, so its image is row offset + c of G
         placed at share row r plus, off the diagonal, row offset + r at
         share row c: read straight off G, with no field product.  Lazy,
-        and built only for files with enough stripes to repay it (the
-        encode command)."""
+        and built only where shares.encode_map_pays: for a file of enough
+        stripes, of a code small enough, to repay it (the encode
+        command)."""
         params, field = self.params, self.field
         alpha = params.alpha
         stride = 8 * symbol_width(field.m)

@@ -39,6 +39,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .bits import bytes_to_symbols, symbol_width
+from .linalg import LinearMap
 from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, make_params
 from .reconstruct import crc_payload_length, seal
 
@@ -50,6 +51,8 @@ __all__ = [
     "write_share",
     "write_body",
     "share_bodies",
+    "encode_map_pays",
+    "ENCODE_MAP_IMAGE_BYTES",
     "share_filename",
     "stripe_count",
     "MAGIC",
@@ -130,6 +133,30 @@ def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
     stripe_size = params.n * node_size
     stripes = [encode_map.packed_bitstream(seal(params, payload)).to_bytes(stripe_size, "little") for payload in payloads]
     return [b"".join([stripe[lo : lo + node_size] for stripe in stripes]) for lo in range(0, stripe_size, node_size)]
+
+
+# the most bytes of input images the composed encode map may XOR per stripe
+ENCODE_MAP_IMAGE_BYTES = 1 << 16
+
+
+def encode_map_pays(params: MsrParams, stripes: int) -> bool:
+    """Whether a file of this many stripes is encoded through
+    GeneratorSet.encode_map (share_bodies) rather than stripe by stripe.
+
+    One application XORs B images of n * alpha * symbol_width(m) bytes, and
+    the build fills LinearMap.table_entries(m) of them per input, so from
+    table_entries(m) stripes on the tables are no larger than what the
+    file pushes through them.  Timed against the staged encode, that many
+    stripes repay the build while the B images total at most
+    ENCODE_MAP_IMAGE_BYTES: break-even is about 10 of 12 stripes at
+    [26,13]/GF(2^5), 17 of 32 at [27,14]/GF(2^8) and 125 of 512 at
+    [18,9]/GF(2^16).  Larger codes fall behind (39 of 32 at
+    [40,20]/GF(2^8)), and from about 1.5 MB of images ([60,30]/GF(2^8))
+    one application costs more than a staged stripe, so they keep the
+    staged encode.  The tables then hold at most table_entries(m) * 64 KiB,
+    2 MiB at m = 8."""
+    image_bytes = params.B * params.n * params.alpha * symbol_width(params.m)
+    return image_bytes <= ENCODE_MAP_IMAGE_BYTES and stripes >= LinearMap.table_entries(params.m)
 
 
 def read_share(path, params: MsrParams | None = None) -> ShareFile:

@@ -17,7 +17,16 @@ from msrcode.cli import main
 from msrcode.linalg import LinearMap
 from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params
 from msrcode.reconstruct import attach_crc, crc_payload_length
-from msrcode.shares import HEADER_SIZE, Manifest, ShareDir, ShareFile, read_share, stripe_count, write_share
+from msrcode.shares import (
+    ENCODE_MAP_IMAGE_BYTES,
+    HEADER_SIZE,
+    Manifest,
+    ShareDir,
+    ShareFile,
+    read_share,
+    stripe_count,
+    write_share,
+)
 
 
 def sha(path):
@@ -139,12 +148,9 @@ def test_encode_layout_and_manifest(tmp_path):
     assert ShareDir(out).file(0).stat().st_size == expected
 
 
-@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
-def test_encode_composes_its_map_from_the_threshold_on(tmp_path, monkeypatch, n, k, m):
-    """encode builds GeneratorSet.encode_map, once, for a file of at least
-    LinearMap.table_entries(m) stripes (12 at m = 5, 32 at m = 8) and not
-    for one stripe fewer; either way the shares are the staged encode's.
-    reconstruct, update, repair and simulate never build it."""
+@pytest.fixture
+def built(monkeypatch):
+    """The GeneratorSets whose encode_map gets built, in order."""
     built = []
     compose = GeneratorSet.encode_map.func
 
@@ -155,25 +161,45 @@ def test_encode_composes_its_map_from_the_threshold_on(tmp_path, monkeypatch, n,
     prop = functools.cached_property(counting)
     prop.__set_name__(GeneratorSet, "encode_map")
     monkeypatch.setattr(GeneratorSet, "encode_map", prop)
+    return built
+
+
+def assert_staged_shares(out, data, n, k, m, stripes):
     params = make_params(n, k, m)
-    bits = crc_payload_length(params) * m
+    gen, shares = generator_set(params), ShareDir(out)
+    payload = crc_payload_length(params)
+    symbols = bytes_to_symbols(data, m)
+    for s in range(stripes):
+        chunk = symbols[s * payload : (s + 1) * payload]
+        expected = encode_all(gen, attach_crc(params, chunk + [0] * (payload - len(chunk))))
+        assert [shares.column(node, s) for node in range(n)] == [share.symbols for share in expected]
+
+
+def encode_stripes(root, rng, stripes, n, k, m):
+    """Encode the longest file of that many stripes; its bytes and share dir."""
+    bits = crc_payload_length(make_params(n, k, m)) * m
+    size = stripes * bits // 8
+    assert stripe_count(size, m, bits // m) == stripes < stripe_count(size + 1, m, bits // m)
+    root.mkdir()
+    data = rng.randbytes(size)
+    return data, encode_dir(root, data, n=n, k=k, m=m)[1]
+
+
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8), (27, 14, 8)])
+def test_encode_composes_its_map_from_the_threshold_on(tmp_path, built, n, k, m):
+    """encode builds GeneratorSet.encode_map, once, for a file of at least
+    LinearMap.table_entries(m) stripes (12 at m = 5, 32 at m = 8) and not
+    for one stripe fewer; either way the shares are the staged encode's.
+    [27,14]/GF(2^8) is the largest k = 14 code whose images fit
+    ENCODE_MAP_IMAGE_BYTES.  reconstruct, update, repair and simulate never
+    build it."""
     threshold = LinearMap.table_entries(m)
     rng = random.Random(f"threshold:{m}")
     for stripes in (threshold - 1, threshold):
-        size = stripes * bits // 8  # the longest file of that many stripes
-        assert stripe_count(size, m, bits // m) == stripes < stripe_count(size + 1, m, bits // m)
-        root = tmp_path / str(stripes)
-        root.mkdir()
-        data = rng.randbytes(size)
         built.clear()
-        _, out = encode_dir(root, data, n=n, k=k, m=m)
+        data, out = encode_stripes(tmp_path / str(stripes), rng, stripes, n, k, m)
         assert len(built) == (stripes == threshold)
-        gen, shares = generator_set(params), ShareDir(out)
-        symbols, payload = bytes_to_symbols(data, m), bits // m
-        for s in range(stripes):
-            chunk = symbols[s * payload : (s + 1) * payload]
-            expected = encode_all(gen, attach_crc(params, chunk + [0] * (payload - len(chunk))))
-            assert [shares.column(node, s) for node in range(n)] == [share.symbols for share in expected]
+        assert_staged_shares(out, data, n, k, m, stripes)
 
     built.clear()
     dst = tmp_path / "restored.bin"
@@ -185,6 +211,19 @@ def test_encode_composes_its_map_from_the_threshold_on(tmp_path, monkeypatch, n,
     argv = ["simulate", "--n", str(n), "--k", str(k), "--m", str(m), "--p-grid", "0,0.1", "--trials", "2"]
     assert main(argv + ["--out", str(tmp_path / "sim.csv")]) == 0
     assert built == []
+
+
+@pytest.mark.parametrize("n,k,m", [(28, 14, 8), (40, 20, 8)])
+def test_encode_keeps_the_staged_encode_for_large_codes(tmp_path, built, n, k, m):
+    """A code whose B images outgrow ENCODE_MAP_IMAGE_BYTES ([28,14]/GF(2^8)
+    just, [40,20]/GF(2^8) 4.4 times) never builds the map, however long the
+    file: its build would not be repaid by table_entries(m) stripes."""
+    params = make_params(n, k, m)
+    assert params.B * n * params.alpha > ENCODE_MAP_IMAGE_BYTES
+    stripes = LinearMap.table_entries(m) + 1
+    data, out = encode_stripes(tmp_path / "long", random.Random(f"large:{n}"), stripes, n, k, m)
+    assert built == []
+    assert_staged_shares(out, data, n, k, m, stripes)
 
 
 def test_roundtrip_clean(tmp_path):

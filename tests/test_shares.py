@@ -12,6 +12,7 @@ import msrcode.shares as shares_mod
 from msrcode.cli import main
 from msrcode.bits import bytes_to_symbols
 from msrcode.field import Field
+from msrcode.linalg import LinearMap
 from msrcode.msr import InvalidParams, WrongLength, encode_all, generator_set, make_params
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
@@ -23,6 +24,7 @@ from msrcode.shares import (
     ShareDir,
     ShareFile,
     ShareFormatError,
+    encode_map_pays,
     read_share,
     share_bodies,
     share_filename,
@@ -220,6 +222,18 @@ def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
         bodies = share_bodies(gen, data)
         assert len(bodies[0]) == stripe_count(size, m, crc_payload_length(p)) * p.alpha * ((m + 7) // 8)
         assert bodies == reference_bodies(gen, data), size
+
+
+def test_encode_map_pays_only_for_small_codes():
+    """The stripe threshold is table_entries(m); the images' bytes cap the
+    code.  [255,128]/GF(2^8) would need about 17 GB of tables and
+    [100,50]/GF(2^8) about 384 MB, so no file of theirs takes the map."""
+    for n, k, m in [(255, 128, 8), (100, 50, 8), (40, 20, 8), (28, 14, 8)]:
+        assert not encode_map_pays(make_params(n, k, m), 1 << 30), (n, k, m)
+    for (n, k, m), threshold in [((27, 14, 8), 32), ((20, 10, 5), 12), ((18, 9, 16), 512), ((3, 2, 2), 4)]:
+        p = make_params(n, k, m)
+        assert LinearMap.table_entries(m) == threshold
+        assert not encode_map_pays(p, threshold - 1) and encode_map_pays(p, threshold), (n, k, m)
 
 
 def rejected_bodies(m, blob):
