@@ -18,7 +18,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from .bits import bytes_to_symbols, symbols_to_bytes
+from .bits import bytes_to_symbols, int_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
@@ -34,6 +34,7 @@ from .msr import (
 )
 from .reconstruct import (
     attach_crc,
+    crc_change,
     crc_payload_length,
     crc_trailer_length,
     reconstruct_file,
@@ -249,7 +250,9 @@ def cmd_update(args) -> int:
     if past > 0 and args.value & (1 << past) - 1:
         return _fail(f"value {args.value} sets the low {past} bit(s) of symbol {args.symbol}, past the file's end")
     rng = random.Random(f"update:{args.stripe}")
-    report = reconstruct_progressive(gen, lambda node: shares.column(node, args.stripe), rng)
+    # update uses one stripe, so it reads that stripe of each share alone
+    column = functools.partial(shares.stripe_column, stripe=args.stripe)
+    report = reconstruct_progressive(gen, column, rng)
     if not report.success:
         print(f"stripe {args.stripe}: cannot read back current content ({report.failure_reason})")
         return EXIT_DECODE_FAIL
@@ -259,30 +262,34 @@ def cmd_update(args) -> int:
         return EXIT_OK
 
     # the printed patch is the payload change alone; the written one also
-    # refreshes the integrity trailer.  Each new symbol is the old one, off
+    # carries the integrity trailer's change, which CRC-32's affinity gives
+    # from the payload change alone.  Each new symbol is the old one, off
     # the shares the check below compares with, plus its change.
+    change = message[args.symbol] ^ args.value
     changed = list(message)
     changed[args.symbol] = args.value
     payload_patch = update_delta(gen, message, changed)
+    trailer_change = crc_change(params, change << (payload_len - 1 - args.symbol) * params.m)
+    for t, delta in enumerate(int_to_symbols(trailer_change, params.m, crc_trailer_length(params.m)), payload_len):
+        changed[t] ^= delta
     old_shares = encode_all(gen, message)
     changes: dict[int, list[tuple[int, int]]] = {}
-    for (node, row), change in update_delta(gen, message, attach_crc(params, changed[:payload_len])).items():
-        changes.setdefault(node, []).append((row, old_shares[node].symbols[row] ^ change))
+    for (node, row), delta in update_delta(gen, message, changed).items():
+        changes.setdefault(node, []).append((row, old_shares[node].symbols[row] ^ delta))
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
     # repair to rebuild
     skipped = []
     for node in sorted(changes):
-        column = shares.column(node, args.stripe)
-        if column is None:
+        current = column(node)
+        if current is None:
             skipped.append(node + 1)
             del changes[node]
-        elif column != old_shares[node].symbols:
+        elif current != old_shares[node].symbols:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
-    for node, rows in changes.items():
-        shares.patch(node, args.stripe, rows)
+    shares.patch(args.stripe, changes)
     rewritten = sum(len(rows) for rows in changes.values())
 
     payload_nodes = sorted({node + 1 for node, _ in payload_patch})

@@ -12,9 +12,12 @@ gcd(2^m - 1, alpha) = 1 (which makes the lambda_j pairwise distinct).  The
 B = k*alpha message symbols are packed into two symmetric alpha x alpha
 matrices Z1, Z2; the codeword matrix is C = [Z1 Z2] @ G and node j stores
 column j.  Every entry point takes and returns the message as the flat list
-of B symbols: Z1 and Z2 exist only inside encode_all and update_delta,
-which gather the rows of [Z1 Z2] from it through GeneratorSet._u_rows, and
-the decoders flatten the blocks they recover in the same order.
+of B symbols: Z1 and Z2 exist only inside encode_all, which gathers the
+rows of [Z1 Z2] from it through GeneratorSet._u_rows, and the decoders
+flatten the blocks they recover in the same order.  GeneratorSet._places
+holds that order, the (block offset, r, c) of each flat symbol, for the
+maps that place a symbol's images straight off G's rows (encode_map,
+update_delta).
 
 Two Gbar flavors are supported: "systematic" ([D | I], every row of weight
 n - alpha + 1, which minimizes update complexity) and "vandermonde" (the
@@ -163,8 +166,8 @@ class GeneratorSet:
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
     Treat as immutable after construction; g_map, encode_map, gbar_map,
-    _u_rows, repair_maps and _tinv_map are memos of maps derived from it,
-    built on first use.
+    _places, _u_rows, repair_maps and _tinv_map are memos of maps derived
+    from it, built on first use.
     """
 
     params: MsrParams
@@ -207,13 +210,11 @@ class GeneratorSet:
         # row i of G at share row 0 of every node
         rows = [sum(c << stride * alpha * j for j, c in enumerate(row)) for row in self.g_full]
         images = []
-        for offset in (0, alpha):
-            for r in range(alpha):
-                for c in range(r, alpha):
-                    image = rows[offset + c] << stride * r
-                    if c != r:
-                        image ^= rows[offset + r] << stride * c
-                    images.append(image)
+        for offset, r, c in self._places:
+            image = rows[offset + c] << stride * r
+            if c != r:
+                image ^= rows[offset + r] << stride * c
+            images.append(image)
         return LinearMap.from_images(field, images, params.n * alpha, stride)
 
     @cached_property
@@ -224,19 +225,23 @@ class GeneratorSet:
         return LinearMap(self.field, self.gbar)
 
     @cached_property
+    def _places(self) -> list[tuple[int, int, int]]:
+        """(offset, r, c) of each flat message symbol, r <= c: it is entry
+        (r, c) and (c, r) of the block of U = [Z1 Z2] at column offset 0
+        (Z1) or alpha (Z2).  Each half of the message fills its block's
+        upper triangle, diagonal included, row-major."""
+        alpha = self.params.alpha
+        return [(offset, r, c) for offset in (0, alpha) for r in range(alpha) for c in range(r, alpha)]
+
+    @cached_property
     def _u_rows(self) -> list[operator.itemgetter]:
         """_u_rows[r](message) is row r of the information matrix
-        U = [Z1 Z2] of a flat B-symbol message.  Each half of the message
-        fills its block's upper triangle, diagonal included, row-major, and
-        the block is mirrored below it.  Lazy, since reads never encode."""
+        U = [Z1 Z2] of a flat B-symbol message, each block mirrored below
+        its upper triangle (_places).  Lazy, since reads never encode."""
         alpha = self.params.alpha
         index = [[0] * (2 * alpha) for _ in range(alpha)]
-        t = 0
-        for offset in (0, alpha):
-            for r in range(alpha):
-                for c in range(r, alpha):
-                    index[r][offset + c] = index[c][offset + r] = t
-                    t += 1
+        for t, (offset, r, c) in enumerate(self._places):
+            index[r][offset + c] = index[c][offset + r] = t
         return [operator.itemgetter(*row) for row in index]
 
     @cached_property
@@ -462,23 +467,32 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
     when old_message is rewritten as new_message; unchanged symbols are
     absent.
 
-    C = U @ G is linear in U, so share row r changes by row r of dU @ G,
-    where dU = [Z1 Z2] of the symbol-wise difference of the two messages.
-    Only the rows of dU with a nonzero entry are encoded.  So a changed
-    diagonal symbol of Z touches the support of one generator row, an
-    off-diagonal one the supports of two.
+    C = U @ G is linear in U, so the change is dU @ G for dU = [Z1 Z2] of
+    the symbol-wise difference of the two messages, and it is read straight
+    off G's rows, with no map built: a change delta of message symbol
+    (offset, r, c) (GeneratorSet._places) adds delta times row offset + c
+    of G to share row r and, off the diagonal, delta times row offset + r
+    to share row c, one field product per nonzero entry of those rows.
+    This is the placement encode_map uses.  So a changed diagonal symbol of
+    Z touches the support of one generator row, an off-diagonal one the
+    supports of two.
     """
     params = gen.params
     _check_length(params, old_message)
     _check_length(params, new_message)
-    delta = [a ^ b for a, b in zip(old_message, new_message)]
-    g_map = gen.g_map
-    changes = {}
-    for share_row, u_row in enumerate(gen._u_rows):
-        delta_row = u_row(delta)
-        if any(delta_row):
-            changes.update(((j, share_row), c) for j, c in enumerate(g_map.apply(delta_row)) if c)
-    return changes
+    exp, log = gen.field.exp, gen.field.log
+    g_full = gen.g_full
+    rows: dict[int, list[int]] = {}  # share row -> its change at every node
+    for (offset, r, c), old, new in zip(gen._places, old_message, new_message):
+        if old == new:
+            continue
+        log_delta = log[old ^ new]
+        for g_row, share_row in ((offset + c, r), (offset + r, c)) if c != r else ((offset + c, r),):
+            acc = rows.setdefault(share_row, [0] * params.n)
+            for j, g in enumerate(g_full[g_row]):
+                if g:
+                    acc[j] ^= exp[log_delta + log[g]]
+    return {(j, r): change for r in sorted(rows) for j, change in enumerate(rows[r]) if change}
 
 
 def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, int, int]]:

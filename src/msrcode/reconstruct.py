@@ -171,6 +171,7 @@ __all__ = [
     "crc_trailer_length",
     "crc_payload_length",
     "seal",
+    "crc_change",
     "attach_crc",
     "check_crc",
 ]
@@ -215,6 +216,16 @@ def seal(params: MsrParams, payload: int) -> int:
     payload_bits = crc_payload_length(params) * params.m
     crc = zlib.crc32(symbols_to_bytes([payload], payload_bits, (payload_bits + 7) // 8))
     return payload << params.B * params.m - payload_bits | crc
+
+
+def crc_change(params: MsrParams, payload_change: int) -> int:
+    """The change of seal()'s trailer when its payload int is XORed with
+    payload_change.  CRC-32 is affine over GF(2): at equal length
+    crc(p ^ x) = crc(p) ^ crc(x) ^ crc(0), so the change needs only x, not
+    the payload p."""
+    payload_bits = crc_payload_length(params) * params.m
+    length = (payload_bits + 7) // 8
+    return zlib.crc32(symbols_to_bytes([payload_change], payload_bits, length)) ^ zlib.crc32(bytes(length))
 
 
 def attach_crc(params: MsrParams, payload) -> list[int]:

@@ -26,7 +26,15 @@ stripe straight to its bytes through GeneratorSet.encode_map, whose outputs
 sit at this layout's byte offsets, and write_body writes them.
 
 ShareDir is how the command-line tool reads and patches a share directory,
-so the layout above is known to this module alone.
+so the layout above is known to this module alone.  Reconstruct and repair
+use every stripe, so they read each share file whole (ShareDir.column).
+Update uses one stripe, so it reads that stripe alone
+(ShareDir.stripe_column): the header, checked against the manifest by the
+same check read_share makes, the file's length from fstat, and the
+stripe's alpha symbols at HEADER_SIZE + stripe * alpha * w, range-checked
+like a whole body.  A share is then judged by its header, its length and
+that stripe's own symbols: an out-of-range symbol in another stripe does
+not make it an erasure for update, though it does for reconstruct.
 """
 
 from __future__ import annotations
@@ -167,6 +175,22 @@ def read_share(path, params: MsrParams | None = None) -> ShareFile:
     """
     with open(path, "rb") as fp:
         blob = fp.read()
+    params, node_index, stripe_count = _check_header(path, blob, params)
+    count = stripe_count * params.alpha
+    expected = count * symbol_width(params.m)
+    body = blob[HEADER_SIZE:]
+    if len(body) != expected:
+        raise ShareFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
+    values = _unpack_symbols(path, body, params.m, count)
+    alpha = params.alpha
+    stripes = [values[pos : pos + alpha] for pos in range(0, count, alpha)]
+    return ShareFile(n=params.n, k=params.k, m=params.m, node_index=node_index, stripes=stripes)
+
+
+def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParams, int, int]:
+    """(params, node index, stripe count) of the header that blob starts
+    with, as read_share checks it; a malformed header raises
+    ShareFormatError."""
     if len(blob) < HEADER_SIZE:
         raise ShareFormatError(f"{path}: truncated header")
     magic, version, n, k, m, node_index, stripe_count = _HEADER.unpack_from(blob)
@@ -180,18 +204,17 @@ def read_share(path, params: MsrParams | None = None) -> ShareFile:
         raise ShareFormatError(f"{path}: header code ({n}, {k}, {m}) is not ({params.n}, {params.k}, {params.m})")
     if not 0 <= node_index < n:
         raise ShareFormatError(f"{path}: node index {node_index} out of range")
-    count = stripe_count * params.alpha
-    expected = count * symbol_width(m)
-    body = blob[HEADER_SIZE:]
-    if len(body) != expected:
-        raise ShareFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
+    return params, node_index, stripe_count
+
+
+def _unpack_symbols(path, body: bytes, m: int, count: int) -> tuple[int, ...]:
+    """count symbols of GF(2^m) in the payload layout, range-checked once
+    through the largest."""
     values = struct.unpack(_body_format(m, count), body)
     top = max(values, default=0)
     if top >= 1 << m:
         raise ShareFormatError(f"{path}: symbol {top} outside GF(2^{m})")
-    alpha = params.alpha
-    stripes = [values[pos : pos + alpha] for pos in range(0, count, alpha)]
-    return ShareFile(n=n, k=k, m=m, node_index=node_index, stripes=stripes)
+    return values
 
 
 @dataclass
@@ -284,10 +307,11 @@ class ShareDir:
     """A share directory read lazily, node by node.
 
     A node's file is parsed on the first request for one of its columns and
-    cached.  A file that is missing, unreadable, malformed or whose header
-    disagrees with the manifest makes the node an erasure (None), so one bad
-    file costs one node, not the run.  The manifest's parameters and file
-    names are looked up once, not per file.
+    cached; stripe_column reads one stripe of it instead.  A file that is
+    missing, unreadable, malformed or whose header disagrees with the
+    manifest makes the node an erasure (None), so one bad file costs one
+    node, not the run.  The manifest's parameters and file names are looked
+    up once, not per file.
     """
 
     def __init__(self, share_dir, manifest_path=None):
@@ -296,13 +320,20 @@ class ShareDir:
         self.params = self.manifest.params()
         self._names = {entry["node"] - 1: entry["file"] for entry in self.manifest.shares}
         self._shares: dict[int, ShareFile | None] = {}
+        self._columns: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.files_read = 0  # share files read from disk so far, well-formed or not
 
     def file(self, node: int) -> Path:
         return self.root / self._names[node]
 
+    def _path(self, node: int) -> str:
+        """file(node) as a str: a one-stripe read opens up to n files, and
+        joining a Path costs more than reading a stripe."""
+        return os.path.join(self.root, self._names[node])
+
     def column(self, node: int, stripe: int) -> tuple[int, ...] | None:
-        """The node's alpha symbols of one stripe, or None for an erasure."""
+        """The node's alpha symbols of one stripe, or None for an erasure,
+        off the node's whole file."""
         if node not in self._shares:
             self._shares[node] = self._load(node)
         share = self._shares[node]
@@ -320,13 +351,55 @@ class ShareDir:
             return None
         return share
 
-    def patch(self, node: int, stripe: int, changes) -> None:
-        """Overwrite symbols of one stripe in place; changes are
-        (row, value) pairs, and only those symbols are written."""
+    def stripe_column(self, node: int, stripe: int) -> tuple[int, ...] | None:
+        """The node's alpha symbols of one stripe, or None for an erasure,
+        read alone: the header, checked as by read_share and against the
+        manifest's node and stripe count, the length by fstat, and only
+        this stripe's symbols.  Cached, so a node's stripe is read once."""
+        key = (node, stripe)
+        if key not in self._columns:
+            self._columns[key] = self._read_stripe(node, stripe)
+        return self._columns[key]
+
+    def _read_stripe(self, node: int, stripe: int) -> tuple[int, ...] | None:
+        path = self._path(node)
+        params = self.params
+        size = params.alpha * symbol_width(params.m)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:  # missing or unreadable: nothing was read
+            return None
+        self.files_read += 1
+        try:
+            _, node_index, count = _check_header(path, os.pread(fd, HEADER_SIZE, 0), params)
+            if (node_index, count) != (node, self.manifest.stripe_count):
+                return None
+            if os.fstat(fd).st_size != HEADER_SIZE + count * size:
+                return None
+            return _unpack_symbols(path, os.pread(fd, size, HEADER_SIZE + stripe * size), params.m, params.alpha)
+        except (OSError, ShareFormatError):  # a directory, a read error, a malformed header or symbol
+            return None
+        finally:
+            os.close(fd)
+
+    def patch(self, stripe: int, changes: dict[int, list[tuple[int, int]]]) -> None:
+        """Overwrite symbols of one stripe in place; changes maps a node to
+        its (row, value) pairs, and only those symbols are written, one
+        pwrite each.  Every file is opened for writing before the first
+        write, so a share that cannot be opened raises OSError with the
+        directory as it was."""
         width = symbol_width(self.params.m)
         alpha = self.params.alpha
-        with open(self.file(node), "r+b") as fp:
-            for row, value in changes:
-                fp.seek(HEADER_SIZE + (stripe * alpha + row) * width)
-                fp.write(int(value).to_bytes(width, "little"))
-        self._shares.pop(node, None)
+        fds = []
+        try:
+            for node in changes:
+                fds.append(os.open(self._path(node), os.O_WRONLY))
+            for fd, rows in zip(fds, changes.values()):
+                for row, value in rows:
+                    os.pwrite(fd, value.to_bytes(width, "little"), HEADER_SIZE + (stripe * alpha + row) * width)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        for node in changes:
+            self._shares.pop(node, None)
+            self._columns.pop((node, stripe), None)

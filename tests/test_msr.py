@@ -561,6 +561,29 @@ def test_update_patch_bad_index(gen746):
         update_patch(gen746, message, changed)
 
 
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", ENCODE_CODES)
+def test_update_delta_matches_two_encodes(n, k, m, flavor):
+    """update_delta, read off G's rows, is the nonzero difference of two
+    full encodes, for changes of one symbol, of a few and of all B; changes
+    of several symbols can cancel in a share symbol, which is then absent."""
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"delta:{n}:{k}:{m}:{flavor}")
+    for trial in range(24):
+        old = [rng.randrange(1 << m) for _ in range(p.B)]
+        new = list(old)
+        for t in rng.sample(range(p.B), (1, min(3, p.B), p.B)[trial % 3]):
+            new[t] = rng.randrange(1 << m)
+        expected = {
+            (j, r): a ^ b
+            for j, (old_share, new_share) in enumerate(zip(encode_all(g, old), encode_all(g, new)))
+            for r, (a, b) in enumerate(zip(old_share.symbols, new_share.symbols))
+            if a != b
+        }
+        assert update_delta(g, old, new) == expected
+
+
 @pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 def test_update_patch_equals_reencode(n, k, m, flavor):
