@@ -41,30 +41,36 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
 When the node supply caps the round below j = k + 2v, plain per-row
 decoding can sit exactly at the distance bound (s + 2v = d_min) and fail
 even though the v corrupted columns are jointly locatable.  Those rounds
-fall back to progressive erasure trials: every size-v subset of accessed
-nodes is hypothesized as the error support and erased outright, which
-restores per-row decodability; wrong hypotheses die at the classification
-gate, the symmetry check, or the integrity check.  The gate needs its
-threshold j - v - k + 2 to exceed v, so a round (or trial) with
-j <= k + 2v - 2 is recorded as a gate failure without decoding any row.
+fall back to erasure trials: a candidate support of v accessed nodes is
+erased outright, which restores per-row decodability, and a wrong candidate
+dies at the classification gate, the symmetry check, or the integrity
+check.  The gate needs its threshold j - v - k + 2 to exceed v, so a round
+(or trial) with j <= k + 2v - 2 is recorded as a gate failure without
+decoding any row, and such a round tries no supports.
 
-The trials run in order of a syndrome score, so the true support usually
-comes first.  Row r of P, erased at X_r (the unaccessed nodes and its own
-diagonal), has Forney syndromes U_r = S(w_r) * Gamma_X_r mod z^(n - alpha),
-read off the failed round's erasure context, whose coefficients from |X_r|
-on vanish exactly when every error of the row lies in X_r.  Since
-Gamma_(X_r + E) = Gamma_X_r * Gamma_E, a support E explains row r when
-(U_r * Gamma_E)_t = 0 for t in [|X_r| + v, n - alpha), and E scores the
-rows outside it that it explains.  Under the true support
-every clean row passes; under a wrong one a lying column stays unerased and
-each clean row passes only by chance, about 2^-m per check.  Ranking only
-reorders the same candidates under the same gates, so the outcome is the
-one the plain enumeration reaches unless a wrong support passes every gate
-and the integrity check.  A round with no check to make (j - k - v <= 0:
-erasing v columns leaves at most k, with no redundancy) keeps enumeration
-order and pays nothing for the score.  Counts of mismatching columns in the
-failed round are no guide: with the round sitting at the distance bound,
-few rows decode at all.
+The candidates come from one error locator shared by the rows (_locate).
+A lying node corrupts the same column of every honest row, so the honest
+rows of P form an interleaved RS code whose errors share one locator
+Lambda = Gamma_E (Schmidt, Sidorenko and Bossert, collaborative decoding of
+interleaved RS codes).  Row r of P, erased at X_r (the unaccessed nodes and
+its own diagonal), has Forney syndromes U_r = S(w_r) * Gamma_X_r mod
+z^(n - alpha), read off the failed round's erasure context.  From |X_r| on
+they depend on the row's errors alone, and the key equation makes
+(U_r * Lambda)_t vanish for t in [|X_r| + v, n - alpha): j - k - v linear
+equations in Lambda_1 .. Lambda_v.  Row r of Q adds none: a lying node c
+puts errors e_p = lambda_r * e_q into p_rc and q_rc, so its equations are
+the P row's, scaled.  The equations of g = ceil(v / (j - k - v)) rows (at
+most 2 in a round whose gate can pass, where j = k + 2v - 1) are stacked and
+solved, one group of rows at a time in itertools.combinations order, and
+only as far as the round needs: a unique solution with exactly v roots
+among the accessed nodes names a support, each tried once.  Any group of
+honest rows gives the true locator, so the true support usually comes
+first, and a round tries at most C(j, g) supports however many nodes lie.
+At v = 1 and j = k + 1 there is no equation, and the round tries the j
+single nodes.  A candidate faces the same gates and integrity check as any
+size-v support, so the outcome is the one that trying every size-v support
+reaches, unless a wrong support passes every gate and the integrity check
+or no group of honest rows fixes the locator.
 
 The first round (v = 0) holds exactly k nodes, and k node columns carry
 exactly B = k * alpha symbols: there is no redundancy to locate errors
@@ -145,10 +151,9 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field as dc_field
-from math import comb
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
-from .linalg import LinearMap, invert, mat_vec
+from .linalg import LinearMap, invert, mat_vec, row_reduce
 from .msr import GeneratorSet, MsrParams, WrongLength
 from .rs import RsCode
 
@@ -178,9 +183,6 @@ __all__ = [
 
 FAIL_RAN_OUT_OF_NODES = "RanOutOfNodes"
 FAIL_INTEGRITY_AT_MAX = "IntegrityFailedAtMax"
-
-# most size-v erasure supports a supply-capped round may enumerate
-TRIAL_BUDGET = 200_000
 
 
 class AsymmetryDetected(RuntimeError):
@@ -726,71 +728,44 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
     return message, frozenset(nodes[c] for c in p_cls.erroneous)
 
 
-def _trial_order(gen: GeneratorSet, pair: PairSolve, v: int, context) -> list[tuple[int, ...]]:
-    """Every size-v erasure support (positions into the access order) in
-    descending syndrome score, ties in enumeration order; the score is
-    defined in the module docstring.  context is the failed round's
-    rs.ErasureContext, whose erasures are the unaccessed positions."""
+def _locate(gen: GeneratorSet, pair: PairSolve, v: int, context):
+    """The candidate error supports (positions into the access order) of a
+    supply-capped round at v, each once: the roots among the accessed nodes
+    of every locator that the stacked equations of a group of P rows fix
+    (module docstring).  context is the failed round's rs.ErasureContext,
+    whose erasures are the unaccessed positions."""
     nodes = pair.nodes
     j = len(nodes)
-    supports = list(itertools.combinations(range(j), v))
-    if j - gen.params.k - v <= 0:
-        return supports
+    checks = j - gen.params.k - v  # equations per row
+    if checks <= 0:
+        yield from itertools.combinations(range(j), v)
+        return
     code = gen.code_alpha
-    field, scale = code.field, gen.col_scale
-    exp, log = field.exp, field.log
-    head = code.n - j + 1  # |X_r|
-    # hankels[r] maps a degree v-1 polynomial g to (U_r * g)_t, t >= |X_r| + v - 1;
-    # its entries are logs, None for zero
-    hankels = []
-    for r, row in enumerate(pair.p):
+    mul, scale = code.field.mul, gen.col_scale
+    head = code.n - j + 1 + v  # |X_r| + v
+
+    @functools.cache
+    def equations(r):
+        """Row r's equations sum_i Lambda_i U_r[t - i] = U_r[t], i = 1..v,
+        as rows [U_r[t - 1], .., U_r[t - v], U_r[t]]."""
         word = [0] * code.n
         for c, node in enumerate(nodes):
             if c != r:
-                word[node] = field.mul(row[c], scale[node])
-        u = [log[x] if x else None for x in context.adjusted(word, nodes[r])]
-        hankels.append([u[t - v + 1 : t + 1][::-1] for t in range(head + v - 1, len(u))])
+                word[node] = mul(pair.p[r][c], scale[node])
+        u = context.adjusted(word, nodes[r])
+        return [u[t - v : t][::-1] + [u[t]] for t in range(head, len(u))]
 
-    def products(rows, terms) -> list[int]:
-        """rows @ g, with g's nonzero coefficients given as (index, log)."""
-        out = []
-        for row in rows:
-            acc = 0
-            for i, lg in terms:
-                lx = row[i]
-                if lx is not None:
-                    acc ^= exp[lx + lg]
-            out.append(acc)
-        return out
-
-    # E = P + (c,) with P a size-(v-1) prefix.  With a = U_r * Gamma_P,
-    # (U_r * Gamma_E)_t = a_t + X_c a_(t-1), so row r passes E exactly when
-    # a is geometric with ratio X_c = alpha^nodes[c] from |X_r| + v - 1 on:
-    # one ratio names the only passing c, and an all-zero a passes every c.
-    # That costs one product per prefix and row instead of one per support.
-    position = {node: c for c, node in enumerate(nodes)}
-    score = dict.fromkeys(supports, 0)
-    for prefix in itertools.combinations(range(j - 1), v - 1):
-        gamma = code.locator([nodes[c] for c in prefix])
-        terms = [(i, log[g]) for i, g in enumerate(gamma) if g]
-        first = prefix[-1] + 1 if prefix else 0
-        for r, hankel in enumerate(hankels):
-            if r in prefix:
-                continue
-            a = products(hankel[:2], terms)  # the rest only if needed
-            if a[0]:
-                ratio = field.div(a[1], a[0])
-                c = position.get(log[ratio]) if ratio else None
-                if c is None or c < first or c == r:
-                    continue
-                a += products(hankel[2:], terms)
-                if all(field.mul(ratio, x) == y for x, y in zip(a[1:], a[2:])):
-                    score[prefix + (c,)] += 1
-            elif not any(a + products(hankel[2:], terms)):
-                for c in range(first, j):
-                    if c != r:
-                        score[prefix + (c,)] += 1
-    return sorted(supports, key=lambda support: -score[support])
+    seen = set()
+    for group in itertools.combinations(range(j), -(-v // checks)):
+        solved = row_reduce(code.field, [eq for r in group for eq in equations(r)])
+        # one solution exactly when the v pivots are the v unknowns
+        if len(solved) != v or not solved[-1][v - 1]:
+            continue
+        values = code._evaluation_map.apply([1] + [row[v] for row in solved])
+        support = tuple(c for c, node in enumerate(nodes) if not values[node])
+        if len(support) == v and support not in seen:
+            seen.add(support)
+            yield support
 
 
 def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_decoder=None) -> DecodeReport:
@@ -800,9 +775,11 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
     is unreachable; no node is ever requested twice.  A candidate B-symbol
     message is accepted only if check_crc passes.  All node choices come
     from ``rng``, so a seeded generator makes the whole run deterministic.
-    TRIAL_BUDGET caps the subset enumeration of the erasure-trial fallback
-    on supply-capped rounds.  k_decoder(nodes) gives the v = 0 round the
-    KNodeDecoder of its k nodes; by default a new one is built.
+    A round that the node supply caps below k + 2v nodes, and whose gate
+    can pass, then tries the erasure supports that _locate derives from the
+    rows' shared error locator, at most C(j, 2) of them (module docstring).
+    k_decoder(nodes) gives the v = 0 round the KNodeDecoder of its k nodes;
+    by default a new one is built.
     """
     params = gen.params
     if k_decoder is None:
@@ -852,8 +829,8 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
             pair = pair_solve(gen, access, pair)
             context = _round_context(gen.code_alpha, pair.nodes, ())
             result = _attempt_round(gen, pair, v, trace, context=context)
-        if result is None and v >= 1 and j < k + 2 * v and comb(j, v) <= TRIAL_BUDGET:
-            for combo in _trial_order(gen, pair, v, context):
+        if result is None and j < k + 2 * v and _gate_can_pass(j, v, k):
+            for combo in _locate(gen, pair, v, context):
                 extra = frozenset(pair.nodes[c] for c in combo)
                 result = _attempt_round(gen, pair, v, trace, extra_erased=extra)
                 if result is not None:

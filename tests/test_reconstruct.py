@@ -612,7 +612,7 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
 
 
 # ---------------------------------------------------------------------------
-# syndrome-ranked erasure trials on supply-capped rounds
+# erasure trials located by the shared error locator on supply-capped rounds
 
 
 def run_capped(params, gen, missing, liars, seed):
@@ -632,61 +632,67 @@ def erasure_trials(report):
     return [entry.erasure_trial for entry in report.trace if entry.erasure_trial is not None]
 
 
-def scored_order(gen, pair, v):
-    """Reference for _trial_order: the score straight from its definition,
-    one Forney-syndrome product per row and support."""
-    code = gen.code_alpha
-    nodes = pair.nodes
-    j = len(nodes)
-    head = code.n - j + 1
-    syndromes = []
-    for r in range(j):
-        word = [0] * code.n
-        for c in range(j):
-            if c != r:
-                word[nodes[c]] = gen.field.mul(pair.p[r][c], gen.col_scale[nodes[c]])
-        erased = [i for i in range(code.n) if i not in nodes] + [nodes[r]]
-        syndromes.append(code.forney_syndromes(code.syndromes(word), code.locator(erased)))
-
-    def score(support):
-        gamma = code.locator([nodes[c] for c in support])
-        return sum(
-            1
-            for r in range(j)
-            if r not in support and not any(code.forney_syndromes(syndromes[r], gamma)[head + v :])
-        )
-
-    return sorted(itertools.combinations(range(j), v), key=lambda support: -score(support))
+def capped_round(params, gen, rng, v, garbage=False):
+    """A round of j = k + 2v - 1 nodes (at most n), the node count at which
+    a supply-capped round looks for error supports, with v random lying
+    columns, or all-garbage columns; returns the pair solve, the round's
+    context and the lying positions."""
+    j = min(params.k + 2 * v - 1, params.n)
+    nodes = tuple(rng.sample(range(params.n), j))
+    lying = tuple(sorted(rng.sample(range(j), v)))
+    if garbage:
+        cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+    else:
+        message, shares = fresh_case(params, gen, rng)
+        cols = [shares[i].symbols for i in nodes]
+        for b in lying:
+            cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+    pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+    return pair, reconstruct._round_context(gen.code_alpha, nodes, ()), lying
 
 
-@pytest.mark.parametrize(
-    "n,k,m,flavor",
-    [(7, 4, 3, "systematic"), (20, 10, 5, "systematic"), (20, 10, 5, "vandermonde"), (24, 12, 8, "systematic")],
-)
-def test_trial_order_matches_scored_reference(n, k, m, flavor):
-    """Same order as scoring every support directly, on capped rounds with
-    0 to v + 1 lying columns and on garbage columns."""
+def forney_stream(gen, pair, context, mat, r):
+    """Row r of mat's Forney syndromes from |X_r| = n - j + 1 on, the part
+    that depends only on the row's errors."""
+    word = [0] * gen.params.n
+    for c, node in enumerate(pair.nodes):
+        if c != r:
+            word[node] = gen.field.mul(mat[r][c], gen.col_scale[node])
+    return context.adjusted(word, pair.nodes[r])[gen.params.n - len(pair.nodes) + 1 :]
+
+
+LOCATE_CODES = [(n, k, m, flavor) for n, k, m in [(7, 4, 3), (20, 10, 5), (24, 12, 8)] for flavor in ("systematic", "vandermonde")]
+
+
+@pytest.mark.parametrize("n,k,m,flavor", LOCATE_CODES)
+def test_locate_finds_the_true_support(n, k, m, flavor):
+    """On capped rounds with exactly v lying columns, the true support is
+    among _locate's candidates, each distinct, of size v; an honest row's P
+    and Q Forney syndromes (past the erasures) differ by the factor
+    lambda_r, so the Q rows add no equations; and with all-garbage columns
+    no candidate passes _attempt_round."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
-    rng = random.Random(n * 100 + m)
-    checked = 0
-    while checked < 12:
+    rng = random.Random(f"locate:{n}:{m}:{flavor}")
+    for trial in range(16):
         v = rng.randrange(1, params.error_capability + 1)
-        j = rng.randrange(k + 1, min(k + 2 * v, n + 1))
-        if j - k - v <= 0 or math.comb(j, v) > 1000:
+        garbage = trial % 4 == 3
+        pair, context, lying = capped_round(params, gen, rng, v, garbage)
+        candidates = list(reconstruct._locate(gen, pair, v, context))
+        assert len(set(candidates)) == len(candidates)
+        assert all(len(support) == v and list(support) == sorted(support) for support in candidates)
+        if garbage:
+            for support in candidates:
+                extra = frozenset(pair.nodes[c] for c in support)
+                assert _attempt_round(gen, pair, v, [], extra_erased=extra) is None
             continue
-        nodes = tuple(rng.sample(range(n), j))
-        if checked % 4 == 3:
-            cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
-        else:
-            message, shares = fresh_case(params, gen, rng)
-            cols = [shares[i].symbols for i in nodes]
-            for b in rng.sample(range(j), rng.randrange(min(v + 2, j))):
-                cols[b] = corrupt_symbols(rng, gen.field, cols[b])
-        pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
-        context = reconstruct._round_context(gen.code_alpha, nodes, ())
-        assert reconstruct._trial_order(gen, pair, v, context) == scored_order(gen, pair, v)
-        checked += 1
+        assert lying in candidates, (trial, v)
+        honest = [r for r in range(len(pair.nodes)) if r not in lying]
+        streams = [[forney_stream(gen, pair, context, mat, r) for mat in (pair.p, pair.q)] for r in honest]
+        assert any(any(p_stream) for p_stream, _ in streams)
+        for r, (p_stream, q_stream) in zip(honest, streams):
+            lam_r = gen.delta[pair.nodes[r]]
+            assert p_stream == [gen.field.mul(lam_r, x) for x in q_stream]
 
 
 # (n, k, m, flavor, missing shares, lying shares, seeds)
@@ -700,23 +706,24 @@ CAPPED = [
     (20, 10, 5, "vandermonde", 8, 2, range(2)),
     (24, 12, 8, "systematic", 7, 3, range(3)),
     (24, 12, 8, "systematic", 9, 2, range(3)),
+    (24, 12, 8, "systematic", 2, 6, range(2)),  # the v = 6 round cannot pass the gate
 ]
 
 
 @pytest.mark.parametrize("n,k,m,flavor,missing,liars,seeds", CAPPED)
 def test_ranked_trials_report_like_plain_enumeration(monkeypatch, n, k, m, flavor, missing, liars, seeds):
-    """Ranking only reorders the trials: reports are identical to the plain
-    itertools.combinations order, and a stripe that fails tried the same
-    supports."""
+    """Trying only the located supports reports exactly what trying every
+    size-v support in itertools.combinations order reports: message,
+    rounds, nodes, accessed nodes, erroneous nodes and failure reason."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     seeds = [n * 1000 + missing * 10 + liars + 7 * s for s in seeds]
-    ranked = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
+    located = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
     monkeypatch.setattr(
-        reconstruct, "_trial_order", lambda gen, pair, v, context: itertools.combinations(range(len(pair.nodes)), v)
+        reconstruct, "_locate", lambda gen, pair, v, context: itertools.combinations(range(len(pair.nodes)), v)
     )
     plain = [run_capped(params, gen, missing, liars, seed) for seed in seeds]
-    for (message, got), (_, want) in zip(ranked, plain):
+    for (message, got), (_, want) in zip(located, plain):
         assert (got.recovered_message, got.rounds, got.nodes_accessed, got.accessed_nodes) == (
             want.recovered_message,
             want.rounds,
@@ -724,8 +731,6 @@ def test_ranked_trials_report_like_plain_enumeration(monkeypatch, n, k, m, flavo
             want.accessed_nodes,
         )
         assert (got.erroneous_nodes, got.failure_reason) == (want.erroneous_nodes, want.failure_reason)
-        if not got.success:
-            assert sorted(erasure_trials(got)) == sorted(erasure_trials(want))
 
 
 def test_ranked_trials_find_the_support_first():
@@ -738,6 +743,61 @@ def test_ranked_trials_find_the_support_first():
         assert report.recovered_message == message, seed
         trials.append(len(erasure_trials(report)))
     assert sum(trials) / len(trials) <= 2, trials
+
+
+@pytest.mark.parametrize(
+    "n,k,m,missing,liars,seeds",
+    [(24, 12, 8, 3, 6, range(2)), (20, 10, 5, 7, 3, range(3))],
+)
+def test_locate_bounds_the_trials_per_round(monkeypatch, n, k, m, missing, liars, seeds):
+    """The work per stripe has a bound even beyond capability: a capped
+    round tries at most C(j, 2) supports, a round whose gate cannot pass
+    tries none, and the stripes fail as they did under enumeration of all
+    C(j, v) supports, with RanOutOfNodes."""
+    params = make_params(n, k, m)
+    gen = generator_set(params)
+    calls = []  # (v, j, whether the call is an erasure trial)
+    attempt = reconstruct._attempt_round
+
+    def spy_attempt(gen, pair, v, trace, extra_erased=frozenset(), context=None):
+        calls.append((v, len(pair.nodes), bool(extra_erased)))
+        return attempt(gen, pair, v, trace, extra_erased, context)
+
+    monkeypatch.setattr(reconstruct, "_attempt_round", spy_attempt)
+    for s in seeds:
+        calls.clear()
+        message, report = run_capped(params, gen, missing, liars, n * 1000 + missing * 10 + liars + 7 * s)
+        assert report.failure_reason == reconstruct.FAIL_RAN_OUT_OF_NODES
+        rounds = {(v, j) for v, j, trial in calls if not trial}
+        capped = {(v, j) for v, j in rounds if j < k + 2 * v}
+        assert any(reconstruct._gate_can_pass(j, v, k) for v, j in capped)
+        assert any(not reconstruct._gate_can_pass(j, v, k) for v, j in capped)
+        for v, j in capped:
+            count = calls.count((v, j, True))
+            assert count <= (math.comb(j, 2) if reconstruct._gate_can_pass(j, v, k) else 0), (v, j, count)
+
+
+def test_located_supports_never_fail_only_the_crc():
+    """Over 200+ seeded capped stripes within capability, no located support
+    passes every gate and then fails the CRC (trace outcome integrity with
+    erasure_trial set): a wrong locator does not reach the integrity check,
+    and every stripe decodes."""
+    p24 = make_params(24, 12, 8)
+    cases = [
+        (P20, GEN20, 7, 2),
+        (P20, GEN20, 5, 3),
+        (P20, generator_set(P20, "vandermonde"), 7, 2),
+        (p24, generator_set(p24), 7, 3),
+    ]
+    stripes = trials = 0
+    for index, (params, gen, missing, liars) in enumerate(cases):
+        for s in range(52):
+            message, report = run_capped(params, gen, missing, liars, 6000 + 100 * index + s)
+            assert report.recovered_message == message, (index, s)
+            assert not [e for e in report.trace if e.erasure_trial is not None and e.outcome == "integrity"]
+            trials += len(erasure_trials(report))
+            stripes += 1
+    assert stripes >= 200 and trials >= stripes / 2
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +1008,23 @@ PROGRESSIVE = [
 ]
 
 
+def force_gate_in_attempts(monkeypatch):
+    """Make _attempt_round decode rows even where its gate cannot pass.
+    _gate_can_pass is forced to True only inside _attempt_round: outside it,
+    it also decides whether a capped round looks for error supports, and
+    that must stay as it is for the reports and traces to compare."""
+    attempt, gate = reconstruct._attempt_round, reconstruct._gate_can_pass
+
+    def forced(*args, **kwargs):
+        reconstruct._gate_can_pass = lambda j, v, k: True
+        try:
+            return attempt(*args, **kwargs)
+        finally:
+            reconstruct._gate_can_pass = gate
+
+    monkeypatch.setattr(reconstruct, "_attempt_round", forced)
+
+
 def test_progressive_reports_match_reference_path(monkeypatch):
     """Over 300+ seeded stripes, reconstruct_progressive gives the same
     report and trace as the path without shared contexts, pair-solve reuse
@@ -963,7 +1040,7 @@ def test_progressive_reports_match_reference_path(monkeypatch):
     solve = reconstruct.pair_solve
     monkeypatch.setattr(reconstruct, "row_decode", reference_row_decode)
     monkeypatch.setattr(reconstruct, "pair_solve", lambda gen, access, base=None: solve(gen, access))
-    monkeypatch.setattr(reconstruct, "_gate_can_pass", lambda j, v, k: True)
+    force_gate_in_attempts(monkeypatch)
     reference = [run_capped(*case) for case in cases]
     assert fast == reference
     assert any(report.failure_reason for _, report in fast)
@@ -1028,7 +1105,7 @@ def test_gate_impossible_rounds_skip_row_decoding(monkeypatch):
     assert {(v, 13) for v in (3, 4, 5)}.isdisjoint(decoded)
     assert any(v == 3 and j == 13 for v, j, _ in calls)
 
-    monkeypatch.setattr(reconstruct, "_gate_can_pass", lambda j, v, k: True)
+    force_gate_in_attempts(monkeypatch)
     calls.clear()
     assert run_capped(P20, GEN20, 7, 3, seed) == (message, report)
     assert {(v, j) for v, j, count in calls if count} >= {(v, 13) for v in (3, 4, 5)}
