@@ -22,7 +22,6 @@ from .bits import bytes_to_symbols, int_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
-    NodeShare,
     WrongLength,
     encode_all,
     generator_set,
@@ -204,22 +203,18 @@ def cmd_repair(args) -> int:
     if not 1 <= args.failed <= params.n:
         return _fail(f"node label {args.failed} outside 1..{params.n}")
     failed = args.failed - 1
-    readable = (h for h in range(params.n) if h != failed and shares.column(h, 0) is not None)
+    readable = (h for h in range(params.n) if h != failed and shares.body(h) is not None)
     helper_nodes = list(itertools.islice(readable, params.d))
     if len(helper_nodes) < params.d:
         return _fail(
             f"NotEnoughHelpers: need d={params.d} helper shares, found {len(helper_nodes)}"
         )
 
-    stripes = []
-    for s in range(manifest.stripe_count):
-        helpers = [
-            (h, helper_symbol(gen, NodeShare(h, shares.column(h, s)), failed))
-            for h in helper_nodes
-        ]
-        stripes.append(regenerate(gen, failed, helpers).symbols)
+    # each helper's symbols for every stripe at once, then the failed
+    # node's whole body from them
+    helpers = [(h, helper_symbol(gen, shares.body(h), failed)) for h in helper_nodes]
     path = shares.file(failed)
-    write_share(path, ShareFile(params.n, params.k, params.m, failed, stripes))
+    write_body(path, params.n, params.k, params.m, failed, manifest.stripe_count, regenerate(gen, failed, helpers))
     total = params.d * manifest.stripe_count
     print(
         f"repaired node {args.failed} from helpers {[h + 1 for h in helper_nodes]} -> {path}"

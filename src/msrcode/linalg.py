@@ -1,5 +1,6 @@
 """Dense linear algebra over GF(2^m): dot products, Gaussian elimination,
-and LinearMap, the one table kernel for fixed linear maps.
+LinearMap, the one table kernel for fixed linear maps, and RegionDot, its
+byte-region counterpart for one fixed dot product over many stripes.
 
 Matrices are lists of row lists of ints.  Everything here is desk-scale
 (dimensions of a few dozen), so plain Python loops with local table
@@ -20,7 +21,8 @@ the whole message to every stored symbol, laid out as the share files'
 bytes; Gbar^T for
 every pair solve; and the systematic flavor's T^-1 that repair maps pass
 through), per failed node and helper
-order (its repair map), per RsCode (decode: the evaluation
+order (its repair map, whose outputs sit at a share body's byte offsets),
+per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
 peel map, and per trusted set, for long files, its composed map), never per
@@ -28,15 +30,28 @@ stripe.  Two maps are built per progressive round: the Forney map of the
 round's erasure set (one more per erasure trial), which every row of its P
 and Q applies, and the peel map of the nodes an accepted round selects,
 which comes with their inverse and which its P and Q apply 4 * alpha times.
+
+RegionDot serves the other half of repair: every helper sends, for every
+stripe, the dot product of its stored column with one fixed vector, Gbar's
+failed column.  It works on the helper's share body as it lies on disk:
+each coefficient times each byte of its symbol, across all stripes at
+once, is one bytes.translate of a strided slice through a 256-byte table,
+and the products' bytes are XORed as ints.  So a whole body costs
+alpha * w^2 translates (w bytes per symbol), not one interpreted dot
+product per stripe; its tables, from the same packed doubling as
+LinearMap's, are built once per failed node.
 gf_dot stays for one-off products, and as the scalar reference the tests
-check LinearMap against.
+check LinearMap and RegionDot against.
 """
 
 from __future__ import annotations
 
+import struct
+
+from .bits import symbol_width
 from .field import Field
 
-__all__ = ["gf_dot", "mat_vec", "identity", "rank", "row_reduce", "invert", "LinearMap"]
+__all__ = ["gf_dot", "mat_vec", "identity", "rank", "row_reduce", "invert", "LinearMap", "RegionDot"]
 
 
 class SingularMatrix(ValueError):
@@ -119,6 +134,30 @@ def invert(field: Field, a) -> list[list[int]]:
     return [row[size:] for row in aug]
 
 
+def _bit_images(field: Field, images, outputs: int, stride: int, bits: int) -> list[list[int]]:
+    """For each packed image (outputs fields of m bits, stride bits apart),
+    the images of its input's bits 0 .. bits - 1.  Bit b of an input is the
+    field element a^b, so bit 0's image is the packed image itself and each
+    next bit's is the previous one times a, done on all outputs at once by
+    packed doubling: every m-bit field shifts left by one, and each field
+    whose top bit fell out is XORed with poly ^ 2^m, which is a^m.  So a bit
+    costs a few big-int operations whatever the number of outputs; a wider
+    stride leaves the bits above each field zero."""
+    m = field.m
+    # bit 0 of every output field, its bit m - 1, and the bits below that
+    ones = ((1 << stride * outputs) - 1) // ((1 << stride) - 1)
+    top, keep = ones << (m - 1), ones * ((field.order - 1) >> 1)
+    low_poly = field.poly ^ field.order
+    out = []
+    for image in images:
+        basis = [image]
+        for _ in range(bits - 1):
+            image = ((image & keep) << 1) ^ (((image & top) >> (m - 1)) * low_poly)
+            basis.append(image)
+        out.append(basis)
+    return out
+
+
 class LinearMap:
     """The GF(2^m)-linear map x -> x @ matrix: input i scales row i, and
     output t is column t.
@@ -129,13 +168,8 @@ class LinearMap:
     is linear over GF(2) in x_i, so it is the XOR of the images of x_i's low
     and high bit halves, low[i][x & lmask] ^ high[i][x >> half], and each
     half's table is filled from the images of its single bits.  Bit b of
-    x_i is the field element a^b, so its image is the packed row times a^b:
-    bit 0's image is the row itself, and each next bit's is the previous
-    one times a, done on all outputs at once by packed doubling: every
-    m-bit field shifts left by one, and each field whose top bit fell out
-    is XORed with poly ^ 2^m, which is a^m.  So a bit costs a few big-int
-    operations whatever the number of outputs; a wider stride leaves the
-    bits above each field zero.
+    x_i is the field element a^b, so its image is the packed row times a^b,
+    which _bit_images computes for all outputs at once by packed doubling.
     """
 
     def __init__(self, field: Field, matrix):
@@ -164,16 +198,8 @@ class LinearMap:
         self.outputs, self.stride = outputs, stride
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
-        # bit 0 of every output field, its bit m - 1, and the bits below that
-        ones = ((1 << stride * outputs) - 1) // ((1 << stride) - 1)
-        top, keep = ones << (m - 1), ones * (self.mask >> 1)
-        low_poly = field.poly ^ field.order
         self.low, self.high = [], []
-        for image in images:
-            basis = [image]
-            for _ in range(m - 1):
-                image = ((image & keep) << 1) ^ (((image & top) >> (m - 1)) * low_poly)
-                basis.append(image)
+        for basis in _bit_images(field, images, outputs, stride, m):
             tables = []
             for bits in (basis[: self.half], basis[self.half :]):
                 table = [0]
@@ -213,3 +239,56 @@ class LinearMap:
     def apply(self, xs) -> list[int]:
         """xs @ matrix; a shorter xs leaves the trailing inputs at zero."""
         return self.unpack(self.packed(xs, range(len(xs))))
+
+
+class RegionDot:
+    """x -> sum_r coefs[r] * x_r for every group x of len(coefs) consecutive
+    symbols of a byte region, each symbol in w = bits.symbol_width(m)
+    little-endian bytes: a share body's stripes are such groups, so this is
+    one dot product per stripe, all stripes at once.
+
+    Byte b of every group's symbol r is the strided slice
+    region[r * w + b :: len(coefs) * w], and its share of each byte of the
+    product coefs[r] * x_r is a function of that byte alone: one
+    bytes.translate through a 256-byte table maps the slice for every group.
+    A product byte is the XOR of its translates, accumulated as ints, so a
+    region costs len(coefs) * w * w translates (none for a zero
+    coefficient) whatever its number of groups.  The tables come from the
+    images of a symbol's 8 * w bits, every coefficient packed at stride
+    8 * w (_bit_images), so a byte beyond GF(2^m) maps to the product of
+    its bits' field elements: the products mean something only for symbols
+    below 2^m, which share bodies are checked to hold.
+    """
+
+    def __init__(self, field: Field, coefs):
+        self.width = w = symbol_width(field.m)
+        self.step = size = len(coefs) * w  # bytes per group
+        stride = 8 * w
+        packed = sum(c << stride * r for r, c in enumerate(coefs))
+        (basis,) = _bit_images(field, [packed], len(coefs), stride, stride)
+        self.terms = []  # (input byte's offset in a group, its table, output byte)
+        for b in range(w):
+            table = [0]
+            for bit in basis[8 * b : 8 * b + 8]:
+                table += [x ^ bit for x in table]
+            # every entry's products, coefficient-major: byte o of entry x's
+            # product with coefs[r] is at x * size + r * w + o
+            products = b"".join([x.to_bytes(size, "little") for x in table])
+            for r, c in enumerate(coefs):
+                if c:
+                    self.terms += [(r * w + b, products[r * w + o :: size], o) for o in range(w)]
+
+    def apply(self, region: bytes) -> tuple[int, ...]:
+        """The product of every group of the region, whose length must be a
+        multiple of self.step."""
+        w, step = self.width, self.step
+        planes = [0] * w
+        for offset, table, o in self.terms:
+            planes[o] ^= int.from_bytes(region[offset::step].translate(table), "little")
+        count = len(region) // step
+        if w == 1:
+            return tuple(planes[0].to_bytes(count, "little"))
+        out = bytearray(w * count)
+        for o, plane in enumerate(planes):
+            out[o::w] = plane.to_bytes(count, "little")
+        return struct.unpack(f"<{count}H", out)

@@ -49,6 +49,17 @@ its (failed node, helper order), so a command that handles many stripes
 pays for each map once.  A repair map costs O(d^2) field operations to
 build, plus its table fill: one synthetic division of the helpers' master
 polynomial per helper, not a d x d inversion.
+
+Repair works on whole share bodies, the on-disk payload of a node: stripe
+after stripe of alpha symbols, each in symbol_width(m) little-endian
+bytes.  helper_symbol takes one helper's body to its symbol for every
+stripe through a linalg.RegionDot of Gbar's failed column (cached per
+failed node), a few bytes.translate calls whatever the stripe count.  It
+stays a step of its own, one call per helper, because the helper symbols
+are what a Byzantine-tolerant repair would check against the [n, d] code.
+regenerate then applies the repair map once per stripe, its outputs packed
+at a body's byte offsets, so one int.to_bytes of each image is that
+stripe's part of the failed node's body.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from functools import cached_property
 
 from .bits import symbol_width
 from .field import Field
-from .linalg import LinearMap, gf_dot, rank, row_reduce
+from .linalg import LinearMap, RegionDot, rank, row_reduce
 from .rs import RsCode
 
 __all__ = [
@@ -166,8 +177,8 @@ class GeneratorSet:
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
     Treat as immutable after construction; g_map, encode_map, gbar_map,
-    _places, _u_rows, repair_maps and _tinv_map are memos of maps derived
-    from it, built on first use.
+    _places, _u_rows, helper_dots, repair_maps and _tinv_map are memos of
+    maps derived from it, built on first use.
     """
 
     params: MsrParams
@@ -245,6 +256,12 @@ class GeneratorSet:
         return [operator.itemgetter(*row) for row in index]
 
     @cached_property
+    def helper_dots(self) -> dict[int, RegionDot]:
+        """failed node -> the product of a share body's every stripe with
+        Gbar's failed column (helper_symbol)."""
+        return {}
+
+    @cached_property
     def repair_maps(self) -> dict[tuple[int, tuple[int, ...]], LinearMap]:
         """(failed node, helper indices in order) -> its regenerate map."""
         return {}
@@ -253,15 +270,20 @@ class GeneratorSet:
     def _tinv_map(self) -> LinearMap:
         """Q -> Q @ T^-1 for the systematic flavor: the coefficients of a
         polynomial Q of degree < alpha to its values s_t Q(x_t) at the last
-        alpha nodes t, whose columns of Gbar are the identity.  Lazy, since
-        only repairs use it."""
+        alpha nodes t, whose columns of Gbar are the identity, packed at the
+        repair maps' stride, 8 * symbol_width(m).  Lazy, since only repairs
+        use it."""
         field, n, alpha = self.field, self.params.n, self.params.alpha
         q1 = field.order - 1
+        stride = 8 * symbol_width(field.m)
         last = range(n - alpha, n)
         # s_t = 1 / (x_t * prod_{j != t} (x_t - x_j)), as logs
         log_scale = [-(t + _log_product(field, t, (j for j in range(n) if j != t))) for t in last]
-        rows = [[field.exp[(ls + i * t) % q1] for t, ls in zip(last, log_scale)] for i in range(alpha)]
-        return LinearMap(field, rows)
+        images = [
+            sum(field.exp[(ls + i * t) % q1] << stride * r for r, (t, ls) in enumerate(zip(last, log_scale)))
+            for i in range(alpha)
+        ]
+        return LinearMap.from_images(field, images, alpha, stride)
 
 
 def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | None = None) -> GeneratorSet:
@@ -356,16 +378,31 @@ def encode_all(gen: GeneratorSet, message) -> list[NodeShare]:
     return [NodeShare(node_index=j, symbols=col) for j, col in enumerate(zip(*c_rows))]
 
 
-def helper_symbol(gen: GeneratorSet, helper_share: NodeShare, failed: int) -> int:
-    """The single symbol a surviving node sends toward repairing ``failed``:
-    the inner product of its stored column with gbar's failed column."""
-    if not 0 <= failed < gen.params.n:
-        raise BadIndex(f"node index {failed} outside [0, {gen.params.n})")
-    return gf_dot(gen.field, helper_share.symbols, gen.gbar_cols[failed])
+def helper_symbol(gen: GeneratorSet, body: bytes, failed: int) -> tuple[int, ...]:
+    """The symbols a surviving node sends toward repairing ``failed``, one
+    per stripe of its share body: the inner product of each stored column
+    with gbar's failed column.
+
+    body is the node's columns in the share files' payload layout,
+    stripe-major, alpha symbols per stripe, each in symbol_width(m)
+    little-endian bytes and below 2^m.  Every stripe goes through one
+    linalg.RegionDot of that column, built once per failed node and cached
+    on gen."""
+    params = gen.params
+    if not 0 <= failed < params.n:
+        raise BadIndex(f"node index {failed} outside [0, {params.n})")
+    dot = gen.helper_dots.get(failed)
+    if dot is None:
+        dot = gen.helper_dots[failed] = RegionDot(gen.field, gen.gbar_cols[failed])
+    if len(body) % dot.step:
+        raise WrongLength(f"share body of {len(body)} bytes is not whole stripes of {dot.step} bytes")
+    return dot.apply(body)
 
 
-def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
-    """Exactly rebuild the failed node's column from d helper symbols.
+def regenerate(gen: GeneratorSet, failed: int, helpers) -> bytes:
+    """Exactly rebuild the failed node's share body from d helpers'
+    symbols, (h, helper_symbol of h's body) each, in the layout
+    helper_symbol reads.
 
     Each helper h contributes psi_h . w where psi_h = [gbar_h; lambda_h * gbar_h]
     is column h of the stacked generator and w = [Z1 gbar_f; Z2 gbar_f]; the
@@ -374,7 +411,8 @@ def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
     helper points and the column is the interpolant folded mod
     (x^alpha - lambda_f) (see the module docstring).  That map depends only
     on the failed node and the helper order, so it is built once per pair
-    and cached on gen.
+    and cached on gen.  Its outputs sit at the body's byte offsets, so each
+    stripe is one application and one int.to_bytes.
     """
     params = gen.params
     if not 0 <= failed < params.n:
@@ -388,11 +426,17 @@ def regenerate(gen: GeneratorSet, failed: int, helpers) -> NodeShare:
     if any(not 0 <= h < params.n for h in indices):
         raise BadIndex("helper index out of range")
 
+    columns = [symbols for _, symbols in helpers]
+    if len(set(map(len, columns))) != 1:
+        raise WrongLength("helpers must send one symbol for every stripe")
+
     key = (failed, tuple(indices))
     repair_map = gen.repair_maps.get(key)
     if repair_map is None:
         repair_map = gen.repair_maps[key] = _repair_map(gen, failed, indices)
-    return NodeShare(node_index=failed, symbols=tuple(repair_map.apply([sym for _, sym in helpers])))
+    packed, inputs = repair_map.packed, range(params.d)
+    size = params.alpha * symbol_width(params.m)
+    return b"".join([packed(stripe, inputs).to_bytes(size, "little") for stripe in zip(*columns)])
 
 
 def _log_product(field: Field, h: int, others) -> int:
@@ -416,12 +460,14 @@ def _repair_map(gen: GeneratorSet, failed: int, indices) -> LinearMap:
     (x^alpha - lambda_f) and weighted.  The vandermonde weight is
     1 / M'(x_h).  The systematic one also divides by s_h, and
     s_h M'(x_h) = 1 / (x_h prod_{j not in S} (x_h - x_j)), a product over
-    the n - d non-helper nodes; its rows then pass through T^-1.
+    the n - d non-helper nodes; its rows then pass through T^-1.  Outputs
+    are packed at stride 8 * symbol_width(m), a share body's byte offsets.
     """
     field, params = gen.field, gen.params
     exp, log = field.exp, field.log
     q1 = field.order - 1
-    alpha, m = params.alpha, field.m
+    alpha = params.alpha
+    stride = 8 * symbol_width(field.m)
     log_lam = log[gen.delta[failed]]
     master = [1]
     for h in indices:  # times (x - x_h)
@@ -448,8 +494,8 @@ def _repair_map(gen: GeneratorSet, failed: int, indices) -> LinearMap:
         if systematic:
             images.append(gen._tinv_map.packed(row, range(alpha)))
         else:
-            images.append(sum(v << m * r for r, v in enumerate(row)))
-    return LinearMap.from_images(field, images, alpha)
+            images.append(sum(v << stride * r for r, v in enumerate(row)))
+    return LinearMap.from_images(field, images, alpha, stride)
 
 
 def update_complexity(gen: GeneratorSet) -> int:

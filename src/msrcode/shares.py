@@ -18,16 +18,21 @@ parameters, generator flavor, the primitive polynomial, the original file
 length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
-A body is parsed with one struct.unpack of all its symbols ("B" or "H"
-per symbol, little-endian), range-checked once through its largest symbol,
-and cut into per-stripe tuples; write_share packs it with one struct.pack.
-A long file's bodies skip the symbol tuples: share_bodies encodes each
-stripe straight to its bytes through GeneratorSet.encode_map, whose outputs
-sit at this layout's byte offsets, and write_body writes them.
+A body is range-checked through its largest high byte: the largest of
+every symbol's last byte must hold the symbol's top m - 8 * (w - 1) bits
+alone, w = ceil(m / 8), which at m = 8 and 16 every byte does.  It is
+parsed with one struct.unpack of all its symbols ("B" or "H" per symbol,
+little-endian) and cut into per-stripe tuples; write_share packs it with
+one struct.pack.  A long file's bodies skip the symbol tuples:
+share_bodies encodes each stripe straight to its bytes through
+GeneratorSet.encode_map, whose outputs sit at this layout's byte offsets,
+and write_body writes them.
 
 ShareDir is how the command-line tool reads and patches a share directory,
 so the layout above is known to this module alone.  Reconstruct and repair
-use every stripe, so they read each share file whole (ShareDir.column).
+use every stripe, so they read each share file whole (ShareDir.body, which
+repair hands to msr.helper_symbol as it is, and ShareDir.column, which
+reconstruct reads, parsed from it).
 Update uses one stripe, so it reads that stripe alone
 (ShareDir.stripe_column): the header, checked against the manifest by the
 same check read_share makes, the file's length from fstat, and the
@@ -56,6 +61,7 @@ __all__ = [
     "Manifest",
     "ShareDir",
     "read_share",
+    "read_body",
     "write_share",
     "write_body",
     "share_bodies",
@@ -173,18 +179,31 @@ def read_share(path, params: MsrParams | None = None) -> ShareFile:
     The header's (n, k, m) is validated by make_params, or, when params
     are given (already validated, say from a manifest), must equal theirs.
     """
+    params, node_index, stripe_count, body = read_body(path, params)
+    stripes = _stripes(body, params, stripe_count)
+    return ShareFile(n=params.n, k=params.k, m=params.m, node_index=node_index, stripes=stripes)
+
+
+def read_body(path, params: MsrParams | None = None) -> tuple[MsrParams, int, int, bytes]:
+    """(params, node index, stripe count, payload bytes) of one share file,
+    unparsed but checked as read_share checks it: the header, the payload's
+    length and every symbol below 2^m."""
     with open(path, "rb") as fp:
         blob = fp.read()
     params, node_index, stripe_count = _check_header(path, blob, params)
-    count = stripe_count * params.alpha
-    expected = count * symbol_width(params.m)
     body = blob[HEADER_SIZE:]
+    expected = stripe_count * params.alpha * symbol_width(params.m)
     if len(body) != expected:
         raise ShareFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    values = _unpack_symbols(path, body, params.m, count)
-    alpha = params.alpha
-    stripes = [values[pos : pos + alpha] for pos in range(0, count, alpha)]
-    return ShareFile(n=params.n, k=params.k, m=params.m, node_index=node_index, stripes=stripes)
+    _check_symbols(path, body, params.m)
+    return params, node_index, stripe_count, body
+
+
+def _stripes(body: bytes, params: MsrParams, stripe_count: int) -> list[tuple[int, ...]]:
+    """The per-stripe symbol tuples of a checked body."""
+    count, alpha = stripe_count * params.alpha, params.alpha
+    values = struct.unpack(_body_format(params.m, count), body)
+    return [values[pos : pos + alpha] for pos in range(0, count, alpha)]
 
 
 def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParams, int, int]:
@@ -207,14 +226,15 @@ def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParam
     return params, node_index, stripe_count
 
 
-def _unpack_symbols(path, body: bytes, m: int, count: int) -> tuple[int, ...]:
-    """count symbols of GF(2^m) in the payload layout, range-checked once
-    through the largest."""
-    values = struct.unpack(_body_format(m, count), body)
-    top = max(values, default=0)
-    if top >= 1 << m:
+def _check_symbols(path, body: bytes, m: int) -> None:
+    """Raise ShareFormatError unless every symbol of body, in the payload
+    layout, lies in GF(2^m): its last byte, the largest of which is found
+    without parsing, must hold the symbol's top m - 8 * (w - 1) bits
+    alone."""
+    width = symbol_width(m)
+    if max(body[width - 1 :: width], default=0) >> m - 8 * (width - 1):
+        top = max(struct.unpack(_body_format(m, len(body) // width), body))
         raise ShareFormatError(f"{path}: symbol {top} outside GF(2^{m})")
-    return values
 
 
 @dataclass
@@ -306,12 +326,14 @@ def _check_layout(path, raw: dict) -> None:
 class ShareDir:
     """A share directory read lazily, node by node.
 
-    A node's file is parsed on the first request for one of its columns and
-    cached; stripe_column reads one stripe of it instead.  A file that is
-    missing, unreadable, malformed or whose header disagrees with the
-    manifest makes the node an erasure (None), so one bad file costs one
-    node, not the run.  The manifest's parameters and file names are looked
-    up once, not per file.
+    A node's file is read and checked on the first request for its body or
+    one of its columns, and its body cached; its columns are parsed from
+    the body on the first request for one, and cached too.  stripe_column
+    reads one stripe of the file instead.  A file that is missing,
+    unreadable, malformed or whose header disagrees with the manifest makes
+    the node an erasure (None), so one bad file costs one node, not the
+    run.  The manifest's parameters and file names are looked up once, not
+    per file.
     """
 
     def __init__(self, share_dir, manifest_path=None):
@@ -319,7 +341,8 @@ class ShareDir:
         self.manifest = Manifest.load(Path(manifest_path) if manifest_path else self.root / "manifest.json")
         self.params = self.manifest.params()
         self._names = {entry["node"] - 1: entry["file"] for entry in self.manifest.shares}
-        self._shares: dict[int, ShareFile | None] = {}
+        self._bodies: dict[int, bytes | None] = {}
+        self._stripes: dict[int, list[tuple[int, ...]]] = {}
         self._columns: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.files_read = 0  # share files read from disk so far, well-formed or not
 
@@ -331,25 +354,37 @@ class ShareDir:
         joining a Path costs more than reading a stripe."""
         return os.path.join(self.root, self._names[node])
 
+    def body(self, node: int) -> bytes | None:
+        """The node's payload bytes, every stripe's alpha symbols in the
+        layout above, or None for an erasure: the whole file, its header
+        checked as by read_share and against the manifest's node and stripe
+        count, its length, and every symbol below 2^m."""
+        if node not in self._bodies:
+            self._bodies[node] = self._load(node)
+        return self._bodies[node]
+
     def column(self, node: int, stripe: int) -> tuple[int, ...] | None:
         """The node's alpha symbols of one stripe, or None for an erasure,
-        off the node's whole file."""
-        if node not in self._shares:
-            self._shares[node] = self._load(node)
-        share = self._shares[node]
-        return None if share is None else share.stripes[stripe]
+        off the node's whole file (body)."""
+        stripes = self._stripes.get(node)
+        if stripes is None:
+            body = self.body(node)
+            if body is None:
+                return None
+            stripes = self._stripes[node] = _stripes(body, self.params, self.manifest.stripe_count)
+        return stripes[stripe]
 
-    def _load(self, node: int) -> ShareFile | None:
+    def _load(self, node: int) -> bytes | None:
         try:
-            share = read_share(self.file(node), self.params)
+            _, node_index, count, body = read_body(self.file(node), self.params)
         except OSError:  # missing, a directory, unreadable: nothing was read
             return None
         except ShareFormatError:
-            share = None
+            body = None
         self.files_read += 1
-        if share is None or (share.node_index, share.stripe_count) != (node, self.manifest.stripe_count):
+        if body is None or (node_index, count) != (node, self.manifest.stripe_count):
             return None
-        return share
+        return body
 
     def stripe_column(self, node: int, stripe: int) -> tuple[int, ...] | None:
         """The node's alpha symbols of one stripe, or None for an erasure,
@@ -376,7 +411,9 @@ class ShareDir:
                 return None
             if os.fstat(fd).st_size != HEADER_SIZE + count * size:
                 return None
-            return _unpack_symbols(path, os.pread(fd, size, HEADER_SIZE + stripe * size), params.m, params.alpha)
+            symbols = os.pread(fd, size, HEADER_SIZE + stripe * size)
+            _check_symbols(path, symbols, params.m)
+            return struct.unpack(_body_format(params.m, params.alpha), symbols)
         except (OSError, ShareFormatError):  # a directory, a read error, a malformed header or symbol
             return None
         finally:
@@ -401,5 +438,6 @@ class ShareDir:
             for fd in fds:
                 os.close(fd)
         for node in changes:
-            self._shares.pop(node, None)
+            self._bodies.pop(node, None)
+            self._stripes.pop(node, None)
             self._columns.pop((node, stripe), None)

@@ -15,6 +15,7 @@ import itertools
 import random
 import time
 
+from msrcode.bits import symbol_width
 from msrcode.cli import main
 from msrcode.field import Field
 from msrcode.linalg import gf_dot, rank
@@ -137,6 +138,11 @@ def test_criterion_3_exhaustive_small_instance():
     )
 
 
+def _body(gen, share):
+    width = symbol_width(gen.field.m)
+    return b"".join(x.to_bytes(width, "little") for x in share.symbols)
+
+
 def test_criterion_4_regeneration_exactness():
     transfers = {}
     for params, gen in DESK:
@@ -146,9 +152,10 @@ def test_criterion_4_regeneration_exactness():
         for failed in range(params.n):
             pool = [h for h in range(params.n) if h != failed]
             helpers_idx = pool[: params.d] if params.n - 1 == params.d else rng.sample(pool, params.d)
-            helpers = [(h, helper_symbol(gen, shares[h], failed)) for h in helpers_idx]
+            # one stripe, each column in the share files' payload layout
+            helpers = [(h, helper_symbol(gen, _body(gen, shares[h]), failed)) for h in helpers_idx]
             assert len(helpers) == params.d  # transfer: d symbols per stripe
-            assert regenerate(gen, failed, helpers) == shares[failed]
+            assert regenerate(gen, failed, helpers) == _body(gen, shares[failed])
         transfers[(params.n, params.k)] = (params.d, params.B)
     print(
         f"[acceptance] criterion 4 (regeneration): PASS every node of [7,4,6] and "

@@ -310,8 +310,8 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
     data = bytes(random.Random(10).randrange(256) for _ in range(1000))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     parsed = []
-    read_share = msrcode.shares.read_share
-    monkeypatch.setattr(msrcode.shares, "read_share", lambda path, *rest: parsed.append(path) or read_share(path, *rest))
+    read_body = msrcode.shares.read_body
+    monkeypatch.setattr(msrcode.shares, "read_body", lambda path, *rest: parsed.append(path) or read_body(path, *rest))
     capsys.readouterr()
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
@@ -800,6 +800,29 @@ def test_bad_share_is_an_erasure(tmp_path, damage):
 
     # repair of node 3 needs all 18 remaining nodes, so it must skip node 5
     target = ShareDir(out).file(2)
+    before = sha(target)
+    target.unlink()
+    assert main(["repair", str(out), "--failed", "3"]) == 0
+    assert sha(target) == before
+
+
+@pytest.mark.parametrize("m, top", [(5, 0x20), (11, 0x08)])
+def test_out_of_field_symbol_in_last_stripe_is_an_erasure(tmp_path, m, top):
+    """The last byte of a share is its last stripe's last symbol at m = 5,
+    and that symbol's high byte at m = 11: setting a bit above 2^m there
+    makes the share an erasure, so repair reads around it and still
+    rebuilds the lost share byte for byte."""
+    data = bytes(random.Random(16).randrange(256) for _ in range(1000))
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=m)
+    shares = ShareDir(out)
+    damaged = shares.file(4)
+    blob = bytearray(damaged.read_bytes())
+    blob[-1] |= top
+    damaged.write_bytes(bytes(blob))
+    assert ShareDir(out).body(4) is None
+
+    # repair of node 3 needs all 18 remaining nodes, so it must skip node 5
+    target = shares.file(2)
     before = sha(target)
     target.unlink()
     assert main(["repair", str(out), "--failed", "3"]) == 0

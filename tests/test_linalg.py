@@ -1,4 +1,5 @@
-"""The LinearMap table kernel against the scalar reference gf_dot."""
+"""The LinearMap and RegionDot table kernels against the scalar reference
+gf_dot."""
 
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 from msrcode.bits import symbol_width, symbols_to_int
 from msrcode.field import DEFAULT_PRIMITIVE_POLYS, Field, NotPrimitive
-from msrcode.linalg import LinearMap, gf_dot, mat_vec
+from msrcode.linalg import LinearMap, RegionDot, gf_dot, mat_vec
 
 # (inputs, outputs): a single entry, wide, tall and the shapes the codes use
 SHAPES = [(1, 1), (3, 7), (9, 2), (6, 6)]
@@ -143,3 +144,35 @@ def test_from_images_matches_matrix_constructor(m):
         # the same inputs packed MSB-first into one int, input 0 on top
         assert lmap.packed_bitstream(symbols_to_int(xs, m)) == lmap.packed(xs, range(inputs))
         assert len(lmap.low[0]) + len(lmap.high[0]) == LinearMap.table_entries(m)
+
+
+def _region(field, groups):
+    """Groups of symbols laid out as a share body lays out its stripes."""
+    width = symbol_width(field.m)
+    return b"".join(x.to_bytes(width, "little") for group in groups for x in group)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_region_dot_matches_gf_dot(m):
+    """One RegionDot application against one gf_dot per group: groups of
+    1, 3 and 9 symbols, 1 group and 300, the first group all 2^m - 1;
+    coefficients all zero, all 2^m - 1, random, and random with zeros; the
+    default polynomial and another of the same degree (the tables come from
+    packed doubling, which reads the polynomial)."""
+    rng = random.Random(f"region:{m}")
+    top = (1 << m) - 1
+    for poly in filter(None, [DEFAULT_PRIMITIVE_POLYS[m], other_primitive_poly(m)]):
+        field = Field(m, poly)
+        for size in (1, 3, 9):
+            coefs = [
+                [0] * size,
+                [top] * size,
+                [rng.randrange(1, field.order) for _ in range(size)],
+                [rng.choice((0, 0, 1, top, rng.randrange(field.order))) for _ in range(size)],
+            ]
+            for coef in coefs:
+                dot = RegionDot(field, coef)
+                for count in (1, 300):
+                    groups = [[top] * size] + [[_symbol(rng, field) for _ in range(size)] for _ in range(count - 1)]
+                    expected = tuple(gf_dot(field, group, coef) for group in groups)
+                    assert dot.apply(_region(field, groups)) == expected

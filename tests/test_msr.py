@@ -6,7 +6,7 @@ import pytest
 
 from msrcode.bits import symbol_width, symbols_to_int
 from msrcode.field import Field
-from msrcode.linalg import rank
+from msrcode.linalg import gf_dot, rank
 from msrcode.msr import (
     InvalidParams,
     WrongHelperCount,
@@ -300,6 +300,19 @@ def test_encode_matches_manual_product(gen746):
             assert shares[j].symbols[r] == acc
 
 
+def _body(gen, *columns):
+    """Columns (NodeShares or symbol sequences) in the share files' payload
+    layout, one stripe each: what helper_symbol reads and regenerate
+    returns."""
+    width = symbol_width(gen.field.m)
+    return b"".join(x.to_bytes(width, "little") for col in columns for x in getattr(col, "symbols", col))
+
+
+def _one_stripe(helpers):
+    """(h, symbol) helper pairs as regenerate takes them for one stripe."""
+    return [(h, (sym,)) for h, sym in helpers]
+
+
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 def test_regeneration_exact_7_4_6(flavor):
     p = make_params(7, 4, 3)
@@ -310,12 +323,12 @@ def test_regeneration_exact_7_4_6(flavor):
         shares = encode_all(g, message)
         for failed in range(p.n):
             helpers = [
-                (h, helper_symbol(g, shares[h], failed))
+                (h, helper_symbol(g, _body(g, shares[h]), failed))
                 for h in range(p.n)
                 if h != failed
             ]
             rebuilt = regenerate(g, failed, helpers)
-            assert rebuilt == shares[failed]
+            assert rebuilt == _body(g, shares[failed])
 
 
 def test_regeneration_exact_20_10_random_helper_sets():
@@ -327,8 +340,8 @@ def test_regeneration_exact_20_10_random_helper_sets():
     for failed in range(p.n):
         pool = [h for h in range(p.n) if h != failed]
         helpers_idx = rng.sample(pool, p.d)
-        helpers = [(h, helper_symbol(g, shares[h], failed)) for h in helpers_idx]
-        assert regenerate(g, failed, helpers) == shares[failed]
+        helpers = [(h, helper_symbol(g, _body(g, shares[h]), failed)) for h in helpers_idx]
+        assert regenerate(g, failed, helpers) == _body(g, shares[failed])
 
 
 def _scalar_encode(field, u, g_full):
@@ -441,10 +454,10 @@ def test_regenerate_matches_scalar_solve_across_helper_sets_and_orders(flavor):
         calls.append((failed, rng.sample(pool, p.d)))
     rng.shuffle(calls)
     for failed, order in calls * 2:
-        consistent = [(h, helper_symbol(g, shares[h], failed)) for h in order]
-        assert regenerate(g, failed, consistent) == shares[failed]
+        consistent = [(h, helper_symbol(g, _body(g, shares[h]), failed)) for h in order]
+        assert regenerate(g, failed, consistent) == _body(g, shares[failed])
         arbitrary = [(h, rng.randrange(32)) for h in order]
-        assert regenerate(g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
+        assert regenerate(g, failed, _one_stripe(arbitrary)) == _body(g, _scalar_regenerate(g, failed, arbitrary))
 
 
 # full length: [3,2]/GF(2^2), [7,4]/GF(2^3), [31,6]/GF(2^5), [255,12]/GF(2^8)
@@ -466,26 +479,71 @@ def test_regenerate_interpolation_matches_scalar_solve(n, k, m, flavor):
         pool = [h for h in range(n) if h != failed]
         helper_set = rng.sample(pool, p.d)
         for order in (helper_set, helper_set[::-1], rng.sample(helper_set, p.d), rng.sample(pool, p.d)):
-            consistent = [(h, helper_symbol(g, shares[h], failed)) for h in order]
-            assert regenerate(g, failed, consistent) == shares[failed]
+            consistent = [(h, helper_symbol(g, _body(g, shares[h]), failed)) for h in order]
+            assert regenerate(g, failed, consistent) == _body(g, shares[failed])
             for symbols in ([top] * p.d, [rng.randrange(1 << m) for _ in order]):
                 arbitrary = list(zip(order, symbols))
-                assert regenerate(g, failed, arbitrary).symbols == _scalar_regenerate(g, failed, arbitrary)
+                expected = _body(g, _scalar_regenerate(g, failed, arbitrary))
+                assert regenerate(g, failed, _one_stripe(arbitrary)) == expected
+
+
+# shortened codes at m = 5, 8, 11 and 16, one and two bytes per symbol
+WHOLE_FILE_CODES = [(20, 10, 5), (24, 12, 8), (20, 10, 11), (18, 9, 16)]
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", WHOLE_FILE_CODES)
+def test_whole_file_regenerate_matches_scalar_solve_per_stripe(n, k, m, flavor):
+    """helper_symbol of a whole multi-stripe body against one gf_dot per
+    stripe, and regenerate of every stripe at once against
+    _scalar_regenerate stripe by stripe, for the first, third and last
+    node: consistent helper symbols rebuild the failed body, and arbitrary
+    ones give the scalar solve of each stripe."""
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"whole-file:{n}:{k}:{m}:{flavor}")
+    top = (1 << m) - 1
+    stripes = 7
+    messages = [[top] * p.B] + [[rng.randrange(1 << m) for _ in range(p.B)] for _ in range(stripes - 1)]
+    encoded = [encode_all(g, message) for message in messages]
+    bodies = [_body(g, *(shares[j] for shares in encoded)) for j in range(n)]
+    for failed in (0, 2, n - 1):
+        order = rng.sample([h for h in range(n) if h != failed], p.d)
+        consistent = [(h, helper_symbol(g, bodies[h], failed)) for h in order]
+        for h, symbols in consistent:
+            assert symbols == tuple(gf_dot(g.field, shares[h].symbols, g.gbar_cols[failed]) for shares in encoded)
+        assert regenerate(g, failed, consistent) == bodies[failed]
+        arbitrary = [(h, tuple(rng.choice((0, top, rng.randrange(1 << m))) for _ in range(stripes))) for h in order]
+        per_stripe = [_scalar_regenerate(g, failed, [(h, symbols[s]) for h, symbols in arbitrary]) for s in range(stripes)]
+        assert regenerate(g, failed, arbitrary) == _body(g, *per_stripe)
+
+
+def test_helpers_must_cover_whole_stripes_alike(gen746):
+    p = gen746.params
+    body = _body(gen746, *encode_all(gen746, [1] * p.B)[1:3])  # two stripes' worth of columns
+    assert len(helper_symbol(gen746, body, 0)) == 2
+    with pytest.raises(WrongLength):
+        helper_symbol(gen746, body[:-1], 0)
+    helpers = [(h, (1, 2)) for h in range(1, 7)]
+    helpers[3] = (4, (1,))
+    with pytest.raises(WrongLength):
+        regenerate(gen746, 0, helpers)
 
 
 def test_generator_maps_are_built_on_first_use(gen746):
     g = generator_set(gen746.params)
-    assert "g_map" not in vars(g) and not g.repair_maps and "_tinv_map" not in vars(g)
+    assert "g_map" not in vars(g) and not g.repair_maps and not g.helper_dots and "_tinv_map" not in vars(g)
     p = g.params
     shares = encode_all(g, [i % 8 for i in range(p.B)])
     g_map = vars(g)["g_map"]
     encode_all(g, [1] * p.B)
     assert vars(g)["g_map"] is g_map
-    helpers = [(h, helper_symbol(g, shares[h], 0)) for h in range(1, 7)]
+    helpers = [(h, helper_symbol(g, _body(g, shares[h]), 0)) for h in range(1, 7)]
     regenerate(g, 0, helpers)
     regenerate(g, 0, helpers)
     regenerate(g, 0, helpers[::-1])
     assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
+    assert sorted(g.helper_dots) == [0]  # one per failed node, whatever the helper
     assert "_tinv_map" in vars(g)  # one T^-1 map serves every systematic repair map
     assert "encode_map" not in vars(g)  # only a long file's encode composes it
 
@@ -493,14 +551,14 @@ def test_generator_maps_are_built_on_first_use(gen746):
 def test_regeneration_zero_message(gen746):
     p = gen746.params
     shares = encode_all(gen746, [0] * p.B)
-    helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 7)]
-    assert regenerate(gen746, 0, helpers).symbols == (0, 0, 0)
+    helpers = [(h, helper_symbol(gen746, _body(gen746, shares[h]), 0)) for h in range(1, 7)]
+    assert regenerate(gen746, 0, helpers) == _body(gen746, (0, 0, 0))
 
 
 def test_regeneration_wrong_helper_count(gen746):
     p = gen746.params
     shares = encode_all(gen746, [0] * p.B)
-    helpers = [(h, helper_symbol(gen746, shares[h], 0)) for h in range(1, 6)]
+    helpers = [(h, helper_symbol(gen746, _body(gen746, shares[h]), 0)) for h in range(1, 6)]
     with pytest.raises(WrongHelperCount):
         regenerate(gen746, 0, helpers)
 

@@ -44,17 +44,20 @@ def share_dir(tmp_path):
 
 def test_column_parses_each_node_once_and_only_on_demand(share_dir, monkeypatch):
     parsed = []
+    read_body = shares_mod.read_body
 
-    def counting_read_share(path, *rest):
+    def counting_read_body(path, *rest):
         parsed.append(path.name)
-        return read_share(path, *rest)
+        return read_body(path, *rest)
 
-    monkeypatch.setattr(shares_mod, "read_share", counting_read_share)
+    expected = read_share(share_dir / "share_004.msrc").stripes
+    monkeypatch.setattr(shares_mod, "read_body", counting_read_body)
     shares = ShareDir(share_dir)
     assert parsed == []
     for stripe in range(shares.manifest.stripe_count):
-        assert shares.column(3, stripe) == read_share(shares.file(3)).stripes[stripe]
+        assert shares.column(3, stripe) == expected[stripe]
     assert shares.column(7, 0) is not None
+    assert shares.body(3) == shares.file(3).read_bytes()[HEADER_SIZE:]
     assert parsed == ["share_004.msrc", "share_008.msrc"]
 
 
@@ -305,6 +308,7 @@ def test_spoiled_body_is_rejected_and_an_erasure(tmp_path, m):
         if fits:
             shares = ShareDir(tmp_path)
             assert shares.column(0, 0) is None, name
+            assert shares.body(0) is None, name
             assert shares.column(1, stripes - 1) is not None
     if fits:
         path.write_bytes(blob)
