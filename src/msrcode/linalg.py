@@ -254,9 +254,9 @@ class RegionDot:
     A product byte is the XOR of its translates, accumulated as ints, so a
     region costs len(coefs) * w * w translates (none for a zero
     coefficient) whatever its number of groups.  The tables come from the
-    images of a symbol's 8 * w bits, every coefficient packed at stride
-    8 * w (_bit_images), so a byte beyond GF(2^m) maps to the product of
-    its bits' field elements: the products mean something only for symbols
+    images of a symbol's m bits, every coefficient packed at stride 8 * w
+    (_bit_images); a byte with bits above the symbol's m gets the entry of
+    its bits below them, so the products mean something only for symbols
     below 2^m, which share bodies are checked to hold.
     """
 
@@ -265,15 +265,16 @@ class RegionDot:
         self.step = size = len(coefs) * w  # bytes per group
         stride = 8 * w
         packed = sum(c << stride * r for r, c in enumerate(coefs))
-        (basis,) = _bit_images(field, [packed], len(coefs), stride, stride)
+        (basis,) = _bit_images(field, [packed], len(coefs), stride, field.m)
         self.terms = []  # (input byte's offset in a group, its table, output byte)
         for b in range(w):
             table = [0]
             for bit in basis[8 * b : 8 * b + 8]:
                 table += [x ^ bit for x in table]
             # every entry's products, coefficient-major: byte o of entry x's
-            # product with coefs[r] is at x * size + r * w + o
-            products = b"".join([x.to_bytes(size, "little") for x in table])
+            # product with coefs[r] is at x * size + r * w + o, the entries
+            # repeated up to 256
+            products = b"".join([x.to_bytes(size, "little") for x in table]) * (256 // len(table))
             for r, c in enumerate(coefs):
                 if c:
                     self.terms += [(r * w + b, products[r * w + o :: size], o) for o in range(w)]

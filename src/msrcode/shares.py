@@ -228,9 +228,8 @@ def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParam
 
 def _check_symbols(path, body: bytes, m: int) -> None:
     """Raise ShareFormatError unless every symbol of body, in the payload
-    layout, lies in GF(2^m): its last byte, the largest of which is found
-    without parsing, must hold the symbol's top m - 8 * (w - 1) bits
-    alone."""
+    layout, lies in GF(2^m), judged by the largest of the symbols' last
+    bytes without parsing them."""
     width = symbol_width(m)
     if max(body[width - 1 :: width], default=0) >> m - 8 * (width - 1):
         top = max(struct.unpack(_body_format(m, len(body) // width), body))
