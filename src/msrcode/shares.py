@@ -18,9 +18,10 @@ parameters, generator flavor, the primitive polynomial, the original file
 length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
-A body is range-checked through its largest high byte: the largest of
-every symbol's last byte must hold the symbol's top m - 8 * (w - 1) bits
-alone, w = ceil(m / 8), which at m = 8 and 16 every byte does.  It is
+A body is range-checked through its symbols' last bytes, w = ceil(m / 8)
+bytes apart: each must hold the symbol's top m - 8 * (w - 1) bits alone,
+which at m = 8 and 16 every byte does, and one bytes.translate that
+deletes the bytes that do leaves the others.  It is
 parsed with one struct.unpack of all its symbols ("B" or "H" per symbol,
 little-endian) and cut into per-stripe tuples; write_share packs it with
 one struct.pack.  A long file's bodies skip the symbol tuples:
@@ -228,10 +229,11 @@ def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParam
 
 def _check_symbols(path, body: bytes, m: int) -> None:
     """Raise ShareFormatError unless every symbol of body, in the payload
-    layout, lies in GF(2^m), judged by the largest of the symbols' last
-    bytes without parsing them."""
+    layout, lies in GF(2^m), judged by the symbols' last bytes without
+    parsing them: what is left of those once every value below 2^(m - 8 *
+    (w - 1)) is deleted must be empty."""
     width = symbol_width(m)
-    if max(body[width - 1 :: width], default=0) >> m - 8 * (width - 1):
+    if body[width - 1 :: width].translate(None, bytes(range(1 << m - 8 * (width - 1)))):
         top = max(struct.unpack(_body_format(m, len(body) // width), body))
         raise ShareFormatError(f"{path}: symbol {top} outside GF(2^{m})")
 
