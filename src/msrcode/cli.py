@@ -227,7 +227,13 @@ def cmd_repair(args) -> int:
 
 
 def cmd_update(args) -> int:
-    shares = ShareDir(args.share_dir, args.manifest)
+    with ShareDir(args.share_dir, args.manifest) as shares:
+        return _update(args, shares)
+
+
+def _update(args, shares: ShareDir) -> int:
+    """cmd_update on the open share directory, which reads each share's
+    stripe and patches it through one descriptor."""
     manifest = shares.manifest
     params, gen = _build_context(shares)
     payload_len = manifest.payload_symbols_per_stripe

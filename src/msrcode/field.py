@@ -8,6 +8,8 @@ XOR.  Multiplication, inversion and exponentiation go through the tables.
 
 from __future__ import annotations
 
+import struct
+
 __all__ = ["Field", "NotPrimitive", "DEFAULT_PRIMITIVE_POLYS"]
 
 # One primitive polynomial per supported extension degree, as an integer
@@ -41,6 +43,36 @@ class NotPrimitive(ValueError):
     generate all of GF(2^m)*."""
 
 
+def _powers(m: int, poly: int) -> list[int]:
+    """x^0 .. x^(2^m - 1) modulo poly, built in bulk: the first L powers,
+    packed into one int at a stride of w whole bytes per power, times x^L
+    are the next L.  That product is the XOR of the block times x^b over
+    the set bits b of x^L, each block times x^(b + 1) being its predecessor
+    doubled field-wise at once (every m-bit field shifted left by one, and
+    poly's low bits XORed into each field whose top bit fell out), so the
+    2^m powers take about m^2 big-int operations, not 2^m interpreted steps,
+    and one unpacking."""
+    width = 1 if m <= 8 else 2  # bytes per packed power
+    low_poly = poly ^ (1 << m)
+    block, length, last = 1, 1, 1  # the first length powers, and the last of them
+    while length < 1 << m:
+        step = last << 1  # x^length
+        if step >> m:
+            step ^= poly
+        ones = int.from_bytes(b"\x01".ljust(width, b"\0") * length, "little")  # bit 0 of every field
+        top, keep = ones << (m - 1), ones * ((1 << (m - 1)) - 1)
+        product, shifted = 0, block
+        for b in range(m):
+            if step >> b & 1:
+                product ^= shifted
+            shifted = ((shifted & keep) << 1) ^ (((shifted & top) >> (m - 1)) * low_poly)
+        block |= product << 8 * width * length
+        last = product >> 8 * width * (length - 1)
+        length *= 2
+    packed = block.to_bytes(width * length, "little")
+    return list(packed) if width == 1 else list(struct.unpack(f"<{length}H", packed))
+
+
 class Field:
     """GF(2^m) for 2 <= m <= 16.
 
@@ -65,21 +97,18 @@ class Field:
             raise NotPrimitive(f"polynomial 0x{poly:x} does not have degree exactly {m}")
 
         order = 1 << m
-        exp = [0] * (2 * (order - 1))
-        log = [0] * order
-        x = 1
-        for i in range(order - 1):
-            exp[i] = x
+        q1 = order - 1
+        powers = _powers(m, poly)
+        log = [-1] * order
+        for i, x in zip(range(q1), powers):
             log[x] = i
-            x <<= 1
-            if x & order:
-                x ^= poly
-        # x is primitive (and poly irreducible) iff the 2^m - 1 powers of x
-        # are pairwise distinct; any shorter cycle or collision fails here.
-        if x != 1 or len(set(exp[: order - 1])) != order - 1:
+        # x is primitive (and poly irreducible) iff its powers return to 1
+        # after exactly 2^m - 1 steps, all distinct; any shorter cycle or
+        # collision leaves a nonzero element without a log
+        if powers[q1] != 1 or -1 in log[1:]:
             raise NotPrimitive(f"0x{poly:x} is not primitive over GF(2) for m={m}")
-        for i in range(order - 1, 2 * (order - 1)):
-            exp[i] = exp[i - (order - 1)]
+        log[0] = 0
+        exp = powers[:q1] * 2
 
         self.m = m
         self.order = order

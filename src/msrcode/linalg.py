@@ -13,10 +13,12 @@ that input's outputs into one int, so applying the map costs two lookups
 and an XOR per input instead of a field multiply per matrix entry.  A map
 with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
-big-int operations each, whatever o is) and about 2^(m/2+1) table XORs,
-still far more than one application, so callers build each map once per
-GeneratorSet (encode, one row of U at a time; for a long enough file of a
-small enough code (shares.encode_map_pays), the composed encode map from
+big-int operations each, whatever o is) and about 2^(m/2+1) table XORs;
+each doubling runs over every input in one list comprehension, and so do
+a map's table XORs, one comprehension per table entry, when it has many
+inputs for its table size.  That is still far more than one application,
+so callers build each map once per GeneratorSet (encode, one row of U at
+a time; for a long enough file of a small enough code (shares.encode_map_pays), the composed encode map from
 the whole message to every stored symbol, laid out as the share files'
 bytes; Gbar^T for
 every pair solve; and the systematic flavor's T^-1 that repair maps pass
@@ -25,8 +27,7 @@ order (its repair map, whose outputs sit at a share body's byte offsets),
 per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
-peel map, and per trusted set, for long files, its composed map), never per
-stripe.  Two maps are built per progressive round: the Forney map of the
+peel map, and, for long files, its composed map), never per stripe.  Two maps are built per progressive round: the Forney map of the
 round's erasure set (one more per erasure trial), which every row of its P
 and Q applies, and the peel map of the nodes an accepted round selects,
 which comes with their inverse and which its P and Q apply 4 * alpha times.
@@ -47,6 +48,7 @@ check LinearMap and RegionDot against.
 from __future__ import annotations
 
 import struct
+from operator import xor
 
 from .bits import symbol_width
 from .field import Field
@@ -135,27 +137,44 @@ def invert(field: Field, a) -> list[list[int]]:
 
 
 def _bit_images(field: Field, images, outputs: int, stride: int, bits: int) -> list[list[int]]:
-    """For each packed image (outputs fields of m bits, stride bits apart),
-    the images of its input's bits 0 .. bits - 1.  Bit b of an input is the
-    field element a^b, so bit 0's image is the packed image itself and each
-    next bit's is the previous one times a, done on all outputs at once by
-    packed doubling: every m-bit field shifts left by one, and each field
-    whose top bit fell out is XORed with poly ^ 2^m, which is a^m.  So a bit
-    costs a few big-int operations whatever the number of outputs; a wider
-    stride leaves the bits above each field zero."""
+    """For every packed image (outputs fields of m bits, stride bits apart),
+    the images of its input's bits 0 .. bits - 1, bit-major: entry b holds
+    every image's bit b.  Bit b of an input is the field element a^b, so
+    bit 0's image is the packed image itself and each next bit's is the
+    previous one times a, done on all outputs at once by packed doubling:
+    every m-bit field shifts left by one, and each field whose top bit fell
+    out is XORed with poly ^ 2^m, which is a^m.  So a bit costs a few
+    big-int operations whatever the number of outputs, and one list
+    comprehension over all the images; a wider stride leaves the bits above
+    each field zero."""
     m = field.m
     # bit 0 of every output field, its bit m - 1, and the bits below that
     ones = ((1 << stride * outputs) - 1) // ((1 << stride) - 1)
     top, keep = ones << (m - 1), ones * ((field.order - 1) >> 1)
-    low_poly = field.poly ^ field.order
-    out = []
-    for image in images:
-        basis = [image]
-        for _ in range(bits - 1):
-            image = ((image & keep) << 1) ^ (((image & top) >> (m - 1)) * low_poly)
-            basis.append(image)
-        out.append(basis)
-    return out
+    low_poly, shift = field.poly ^ field.order, m - 1
+    planes = [list(images)]
+    for _ in range(bits - 1):
+        planes.append([((x & keep) << 1) ^ (((x & top) >> shift) * low_poly) for x in planes[-1]])
+    return planes
+
+
+def _span(planes, by_entry: bool) -> list[list[int]]:
+    """One table per input, entry x being the XOR of the input's bit images
+    at x's set bits, where planes[b] holds bit b's image of every input:
+    built entry by entry across all inputs (a list comprehension per entry)
+    or input by input (one per input and bit)."""
+    if by_entry:
+        entries = [[0] * len(planes[0])]
+        for plane in planes:
+            entries += [list(map(xor, entry, plane)) for entry in entries]
+        return list(map(list, zip(*entries)))
+    tables = []
+    for bits in zip(*planes):
+        table = [0]
+        for bit in bits:
+            table += [x ^ bit for x in table]
+        tables.append(table)
+    return tables
 
 
 class LinearMap:
@@ -198,16 +217,12 @@ class LinearMap:
         self.outputs, self.stride = outputs, stride
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
-        self.low, self.high = [], []
-        for basis in _bit_images(field, images, outputs, stride, m):
-            tables = []
-            for bits in (basis[: self.half], basis[self.half :]):
-                table = [0]
-                for bit in bits:
-                    table += [x ^ bit for x in table]
-                tables.append(table)
-            self.low.append(tables[0])
-            self.high.append(tables[1])
+        planes = _bit_images(field, images, outputs, stride, m)
+        # with many inputs for the table size, fill every input's tables at
+        # once, entry by entry; else input by input
+        by_entry = len(images) * m >= 2 * self.table_entries(m)
+        self.low = _span(planes[: self.half], by_entry)
+        self.high = _span(planes[self.half :], by_entry)
 
     def packed(self, xs, indices) -> int:
         """The packed image of the inputs xs[i], i in indices; the others
@@ -265,7 +280,7 @@ class RegionDot:
         self.step = size = len(coefs) * w  # bytes per group
         stride = 8 * w
         packed = sum(c << stride * r for r, c in enumerate(coefs))
-        (basis,) = _bit_images(field, [packed], len(coefs), stride, field.m)
+        basis = [plane for (plane,) in _bit_images(field, [packed], len(coefs), stride, field.m)]
         self.terms = []  # (input byte's offset in a group, its table, output byte)
         for b in range(w):
             table = [0]

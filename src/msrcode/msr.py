@@ -299,13 +299,15 @@ def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | 
         gbar = code_alpha.vandermonde_generator()
         col_scale = tuple(code_alpha.evaluation_scale())
 
+    exp, log = field.exp, field.log
     q1 = field.order - 1
-    delta = [field.exp[(j * params.alpha) % q1] for j in range(params.n)]
+    log_delta = [(j * params.alpha) % q1 for j in range(params.n)]
+    delta = [exp[ld] for ld in log_delta]
     if len(set(delta)) != params.n:
         raise AssertionError("diagonal multipliers collide despite gcd condition")
 
     g_full = [list(row) for row in gbar]
-    g_full += [[field.mul(c, lam) for c, lam in zip(row, delta)] for row in gbar]
+    g_full += [[exp[log[c] + ld] if c else 0 for c, ld in zip(row, log_delta)] for row in gbar]
 
     if stacked_rank(field, gbar, delta) != params.d:
         raise AssertionError("stacked generator matrix is rank deficient")
@@ -314,7 +316,6 @@ def generator_set(params: MsrParams, flavor: str = "systematic", field: Field | 
     # dimension, so it serves Gbar and the stacked matrix alike.  The value
     # of a row at the root a^t is the sum of row[j] * scale[j] * a^(j t);
     # weights[t] holds the logs of scale[j] * a^(j t).
-    exp, log = field.exp, field.log
     weights = [[(log[s] + j * t) % q1 for j, s in enumerate(col_scale)] for t in range(1, params.n - params.d + 1)]
     for row in g_full:
         terms = [(j, log[c]) for j, c in enumerate(row) if c]
@@ -348,7 +349,11 @@ def stacked_rank(field: Field, gbar, delta) -> int:
     lam = [delta[j] for j in order]
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     others = [c for c in range(n) if c not in pivots]
-    k = [[field.mul(row[c], lam[c] ^ lam[p]) for c in others] for row, p in zip(reduced, pivots)]
+    exp, log = field.exp, field.log
+    k = [
+        [exp[log[row[c]] + log[lam[c] ^ lam[p]]] if row[c] and lam[c] != lam[p] else 0 for c in others]
+        for row, p in zip(reduced, pivots)
+    ]
     return len(reduced) + rank(field, k)
 
 

@@ -86,20 +86,22 @@ exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
 recover_z.  The result and the round trace match the general round.
 
 All of that depends only on the ordered k nodes, so KNodeDecoder builds it
-once, from one inverse: the logs of the pair-solve coefficients
-1 / (lambda_r + lambda_c) and lambda_c / (lambda_r + lambda_c), the logs of
-h_c / h_r for the diagonal fill, and a linalg.LinearMap for G^-1, which
-_peel runs twice (over P_sel's rows, then over the result's columns) to
-give Z, as in recover_z.  Column c of M = Gbar_access^T Y is read off
-y_c's image under gen.gbar_map, the map pair_solve uses.  The v = 0
-round of reconstruct_progressive and the read session below use this one
-decoder.  Those stages make a linear map from the k * alpha column symbols
-to the B message symbols, and KNodeDecoder.compose() folds them into one
-LinearMap built from the decoder's own parts (its docstring), after which
-decode() is one table pass instead of k + 4 * alpha map applications, the
-pair solve and the diagonal fill.  The composed map lays its outputs out
-MSB-first, so that pass yields the stripe's bitstream, the message packed
-into one int as bits.symbols_to_int packs it (KNodeDecoder.bitstream).
+once, from one inverse: G^-1, h, and the logs of the lambda and of the
+pair-solve coefficients 1 / (lambda_r + lambda_c) and
+lambda_c / (lambda_r + lambda_c).  The staged decode also needs the logs of
+h_c / h_r for the diagonal fill, a linalg.LinearMap for G^-1, which _peel
+runs twice (over P_sel's rows, then over the result's columns) to give Z,
+as in recover_z, and gen.gbar_map, the map pair_solve uses, off whose image
+of y_c column c of M = Gbar_access^T Y is read; the decoder builds those
+on its first staged stripe.  The v = 0 round of reconstruct_progressive
+and the read session below use this one decoder.  Those stages make a
+linear map from the k * alpha column symbols to the B message symbols, and
+KNodeDecoder.compose() folds them into one LinearMap read off G^-1, h and
+the lambda (its docstring), after which decode() is one table pass instead
+of k + 4 * alpha map applications, the pair solve and the diagonal fill.
+The composed map lays its outputs out MSB-first, so that pass yields the
+stripe's bitstream, the message packed into one int as bits.symbols_to_int
+packs it (KNodeDecoder.bitstream).
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
@@ -125,18 +127,24 @@ set holds, a clean file is read from k nodes, and every stripe still passes
 the CRC before it is accepted.  The decoder lives in the session, never on
 the GeneratorSet, so nothing grows across files.
 
-The session composes the trusted set's decoder when, at a stripe it decodes
-from that set, at least LinearMap.table_entries(m) = 2^ceil(m/2) +
-2^floor(m/2) stripes are left (this one included): 12 at m = 5, 32 at m = 8.
-The build fills that many table entries per input and grows with them.  On
-[20,10]/GF(2^5) it costs about six staged decodes and on [24,12]/GF(2^8)
-about ten, while a composed stripe decodes in about a seventh of the staged
-time, so it repays itself after about 7 and 12 stripes.  The threshold sits
-at or above that break-even and follows from the kernel's layout rather
-than a setting.  Shorter files, and every
-single-stripe round (stripe 0's v = 0 round, update, simulate), keep the
-staged decode, which is also the tests' reference for the composed one.
-Either path gives the same message, so the choice changes no output.
+The session composes its decoder when at least LinearMap.table_entries(m)
+= 2^ceil(m/2) + 2^floor(m/2) stripes are left, the current one included:
+12 at m = 5, 32 at m = 8.  It does so before stripe 0's v = 0 round, whose
+k nodes a clean read goes on to trust, and for each later trusted set at
+the first stripe it decodes.  So a clean long read decodes every stripe,
+stripe 0 included, through one composed map, and never builds
+gen.gbar_map or the staged peel map.  The build fills that many table
+entries per input and grows with them: on [20,10]/GF(2^5) it costs about
+four staged stripe decodes and on [24,12]/GF(2^8) about seven, and a
+composed stripe decodes about twelve times faster, so it repays itself
+after about 4 and 7 stripes.  The threshold sits above that break-even and
+follows from the kernel's layout rather than a setting.  When stripe 0's
+v = 0 round fails, its composed map is wasted, and the nodes its later
+rounds trust get a decoder of their own.  The v = 0 round of a later
+progressive stripe, which runs only once the trusted set has failed, stays
+staged, as do shorter files and every single-stripe read (update,
+simulate); the staged decode is also the tests' reference for the composed
+one.  Either path gives the same message, so the choice changes no output.
 
 Rows live in Gbar's row space.  row_decode works in the root-based
 [n, alpha] code, so it scales each row by GeneratorSet.col_scale first
@@ -151,6 +159,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
 from .linalg import LinearMap, invert, mat_vec, row_reduce
@@ -516,17 +525,14 @@ class KNodeDecoder:
         exp, log = field.exp, field.log
         q1 = field.order - 1
         alpha = params.alpha
-        self.params, self.field, self.nodes = params, field, tuple(nodes)
+        self.gen, self.params, self.field, self.nodes = gen, params, field, tuple(nodes)
         if len(self.nodes) != params.k:
             raise ValueError(f"need exactly k={params.k} nodes, got {len(self.nodes)}")
-        gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
-        g_inv = invert(field, [row[:alpha] for row in gbar_access])
-        h = mat_vec(field, g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
-        # y_c -> Gbar^T y_c, packed: m_rc sits at bit shifts[r]
-        self.gbar_map = gen.gbar_map
+        self.gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
+        self.g_inv = invert(field, [row[:alpha] for row in self.gbar_access])
+        h = mat_vec(field, self.g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
+        # m_rc sits at bit shifts[r] of y_c's image under gbar_map
         self.shifts = [field.m * node for node in self.nodes]
-        # x -> x G^-1, the map _peel takes
-        self.peel_map = LinearMap(field, g_inv)
         # pair (r, c), r < c, with s = m_rc + m_cr and w = lambda_c + lambda_r:
         # q = s / w and p = m_rc + s lambda_c / w, as logs of 1 / w and lambda_c / w
         self.lam = lam = [log[gen.delta[node]] for node in self.nodes]
@@ -535,13 +541,25 @@ class KNodeDecoder:
             for c in range(r + 1, params.k):
                 lw = log[exp[lam[r]] ^ exp[lam[c]]]
                 self.pairs.append((r, c, (lam[c] - lw) % q1, -lw % q1))
-        # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
-        self.lh = lh = [log[x] for x in h]
-        self.diagonal = [
-            [(c, (lh[c] - lh[r]) % q1) for c in range(params.k) if c != r] for r in range(alpha)
-        ]
-        self.g_inv, self.gbar_access = g_inv, gbar_access
+        self.lh = [log[x] for x in h]
         self.composed = None  # the one map compose() folds the stages into
+
+    @cached_property
+    def gbar_map(self) -> LinearMap:
+        """y_c -> Gbar^T y_c, packed: the staged decode's first stage."""
+        return self.gen.gbar_map
+
+    @cached_property
+    def peel_map(self) -> LinearMap:
+        """x -> x G^-1, the map _peel takes in the staged decode."""
+        return LinearMap(self.field, self.g_inv)
+
+    @cached_property
+    def diagonal(self) -> list[list[tuple[int, int]]]:
+        """p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows
+        kept, as (c, log h_c / h_r)."""
+        lh, q1 = self.lh, self.field.order - 1
+        return [[(c, (lh[c] - lh[r]) % q1) for c in range(self.params.k) if c != r] for r in range(self.params.alpha)]
 
     def compose(self) -> None:
         """Fold the staged decode into one LinearMap from the k * alpha
@@ -551,26 +569,26 @@ class KNodeDecoder:
         stripe's bitstream (bitstream()), with the payload on top and the CRC
         trailer in the low bits.  bitstream() and decode() then apply that
         map alone.  The build costs several staged decodes, so
-        reconstruct_file composes a trusted set's decoder once, and only
-        with enough stripes left.
+        reconstruct_file composes a decoder only with enough stripes left.
 
-        The map is read off the decoder's own parts, never by decoding unit
-        vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
-        p_rc (r < c) adds S = E_rc + E_cr + s_r E_rr + s_c E_cc to P_sel,
-        the last two through the diagonal fill, and any term with an index
-        of alpha or more drops out.  As s_r s_c = 1, S = s_r u u^T with
-        u = e_r + s_c e_c, so row a of its Z = G^-T S G^-1 is
-        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two lookups in a copy of
-        peel_map with its outputs reversed, where entries a .. alpha - 1 of
-        the row are its low alpha - a outputs, last entry lowest.  So one
-        mask and one shift put that segment of the row's upper triangle in
-        place, reversed like the rest.  Those rows give the pair map, from
-        the k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message
-        symbols, and P and Q share it, P shifted above Q.  Symbol t of
-        column c enters m_rc with weight gbar_access[t][r], so with
-        w = lambda_r + lambda_c it adds gbar_access[t][r] lambda_r / w to
-        p_rc and gbar_access[t][r] / w to q_rc: its image is the pair map on
-        those k - 1 pairs, once per block.
+        The map is read off G^-1, h and the lambda, never by decoding unit
+        vectors, and needs neither gbar_map nor peel_map.  With g_r row r of
+        G^-1 and s_r = h_c / h_r, a pair value p_rc (r < c) adds
+        S = E_rc + E_cr + s_r E_rr + s_c E_cc to P_sel, the last two through
+        the diagonal fill, and any term with an index of alpha or more drops
+        out.  As s_r s_c = 1, S = s_r u u^T with u = e_r + s_c e_c, so row a
+        of its Z = G^-T S G^-1 is (s_r v[a] u) G^-1 with v = g_r + s_c g_c:
+        two lookups in a map of x -> x G^-1 with its outputs reversed, where
+        entries a .. alpha - 1 of the row are its low alpha - a outputs, last
+        entry lowest.  So one mask and one shift put that segment of the
+        row's upper triangle in place, reversed like the rest.  Those rows,
+        divided by w = lambda_r + lambda_c, give the pair map, from the
+        k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message symbols.
+        Symbol t of column c enters m_rc with weight g = gbar_access[t][r],
+        so it adds g lambda_r / w to p_rc and g / w to q_rc: its image is
+        the pair map of pair {r, c} at g lambda_r in the P block, shifted
+        above the Q block, and at g itself in the Q block, summed over the
+        nonzero entries of row t of gbar_access with r != c.
         """
         field = self.field
         exp, log, m = field.exp, field.log, field.m
@@ -579,53 +597,63 @@ class KNodeDecoder:
         g_inv, lh, lam = self.g_inv, self.lh, self.lam
         # x -> x G^-1 with output b at bits m * (alpha - 1 - b)
         peel = LinearMap(field, [row[::-1] for row in g_inv])
+        low, high, lmask, half = peel.low, peel.high, peel.lmask, peel.half
         # a block's message half, reversed: row a's upper-triangle segment,
         # alpha - a symbols from offset a * alpha - a(a - 1)/2, has its last
         # symbol at bit shifts[a]
         triangle = alpha * (alpha + 1) // 2
-        masks = [(1 << m * (alpha - a)) - 1 for a in range(alpha)]
-        shifts = [m * (triangle - (a + 1) * alpha + a * (a + 1) // 2) for a in range(alpha)]
-        span = m * triangle
-        low, high, lmask, half = peel.low, peel.high, peel.lmask, peel.half
-        pair_of = [[0] * k for _ in range(k)]
+        segments = [
+            ((1 << m * (alpha - a)) - 1, m * (triangle - (a + 1) * alpha + a * (a + 1) // 2)) for a in range(alpha)
+        ]
+        log_g_inv = [[log[x] if x else None for x in row] for row in g_inv]
         images = []
-        for i, (r, c, _, _) in enumerate(self.pairs):
-            pair_of[r][c] = pair_of[c][r] = i
+        for r, c, _, l_w in self.pairs:  # l_w = log 1 / w
             l_r = (lh[c] - lh[r]) % q1  # log s_r; s_c = 1 / s_r
+            l_x = (l_r + l_w) % q1  # log s_r / w
+            lo_r, hi_r = low[r], high[r]
             image = 0
-            for a in range(alpha):
-                v = g_inv[r][a]
-                if c < alpha and g_inv[c][a]:
-                    v ^= exp[log[g_inv[c][a]] + q1 - l_r]
-                if not v:
-                    continue
-                x = exp[log[v] + l_r]
-                row = low[r][x & lmask] ^ high[r][x >> half]
-                if c < alpha:
-                    row ^= low[c][v & lmask] ^ high[c][v >> half]
-                image ^= (row & masks[a]) << shifts[a]
+            if c < alpha:
+                lo_c, hi_c, l_c = low[c], high[c], q1 - l_r
+                for g, l_g, (keep, shift) in zip(g_inv[r], log_g_inv[c], segments):
+                    v = g if l_g is None else g ^ exp[l_g + l_c]
+                    if v:
+                        l_v = log[v]
+                        x, y = exp[l_v + l_x], exp[l_v + l_w]  # s_r v[a] / w and v[a] / w
+                        row = lo_r[x & lmask] ^ hi_r[x >> half] ^ lo_c[y & lmask] ^ hi_c[y >> half]
+                        image ^= (row & keep) << shift
+            else:  # g_c = 0: the parity node's pairs add s_r g_r^T g_r
+                for v, (keep, shift) in zip(g_inv[r], segments):
+                    if v:
+                        x = exp[log[v] + l_x]
+                        image ^= ((lo_r[x & lmask] ^ hi_r[x >> half]) & keep) << shift
             images.append(image)
         pair_map = LinearMap.from_images(field, images, triangle)
 
-        images = []
-        p_in, q_in = [0] * len(self.pairs), [0] * len(self.pairs)
-        for c in range(k):
-            # (r, pair {r, c}, log lambda_r / w, log 1 / w) for every r != c
+        pair_tables = [[None] * k for _ in range(k)]  # [c][r]: the pair map's tables of pair {r, c}
+        for i, (r, c, _, _) in enumerate(self.pairs):
+            pair_tables[c][r] = pair_tables[r][c] = pair_map.low[i], pair_map.high[i]
+        # row t's nonzero entries g = gbar_access[t][r], as r and the table
+        # indices of g lambda_r and of g
+        rows = []
+        for row in self.gbar_access:
             terms = []
-            for r in range(k):
-                if r != c:
-                    i = pair_of[r][c]
-                    l_q = self.pairs[i][3]
-                    terms.append((r, i, (lam[r] + l_q) % q1, l_q))
-            indices = [i for _, i, _, _ in terms]
-            for row in self.gbar_access:
-                for r, i, l_p, l_q in terms:
-                    if row[r]:
-                        l_g = log[row[r]]
-                        p_in[i], q_in[i] = exp[l_g + l_p], exp[l_g + l_q]
-                    else:
-                        p_in[i] = q_in[i] = 0
-                images.append(pair_map.packed(p_in, indices) << span ^ pair_map.packed(q_in, indices))
+            for r, g in enumerate(row):
+                if g:
+                    x = exp[log[g] + lam[r]]
+                    terms.append((r, x & lmask, x >> half, g & lmask, g >> half))
+            rows.append(terms)
+        span = m * triangle
+        images = []
+        for c in range(k):
+            tables = pair_tables[c]
+            for terms in rows:
+                p = q = 0
+                for r, x_low, x_high, g_low, g_high in terms:
+                    if r != c:
+                        lo, hi = tables[r]
+                        p ^= lo[x_low] ^ hi[x_high]
+                        q ^= lo[g_low] ^ hi[g_high]
+                images.append(p << span ^ q)
         self.composed = LinearMap.from_images(field, images, self.params.B)
 
     def bitstream(self, columns) -> int:
@@ -897,31 +925,33 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
+    # compose() fills this many table entries per input, and its build grows
+    # with them: it repays itself after a few stripes at m = 5 and 8, under
+    # these 12 and 32, so fewer stripes left stay staged
+    compose_from = LinearMap.table_entries(gen.field.m)
 
-    def k_decoder(nodes) -> KNodeDecoder:
+    def k_decoder(nodes, compose: bool) -> KNodeDecoder:
         nonlocal decoder
         if decoder is None or decoder.nodes != nodes:
             decoder = KNodeDecoder(gen, nodes)
+        if compose and decoder.composed is None:
+            decoder.compose()
         return decoder
 
-    # compose() fills this many table entries per input, and its build grows
-    # with them: it repays itself after about 7 stripes at m = 5 and 12 at
-    # m = 8, under these 12 and 32, so fewer stripes left stay staged
-    compose_from = LinearMap.table_entries(gen.field.m)
     trusted = None
     for s in range(stripe_count):
+        compose = stripe_count - s >= compose_from
         if trusted is not None:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
-                trusted_decoder = k_decoder(trusted)
-                if trusted_decoder.composed is None and stripe_count - s >= compose_from:
-                    trusted_decoder.compose()
-                value = trusted_decoder.bitstream(columns)
+                value = k_decoder(trusted, compose).bitstream(columns)
                 if check_crc(params, value):
                     bitstreams.append(value)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
-        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, k_decoder)
+        # stripe 0's first round picks the nodes a clean read then trusts
+        first_round = functools.partial(k_decoder, compose=compose and s == 0)
+        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, first_round)
         progressive[s] = report
         if not report.success:
             break

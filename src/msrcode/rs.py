@@ -153,9 +153,10 @@ class RsCode:
         self.n = n
         self.kappa = kappa
         self.field = field
+        exp, log = field.exp, field.log
         gen = [1]
-        for j in range(1, n - kappa + 1):
-            gen = poly_mul(field, gen, [field.exp[j], 1])  # factor (x - a^j)
+        for j in range(1, n - kappa + 1):  # times (x - a^j)
+            gen = [a ^ (exp[log[b] + j] if b else 0) for a, b in zip([0] + gen, gen + [0])]
         self.gen_poly = gen
         self.d_min = n - kappa + 1
 
@@ -167,7 +168,7 @@ class RsCode:
         n, kappa = self.n, self.kappa
         parity = n - kappa
         g = self.gen_poly  # monic of degree parity, so x^parity = g[:parity] mod g
-        mul = self.field.mul
+        exp, log = self.field.exp, self.field.log
         rem = g[:parity]
         rows = []
         for i in range(kappa):
@@ -178,7 +179,8 @@ class RsCode:
             top = rem[-1]
             rem = [0] + rem[:-1]
             if top:
-                rem = [c ^ mul(top, gc) for c, gc in zip(rem, g)]
+                lt = log[top]
+                rem = [c ^ exp[lt + log[gc]] if gc else c for c, gc in zip(rem, g)]
         return rows
 
     def vandermonde_generator(self) -> list[list[int]]:

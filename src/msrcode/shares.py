@@ -40,7 +40,10 @@ same check read_share makes, the file's length from fstat, and the
 stripe's alpha symbols at HEADER_SIZE + stripe * alpha * w, range-checked
 like a whole body.  A share is then judged by its header, its length and
 that stripe's own symbols: an out-of-range symbol in another stripe does
-not make it an erasure for update, though it does for reconstruct.
+not make it an erasure for update, though it does for reconstruct.  Each
+share is opened once, for reading and writing where it can be, and
+ShareDir.patch writes the new symbols through that descriptor; a share
+that can only be read is an error only if the update affects it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import itertools
 import json
 import os
 import struct
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -124,9 +128,18 @@ def write_share(path, share: ShareFile) -> None:
 
 def write_body(path, n: int, k: int, m: int, node_index: int, stripe_count: int, body: bytes) -> None:
     """Write a share file whose body is already in the payload layout
-    above, as share_bodies gives it."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, n, k, m, node_index, stripe_count)
-    Path(path).write_bytes(header + body)
+    above, as share_bodies gives it.  An OSError names the file."""
+    data = memoryview(_HEADER.pack(MAGIC, FORMAT_VERSION, n, k, m, node_index, stripe_count) + body)
+    # os.open and os.write: a file object costs more than a small file's write
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
 
 
 def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
@@ -345,7 +358,25 @@ class ShareDir:
         self._bodies: dict[int, bytes | None] = {}
         self._stripes: dict[int, list[tuple[int, ...]]] = {}
         self._columns: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        self._fds: dict[int, tuple[int, bool]] = {}  # node -> (descriptor, writable), from stripe_column
         self.files_read = 0  # share files read from disk so far, well-formed or not
+
+    def close(self) -> None:
+        """Close the descriptors stripe_column opened."""
+        fds, self._fds = self._fds, {}
+        for fd, _ in fds.values():
+            os.close(fd)
+
+    def __enter__(self) -> "ShareDir":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self):
+        if getattr(self, "_fds", None):
+            warnings.warn(f"ShareDir {self.root} left {len(self._fds)} share file(s) open", ResourceWarning)
+            self.close()
 
     def file(self, node: int) -> Path:
         return self.root / self._names[node]
@@ -391,18 +422,32 @@ class ShareDir:
         """The node's alpha symbols of one stripe, or None for an erasure,
         read alone: the header, checked as by read_share and against the
         manifest's node and stripe count, the length by fstat, and only
-        this stripe's symbols.  Cached, so a node's stripe is read once."""
+        this stripe's symbols.  Cached, so a node's stripe is read once.
+        The file is opened once, for reading and writing if it can be, else
+        for reading, and stays open for patch until close()."""
         key = (node, stripe)
         if key not in self._columns:
             self._columns[key] = self._read_stripe(node, stripe)
         return self._columns[key]
+
+    def _open(self, node: int) -> int:
+        """The node's descriptor, opened on first use for reading and
+        writing, or for reading alone if the file cannot be written; OSError
+        if it cannot be read either."""
+        if node not in self._fds:
+            path = self._path(node)
+            try:
+                self._fds[node] = os.open(path, os.O_RDWR), True
+            except OSError:  # read-only, or not there at all
+                self._fds[node] = os.open(path, os.O_RDONLY), False
+        return self._fds[node][0]
 
     def _read_stripe(self, node: int, stripe: int) -> tuple[int, ...] | None:
         path = self._path(node)
         params = self.params
         size = params.alpha * symbol_width(params.m)
         try:
-            fd = os.open(path, os.O_RDONLY)
+            fd = self._open(node)
         except OSError:  # missing or unreadable: nothing was read
             return None
         self.files_read += 1
@@ -417,26 +462,30 @@ class ShareDir:
             return struct.unpack(_body_format(params.m, params.alpha), symbols)
         except (OSError, ShareFormatError):  # a directory, a read error, a malformed header or symbol
             return None
-        finally:
-            os.close(fd)
 
     def patch(self, stripe: int, changes: dict[int, list[tuple[int, int]]]) -> None:
         """Overwrite symbols of one stripe in place; changes maps a node to
         its (row, value) pairs, and only those symbols are written, one
-        pwrite each.  Every file is opened for writing before the first
-        write, so a share that cannot be opened raises OSError with the
-        directory as it was."""
+        pwrite each, through the descriptor stripe_column opened for
+        writing.  A file it holds only for reading, or not at all, is opened
+        for writing here, and every file is before the first write, so a
+        share that cannot be written raises OSError with the directory as
+        it was."""
         width = symbol_width(self.params.m)
         alpha = self.params.alpha
-        fds = []
+        fds, opened = [], []
         try:
             for node in changes:
-                fds.append(os.open(self._path(node), os.O_WRONLY))
+                fd, writable = self._fds.get(node, (None, False))
+                if not writable:
+                    fd = os.open(self._path(node), os.O_WRONLY)
+                    opened.append(fd)
+                fds.append(fd)
             for fd, rows in zip(fds, changes.values()):
                 for row, value in rows:
                     os.pwrite(fd, value.to_bytes(width, "little"), HEADER_SIZE + (stripe * alpha + row) * width)
         finally:
-            for fd in fds:
+            for fd in opened:
                 os.close(fd)
         for node in changes:
             self._bodies.pop(node, None)

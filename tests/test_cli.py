@@ -1,5 +1,6 @@
 """CLI round trips over real files: encode, reconstruct, repair, update."""
 
+import errno
 import functools
 import hashlib
 import json
@@ -24,6 +25,7 @@ from msrcode.shares import (
     ShareDir,
     ShareFile,
     read_share,
+    share_filename,
     stripe_count,
     write_share,
 )
@@ -325,14 +327,19 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
 def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     """A clean read's trusted set is the k nodes of stripe 0's first round,
     so the decoder that round built serves every later stripe too.  With
-    19 stripes left, at least the 12 table entries per input of GF(2^5),
-    that decoder is composed once; a 4-stripe read and an update, a
-    single-stripe round, stay staged."""
+    20 stripes, at least the 12 table entries per input of GF(2^5), that
+    decoder is composed once, before stripe 0's first round, and the read
+    never builds gen.gbar_map, which only the staged decode applies; a
+    4-stripe read and an update, a single-stripe round, stay staged."""
     import msrcode.reconstruct
 
     data = random.Random(12).randbytes(1024)
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    built, composed = [], []
+    built, composed, gbar_maps = [], [], []
+    gbar_map = GeneratorSet.gbar_map.func
+    prop = functools.cached_property(lambda gen: gbar_maps.append(gen) or gbar_map(gen))
+    prop.__set_name__(GeneratorSet, "gbar_map")
+    monkeypatch.setattr(GeneratorSet, "gbar_map", prop)
 
     class CountingDecoder(msrcode.reconstruct.KNodeDecoder):
         def __init__(self, gen, nodes):
@@ -349,10 +356,12 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     assert dst.read_bytes() == data
     assert len(built) == 1
     assert composed == built
+    assert gbar_maps == []
 
     built.clear(), composed.clear()
     assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
     assert built and not composed
+    assert gbar_maps
 
     small = tmp_path / "small"
     small.mkdir()
@@ -361,6 +370,35 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
     assert dst.read_bytes() == data
     assert built and not composed
+
+
+@pytest.mark.parametrize("seed,liar", [(0, 8), (1, 6)])
+def test_liar_in_stripe_0s_first_round_of_a_long_file(tmp_path, capsys, monkeypatch, seed, liar):
+    """A 79-stripe file whose liar is the first node stripe 0's first round
+    picks: that round's composed decoder fails the CRC, the v = 1 round
+    finds the liar, and the nodes it trusts get a decoder of their own,
+    composed too.  The output is the one the staged first round gives."""
+    import msrcode.reconstruct
+
+    data = random.Random("first-round-liar").randbytes(4096)
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    first = tuple(random.Random(f"{seed}:stripe:0").sample(range(20), 10))
+    assert first[0] == liar - 1
+    composed = []
+    compose = msrcode.reconstruct.KNodeDecoder.compose
+    monkeypatch.setattr(
+        msrcode.reconstruct.KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder)
+    )
+    dst = tmp_path / "restored.bin"
+    capsys.readouterr()
+    assert main(["reconstruct", str(out), str(dst), "--corrupt-nodes", str(liar), "--seed", str(seed)]) == 0
+    assert dst.read_bytes() == data
+    assert capsys.readouterr().out == (
+        f"stripe 0: nodes_accessed=12 rounds=1 bad_nodes=[{liar}]\n"
+        f"file: 78 stripe(s) from the trusted set, 1 progressive, 12 share file(s) read, bad_nodes=[{liar}]\n"
+        f"reconstructed 4096 bytes -> {dst}\n"
+    )
+    assert len(composed) == 2 and composed[0] == first and liar - 1 not in composed[1]
 
 
 def test_manifest_plus_k_shares_suffice(tmp_path):
@@ -709,6 +747,29 @@ def test_encode_into_existing_file_exits_1(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert src.read_bytes() == b"an output directory that is a file"
+
+
+def test_a_failed_share_write_exits_1_naming_the_file(tmp_path, monkeypatch, capsys):
+    """Share files are written through os.open and os.write; a failed open
+    or a failed write exits 1 with the file's name, for encode and repair."""
+    src, out = encode_dir(tmp_path, random.Random(3).randbytes(300))
+    target = ShareDir(out).file(2)
+    target.unlink()
+    target.mkdir()
+    capsys.readouterr()
+    assert main(["repair", str(out), "--failed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {target}: Is a directory\n"
+    target.rmdir()
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    assert main(["repair", str(out), "--failed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {target}: {os.strerror(errno.ENOSPC)}\n"
+    argv = ["encode", str(src), str(tmp_path / "again"), "--n", "7", "--k", "4", "--m", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'again' / share_filename(0)}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,5 +1,6 @@
 """GF(2^m) table construction and arithmetic axioms."""
 
+import itertools
 import random
 
 import pytest
@@ -63,6 +64,62 @@ def test_default_polys_are_primitive(m):
     assert 0 not in table
     assert all(f.log[table[i]] == i for i in range(f.order - 1))
     assert table == iterate_exp_table(m, f.poly)
+
+
+def loop_tables(m: int, poly: int):
+    """Reference: exp (doubled) and log (log[0] = 0) as a plain loop of
+    doublings builds them, or None when poly is not primitive."""
+    order = 1 << m
+    exp, log = [], [0] * order
+    x = 1
+    for i in range(order - 1):
+        exp.append(x)
+        log[x] = i
+        x <<= 1
+        if x & order:
+            x ^= poly
+    if x != 1 or len(set(exp)) != order - 1:
+        return None
+    return exp * 2, log
+
+
+def polys_of_degree(m: int):
+    return range((1 << m) + 1, 1 << (m + 1), 2)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_tables_equal_the_loop_reference(m):
+    """The bulk-built tables equal the plain loop's, under the default
+    polynomial and under the first other primitive one (m = 2 has none)."""
+    default = DEFAULT_PRIMITIVE_POLYS[m]
+    other = next((poly for poly in polys_of_degree(m) if poly != default and loop_tables(m, poly)), None)
+    assert (other is None) == (m == 2)
+    for poly in filter(None, (default, other)):
+        field = Field(m, poly)
+        assert (field.exp, field.log) == loop_tables(m, poly)
+
+
+# degree -> polynomials that are reducible (x^m + x, a square, (x + 1) times
+# something) or irreducible with a root of order below 2^m - 1
+NOT_PRIMITIVE = {
+    3: [0b1010, 0b1111],
+    4: [0b10010, 0b10101, 0b11111],
+    5: [0b100010, 0b110011],
+    8: [0x102, 0x105, 0x11B, 0x1FF],
+    11: [0x802, 0x805 ^ 0x6],
+    16: [0x10002, 0x10151, 0x1100B ^ 0x2],
+}
+
+
+@pytest.mark.parametrize("m", sorted(NOT_PRIMITIVE))
+def test_not_primitive_polys_rejected(m):
+    """NotPrimitive for each listed polynomial and for the first few of
+    degree m that the loop reference rejects."""
+    rejected = [poly for poly in itertools.islice(polys_of_degree(m), 40) if loop_tables(m, poly) is None][:4]
+    for poly in NOT_PRIMITIVE[m] + rejected:
+        assert loop_tables(m, poly) is None
+        with pytest.raises(NotPrimitive):
+            Field(m, poly)
 
 
 def test_degree_validation():

@@ -1,6 +1,7 @@
 """Progressive reconstruction: pair solve, row decode, classification, CRC,
 and end-to-end fault injection."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -563,7 +564,16 @@ def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
                 assert expected == (message, frozenset())
 
 
-@pytest.mark.parametrize("n,k,m,flavor", K_NODE_CODES + [(20, 10, 11, "systematic")])
+# m = 2, 3, 4, 5, 8, 11 and 16, both flavors; vandermonde is shortened
+# (column-scaled) at all but the full-length [3,2], [7,4] and [15,5]
+COMPOSE_CODES = [
+    (n, k, m, flavor)
+    for n, k, m in [(3, 2, 2), (7, 4, 3), (15, 5, 4), (20, 10, 5), (24, 12, 8), (20, 10, 11), (18, 9, 16)]
+    for flavor in ("systematic", "vandermonde")
+]
+
+
+@pytest.mark.parametrize("n,k,m,flavor", COMPOSE_CODES)
 def test_composed_decode_matches_staged_decode(n, k, m, flavor):
     """compose() folds the staged decode into one map: on garbage columns,
     fresh encodings and encodings with 1 or 2 corrupt columns, the composed
@@ -572,6 +582,7 @@ def test_composed_decode_matches_staged_decode(n, k, m, flavor):
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     rng = random.Random(f"compose:{n}:{k}:{m}:{flavor}")
+    with_crc = crc_trailer_length(m) < params.B  # [3,2]/GF(2^2) has no room for a payload
     for _ in range(4):
         nodes = tuple(rng.sample(range(n), k))
         staged, composed = KNodeDecoder(gen, nodes), KNodeDecoder(gen, nodes)
@@ -582,16 +593,73 @@ def test_composed_decode_matches_staged_decode(n, k, m, flavor):
             if kind == "garbage":
                 cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
             else:
-                message, shares = fresh_case(params, gen, rng)
+                message, shares = fresh_case(params, gen, rng, with_crc)
                 cols = [shares[i].symbols for i in nodes]
                 if kind == "corrupt":
-                    for b in rng.sample(range(k), rng.randint(1, 2)):
+                    for b in rng.sample(range(k), rng.randint(1, min(2, k))):
                         cols[b] = corrupt_symbols(rng, gen.field, cols[b])
             expected = staged.decode(cols)
             assert composed.bitstream(cols) == symbols_to_int(expected, m) == staged.bitstream(cols)
             assert composed.decode(cols) == expected
             if kind == "fresh":
                 assert expected == message
+
+
+@pytest.mark.parametrize("n,k,m,flavor", COMPOSE_CODES)
+def test_composed_map_images_are_staged_decodes_of_unit_columns(n, k, m, flavor):
+    """Input c * alpha + t of the composed map takes x to the staged decode
+    of the columns that are zero but for x at symbol t of column c: its
+    packed image, for x = 1 and a random x, and whole tables at m <= 5.
+    compose() never builds gen.gbar_map or the decoder's peel map."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    rng = random.Random(f"unit:{n}:{k}:{m}:{flavor}")
+    nodes = tuple(rng.sample(range(n), k))
+    decoder = KNodeDecoder(gen, nodes)
+    decoder.compose()
+    assert "gbar_map" not in vars(gen) and "gbar_map" not in vars(decoder) and "peel_map" not in vars(decoder)
+    composed = decoder.composed
+    staged = KNodeDecoder(gen, nodes)
+    alpha = params.alpha
+    for c in range(k):
+        for t in range(alpha):
+            i = c * alpha + t
+            values = range(1, gen.field.order) if m <= 5 else (1, rng.randrange(2, gen.field.order))
+            for x in values:
+                cols = [[0] * alpha for _ in range(k)]
+                cols[c][t] = x
+                image = composed.low[i][x & composed.lmask] ^ composed.high[i][x >> composed.half]
+                assert image == symbols_to_int(staged.decode(cols), m), (c, t, x)
+
+
+def composed_table_digest(linear_map):
+    """sha256 of a LinearMap's tables, every entry in whole little-endian bytes."""
+    size = (linear_map.outputs * linear_map.stride + 7) // 8
+    digest = hashlib.sha256()
+    for tables in (linear_map.low, linear_map.high):
+        for table in tables:
+            digest.update(b"".join(x.to_bytes(size, "little") for x in table))
+    return digest.hexdigest()[:16]
+
+
+# (n, k, m, flavor) -> the tables' digest, as the fill of every LinearMap
+# input by input, and compose() through per-pair lookups, first gave them
+COMPOSED_TABLE_DIGESTS = {
+    (20, 10, 5, "systematic"): "915a34ff2322415b",
+    (24, 12, 8, "vandermonde"): "507dd4802e0b79f4",
+    (7, 4, 3, "vandermonde"): "66be6914d130db11",
+    (18, 9, 16, "systematic"): "09771f474d99417d",
+}
+
+
+@pytest.mark.parametrize("code", sorted(COMPOSED_TABLE_DIGESTS))
+def test_composed_tables_are_pinned(code):
+    """The composed map's tables, entry for entry, for one seeded node set."""
+    n, k, m, flavor = code
+    gen = generator_set(make_params(n, k, m), flavor)
+    decoder = KNodeDecoder(gen, random.Random(f"tables:{n}:{k}:{m}").sample(range(n), k))
+    decoder.compose()
+    assert composed_table_digest(decoder.composed) == COMPOSED_TABLE_DIGESTS[code]
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
@@ -1289,18 +1357,27 @@ def test_read_session_matches_per_stripe_progressive(case):
 
 
 def test_read_session_composes_with_enough_stripes_left(monkeypatch):
-    """The trusted set's decoder is composed once exactly when at least
-    LinearMap.table_entries(m) stripes are left for it, 12 at m = 5."""
+    """The session's decoder is composed once exactly when the file has at
+    least LinearMap.table_entries(m) stripes, 12 at m = 5: before stripe
+    0's first round, whose k nodes a clean read then trusts, so every
+    stripe, stripe 0 included, is decoded through the composed map."""
     rng = random.Random(78)
     stripes = [fresh_case(P20, GEN20, rng)[1] for _ in range(13)]
-    composed = []
-    compose = KNodeDecoder.compose
+    composed, decoded = [], []
+    compose, bitstream = KNodeDecoder.compose, KNodeDecoder.bitstream
     monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
-    for count in (12, 13):
-        composed.clear()
+    monkeypatch.setattr(
+        KNodeDecoder, "bitstream", lambda decoder, cols: decoded.append(decoder.composed is not None) or bitstream(decoder, cols)
+    )
+    for count in (11, 12, 13):
+        composed.clear(), decoded.clear()
         session = reconstruct.reconstruct_file(GEN20, file_source(GEN20, stripes), count, 3)
         assert session.success and session.trusted_stripes == count - 1
-        assert len(composed) == (count - 1 >= LinearMap.table_entries(P20.m) == 12)
+        enough = count >= LinearMap.table_entries(P20.m) == 12
+        assert len(composed) == enough
+        assert decoded == [enough] * count
+        if enough:
+            assert composed == [session.progressive[0].accessed_nodes]
 
 
 def test_read_session_reads_only_the_trusted_nodes():

@@ -99,26 +99,27 @@ def test_patch_writes_only_the_given_symbols(share_dir):
 def test_stripe_column_reads_what_column_parses(share_dir):
     """The one-stripe read gives every node's every stripe as the whole-file
     parse does, reading each (node, stripe) once."""
-    whole, alone = ShareDir(share_dir), ShareDir(share_dir)
+    whole = ShareDir(share_dir)
     stripes = whole.manifest.stripe_count
-    for node in range(whole.manifest.n):
-        for stripe in range(stripes):
-            assert alone.stripe_column(node, stripe) == whole.column(node, stripe)
-            assert alone.stripe_column(node, stripe) == whole.column(node, stripe)
+    with ShareDir(share_dir) as alone:
+        for node in range(whole.manifest.n):
+            for stripe in range(stripes):
+                assert alone.stripe_column(node, stripe) == whole.column(node, stripe)
+                assert alone.stripe_column(node, stripe) == whole.column(node, stripe)
     assert alone.files_read == whole.manifest.n * stripes
 
 
 def test_patch_writes_several_nodes_and_forgets_their_columns(share_dir):
-    shares = ShareDir(share_dir)
-    old = {node: shares.stripe_column(node, 1) for node in (2, 9)}
-    changes = {2: [(0, old[2][0] ^ 1)], 9: [(8, old[9][8] ^ 4), (3, old[9][3] ^ 2)]}
-    shares.patch(1, changes)
-    for node, rows in changes.items():
-        expected = list(old[node])
-        for row, value in rows:
-            expected[row] = value
-        assert shares.stripe_column(node, 1) == tuple(expected)
-        assert ShareDir(share_dir).column(node, 1) == tuple(expected)
+    with ShareDir(share_dir) as shares:
+        old = {node: shares.stripe_column(node, 1) for node in (2, 9)}
+        changes = {2: [(0, old[2][0] ^ 1)], 9: [(8, old[9][8] ^ 4), (3, old[9][3] ^ 2)]}
+        shares.patch(1, changes)
+        for node, rows in changes.items():
+            expected = list(old[node])
+            for row, value in rows:
+                expected[row] = value
+            assert shares.stripe_column(node, 1) == tuple(expected)
+            assert ShareDir(share_dir).column(node, 1) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

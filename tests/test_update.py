@@ -207,6 +207,68 @@ def test_an_unwritable_share_aborts_the_update_before_any_write(tmp_path, monkey
     assert snapshot(out) == before
 
 
+def test_read_only_shares_the_update_does_not_affect_let_it_succeed(tmp_path, monkeypatch, capsys):
+    """A share that cannot be written is read for reading alone and is an
+    error only if the update affects it: with every unaffected share
+    read-only, the update writes what an unrestricted one writes."""
+    data = random.Random(4).randbytes(600)
+    out = encode(tmp_path, data, "shares")
+    changed = affected_shares(tmp_path, out, 0, 12, 17)
+    spared = sorted(set(snapshot(out)) - set(changed) - {"manifest.json"})
+    assert spared
+    free = tmp_path / "free"
+    shutil.copytree(out, free)
+    capsys.readouterr()
+    assert update(free, 0, 12, 17) == 0
+    expected = capsys.readouterr().out
+
+    for name in spared:
+        deny_writes_to(monkeypatch, out / name)
+    assert update(out, 0, 12, 17) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.undo()
+    assert snapshot(out) == snapshot(free)
+
+    # the read-only share's stripe is read, not an erasure, and patching it
+    # fails before any write
+    node = int(spared[0][6:9]) - 1
+    before = snapshot(out)
+    deny_writes_to(monkeypatch, out / spared[0])
+    with ShareDir(out) as shares:
+        column = shares.stripe_column(node, 0)
+        assert column is not None
+        with pytest.raises(PermissionError):
+            shares.patch(0, {int(changed[0][6:9]) - 1: [(0, 1)], node: [(0, column[0] ^ 1)]})
+    monkeypatch.undo()
+    assert snapshot(out) == before
+
+
+def test_update_opens_each_share_once_and_closes_it(tmp_path, monkeypatch):
+    """update reads and patches a share through one descriptor, and closes
+    every descriptor it opened."""
+    data = random.Random(7).randbytes(600)
+    out = encode(tmp_path, data, "shares")
+    opened, closed = [], []
+    real_os_open, real_os_close = os.open, os.close
+
+    def counting_open(file, flags, *args, **kwargs):
+        fd = real_os_open(file, flags, *args, **kwargs)
+        opened.append((os.fspath(file), fd))
+        return fd
+
+    def counting_close(fd):
+        closed.append(fd)
+        real_os_close(fd)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "close", counting_close)
+    assert update(out, 0, 12, 17) == 0
+    monkeypatch.undo()
+    paths = [path for path, _ in opened]
+    assert len(paths) == len(set(paths)) >= 17  # 17 shares patched, each opened once
+    assert sorted(closed) == sorted(fd for _, fd in opened)
+
+
 # ---------------------------------------------------------------------------
 # update judges a share by its header, its length and the target stripe's
 # own symbols
@@ -234,10 +296,10 @@ def test_an_out_of_range_symbol_in_another_stripe_does_not_stop_update(tmp_path,
     assert path.read_bytes()[: HEADER_SIZE + alpha] == (fresh / name).read_bytes()[: HEADER_SIZE + alpha]
     assert path.read_bytes()[HEADER_SIZE + alpha :] == bytes(blob[HEADER_SIZE + alpha :])
 
-    shares = ShareDir(out)
-    assert shares.stripe_column(node, 0) is not None
-    assert shares.stripe_column(node, 5) is None
-    assert shares.column(node, 0) is None  # reconstruct reads the whole file: an erasure
+    with ShareDir(out) as shares:
+        assert shares.stripe_column(node, 0) is not None
+        assert shares.stripe_column(node, 5) is None
+        assert shares.column(node, 0) is None  # reconstruct reads the whole file: an erasure
     restored = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(restored), "--seed", "1"]) == 0
     assert restored.read_bytes() == patched
@@ -268,7 +330,8 @@ def test_a_share_with_a_bad_header_or_length_is_skipped(tmp_path, capsys, damage
     path = out / name
     path.write_bytes(damage(path.read_bytes(), node, ShareDir(out).manifest.stripe_count))
     damaged = path.read_bytes()
-    assert ShareDir(out).stripe_column(node, 0) is None
+    with ShareDir(out) as shares:
+        assert shares.stripe_column(node, 0) is None
 
     capsys.readouterr()
     assert update(out, 0, 12, 17) == 0
