@@ -16,7 +16,7 @@ tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs;
 each doubling runs over every input in one list comprehension, and so do
 a map's table XORs, one comprehension per table entry, when it has many
-inputs for its table size.  That is still far more than one application,
+inputs for its table size and m <= 14.  That is still far more than one application,
 so callers build each map once per GeneratorSet (encode, one row of U at
 a time; for a long enough file of a small enough code (shares.encode_map_pays), the composed encode map from
 the whole message to every stored symbol, laid out as the share files'
@@ -218,9 +218,12 @@ class LinearMap:
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
         planes = _bit_images(field, images, outputs, stride, m)
-        # with many inputs for the table size, fill every input's tables at
-        # once, entry by entry; else input by input
-        by_entry = len(images) * m >= 2 * self.table_entries(m)
+        # fill every input's tables at once, entry by entry, when the map has
+        # many inputs for its table size; input by input when it has few, or
+        # more than 256 entries per input (m >= 15), where moving the entries
+        # into per-input tables costs more than the comprehensions it saves
+        entries = self.table_entries(m)
+        by_entry = len(images) * m >= 2 * entries and entries <= 256
         self.low = _span(planes[: self.half], by_entry)
         self.high = _span(planes[self.half :], by_entry)
 
