@@ -44,33 +44,42 @@ class NotPrimitive(ValueError):
 
 
 def _powers(m: int, poly: int) -> list[int]:
-    """x^0 .. x^(2^m - 1) modulo poly, built in bulk: the first L powers,
-    packed into one int at a stride of w whole bytes per power, times x^L
-    are the next L.  That product is the XOR of the block times x^b over
-    the set bits b of x^L, each block times x^(b + 1) being its predecessor
-    doubled field-wise at once (every m-bit field shifted left by one, and
-    poly's low bits XORed into each field whose top bit fell out), so the
-    2^m powers take about m^2 big-int operations, not 2^m interpreted steps,
-    and one unpacking."""
+    """x^0 .. x^(2^m - 1) modulo poly, built in blocks of L = 2^ceil(m/2)
+    powers, each packed into one int at w whole bytes per power.  The first
+    block comes from a loop; block j is the first one times x^(jL), the XOR
+    of the first block times x^b over the set bits b of x^(jL).  Those m
+    products are computed once, each the previous one doubled field-wise
+    (every m-bit field shifted left by one, and poly's low bits XORed into
+    each field whose top bit fell out), so a block costs a few big-int
+    XORs, not L interpreted steps, and all of them one unpacking."""
     width = 1 if m <= 8 else 2  # bytes per packed power
+    symbol = "B" if width == 1 else "H"
+    size = 1 << (m + 1) // 2  # powers per block
+    first, x = [], 1
+    for _ in range(size):
+        first.append(x)
+        x <<= 1
+        if x >> m:
+            x ^= poly
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * size, "little")  # bit 0 of every field
+    top, keep = ones << (m - 1), ones * ((1 << (m - 1)) - 1)
     low_poly = poly ^ (1 << m)
-    block, length, last = 1, 1, 1  # the first length powers, and the last of them
-    while length < 1 << m:
-        step = last << 1  # x^length
+    shifted = [int.from_bytes(struct.pack(f"<{size}{symbol}", *first), "little")]  # first block times x^b
+    for _ in range(m - 1):
+        y = shifted[-1]
+        shifted.append(((y & keep) << 1) ^ (((y & top) >> (m - 1)) * low_poly))
+    blocks = []
+    step = 1  # x^(jL), the first power of block j
+    for _ in range((1 << m) // size):
+        block = 0
+        for b, y in enumerate(shifted):
+            if step >> b & 1:
+                block ^= y
+        blocks.append(block.to_bytes(width * size, "little"))
+        step = block >> 8 * width * (size - 1) << 1  # the block's last power times x
         if step >> m:
             step ^= poly
-        ones = int.from_bytes(b"\x01".ljust(width, b"\0") * length, "little")  # bit 0 of every field
-        top, keep = ones << (m - 1), ones * ((1 << (m - 1)) - 1)
-        product, shifted = 0, block
-        for b in range(m):
-            if step >> b & 1:
-                product ^= shifted
-            shifted = ((shifted & keep) << 1) ^ (((shifted & top) >> (m - 1)) * low_poly)
-        block |= product << 8 * width * length
-        last = product >> 8 * width * (length - 1)
-        length *= 2
-    packed = block.to_bytes(width * length, "little")
-    return list(packed) if width == 1 else list(struct.unpack(f"<{length}H", packed))
+    return list(struct.unpack(f"<{1 << m}{symbol}", b"".join(blocks)))
 
 
 class Field:
