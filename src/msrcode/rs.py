@@ -60,7 +60,7 @@ from functools import cached_property
 from .field import Field
 from .linalg import LinearMap
 
-__all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval", "poly_mul", "poly_mod"]
+__all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval", "poly_mod"]
 
 
 class BadLength(ValueError):
@@ -75,21 +75,6 @@ def poly_trim(p: list[int]) -> list[int]:
     while i > 0 and p[i - 1] == 0:
         i -= 1
     return p[:i]
-
-
-def poly_mul(field: Field, f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    exp, log = field.exp, field.log
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        la = log[a]
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] ^= exp[la + log[b]]
-    return poly_trim(out)
 
 
 def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
