@@ -642,8 +642,9 @@ def composed_table_digest(linear_map):
     return digest.hexdigest()[:16]
 
 
-# (n, k, m, flavor) -> the tables' digest, as the fill of every LinearMap
-# input by input, and compose() through per-pair lookups, first gave them
+# (n, k, m, flavor) -> the digest of the composed tables, recorded from an
+# earlier compose() that filled every table input by input and applied the
+# pair map once per column symbol: the tables must not depend on the build
 COMPOSED_TABLE_DIGESTS = {
     (20, 10, 5, "systematic"): "915a34ff2322415b",
     (24, 12, 8, "vandermonde"): "507dd4802e0b79f4",
