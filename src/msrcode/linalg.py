@@ -15,10 +15,10 @@ with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
 tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs;
 each doubling runs over every input in one list comprehension, and so do
-a map's table XORs, one comprehension per table entry, when it has many
-inputs for its table size and m <= 14.  That is still far more than one application,
-so callers build each map once per GeneratorSet (encode, one row of U at
-a time; for a long enough file of a small enough code (shares.encode_map_pays), the composed encode map from
+a map's table XORs, one comprehension per table entry.  That is still far
+more than one application, so callers build each map once per
+GeneratorSet (encode, one row of U at a time; for a long enough file of a
+small enough code (shares.encode_map_pays), the composed encode map from
 the whole message to every stored symbol, laid out as the share files'
 bytes; Gbar^T for
 every pair solve; and the systematic flavor's T^-1 that repair maps pass
@@ -158,23 +158,15 @@ def _bit_images(field: Field, images, outputs: int, stride: int, bits: int) -> l
     return planes
 
 
-def _span(planes, by_entry: bool) -> list[list[int]]:
+def _span(planes) -> list[list[int]]:
     """One table per input, entry x being the XOR of the input's bit images
     at x's set bits, where planes[b] holds bit b's image of every input:
-    built entry by entry across all inputs (a list comprehension per entry)
-    or input by input (one per input and bit)."""
-    if by_entry:
-        entries = [[0] * len(planes[0])]
-        for plane in planes:
-            entries += [list(map(xor, entry, plane)) for entry in entries]
-        return list(map(list, zip(*entries)))
-    tables = []
-    for bits in zip(*planes):
-        table = [0]
-        for bit in bits:
-            table += [x ^ bit for x in table]
-        tables.append(table)
-    return tables
+    built entry by entry across all inputs, one list comprehension per
+    entry, then split into per-input tables."""
+    entries = [[0] * len(planes[0])]
+    for plane in planes:
+        entries += [list(map(xor, entry, plane)) for entry in entries]
+    return list(map(list, zip(*entries)))
 
 
 class LinearMap:
@@ -218,14 +210,8 @@ class LinearMap:
         self.half = (m + 1) // 2
         self.lmask = (1 << self.half) - 1
         planes = _bit_images(field, images, outputs, stride, m)
-        # fill every input's tables at once, entry by entry, when the map has
-        # many inputs for its table size; input by input when it has few, or
-        # more than 256 entries per input (m >= 15), where moving the entries
-        # into per-input tables costs more than the comprehensions it saves
-        entries = self.table_entries(m)
-        by_entry = len(images) * m >= 2 * entries and entries <= 256
-        self.low = _span(planes[: self.half], by_entry)
-        self.high = _span(planes[self.half :], by_entry)
+        self.low = _span(planes[: self.half])
+        self.high = _span(planes[self.half :])
 
     def packed(self, xs, indices) -> int:
         """The packed image of the inputs xs[i], i in indices; the others

@@ -159,7 +159,6 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
 from .linalg import LinearMap, invert, mat_vec, row_reduce
@@ -541,25 +540,22 @@ class KNodeDecoder:
             for c in range(r + 1, params.k):
                 lw = log[exp[lam[r]] ^ exp[lam[c]]]
                 self.pairs.append((r, c, (lam[c] - lw) % q1, -lw % q1))
-        self.lh = [log[x] for x in h]
+        # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
+        self.lh = lh = [log[x] for x in h]
+        self.diagonal = [
+            [(c, (lh[c] - lh[r]) % q1) for c in range(params.k) if c != r] for r in range(alpha)
+        ]
         self.composed = None  # the one map compose() folds the stages into
 
-    @cached_property
+    @functools.cached_property
     def gbar_map(self) -> LinearMap:
         """y_c -> Gbar^T y_c, packed: the staged decode's first stage."""
         return self.gen.gbar_map
 
-    @cached_property
+    @functools.cached_property
     def peel_map(self) -> LinearMap:
         """x -> x G^-1, the map _peel takes in the staged decode."""
         return LinearMap(self.field, self.g_inv)
-
-    @cached_property
-    def diagonal(self) -> list[list[tuple[int, int]]]:
-        """p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows
-        kept, as (c, log h_c / h_r)."""
-        lh, q1 = self.lh, self.field.order - 1
-        return [[(c, (lh[c] - lh[r]) % q1) for c in range(self.params.k) if c != r] for r in range(self.params.alpha)]
 
     def compose(self) -> None:
         """Fold the staged decode into one LinearMap from the k * alpha
