@@ -86,14 +86,14 @@ exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
 recover_z.  The result and the round trace match the general round.
 
 All of that depends only on the ordered k nodes, so KNodeDecoder builds it
-once, from one inverse: G^-1, h, and the logs of the lambda and of the
+once, from one inverse: G^-1, h, and the logs of the lambda, of the
 pair-solve coefficients 1 / (lambda_r + lambda_c) and
-lambda_c / (lambda_r + lambda_c).  The staged decode also needs the logs of
-h_c / h_r for the diagonal fill, a linalg.LinearMap for G^-1, which _peel
+lambda_c / (lambda_r + lambda_c), and of h_c / h_r for the diagonal fill.
+The staged decode also needs a linalg.LinearMap for G^-1, which _peel
 runs twice (over P_sel's rows, then over the result's columns) to give Z,
 as in recover_z, and gen.gbar_map, the map pair_solve uses, off whose image
 of y_c column c of M = Gbar_access^T Y is read; the decoder builds those
-on its first staged stripe.  The v = 0 round of reconstruct_progressive
+two on its first staged stripe.  The v = 0 round of reconstruct_progressive
 and the read session below use this one decoder.  Those stages make a
 linear map from the k * alpha column symbols to the B message symbols, and
 KNodeDecoder.compose() folds them into one LinearMap read off G^-1, h and
