@@ -15,9 +15,9 @@ column j.  Every entry point takes and returns the message as the flat list
 of B symbols: Z1 and Z2 exist only inside encode_all, which gathers the
 rows of [Z1 Z2] from it through GeneratorSet._u_rows, and the decoders
 flatten the blocks they recover in the same order.  GeneratorSet._places
-holds that order, the (block offset, r, c) of each flat symbol, for the
-maps that place a symbol's images straight off G's rows (encode_map,
-update_delta).
+holds that order, each flat symbol's cells in U as (share row, G row)
+pairs, for _u_rows and for the maps that place a symbol's images straight
+off G's rows (encode_map, update_delta).
 
 Two Gbar flavors are supported: "systematic" ([D | I], every row of weight
 n - alpha + 1, which minimizes update complexity) and "vandermonde" (the
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bits import symbol_width
@@ -176,9 +176,9 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; g_map, encode_map, gbar_map,
-    _places, _u_rows, helper_dots, repair_maps and _tinv_map are memos of
-    maps derived from it, built on first use.
+    Treat as immutable after construction; gbar_cols, g_map, encode_map,
+    gbar_map, _places, _u_rows, helper_dots, repair_maps and _tinv_map are
+    memos derived from it, built on first use.
     """
 
     params: MsrParams
@@ -189,11 +189,11 @@ class GeneratorSet:
     g_full: list[list[int]]
     code_alpha: RsCode
     col_scale: tuple[int, ...]
-    gbar_cols: list[tuple[int, ...]] = dc_field(repr=False, default_factory=list)
 
-    def __post_init__(self):
-        if not self.gbar_cols:
-            self.gbar_cols = [tuple(col) for col in zip(*self.gbar)]
+    @cached_property
+    def gbar_cols(self) -> list[tuple[int, ...]]:
+        """Gbar's columns: gbar_cols[j] is node j's."""
+        return [tuple(col) for col in zip(*self.gbar)]
 
     @cached_property
     def g_map(self) -> LinearMap:
@@ -208,23 +208,21 @@ class GeneratorSet:
         share, at bits 8 * w * t with w = bits.symbol_width(m).  So
         acc.to_bytes(n * alpha * w, "little") of a packed image is the
         stripe's share bodies, node-major, each symbol in w little-endian
-        bytes.  Message symbol (block, r, c), r <= c, is entry (r, c) and
-        (c, r) of its block of U, so its image is row offset + c of G
-        placed at share row r plus, off the diagonal, row offset + r at
-        share row c: read straight off G, with no field product.  Lazy,
-        and built only where shares.encode_map_pays: for a file of enough
-        stripes, of a code small enough, to repay it (the encode
-        command)."""
+        bytes.  A message symbol's image is the G row of each of its cells
+        (_places) placed at the cell's share row: read straight off G, with
+        no field product.  Lazy, and built only where
+        shares.encode_map_pays: for a file of enough stripes, of a code
+        small enough, to repay it (the encode command)."""
         params, field = self.params, self.field
         alpha = params.alpha
         stride = 8 * symbol_width(field.m)
         # row i of G at share row 0 of every node
         rows = [sum(c << stride * alpha * j for j, c in enumerate(row)) for row in self.g_full]
         images = []
-        for offset, r, c in self._places:
-            image = rows[offset + c] << stride * r
-            if c != r:
-                image ^= rows[offset + r] << stride * c
+        for cells in self._places:
+            image = 0
+            for share_row, g_row in cells:
+                image ^= rows[g_row] << stride * share_row
             images.append(image)
         return LinearMap.from_images(field, images, params.n * alpha, stride)
 
@@ -236,13 +234,15 @@ class GeneratorSet:
         return LinearMap(self.field, self.gbar)
 
     @cached_property
-    def _places(self) -> list[tuple[int, int, int]]:
-        """(offset, r, c) of each flat message symbol, r <= c: it is entry
-        (r, c) and (c, r) of the block of U = [Z1 Z2] at column offset 0
-        (Z1) or alpha (Z2).  Each half of the message fills its block's
-        upper triangle, diagonal included, row-major."""
+    def _places(self) -> list[set[tuple[int, int]]]:
+        """The cells (i, g) of each flat message symbol in U = [Z1 Z2]: the
+        symbol times row g of G adds to share row i.  Each half of the
+        message fills its block's upper triangle, diagonal included,
+        row-major: symbol (r, c), r <= c, of the block at column offset o = 0
+        (Z1) or alpha (Z2) is cell (r, o + c) and its mirror (c, o + r), one
+        cell on the diagonal."""
         alpha = self.params.alpha
-        return [(offset, r, c) for offset in (0, alpha) for r in range(alpha) for c in range(r, alpha)]
+        return [{(r, o + c), (c, o + r)} for o in (0, alpha) for r in range(alpha) for c in range(r, alpha)]
 
     @cached_property
     def _u_rows(self) -> list[operator.itemgetter]:
@@ -251,8 +251,9 @@ class GeneratorSet:
         its upper triangle (_places).  Lazy, since reads never encode."""
         alpha = self.params.alpha
         index = [[0] * (2 * alpha) for _ in range(alpha)]
-        for t, (offset, r, c) in enumerate(self._places):
-            index[r][offset + c] = index[c][offset + r] = t
+        for t, cells in enumerate(self._places):
+            for share_row, g_row in cells:
+                index[share_row][g_row] = t
         return [operator.itemgetter(*row) for row in index]
 
     @cached_property
@@ -520,13 +521,12 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
 
     C = U @ G is linear in U, so the change is dU @ G for dU = [Z1 Z2] of
     the symbol-wise difference of the two messages, and it is read straight
-    off G's rows, with no map built: a change delta of message symbol
-    (offset, r, c) (GeneratorSet._places) adds delta times row offset + c
-    of G to share row r and, off the diagonal, delta times row offset + r
-    to share row c, one field product per nonzero entry of those rows.
-    This is the placement encode_map uses.  So a changed diagonal symbol of
-    Z touches the support of one generator row, an off-diagonal one the
-    supports of two.
+    off G's rows, with no map built: a change delta of a message symbol
+    adds, for each of its cells (share row, G row) (GeneratorSet._places),
+    delta times that row of G to that share row, one field product per
+    nonzero entry of those rows.  This is the placement encode_map uses.
+    So a changed diagonal symbol of Z touches the support of one generator
+    row, an off-diagonal one the supports of two.
     """
     params = gen.params
     _check_length(params, old_message)
@@ -534,11 +534,11 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
     exp, log = gen.field.exp, gen.field.log
     g_full = gen.g_full
     rows: dict[int, list[int]] = {}  # share row -> its change at every node
-    for (offset, r, c), old, new in zip(gen._places, old_message, new_message):
+    for cells, old, new in zip(gen._places, old_message, new_message):
         if old == new:
             continue
         log_delta = log[old ^ new]
-        for g_row, share_row in ((offset + c, r), (offset + r, c)) if c != r else ((offset + c, r),):
+        for share_row, g_row in cells:
             acc = rows.setdefault(share_row, [0] * params.n)
             for j, g in enumerate(g_full[g_row]):
                 if g:

@@ -12,7 +12,9 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    entry nodes[r] of y_c's image under GeneratorSet.gbar_map, y -> Gbar^T y
    over all n nodes.  A round only adds nodes to the previous one, so it
    keeps the previous round's entries and images, maps only its new
-   columns and solves only the pairs with a new node.
+   columns and solves only the pairs with a new node.  That holds from
+   v = 0 on, whose staged decode runs pair_solve too; only a composed
+   v = 0 round (below) solves no pairs, and its v = 1 round starts afresh.
 2. row_decode: each row of P-tilde extends to a codeword of the [n, k-1]
    code, so it is decoded by errors-and-erasures with the unaccessed
    positions (and a trial's extra nodes) and the row's own diagonal
@@ -86,22 +88,21 @@ exactly the value row_decode would fill in; then Z = G^-T P_sel G^-1 as in
 recover_z.  The result and the round trace match the general round.
 
 All of that depends only on the ordered k nodes, so KNodeDecoder builds it
-once, from one inverse: G^-1, h, and the logs of the lambda, of the
-pair-solve coefficients 1 / (lambda_r + lambda_c) and
-lambda_c / (lambda_r + lambda_c), and of h_c / h_r for the diagonal fill.
-The staged decode also needs a linalg.LinearMap for G^-1, which _peel
-runs twice (over P_sel's rows, then over the result's columns) to give Z,
-as in recover_z, and gen.gbar_map, the map pair_solve uses, off whose image
-of y_c column c of M = Gbar_access^T Y is read; the decoder builds those
-two on its first staged stripe.  The v = 0 round of reconstruct_progressive
-and the read session below use this one decoder.  Those stages make a
-linear map from the k * alpha column symbols to the B message symbols, and
-KNodeDecoder.compose() folds them into one LinearMap read off G^-1, h and
-the lambda (its docstring), after which decode() is one table pass instead
-of k + 4 * alpha map applications, the pair solve and the diagonal fill.
-The composed map lays its outputs out MSB-first, so that pass yields the
-stripe's bitstream, the message packed into one int as bits.symbols_to_int
-packs it (KNodeDecoder.bitstream).
+once, from one inverse: G^-1, h, and the logs of h_c / h_r for the diagonal
+fill.  Its staged decode has three steps: step 1's pair_solve over its k
+nodes, the diagonal fill from h, and _peel, which runs a linalg.LinearMap
+of G^-1 twice (over P_sel's rows, then over the result's columns) to give
+Z, as in recover_z; the decoder builds that map on its first staged stripe.
+The v = 0 round of reconstruct_progressive and the read session below use
+this one decoder, and the v = 0 round hands its PairSolve to the v = 1
+round, so a stripe maps each column it holds through gen.gbar_map once.
+Those stages make a linear map from the k * alpha column symbols to the B
+message symbols, and KNodeDecoder.compose() folds them into one LinearMap
+read off G^-1, h and the lambda (its docstring), after which decode() is
+one table pass instead of k + 4 * alpha map applications, the pair solve
+and the diagonal fill.  The composed map lays its outputs out MSB-first, so
+that pass yields the stripe's bitstream, the message packed into one int as
+bits.symbols_to_int packs it (KNodeDecoder.bitstream).
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
 reconstruct_progressive with the stripe's own seeded generator.  After any
@@ -113,8 +114,8 @@ progressive stripes; on a clean read stripe 0's first round and the trusted
 set ask for the same k nodes, so one decoder serves the whole file.  Every
 later stripe is decoded from the trusted nodes' k columns alone, straight
 to its bitstream, and accepted only if that int passes the integrity check,
-the same check_crc that alone decides the v = 0 round (which also checks the
-bitstream, and unpacks it only once accepted).  check_crc reads the CRC-32
+the same check_crc that alone decides the v = 0 round (there on the
+message list that the decoder returns).  check_crc reads the CRC-32
 trailer off the low bits and hashes the payload bits above it as bytes, so a
 trusted stripe is never split into symbols: the session keeps each accepted
 stripe as its int (FileReport.bitstreams), and the CLI joins the payload
@@ -232,10 +233,9 @@ def crc_change(params: MsrParams, payload_change: int) -> int:
     """The change of seal()'s trailer when its payload int is XORed with
     payload_change.  CRC-32 is affine over GF(2): at equal length
     crc(p ^ x) = crc(p) ^ crc(x) ^ crc(0), so the change needs only x, not
-    the payload p."""
-    payload_bits = crc_payload_length(params) * params.m
-    length = (payload_bits + 7) // 8
-    return zlib.crc32(symbols_to_bytes([payload_change], payload_bits, length)) ^ zlib.crc32(bytes(length))
+    the payload p: it is the trailer of seal(x) plus that of seal(0)."""
+    trailer_mask = (1 << crc_trailer_length(params.m) * params.m) - 1
+    return (seal(params, payload_change) ^ seal(params, 0)) & trailer_mask
 
 
 def attach_crc(params: MsrParams, payload) -> list[int]:
@@ -374,19 +374,26 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
             q[r][:held] = base.q[r]
     images += tuple(gbar_map.packed(col, range(len(col))) for col in access.columns[held:])
 
-    mul, inv = gen.field.mul, gen.field.inv
+    # q = s / w and p = m_rc + q lambda_c, with s = m_rc + m_cr and
+    # w = lambda_c + lambda_r, through the logs of s, w and lambda_c
+    exp, log = gen.field.exp, gen.field.log
+    q1 = gen.field.order - 1
     m, mask = gbar_map.m, gbar_map.mask
-    for r in range(j):
-        lam_r = gen.delta[nodes[r]]
-        shift_r = m * nodes[r]
-        for c in range(max(r + 1, held), j):
-            lam_c = gen.delta[nodes[c]]
-            m_rc = images[c] >> shift_r & mask
-            m_cr = images[r] >> m * nodes[c] & mask
-            qv = mul(m_rc ^ m_cr, inv(lam_c ^ lam_r))
-            pv = m_rc ^ mul(qv, lam_c)
-            p[r][c] = p[c][r] = pv
-            q[r][c] = q[c][r] = qv
+    lam = [gen.delta[node] for node in nodes]
+    shifts = [m * node for node in nodes]
+    for c in range(max(held, 1), j):
+        image_c, shift_c, lam_c = images[c], shifts[c], lam[c]
+        l_c, p_c, q_c = log[lam_c], p[c], q[c]
+        for r in range(c):
+            m_rc = image_c >> shifts[r] & mask
+            s = m_rc ^ images[r] >> shift_c & mask
+            if s:
+                l_q = (log[s] - log[lam_c ^ lam[r]]) % q1
+                p[r][c] = p_c[r] = m_rc ^ exp[l_q + l_c]
+                q[r][c] = q_c[r] = exp[l_q]
+            else:
+                p[r][c] = p_c[r] = m_rc
+                q[r][c] = q_c[r] = 0
     return PairSolve(
         nodes=nodes,
         p=tuple(tuple(row) for row in p),
@@ -405,22 +412,15 @@ def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, c
     Gbar's row space into ``code``: each word is multiplied by it before
     decoding and the codeword divided by it after.
     """
-    n = code.n
     j = len(nodes)
     if context is None:
         context = _round_context(code, nodes, extra_erased)
     if scale is not None and all(s == 1 for s in scale):
         scale = None
-    mul, div = code.field.mul, code.field.div
+    div = code.field.div
     out = []
     for r in range(j):
-        word = [0] * n
-        row = mat[r]
-        for c in range(j):
-            if c == r or nodes[c] in extra_erased:
-                continue
-            node = nodes[c]
-            word[node] = row[c] if scale is None else mul(row[c], scale[node])
+        word = _row_word(code, mat[r], r, nodes, scale, extra_erased)
         res = context.decode(word, None if nodes[r] in extra_erased else nodes[r])
         if res is None:
             out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
@@ -430,6 +430,19 @@ def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, c
             codeword = tuple(div(x, s) for x, s in zip(codeword, scale))
         out.append(RowDecode(decoded=True, codeword=codeword, corrected=res.corrected_positions))
     return out
+
+
+def _row_word(code: RsCode, row, r: int, nodes, scale, erased=frozenset()) -> list[int]:
+    """Row r of a pair-solved block as a received word of ``code``: entry c
+    at position nodes[c], times scale[nodes[c]] unless scale is None, and
+    zero at the unaccessed positions, the erased nodes and the row's own
+    diagonal."""
+    word = [0] * code.n
+    mul = code.field.mul
+    for c, node in enumerate(nodes):
+        if c != r and node not in erased:
+            word[node] = row[c] if scale is None else mul(row[c], scale[node])
+    return word
 
 
 def _round_context(code: RsCode, nodes, extra_erased):
@@ -500,13 +513,17 @@ def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, peel_maps: di
 def _peel(peel_map: LinearMap, p_sel) -> list[int]:
     """The upper triangle, row-major, of Z = G^-T @ P_sel @ G^-1, undoing
     P_sel = G^T @ Z @ G on the chosen positions, where peel_map is
-    x -> x @ G^-1: once over P_sel's rows, then over the result's columns.
-    P_sel is symmetric, so Z is too."""
-    peel = peel_map.apply
-    w = [peel(row) for row in p_sel]
+    x -> x @ G^-1: once over P_sel's rows, kept packed, then over the
+    result's columns, read off those ints.  P_sel is symmetric, so Z is
+    too, and column r of Z gives row r's entries from the diagonal on."""
+    packed, m, mask = peel_map.packed, peel_map.m, peel_map.mask
+    inputs = range(len(p_sel))
+    w = [packed(row, inputs) for row in p_sel]
     half = []
-    for r, col in enumerate(zip(*w)):
-        half += peel(col)[r:]
+    for r in inputs:
+        shift = m * r
+        z = packed([x >> shift & mask for x in w], inputs)
+        half += [z >> m * t & mask for t in range(r, len(p_sel))]
     return half
 
 
@@ -521,7 +538,7 @@ class KNodeDecoder:
     def __init__(self, gen: GeneratorSet, nodes):
         params = gen.params
         field = gen.field
-        exp, log = field.exp, field.log
+        log = field.log
         q1 = field.order - 1
         alpha = params.alpha
         self.gen, self.params, self.field, self.nodes = gen, params, field, tuple(nodes)
@@ -530,27 +547,13 @@ class KNodeDecoder:
         self.gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
         self.g_inv = invert(field, [row[:alpha] for row in self.gbar_access])
         h = mat_vec(field, self.g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
-        # m_rc sits at bit shifts[r] of y_c's image under gbar_map
-        self.shifts = [field.m * node for node in self.nodes]
-        # pair (r, c), r < c, with s = m_rc + m_cr and w = lambda_c + lambda_r:
-        # q = s / w and p = m_rc + s lambda_c / w, as logs of 1 / w and lambda_c / w
-        self.lam = lam = [log[gen.delta[node]] for node in self.nodes]
-        self.pairs = []
-        for r in range(params.k):
-            for c in range(r + 1, params.k):
-                lw = log[exp[lam[r]] ^ exp[lam[c]]]
-                self.pairs.append((r, c, (lam[c] - lw) % q1, -lw % q1))
+        self.lam = [log[gen.delta[node]] for node in self.nodes]  # for compose()
         # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
         self.lh = lh = [log[x] for x in h]
         self.diagonal = [
             [(c, (lh[c] - lh[r]) % q1) for c in range(params.k) if c != r] for r in range(alpha)
         ]
         self.composed = None  # the one map compose() folds the stages into
-
-    @functools.cached_property
-    def gbar_map(self) -> LinearMap:
-        """y_c -> Gbar^T y_c, packed: the staged decode's first stage."""
-        return self.gen.gbar_map
 
     @functools.cached_property
     def peel_map(self) -> LinearMap:
@@ -602,8 +605,10 @@ class KNodeDecoder:
             ((1 << m * (alpha - a)) - 1, m * (triangle - (a + 1) * alpha + a * (a + 1) // 2)) for a in range(alpha)
         ]
         log_g_inv = [[log[x] if x else None for x in row] for row in g_inv]
+        pairs = list(itertools.combinations(range(k), 2))
         images = []
-        for r, c, _, l_w in self.pairs:  # l_w = log 1 / w
+        for r, c in pairs:
+            l_w = -log[exp[lam[r]] ^ exp[lam[c]]] % q1  # log 1 / w
             l_r = (lh[c] - lh[r]) % q1  # log s_r; s_c = 1 / s_r
             l_x = (l_r + l_w) % q1  # log s_r / w
             lo_r, hi_r = low[r], high[r]
@@ -626,7 +631,7 @@ class KNodeDecoder:
         pair_map = LinearMap.from_images(field, images, triangle)
 
         pair_tables = [[None] * k for _ in range(k)]  # [c][r]: the pair map's tables of pair {r, c}
-        for i, (r, c, _, _) in enumerate(self.pairs):
+        for i, (r, c) in enumerate(pairs):
             pair_tables[c][r] = pair_tables[r][c] = pair_map.low[i], pair_map.high[i]
         # row t's nonzero entries g = gbar_access[t][r], as r and the table
         # indices of g lambda_r and of g
@@ -666,47 +671,45 @@ class KNodeDecoder:
         through the composed map once compose() has run, else in stages."""
         if self.composed is not None:
             return int_to_symbols(self.bitstream(columns), self.field.m, self.params.B)
+        return self.solve(pair_solve(self.gen, AccessSet(self.nodes, tuple(columns))))
+
+    def solve(self, pair: PairSolve) -> list[int]:
+        """The staged decode's last two steps, on the pair solve of this
+        decoder's nodes: the first alpha rows of P and of Q get their
+        diagonals from h, and _peel takes those P_sel and Q_sel to the
+        message."""
+        if pair.nodes != self.nodes:
+            raise ValueError("pair solve is not over the decoder's nodes")
         exp, log = self.field.exp, self.field.log
-        k, alpha = self.params.k, self.params.alpha
-        mask, shifts = self.field.order - 1, self.shifts
-        images = [self.gbar_map.packed(col, range(alpha)) for col in columns]
-        p = [[0] * k for _ in range(alpha)]
-        q = [[0] * k for _ in range(alpha)]
-        for r, c, l_p, l_q in self.pairs:
-            m_rc = images[c] >> shifts[r] & mask
-            s = m_rc ^ images[r] >> shifts[c] & mask
-            if s:
-                ls = log[s]
-                p[r][c] = m_rc ^ exp[ls + l_p]
-                q[r][c] = exp[ls + l_q]
-            else:
-                p[r][c] = m_rc
-            if c < alpha:
-                p[c][r], q[c][r] = p[r][c], q[r][c]
+        alpha = self.params.alpha
         message = []
-        for mat in (p, q):
+        for mat in (pair.p, pair.q):
+            p_sel = []
             for r, terms in enumerate(self.diagonal):
                 row = mat[r]
                 acc = 0
                 for c, lc in terms:
                     if row[c]:
                         acc ^= exp[log[row[c]] + lc]
-                row[r] = acc
-            message += _peel(self.peel_map, [row[:alpha] for row in mat])
+                p_sel.append(row[:r] + (acc,) + row[r + 1 : alpha])
+            message += _peel(self.peel_map, p_sel)
         return message
 
 
 def _k_node_round(decoder: KNodeDecoder, access: AccessSet, trace):
     """The v = 0 round over exactly k nodes, through the KNodeDecoder of
-    this access set's nodes; returns the same result and trace entry as
-    _attempt_round at v = 0 on the pair-solved access set."""
-    value = decoder.bitstream(access.columns)
+    this access set's nodes: the same result and trace entry as
+    _attempt_round at v = 0 on the pair-solved access set, and the round's
+    PairSolve for the v = 1 round to extend, None when the decoder is
+    composed and solves no pairs."""
+    pair = pair_solve(decoder.gen, access) if decoder.composed is None else None
+    message = decoder.decode(access.columns) if pair is None else decoder.solve(pair)
     j = len(access.nodes)
-    if not check_crc(decoder.params, value):
+    if not check_crc(decoder.params, message):
         trace.append(RoundTrace(0, j, "integrity"))
-        return None
+        return None, pair
     trace.append(RoundTrace(0, j, "accepted"))
-    return int_to_symbols(value, decoder.params.m, decoder.params.B), frozenset()
+    return (message, frozenset()), pair
 
 
 def _gate_can_pass(j: int, v: int, k: int) -> bool:
@@ -765,18 +768,13 @@ def _locate(gen: GeneratorSet, pair: PairSolve, v: int, context):
         yield from itertools.combinations(range(j), v)
         return
     code = gen.code_alpha
-    mul, scale = code.field.mul, gen.col_scale
     head = code.n - j + 1 + v  # |X_r| + v
 
     @functools.cache
     def equations(r):
         """Row r's equations sum_i Lambda_i U_r[t - i] = U_r[t], i = 1..v,
         as rows [U_r[t - 1], .., U_r[t - v], U_r[t]]."""
-        word = [0] * code.n
-        for c, node in enumerate(nodes):
-            if c != r:
-                word[node] = mul(pair.p[r][c], scale[node])
-        u = context.adjusted(word, nodes[r])
+        u = context.adjusted(_row_word(code, pair.p[r], r, nodes, gen.col_scale), nodes[r])
         return [u[t - v : t][::-1] + [u[t]] for t in range(head, len(u))]
 
     seen = set()
@@ -848,7 +846,7 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
             starved = True
         access = AccessSet(nodes=tuple(nodes), columns=tuple(columns))
         if v == 0:  # always exactly k nodes
-            result = _k_node_round(k_decoder(access.nodes), access, trace)
+            result, pair = _k_node_round(k_decoder(access.nodes), access, trace)
         else:
             pair = pair_solve(gen, access, pair)
             context = _round_context(gen.code_alpha, pair.nodes, ())

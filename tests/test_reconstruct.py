@@ -557,7 +557,7 @@ def test_k_node_round_matches_general_round(monkeypatch, n, k, m, flavor):
                 monkeypatch.setattr(reconstruct, "check_crc", accept)
                 general_trace, closed_trace = [], []
                 expected = _attempt_round(gen, pair, 0, general_trace)
-                assert _k_node_round(decoder, access, closed_trace) == expected
+                assert _k_node_round(decoder, access, closed_trace) == (expected, pair)
                 assert closed_trace == general_trace
                 assert ((decoded, frozenset()) if accept(params, decoded) else None) == expected
             if stripe % 2 == 0 and not bad:
@@ -588,7 +588,7 @@ def test_composed_decode_matches_staged_decode(n, k, m, flavor):
         staged, composed = KNodeDecoder(gen, nodes), KNodeDecoder(gen, nodes)
         composed.compose()
         assert staged.composed is None and composed.composed is not None
-        composed.gbar_map = composed.peel_map = None  # the staged body must not run
+        composed.solve = composed.peel_map = None  # the staged body must not run
         for kind in ("garbage", "fresh", "corrupt") * 4:
             if kind == "garbage":
                 cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
@@ -617,7 +617,7 @@ def test_composed_map_images_are_staged_decodes_of_unit_columns(n, k, m, flavor)
     nodes = tuple(rng.sample(range(n), k))
     decoder = KNodeDecoder(gen, nodes)
     decoder.compose()
-    assert "gbar_map" not in vars(gen) and "gbar_map" not in vars(decoder) and "peel_map" not in vars(decoder)
+    assert "gbar_map" not in vars(gen) and "peel_map" not in vars(decoder)
     composed = decoder.composed
     staged = KNodeDecoder(gen, nodes)
     alpha = params.alpha
@@ -671,11 +671,12 @@ def test_progressive_reports_unchanged_by_k_node_round(monkeypatch, flavor):
     rng = random.Random(20)
     runs = [(frozenset(rng.sample(range(20), v)), rng.randrange(2**30)) for v in (0, 0, 1, 3, 6)]
     closed = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
-    monkeypatch.setattr(
-        reconstruct,
-        "_k_node_round",
-        lambda decoder, access, trace: _attempt_round(gen, pair_solve(gen, access), 0, trace),
-    )
+
+    def general_round(decoder, access, trace):
+        pair = pair_solve(gen, access)
+        return _attempt_round(gen, pair, 0, trace), pair
+
+    monkeypatch.setattr(reconstruct, "_k_node_round", general_round)
     general = [run_injected(P20, gen, bad, seed) for bad, seed in runs]
     assert closed == general
 
@@ -1222,20 +1223,23 @@ def reference_pair_solve(gen, access):
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
-@pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5), (24, 12, 8)])
+@pytest.mark.parametrize("n,k,m", [(3, 2, 2), (7, 4, 3), (20, 10, 5), (24, 12, 8), (20, 10, 11), (18, 9, 16)])
 def test_pair_solve_matches_scalar_reference(n, k, m, flavor):
     """pair_solve through gen.gbar_map, from scratch and extended from a
     prefix, gives the scalar reference's P and Q on garbage columns, fresh
-    encodings and encodings with corrupted columns."""
+    encodings and encodings with corrupted columns, over GF(2^2) to
+    GF(2^16)."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     rng = random.Random(f"pair:{n}:{k}:{m}:{flavor}")
+    with_crc = crc_trailer_length(m) < params.B  # [3,2]/GF(2^2) has no room for a payload
     for kind in ("garbage", "fresh", "corrupt") * 3:
-        nodes = tuple(rng.sample(range(n), rng.randrange(k, n + 1)))
+        # at least three nodes, so that a prefix of two or more is shorter
+        nodes = tuple(rng.sample(range(n), rng.randrange(max(k, 3), n + 1)))
         if kind == "garbage":
             cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
         else:
-            message, shares = fresh_case(params, gen, rng)
+            message, shares = fresh_case(params, gen, rng, with_crc)
             cols = [shares[i].symbols for i in nodes]
             if kind == "corrupt":
                 for b in rng.sample(range(len(nodes)), rng.randint(1, 3)):
@@ -1246,6 +1250,33 @@ def test_pair_solve_matches_scalar_reference(n, k, m, flavor):
         base = pair_solve(gen, prefix)
         for pair, solved in ((base, prefix), (pair_solve(gen, access), access), (pair_solve(gen, access, base), access)):
             assert ([list(row) for row in pair.p], [list(row) for row in pair.q]) == reference_pair_solve(gen, solved)
+
+
+@pytest.mark.parametrize(
+    "n,k,m,missing,liars",
+    [(24, 12, 8, 3, 3), (20, 10, 5, 7, 2)],
+    ids=["byzantine-full-supply", "degraded-supply-capped"],
+)
+def test_failed_first_round_maps_each_column_once(monkeypatch, n, k, m, missing, liars):
+    """A stripe whose staged v = 0 round fails hands that round's pair
+    solve to v = 1, so every column it holds goes through gen.gbar_map once
+    over all its rounds and erasure trials: its first k columns are not
+    mapped again at v = 1."""
+    params = make_params(n, k, m)
+    gen = generator_set(params)
+    packed = gen.gbar_map.packed
+    mapped = []
+    monkeypatch.setattr(gen.gbar_map, "packed", lambda xs, indices: mapped.append(xs) or packed(xs, indices))
+    failed_first = 0
+    for seed in range(12):
+        mapped.clear()
+        message, report = run_capped(params, gen, missing, liars, 4400 + seed)
+        if report.trace[0].outcome == "accepted":
+            continue
+        failed_first += 1
+        assert report.rounds >= 1
+        assert len(mapped) == report.nodes_accessed
+    assert failed_first >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -1365,11 +1396,18 @@ def test_read_session_composes_with_enough_stripes_left(monkeypatch):
     rng = random.Random(78)
     stripes = [fresh_case(P20, GEN20, rng)[1] for _ in range(13)]
     composed, decoded = [], []
-    compose, bitstream = KNodeDecoder.compose, KNodeDecoder.bitstream
+    compose, bitstream, solve = KNodeDecoder.compose, KNodeDecoder.bitstream, KNodeDecoder.solve
     monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
-    monkeypatch.setattr(
-        KNodeDecoder, "bitstream", lambda decoder, cols: decoded.append(decoder.composed is not None) or bitstream(decoder, cols)
-    )
+
+    # each stripe's decode, once: the composed map's table pass or the staged
+    # solve, which a staged bitstream() runs and a staged first round calls
+    def spy_bitstream(decoder, cols):
+        if decoder.composed is not None:
+            decoded.append(True)
+        return bitstream(decoder, cols)
+
+    monkeypatch.setattr(KNodeDecoder, "bitstream", spy_bitstream)
+    monkeypatch.setattr(KNodeDecoder, "solve", lambda decoder, pair: decoded.append(False) or solve(decoder, pair))
     for count in (11, 12, 13):
         composed.clear(), decoded.clear()
         session = reconstruct.reconstruct_file(GEN20, file_source(GEN20, stripes), count, 3)
