@@ -136,9 +136,9 @@ the first stripe it decodes.  So a clean long read decodes every stripe,
 stripe 0 included, through one composed map, and never builds
 gen.gbar_map or the staged peel map.  The build fills that many table
 entries per input and grows with them: on [20,10]/GF(2^5) it costs about
-four staged stripe decodes and on [24,12]/GF(2^8) about seven, and a
+three staged stripe decodes and on [24,12]/GF(2^8) about seven, and a
 composed stripe decodes about twelve times faster, so it repays itself
-after about 4 and 7 stripes.  The threshold sits above that break-even and
+after about 3 and 7 stripes.  The threshold sits above that break-even and
 follows from the kernel's layout rather than a setting.  When stripe 0's
 v = 0 round fails, its composed map is wasted, and the nodes its later
 rounds trust get a decoder of their own.  The v = 0 round of a later

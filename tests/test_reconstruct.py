@@ -1270,7 +1270,7 @@ def test_failed_first_round_maps_each_column_once(monkeypatch, n, k, m, missing,
     failed_first = 0
     for seed in range(12):
         mapped.clear()
-        message, report = run_capped(params, gen, missing, liars, 4400 + seed)
+        _, report = run_capped(params, gen, missing, liars, 4400 + seed)
         if report.trace[0].outcome == "accepted":
             continue
         failed_first += 1
