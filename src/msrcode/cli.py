@@ -28,6 +28,7 @@ from .msr import (
     helper_symbol,
     make_params,
     regenerate,
+    share_columns,
     update_complexity,
     update_delta,
 )
@@ -273,10 +274,11 @@ def _update(args, shares: ShareDir) -> int:
     trailer_change = crc_change(params, change << (payload_len - 1 - args.symbol) * params.m)
     for t, delta in enumerate(int_to_symbols(trailer_change, params.m, crc_trailer_length(params.m)), payload_len):
         changed[t] ^= delta
-    old_shares = encode_all(gen, message)
+    deltas = update_delta(gen, message, changed)
+    old_columns = share_columns(gen, message, {node for node, _ in deltas})
     changes: dict[int, list[tuple[int, int]]] = {}
-    for (node, row), delta in update_delta(gen, message, changed).items():
-        changes.setdefault(node, []).append((row, old_shares[node].symbols[row] ^ delta))
+    for (node, row), delta in deltas.items():
+        changes.setdefault(node, []).append((row, old_columns[node][row] ^ delta))
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
@@ -287,7 +289,7 @@ def _update(args, shares: ShareDir) -> int:
         if current is None:
             skipped.append(node + 1)
             del changes[node]
-        elif current != old_shares[node].symbols:
+        elif current != old_columns[node]:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
     shares.patch(args.stripe, changes)
@@ -435,58 +437,58 @@ def _params_arguments(p: _Parser) -> None:
     p.set_defaults(func=cmd_params)
 
 
-class _Commands(dict):
-    """The subcommand parsers by name, as the subparsers action holds them.
-    Until its first lookup a value is the function that builds the parser
-    with its arguments; argparse looks up only the command it parses, so a
-    run builds that command's parser alone."""
+# name -> (help line, the function that adds the command's arguments)
+_COMMANDS = {
+    "encode": ("encode a file into n share files plus a manifest", _encode_arguments),
+    "reconstruct": ("rebuild the original file from shares", _reconstruct_arguments),
+    "repair": ("regenerate one node's share file from d helpers", _repair_arguments),
+    "update": ("change one payload symbol, rewriting only affected bytes", _update_arguments),
+    "simulate": ("Monte Carlo failure-rate sweep", _simulate_arguments),
+    "params": ("derive and validate a parameter tuple", _params_arguments),
+}
 
-    def __getitem__(self, name):
-        parser = super().__getitem__(name)
-        if callable(parser):
-            parser = self[name] = parser()
-        return parser
+
+def _width() -> int:
+    """The help width each HelpFormatter would read from the terminal on
+    its own."""
+    return shutil.get_terminal_size().columns - 2
 
 
 def build_parser() -> _Parser:
-    """The msrcode parser.  Each subcommand's parser is built, arguments
-    included, only when it parses (_Commands)."""
-    # what every HelpFormatter would ask the terminal for on its own, once
-    width = shutil.get_terminal_size().columns - 2
+    """The whole msrcode parser, every command's parser included."""
+    width = _width()
     parser = _Parser(
         prog="msrcode",
         description=__doc__,
         formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
     )
+    sub = parser.add_subparsers(dest="command", required=True)
     formatter = functools.partial(argparse.HelpFormatter, width=width)
-
-    def deferred(arguments, **kwargs):
-        # add_parser records the command's prog and help, and files this
-        # build of its parser under its name in _Commands
-        def build() -> _Parser:
-            command = _Parser(formatter_class=formatter, **kwargs)
-            arguments(command)
-            return command
-
-        return build
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=deferred)
-    sub.choices = sub._name_parser_map = _Commands()
-    sub.add_parser("encode", help="encode a file into n share files plus a manifest", arguments=_encode_arguments)
-    sub.add_parser("reconstruct", help="rebuild the original file from shares", arguments=_reconstruct_arguments)
-    sub.add_parser("repair", help="regenerate one node's share file from d helpers", arguments=_repair_arguments)
-    sub.add_parser(
-        "update", help="change one payload symbol, rewriting only affected bytes", arguments=_update_arguments
-    )
-    sub.add_parser("simulate", help="Monte Carlo failure-rate sweep", arguments=_simulate_arguments)
-    sub.add_parser("params", help="derive and validate a parameter tuple", arguments=_params_arguments)
+    for name, (help_line, arguments) in _COMMANDS.items():
+        arguments(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it, building only the parser of
+    the command that argv names when that parser takes the rest whole.
+    That parser is built as add_parser builds it, so its help and its usage
+    errors print what the whole tree prints.  An argv that names no
+    command, or leaves arguments over, goes through the whole tree, whose
+    top-level parser reports them."""
+    if argv and argv[0] in _COMMANDS:
+        formatter = functools.partial(argparse.HelpFormatter, width=_width())
+        parser = _Parser(prog=f"msrcode {argv[0]}", formatter_class=formatter)
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -87,6 +87,7 @@ __all__ = [
     "generator_set",
     "stacked_rank",
     "encode_all",
+    "share_columns",
     "helper_symbol",
     "regenerate",
     "update_complexity",
@@ -176,9 +177,9 @@ class GeneratorSet:
     """Gbar, the diagonal multipliers, and the assembled stacked matrix.
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
-    Treat as immutable after construction; gbar_cols, g_map, encode_map,
-    gbar_map, _places, _u_rows, helper_dots, repair_maps and _tinv_map are
-    memos derived from it, built on first use.
+    Treat as immutable after construction; gbar_cols, g_cols, g_map,
+    encode_map, gbar_map, _places, _u_rows, helper_dots, repair_maps and
+    _tinv_map are memos derived from it, built on first use.
     """
 
     params: MsrParams
@@ -196,9 +197,18 @@ class GeneratorSet:
         return [tuple(col) for col in zip(*self.gbar)]
 
     @cached_property
+    def g_cols(self) -> list[tuple[tuple[int, int], ...]]:
+        """G's columns by their nonzero entries: g_cols[j] holds (i, log of
+        g_full[i][j]) for each G row i where node j's column is nonzero
+        (share_columns)."""
+        log = self.field.log
+        return [tuple([(i, log[g]) for i, g in enumerate(col) if g]) for col in zip(*self.g_full)]
+
+    @cached_property
     def g_map(self) -> LinearMap:
         """u -> u @ g_full: one row of U to one row of the codeword matrix.
-        Lazy, since reads never encode."""
+        Lazy, and built only by encode_all: reads never encode, and an
+        update re-encodes its few shares through share_columns."""
         return LinearMap(self.field, self.g_full)
 
     @cached_property
@@ -384,6 +394,37 @@ def encode_all(gen: GeneratorSet, message) -> list[NodeShare]:
     return [NodeShare(node_index=j, symbols=col) for j, col in enumerate(zip(*c_rows))]
 
 
+def share_columns(gen: GeneratorSet, message, nodes) -> dict[int, tuple[int, ...]]:
+    """node j -> column j of C = U @ G, the symbols encode_all gives node j,
+    for each node index j in nodes.
+
+    Each column comes straight off G's nonzero entries in that column
+    (GeneratorSet.g_cols), alpha field products per entry, with no map
+    built: an update re-encodes only the shares it patches, where
+    encode_all would build g_map and encode every node."""
+    params, field = gen.params, gen.field
+    _check_length(params, message)
+    q1 = field.order - 1
+    log = field.log
+    # a zero symbol's log is 2 * q1, past the doubled table, where these
+    # extra entries make each of its products 0
+    exp = field.exp + [0] * q1
+    u_logs = [[log[u] if u else 2 * q1 for u in u_row(message)] for u_row in gen._u_rows]
+    columns = {}
+    for j in nodes:
+        if not 0 <= j < params.n:
+            raise BadIndex(f"node index {j} outside [0, {params.n})")
+        entries = gen.g_cols[j]
+        column = []
+        for row in u_logs:
+            acc = 0
+            for i, lg in entries:
+                acc ^= exp[row[i] + lg]
+            column.append(acc)
+        columns[j] = tuple(column)
+    return columns
+
+
 def helper_symbol(gen: GeneratorSet, body: bytes, failed: int) -> tuple[int, ...]:
     """The symbols a surviving node sends toward repairing ``failed``, one
     per stripe of its share body: the inner product of each stored column
@@ -550,11 +591,10 @@ def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, 
     """The (node_index, share_row, new_symbol) entries in which the encoding
     of new_message differs from that of old_message, and no others: each
     update_delta entry added to the old symbol, of which only the changed
-    rows are encoded."""
+    nodes' columns are encoded (share_columns)."""
     changes = update_delta(gen, old_message, new_message)
-    g_map = gen.g_map
-    old_rows = {r: g_map.apply(gen._u_rows[r](old_message)) for r in {r for _, r in changes}}
-    return {(j, r, old_rows[r][j] ^ c) for (j, r), c in changes.items()}
+    old = share_columns(gen, old_message, {j for j, _ in changes})
+    return {(j, r, old[j][r] ^ c) for (j, r), c in changes.items()}
 
 
 def apply_patch(shares: list[NodeShare], patch) -> list[NodeShare]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from msrcode.bits import bytes_to_symbols, symbols_to_bytes, symbols_to_int
+from msrcode import cli
 from msrcode.cli import main
 from msrcode.linalg import LinearMap
 from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params
@@ -542,6 +543,25 @@ def test_update_noop(tmp_path, capsys):
     assert {p.name: sha(p) for p in out.iterdir()} == before
 
 
+def test_clean_update_builds_no_encode_map(tmp_path, monkeypatch, capsys):
+    """update re-encodes only the shares it patches, straight off G's
+    columns: it builds neither G's row map nor the composed encode map."""
+    data = bytes(random.Random(5).randrange(256) for _ in range(600))
+    _, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    built = []
+
+    def recording_generator_set(*args, **kwargs):
+        built.append(generator_set(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "generator_set", recording_generator_set)
+    assert main(["update", str(out), "--stripe", "1", "--symbol", "3", "--value", "9"]) == 0
+    assert "rewrote" in capsys.readouterr().out
+    (gen,) = built
+    assert "g_map" not in vars(gen) and "encode_map" not in vars(gen)
+    assert "g_cols" in vars(gen)
+
+
 def test_update_bad_index(tmp_path):
     src, out = encode_dir(tmp_path, b"xyz", n=20, k=10, m=5)
     assert main(["update", str(out), "--stripe", "0", "--symbol", "83", "--value", "1"]) == 1
@@ -784,6 +804,59 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "alpha" in done.stdout
+
+
+WELL_FORMED = [
+    ["encode", "in.bin", "shares", "--n", "20", "--k", "10", "--m", "5", "--flavor", "vandermonde"],
+    ["reconstruct", "shares", "out.bin", "--corrupt-nodes", "3,9", "--seed", "7"],
+    ["repair", "shares", "--failed", "3"],
+    ["update", "shares", "--stripe", "0", "--symbol", "12", "--value", "17", "--manifest", "m.json"],
+    ["simulate", "--trials", "5", "--p-grid", "0.1"],
+    ["params", "--n", "20", "--k", "10", "--m", "5"],
+]
+
+
+class _CountingParser(cli._Parser):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def count_parsers(monkeypatch):
+    monkeypatch.setattr(cli, "_Parser", _CountingParser)
+    monkeypatch.setattr(_CountingParser, "built", 0)
+    return _CountingParser
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+def test_a_well_formed_command_builds_one_parser(argv, count_parsers):
+    """A command whose parser takes its arguments whole builds that parser
+    alone, and parses to what the whole tree gives."""
+    args = cli._parse(argv)
+    assert count_parsers.built == 1
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["-h"], 7),
+        (["frobnicate"], 7),
+        ([], 7),
+        # the command's own parser, then the whole tree reports the extra
+        (["params", "--n", "20", "--k", "10", "--m", "5", "extra"], 8),
+    ],
+)
+def test_help_and_usage_errors_go_through_the_whole_tree(argv, parsers, count_parsers, capsys):
+    """The top-level parser and its six commands' parsers are built for
+    top-level help, a missing or unknown command, and arguments left over."""
+    with pytest.raises(SystemExit):
+        cli._parse(argv)
+    assert count_parsers.built == parsers
+    capsys.readouterr()
 
 
 def test_usage_error_exit_1():

@@ -8,6 +8,7 @@ from msrcode.bits import symbol_width, symbols_to_int
 from msrcode.field import Field
 from msrcode.linalg import gf_dot, rank
 from msrcode.msr import (
+    BadIndex,
     InvalidParams,
     WrongHelperCount,
     WrongLength,
@@ -17,6 +18,7 @@ from msrcode.msr import (
     helper_symbol,
     make_params,
     regenerate,
+    share_columns,
     stacked_rank,
     update_complexity,
     update_delta,
@@ -640,6 +642,44 @@ def test_update_delta_matches_two_encodes(n, k, m, flavor):
             if a != b
         }
         assert update_delta(g, old, new) == expected
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", [code for code in ENCODE_CODES if code[2] in (2, 3, 4, 5, 8, 11, 16)])
+def test_share_columns_match_encode_all(n, k, m, flavor):
+    """share_columns, read off G's columns, is encode_all's column at every
+    node, for zero, all-ones, sparse and random messages, whole or for a
+    few nodes in any order, and builds no map."""
+    p = make_params(n, k, m)
+    g = generator_set(p, flavor)
+    rng = random.Random(f"columns:{n}:{k}:{m}:{flavor}")
+    top = (1 << m) - 1
+    messages = [[0] * p.B, [top] * p.B, [rng.randrange(1, top + 1) if t == p.B // 2 else 0 for t in range(p.B)]]
+    messages += [[rng.randrange(top + 1) for _ in range(p.B)] for _ in range(6)]
+    for message in messages:
+        expected = {share.node_index: share.symbols for share in encode_all(generator_set(p, flavor, g.field), message)}
+        assert share_columns(g, message, range(n)) == expected
+        nodes = rng.sample(range(n), rng.randrange(1, n + 1))
+        assert share_columns(g, message, nodes) == {j: expected[j] for j in nodes}
+    assert "g_map" not in vars(g)
+
+
+def test_share_columns_checks_its_arguments(gen746):
+    p = gen746.params
+    with pytest.raises(WrongLength):
+        share_columns(gen746, [0] * (p.B - 1), [0])
+    with pytest.raises(BadIndex):
+        share_columns(gen746, [0] * p.B, [p.n])
+
+
+def test_update_patch_builds_no_encode_map(gen746):
+    """Updates read their old symbols through share_columns alone, so no
+    update path builds G's row map."""
+    g = generator_set(gen746.params)
+    old = [i % 8 for i in range(g.params.B)]
+    new = old[:5] + [old[5] ^ 3] + old[6:]
+    assert update_patch(g, old, new)
+    assert "g_map" not in vars(g)
 
 
 @pytest.mark.parametrize("n,k,m", [(7, 4, 3), (20, 10, 5)])

@@ -1,7 +1,9 @@
 """ShareDir: lazy, cached access to a share directory, and in-place patches;
 the share codec against a per-symbol reference."""
 
+import dataclasses
 import itertools
+import json
 import math
 import random
 import struct
@@ -314,3 +316,25 @@ def test_spoiled_body_is_rejected_and_an_erasure(tmp_path, m):
     if fits:
         path.write_bytes(blob)
         assert ShareDir(tmp_path).column(0, stripes - 1) == good.stripes[-1]
+
+
+# file names whose JSON text needs escapes: quotes, backslashes, control
+# characters, non-ASCII, and the empty name
+AWKWARD_NAMES = ["share_000.msrc", 'a "quoted" \\ name', "tab\tnew\nline\r", "\x00\x1f\x7f", "ünïcødé ☃ 𝄞", "</x>", ""]
+
+
+@pytest.mark.parametrize("count", [0, 1, 20, 255])
+def test_manifest_save_writes_what_json_dumps_writes(tmp_path, count):
+    """save joins its JSON text by hand; it is json.dumps(indent=2,
+    sort_keys=True)'s text plus a newline, byte for byte."""
+    rng = random.Random(f"manifest:{count}")
+    shares = [{"node": node + 1, "file": f"{rng.choice(AWKWARD_NAMES)}{node}"} for node in range(count)]
+    manifest = Manifest(
+        n=count, k=max(count // 2, 2), m=rng.randrange(2, 17), flavor="vandermonde", primitive_poly=0x1100B,
+        file_length=rng.randrange(1 << 40), stripe_count=0, payload_symbols_per_stripe=83,
+        crc_scheme='crc "32" \\ é', shares=shares,
+    )
+    manifest.save(tmp_path / "manifest.json")
+    document = {f.name: getattr(manifest, f.name) for f in dataclasses.fields(manifest)}
+    expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "manifest.json").read_bytes() == expected.encode("ascii")
