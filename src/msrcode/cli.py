@@ -18,7 +18,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from .bits import bytes_to_symbols, int_to_symbols, symbols_to_bytes
+from .bits import bytes_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
@@ -28,13 +28,12 @@ from .msr import (
     helper_symbol,
     make_params,
     regenerate,
-    share_columns,
     update_complexity,
     update_delta,
+    update_patch,
 )
 from .reconstruct import (
     attach_crc,
-    crc_change,
     crc_payload_length,
     crc_trailer_length,
     reconstruct_file,
@@ -264,34 +263,26 @@ def _update(args, shares: ShareDir) -> int:
         return EXIT_OK
 
     # the printed patch is the payload change alone; the written one also
-    # carries the integrity trailer's change, which CRC-32's affinity gives
-    # from the payload change alone.  Each new symbol is the old one, off
-    # the shares the check below compares with, plus its change.
-    change = message[args.symbol] ^ args.value
+    # carries the integrity trailer's change, re-sealed over the new payload
     changed = list(message)
     changed[args.symbol] = args.value
     payload_patch = update_delta(gen, message, changed)
-    trailer_change = crc_change(params, change << (payload_len - 1 - args.symbol) * params.m)
-    for t, delta in enumerate(int_to_symbols(trailer_change, params.m, crc_trailer_length(params.m)), payload_len):
-        changed[t] ^= delta
-    deltas = update_delta(gen, message, changed)
-    old_columns = share_columns(gen, message, {node for node, _ in deltas})
-    changes: dict[int, list[tuple[int, int]]] = {}
-    for (node, row), delta in deltas.items():
-        changes.setdefault(node, []).append((row, old_columns[node][row] ^ delta))
+    patch = update_patch(gen, message, attach_crc(params, changed[:payload_len]))
 
     # check every affected node before writing any, so an abort leaves
     # the directory as it was; an unreadable share is an erasure, left for
     # repair to rebuild
     skipped = []
-    for node in sorted(changes):
+    changes = {}
+    for node, (old, new) in patch.items():
         current = column(node)
         if current is None:
             skipped.append(node + 1)
-            del changes[node]
-        elif current != old_columns[node]:
+        elif current != old:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
+        else:
+            changes[node] = [(row, b) for row, (a, b) in enumerate(zip(old, new)) if a != b]
     shares.patch(args.stripe, changes)
     rewritten = sum(len(rows) for rows in changes.values())
 

@@ -587,19 +587,20 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
     return {(j, r): change for r in sorted(rows) for j, change in enumerate(rows[r]) if change}
 
 
-def update_patch(gen: GeneratorSet, old_message, new_message) -> set[tuple[int, int, int]]:
-    """The (node_index, share_row, new_symbol) entries in which the encoding
-    of new_message differs from that of old_message, and no others: each
-    update_delta entry added to the old symbol, of which only the changed
-    nodes' columns are encoded (share_columns)."""
+def update_patch(gen: GeneratorSet, old_message, new_message) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """node j -> (old column, new column) of C = U @ G, in node order, for
+    each node whose column changes when old_message is rewritten as
+    new_message, and no others: only those nodes' old columns are encoded
+    (share_columns), and each new one is its old one plus the update_delta
+    entries in it."""
     changes = update_delta(gen, old_message, new_message)
-    old = share_columns(gen, old_message, {j for j, _ in changes})
-    return {(j, r, old[j][r] ^ c) for (j, r), c in changes.items()}
+    old = share_columns(gen, old_message, sorted({j for j, _ in changes}))
+    new = {j: list(column) for j, column in old.items()}
+    for (j, r), c in changes.items():
+        new[j][r] ^= c
+    return {j: (old[j], tuple(new[j])) for j in old}
 
 
 def apply_patch(shares: list[NodeShare], patch) -> list[NodeShare]:
-    """Return shares with the patch entries substituted in."""
-    cols = {s.node_index: list(s.symbols) for s in shares}
-    for node, row, value in patch:
-        cols[node][row] = value
-    return [NodeShare(node_index=s.node_index, symbols=tuple(cols[s.node_index])) for s in shares]
+    """Return shares with each patched node's new column substituted in."""
+    return [NodeShare(s.node_index, patch[s.node_index][1]) if s.node_index in patch else s for s in shares]

@@ -185,7 +185,6 @@ __all__ = [
     "crc_trailer_length",
     "crc_payload_length",
     "seal",
-    "crc_change",
     "attach_crc",
     "check_crc",
 ]
@@ -227,15 +226,6 @@ def seal(params: MsrParams, payload: int) -> int:
     payload_bits = crc_payload_length(params) * params.m
     crc = zlib.crc32(symbols_to_bytes([payload], payload_bits, (payload_bits + 7) // 8))
     return payload << params.B * params.m - payload_bits | crc
-
-
-def crc_change(params: MsrParams, payload_change: int) -> int:
-    """The change of seal()'s trailer when its payload int is XORed with
-    payload_change.  CRC-32 is affine over GF(2): at equal length
-    crc(p ^ x) = crc(p) ^ crc(x) ^ crc(0), so the change needs only x, not
-    the payload p: it is the trailer of seal(x) plus that of seal(0)."""
-    trailer_mask = (1 << crc_trailer_length(params.m) * params.m) - 1
-    return (seal(params, payload_change) ^ seal(params, 0)) & trailer_mask
 
 
 def attach_crc(params: MsrParams, payload) -> list[int]:

@@ -54,7 +54,6 @@ import os
 import struct
 import warnings
 from dataclasses import MISSING, dataclass, fields
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bits import bytes_to_symbols, symbol_width
@@ -272,7 +271,7 @@ class Manifest:
     def save(self, path) -> None:
         # a shallow {field: value} dict: asdict's deep copy costs more than the dump
         document = {f.name: getattr(self, f.name) for f in fields(self)}
-        Path(path).write_text(_manifest_json(document))
+        Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -311,41 +310,6 @@ class Manifest:
         if len(set(names)) != len(names):
             raise ShareFormatError(f"{path}: manifest names the same share file for two nodes")
         return cls(**raw)
-
-
-def _manifest_json(document: dict) -> str:
-    """json.dumps(document, indent=2, sort_keys=True) + "\n" for a document
-    of the manifest's shape: str keys, and values that are scalars or lists
-    of scalars and flat dicts of them.  With an indent, Python's json
-    encodes the whole document in pure Python; this joins, in the same
-    two-space layout, the text of each key and scalar, which json's C
-    encoder gives, in about half the time."""
-    lines = []
-    for key, value in sorted(document.items()):
-        if isinstance(value, list) and value:
-            text = "[\n    " + ",\n    ".join(map(_entry_json, value)) + "\n  ]"
-        else:
-            text = _json_scalar(value)
-        lines.append(f"  {encode_basestring_ascii(key)}: {text}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
-def _entry_json(value) -> str:
-    """json's text, four spaces in, of a list item: a scalar, or a dict of
-    scalars with str keys."""
-    if not (isinstance(value, dict) and value):
-        return _json_scalar(value)
-    items = [f"      {encode_basestring_ascii(key)}: {_json_scalar(item)}" for key, item in sorted(value.items())]
-    return "{\n" + ",\n".join(items) + "\n    }"
-
-
-# json's text of a str and of an int, as its encoders write them; any other
-# scalar goes through json.dumps
-_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__}
-
-
-def _json_scalar(value) -> str:
-    return _SCALAR_JSON.get(type(value), json.dumps)(value)
 
 
 # Manifest field annotations (strings under postponed evaluation) -> JSON type

@@ -17,7 +17,7 @@ from msrcode.bits import bytes_to_symbols, symbols_to_bytes, symbols_to_int
 from msrcode import cli
 from msrcode.cli import main
 from msrcode.linalg import LinearMap
-from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params
+from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params, update_patch
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
     ENCODE_MAP_IMAGE_BYTES,
@@ -544,19 +544,26 @@ def test_update_noop(tmp_path, capsys):
 
 
 def test_clean_update_builds_no_encode_map(tmp_path, monkeypatch, capsys):
-    """update re-encodes only the shares it patches, straight off G's
-    columns: it builds neither G's row map nor the composed encode map."""
+    """update computes its patch in one msr.update_patch call, which
+    re-encodes only the shares it patches, straight off G's columns: it
+    builds neither G's row map nor the composed encode map."""
     data = bytes(random.Random(5).randrange(256) for _ in range(600))
     _, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    built = []
+    built, patches = [], []
 
     def recording_generator_set(*args, **kwargs):
         built.append(generator_set(*args, **kwargs))
         return built[-1]
 
+    def recording_update_patch(*args):
+        patches.append(update_patch(*args))
+        return patches[-1]
+
     monkeypatch.setattr(cli, "generator_set", recording_generator_set)
+    monkeypatch.setattr(cli, "update_patch", recording_update_patch)
     assert main(["update", str(out), "--stripe", "1", "--symbol", "3", "--value", "9"]) == 0
     assert "rewrote" in capsys.readouterr().out
+    assert len(patches) == 1
     (gen,) = built
     assert "g_map" not in vars(gen) and "encode_map" not in vars(gen)
     assert "g_cols" in vars(gen)

@@ -600,16 +600,16 @@ def test_update_patch_diagonal_support(gen746):
     changed = list(message)
     changed[0] ^= 5
     patch = update_patch(gen746, message, changed)
-    rows = {r for _, r, _ in patch}
-    nodes = {j for j, _, _ in patch}
+    rows = {r for old, new in patch.values() for r, (a, b) in enumerate(zip(old, new)) if a != b}
+    nodes = set(patch)
     assert rows == {0}
     assert len(nodes) == p.n - p.alpha + 1 == 5
-    assert len(patch) == 5
+    assert sum(a != b for old, new in patch.values() for a, b in zip(old, new)) == 5
 
 
 def test_update_patch_noop(gen746):
     message = [i % 8 for i in range(gen746.params.B)]
-    assert update_patch(gen746, message, list(message)) == set()
+    assert update_patch(gen746, message, list(message)) == {}
 
 
 def test_update_patch_bad_index(gen746):
@@ -707,6 +707,9 @@ def test_update_patch_equals_reencode(n, k, m, flavor):
                 for r, (a, b) in enumerate(zip(old_share.symbols, new_share.symbols))
                 if a != b
             }
-            # every reported entry genuinely changes
-            for node, row, value in patch:
-                assert shares[node].symbols[row] != value
+            # in node order, each old column is the node's column now, and
+            # every reported node's column genuinely changes
+            assert list(patch) == sorted(patch)
+            for node, (old_column, new_column) in patch.items():
+                assert old_column == shares[node].symbols
+                assert new_column != old_column

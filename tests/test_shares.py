@@ -325,8 +325,8 @@ AWKWARD_NAMES = ["share_000.msrc", 'a "quoted" \\ name', "tab\tnew\nline\r", "\x
 
 @pytest.mark.parametrize("count", [0, 1, 20, 255])
 def test_manifest_save_writes_what_json_dumps_writes(tmp_path, count):
-    """save joins its JSON text by hand; it is json.dumps(indent=2,
-    sort_keys=True)'s text plus a newline, byte for byte."""
+    """save writes json.dumps(indent=2, sort_keys=True)'s text plus a
+    newline, byte for byte."""
     rng = random.Random(f"manifest:{count}")
     shares = [{"node": node + 1, "file": f"{rng.choice(AWKWARD_NAMES)}{node}"} for node in range(count)]
     manifest = Manifest(

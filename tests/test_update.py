@@ -1,6 +1,5 @@
 """The update command end to end: its one-stripe reads and writes, checked
-against a fresh encode of the patched file, its I/O bound, and the CRC-32
-affinity its trailer change rests on."""
+against a fresh encode of the patched file, and its I/O bound."""
 
 import builtins
 import errno
@@ -11,13 +10,11 @@ import shutil
 import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from msrcode.bits import bytes_to_symbols, symbol_width, symbols_to_bytes
 from msrcode.cli import main
 from msrcode.msr import WrongLength, encode_all, generator_set, make_params
-from msrcode.reconstruct import attach_crc, crc_change, crc_payload_length, crc_trailer_length
+from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import HEADER_SIZE, ShareDir, stripe_count
 
 
@@ -137,32 +134,6 @@ def test_update_matches_a_fresh_encode(tmp_path, capsys, n, k, m, flavor):
         data = bytearray(symbols_to_bytes(symbols, m, length))
         fresh = encode(tmp_path, bytes(data), f"fresh{i}", n, k, m, flavor)
         assert snapshot(out) == snapshot(fresh), (stripe, symbol, value)
-
-
-@settings(max_examples=200)
-@given(
-    code=st.sampled_from([(7, 4, 3), (15, 8, 4), (20, 10, 5), (24, 12, 8), (20, 10, 11), (10, 5, 16)]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_crc_change_is_the_difference_of_the_trailers(code, seed):
-    """CRC-32 is affine: the trailer change of a payload change is the
-    difference of attach_crc's trailers, whatever the old payload."""
-    params = make_params(*code)
-    m, payload_len = params.m, crc_payload_length(params)
-    rng = random.Random(seed)
-    old = [rng.randrange(1 << m) for _ in range(payload_len)]
-    new = list(old)
-    for t in rng.sample(range(payload_len), rng.randint(1, min(3, payload_len))):
-        new[t] = rng.randrange(1 << m)
-    trailer = crc_trailer_length(m)
-    old_trailer, new_trailer = attach_crc(params, old)[-trailer:], attach_crc(params, new)[-trailer:]
-    change = 0
-    for a, b in zip(old, new):
-        change = change << m | a ^ b
-    difference = 0
-    for a, b in zip(old_trailer, new_trailer):
-        difference = difference << m | a ^ b
-    assert crc_change(params, change) == difference
 
 
 # ---------------------------------------------------------------------------
