@@ -18,7 +18,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from .bits import bytes_to_symbols, symbols_to_bytes
+from .bits import bytes_to_symbols, int_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
@@ -38,18 +38,18 @@ from .reconstruct import (
     crc_trailer_length,
     reconstruct_file,
     reconstruct_progressive,
+    seal,
 )
 from .shares import (
     CRC_SCHEME,
     Manifest,
     ShareDir,
-    ShareFile,
     ShareFormatError,
     encode_map_pays,
+    pack_columns,
     share_bodies,
     share_filename,
     stripe_count,
-    write_body,
     write_share,
 )
 from .sim import SimConfig, corrupt_symbols, run_sweep, write_csv, write_gnuplot_script
@@ -114,22 +114,16 @@ def cmd_encode(args) -> int:
     names = [share_filename(node) for node in range(params.n)]
     # a long file of a small enough code goes straight from its bytes to
     # the share bodies through one composed encode map; others keep the
-    # staged encode
+    # staged encode, the file chunked into stripe payloads as share_bodies
+    # chunks it
     if encode_map_pays(params, stripes):
-        for node, body in enumerate(share_bodies(gen, data)):
-            write_body(out_dir / names[node], params.n, params.k, m, node, stripes, body)
+        bodies = share_bodies(gen, data)
     else:
-        symbols = bytes_to_symbols(data, m)
-        node_stripes: list[list[tuple[int, ...]]] = [[] for _ in range(params.n)]
-        for s in range(stripes):
-            chunk = symbols[s * payload_len : (s + 1) * payload_len]
-            chunk += [0] * (payload_len - len(chunk))
-            message = attach_crc(params, chunk)
-            shares = encode_all(gen, message)
-            for node, share in enumerate(shares):
-                node_stripes[node].append(share.symbols)
-        for node, name in enumerate(names):
-            write_share(out_dir / name, ShareFile(params.n, params.k, m, node, node_stripes[node]))
+        payloads = bytes_to_symbols(data, payload_len * m) or [0]  # an empty file gets one stripe
+        encoded = [encode_all(gen, int_to_symbols(seal(params, payload), m, params.B)) for payload in payloads]
+        bodies = [pack_columns(m, [share.symbols for share in column]) for column in zip(*encoded)]
+    for node, body in enumerate(bodies):
+        write_share(out_dir / names[node], params.n, params.k, m, node, stripes, body)
 
     entries = [{"node": node + 1, "file": name} for node, name in enumerate(names)]
     manifest = Manifest(
@@ -214,7 +208,7 @@ def cmd_repair(args) -> int:
     # node's whole body from them
     helpers = [(h, helper_symbol(gen, shares.body(h), failed)) for h in helper_nodes]
     path = shares.file(failed)
-    write_body(path, params.n, params.k, params.m, failed, manifest.stripe_count, regenerate(gen, failed, helpers))
+    write_share(path, params.n, params.k, params.m, failed, manifest.stripe_count, regenerate(gen, failed, helpers))
     total = params.d * manifest.stripe_count
     print(
         f"repaired node {args.failed} from helpers {[h + 1 for h in helper_nodes]} -> {path}"

@@ -18,32 +18,40 @@ parameters, generator flavor, the primitive polynomial, the original file
 length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
-A body is range-checked through its symbols' last bytes, w = ceil(m / 8)
-bytes apart: each must hold the symbol's top m - 8 * (w - 1) bits alone,
-which at m = 8 and 16 every byte does, and one bytes.translate that
-deletes the bytes that do leaves the others.  It is
-parsed with one struct.unpack of all its symbols ("B" or "H" per symbol,
-little-endian) and cut into per-stripe tuples; write_share packs it with
-one struct.pack.  A long file's bodies skip the symbol tuples:
-share_bodies encodes each stripe straight to its bytes through
-GeneratorSet.encode_map, whose outputs sit at this layout's byte offsets,
-and write_body writes them.
+Every share file is written by write_share from its body, the payload
+bytes above: share_bodies encodes a long file's stripes straight to them
+through GeneratorSet.encode_map, whose outputs sit at this layout's byte
+offsets, pack_columns packs the staged encode's columns with one
+struct.pack per node, and repair writes msr.regenerate's body as it is.
 
 ShareDir is how the command-line tool reads and patches a share directory,
-so the layout above is known to this module alone.  Reconstruct and repair
-use every stripe, so they read each share file whole (ShareDir.body, which
-repair hands to msr.helper_symbol as it is, and ShareDir.column, which
-reconstruct reads, parsed from it).
+so the layout above is known to this module alone.  Every read goes
+through one check on an open descriptor (ShareDir._read): the header must
+be the one the manifest gives that node (magic, version, code, node index
+and stripe count), the file's length from fstat that of its stripes, what
+pread returns as long as was asked, and every symbol below 2^m.  Symbols
+are range-checked through their last bytes, w = ceil(m / 8) bytes apart:
+each must hold the symbol's top m - 8 * (w - 1) bits alone, which at m = 8
+and 16 every byte does, and one bytes.translate that deletes the bytes
+that do leaves the others.  A share that fails the check, or cannot be
+opened or read, is an erasure.
+
+Reconstruct and repair use every stripe, so they read each share file whole
+(ShareDir.body, which repair hands to msr.helper_symbol as it is, and
+ShareDir.column, which reconstruct reads, parsed from it with one
+struct.unpack of all its symbols, "B" or "H" per symbol, little-endian).
 Update uses one stripe, so it reads that stripe alone
-(ShareDir.stripe_column): the header, checked against the manifest by the
-same check read_share makes, the file's length from fstat, and the
-stripe's alpha symbols at HEADER_SIZE + stripe * alpha * w, range-checked
-like a whole body.  A share is then judged by its header, its length and
-that stripe's own symbols: an out-of-range symbol in another stripe does
-not make it an erasure for update, though it does for reconstruct.  Each
-share is opened once, for reading and writing where it can be, and
-ShareDir.patch writes the new symbols through that descriptor; a share
-that can only be read is an error only if the update affects it.
+(ShareDir.stripe_column), at HEADER_SIZE + stripe * alpha * w.  A share is
+then judged by its header, its length and that stripe's own symbols: an
+out-of-range symbol in another stripe does not make it an erasure for
+update, though it does for reconstruct.  Each share is opened once, for
+reading and writing where it can be, and ShareDir.patch writes the new
+symbols through that descriptor; a share that can only be read is an error
+only if the update affects it.
+
+Shares are opened with O_NONBLOCK, so a FIFO in a share's place is an
+erasure to a reader (pread fails with ESPIPE) and an error naming the file
+to the writer (open fails with ENXIO) instead of blocking for good.
 """
 
 from __future__ import annotations
@@ -62,13 +70,10 @@ from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, m
 from .reconstruct import crc_payload_length, seal
 
 __all__ = [
-    "ShareFile",
     "Manifest",
     "ShareDir",
-    "read_share",
-    "read_body",
     "write_share",
-    "write_body",
+    "pack_columns",
     "share_bodies",
     "encode_map_pays",
     "ENCODE_MAP_IMAGE_BYTES",
@@ -107,31 +112,12 @@ def share_filename(node_index: int) -> str:
     return f"share_{node_index + 1:03d}.msrc"
 
 
-@dataclass
-class ShareFile:
-    n: int
-    k: int
-    m: int
-    node_index: int
-    stripes: list[tuple[int, ...]]  # stripe-major, alpha symbols each
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self.stripes)
-
-
-def write_share(path, share: ShareFile) -> None:
-    symbols = list(itertools.chain.from_iterable(share.stripes))
-    body = struct.pack(_body_format(share.m, len(symbols)), *symbols)
-    write_body(path, share.n, share.k, share.m, share.node_index, share.stripe_count, body)
-
-
-def write_body(path, n: int, k: int, m: int, node_index: int, stripe_count: int, body: bytes) -> None:
+def write_share(path, n: int, k: int, m: int, node_index: int, stripe_count: int, body: bytes) -> None:
     """Write a share file whose body is already in the payload layout
-    above, as share_bodies gives it.  An OSError names the file."""
+    above.  An OSError names the file."""
     data = memoryview(_HEADER.pack(MAGIC, FORMAT_VERSION, n, k, m, node_index, stripe_count) + body)
     # os.open and os.write: a file object costs more than a small file's write
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     try:
         while data:
             data = data[os.write(fd, data) :]
@@ -142,10 +128,17 @@ def write_body(path, n: int, k: int, m: int, node_index: int, stripe_count: int,
         os.close(fd)
 
 
+def pack_columns(m: int, columns) -> bytes:
+    """The body of one node's columns over GF(2^m), alpha symbols per
+    stripe in stripe order, packed with one struct.pack."""
+    symbols = list(itertools.chain.from_iterable(columns))
+    return struct.pack(_body_format(m, len(symbols)), *symbols)
+
+
 def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
     """Every node's share body for the file data, in
-    stripe_count(len(data), m, payload) stripes: what write_share writes of
-    the encode_all columns of each stripe's attach_crc'ed payload.
+    stripe_count(len(data), m, payload) stripes: what pack_columns packs of
+    the encode_all columns of each stripe's sealed payload.
 
     Stripe s's payload is the file's bits s * P .. (s + 1) * P - 1 for
     P = crc_payload_length(params) * m, zero-padded at the end, which
@@ -187,68 +180,13 @@ def encode_map_pays(params: MsrParams, stripes: int) -> bool:
     return image_bytes <= ENCODE_MAP_IMAGE_BYTES and stripes >= LinearMap.table_entries(params.m)
 
 
-def read_share(path, params: MsrParams | None = None) -> ShareFile:
-    """Parse one share file; any malformation raises ShareFormatError.
-
-    The header's (n, k, m) is validated by make_params, or, when params
-    are given (already validated, say from a manifest), must equal theirs.
-    """
-    params, node_index, stripe_count, body = read_body(path, params)
-    stripes = _stripes(body, params, stripe_count)
-    return ShareFile(n=params.n, k=params.k, m=params.m, node_index=node_index, stripes=stripes)
-
-
-def read_body(path, params: MsrParams | None = None) -> tuple[MsrParams, int, int, bytes]:
-    """(params, node index, stripe count, payload bytes) of one share file,
-    unparsed but checked as read_share checks it: the header, the payload's
-    length and every symbol below 2^m."""
-    with open(path, "rb") as fp:
-        blob = fp.read()
-    params, node_index, stripe_count = _check_header(path, blob, params)
-    body = blob[HEADER_SIZE:]
-    expected = stripe_count * params.alpha * symbol_width(params.m)
-    if len(body) != expected:
-        raise ShareFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    _check_symbols(path, body, params.m)
-    return params, node_index, stripe_count, body
-
-
-def _stripes(body: bytes, params: MsrParams, stripe_count: int) -> list[tuple[int, ...]]:
-    """The per-stripe symbol tuples of a checked body."""
-    count, alpha = stripe_count * params.alpha, params.alpha
-    values = struct.unpack(_body_format(params.m, count), body)
-    return [values[pos : pos + alpha] for pos in range(0, count, alpha)]
-
-
-def _check_header(path, blob: bytes, params: MsrParams | None) -> tuple[MsrParams, int, int]:
-    """(params, node index, stripe count) of the header that blob starts
-    with, as read_share checks it; a malformed header raises
-    ShareFormatError."""
-    if len(blob) < HEADER_SIZE:
-        raise ShareFormatError(f"{path}: truncated header")
-    magic, version, n, k, m, node_index, stripe_count = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ShareFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ShareFormatError(f"{path}: unsupported version {version}")
-    if params is None:
-        params = make_params(n, k, m)  # re-validates the header tuple
-    elif (n, k, m) != (params.n, params.k, params.m):
-        raise ShareFormatError(f"{path}: header code ({n}, {k}, {m}) is not ({params.n}, {params.k}, {params.m})")
-    if not 0 <= node_index < n:
-        raise ShareFormatError(f"{path}: node index {node_index} out of range")
-    return params, node_index, stripe_count
-
-
-def _check_symbols(path, body: bytes, m: int) -> None:
-    """Raise ShareFormatError unless every symbol of body, in the payload
-    layout, lies in GF(2^m), judged by the symbols' last bytes without
-    parsing them: what is left of those once every value below 2^(m - 8 *
-    (w - 1)) is deleted must be empty."""
+def _in_field(body: bytes, m: int) -> bool:
+    """Whether every symbol of body, in the payload layout, lies in
+    GF(2^m), judged by the symbols' last bytes without parsing them: what
+    is left of those once every value below 2^(m - 8 * (w - 1)) is deleted
+    must be empty."""
     width = symbol_width(m)
-    if body[width - 1 :: width].translate(None, bytes(range(1 << m - 8 * (width - 1)))):
-        top = max(struct.unpack(_body_format(m, len(body) // width), body))
-        raise ShareFormatError(f"{path}: symbol {top} outside GF(2^{m})")
+    return not body[width - 1 :: width].translate(None, bytes(range(1 << m - 8 * (width - 1))))
 
 
 @dataclass
@@ -353,13 +291,14 @@ class ShareDir:
     def __init__(self, share_dir, manifest_path=None):
         self.root = Path(share_dir)
         self.manifest = Manifest.load(Path(manifest_path) if manifest_path else self.root / "manifest.json")
-        self.params = self.manifest.params()
+        self.params = params = self.manifest.params()
         self._names = {entry["node"] - 1: entry["file"] for entry in self.manifest.shares}
+        self._stripe_size = params.alpha * symbol_width(params.m)
         self._bodies: dict[int, bytes | None] = {}
         self._stripes: dict[int, list[tuple[int, ...]]] = {}
         self._columns: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self._fds: dict[int, tuple[int, bool]] = {}  # node -> (descriptor, writable), from stripe_column
-        self.files_read = 0  # share files read from disk so far, well-formed or not
+        self.files_read = 0  # share files whose header was read so far, well-formed or not
 
     def close(self) -> None:
         """Close the descriptors stripe_column opened."""
@@ -388,9 +327,8 @@ class ShareDir:
 
     def body(self, node: int) -> bytes | None:
         """The node's payload bytes, every stripe's alpha symbols in the
-        layout above, or None for an erasure: the whole file, its header
-        checked as by read_share and against the manifest's node and stripe
-        count, its length, and every symbol below 2^m."""
+        layout above, or None for an erasure: the whole file, checked by
+        _read.  The file is closed again before this returns."""
         if node not in self._bodies:
             self._bodies[node] = self._load(node)
         return self._bodies[node]
@@ -403,31 +341,38 @@ class ShareDir:
             body = self.body(node)
             if body is None:
                 return None
-            stripes = self._stripes[node] = _stripes(body, self.params, self.manifest.stripe_count)
+            m, alpha = self.params.m, self.params.alpha
+            values = struct.unpack(_body_format(m, len(body) // symbol_width(m)), body)
+            stripes = self._stripes[node] = [values[pos : pos + alpha] for pos in range(0, len(values), alpha)]
         return stripes[stripe]
 
     def _load(self, node: int) -> bytes | None:
         try:
-            _, node_index, count, body = read_body(self.file(node), self.params)
-        except OSError:  # missing, a directory, unreadable: nothing was read
+            fd = os.open(self._path(node), os.O_RDONLY | os.O_NONBLOCK)
+        except OSError:  # missing or unreadable: nothing was read
             return None
-        except ShareFormatError:
-            body = None
-        self.files_read += 1
-        if body is None or (node_index, count) != (node, self.manifest.stripe_count):
-            return None
-        return body
+        try:
+            return self._read(node, fd, HEADER_SIZE, self.manifest.stripe_count * self._stripe_size)
+        finally:
+            os.close(fd)
 
     def stripe_column(self, node: int, stripe: int) -> tuple[int, ...] | None:
         """The node's alpha symbols of one stripe, or None for an erasure,
-        read alone: the header, checked as by read_share and against the
-        manifest's node and stripe count, the length by fstat, and only
-        this stripe's symbols.  Cached, so a node's stripe is read once.
-        The file is opened once, for reading and writing if it can be, else
-        for reading, and stays open for patch until close()."""
+        read alone and checked by _read.  Cached, so a node's stripe is
+        read once.  The file is opened once, for reading and writing if it
+        can be, else for reading, and stays open for patch until close()."""
         key = (node, stripe)
         if key not in self._columns:
-            self._columns[key] = self._read_stripe(node, stripe)
+            try:
+                fd = self._open(node)
+            except OSError:  # missing or unreadable: nothing was read
+                symbols = None
+            else:
+                size = self._stripe_size
+                symbols = self._read(node, fd, HEADER_SIZE + stripe * size, size)
+            if symbols is not None:
+                symbols = struct.unpack(_body_format(self.params.m, self.params.alpha), symbols)
+            self._columns[key] = symbols
         return self._columns[key]
 
     def _open(self, node: int) -> int:
@@ -437,31 +382,34 @@ class ShareDir:
         if node not in self._fds:
             path = self._path(node)
             try:
-                self._fds[node] = os.open(path, os.O_RDWR), True
+                self._fds[node] = os.open(path, os.O_RDWR | os.O_NONBLOCK), True
             except OSError:  # read-only, or not there at all
-                self._fds[node] = os.open(path, os.O_RDONLY), False
+                self._fds[node] = os.open(path, os.O_RDONLY | os.O_NONBLOCK), False
         return self._fds[node][0]
 
-    def _read_stripe(self, node: int, stripe: int) -> tuple[int, ...] | None:
-        path = self._path(node)
-        params = self.params
-        size = params.alpha * symbol_width(params.m)
+    def _read(self, node: int, fd: int, offset: int, size: int) -> bytes | None:
+        """The size payload bytes at offset of the node's share file, open
+        at fd, or None for an erasure: the one check of every share read.
+        The header must be the one the manifest gives the node, the file's
+        length (fstat) that of the manifest's stripes, the bytes pread
+        returns size long, and every symbol of them below 2^m.  The file
+        counts in files_read once its header is read; a directory or a FIFO
+        fails that read."""
         try:
-            fd = self._open(node)
-        except OSError:  # missing or unreadable: nothing was read
+            header = os.pread(fd, HEADER_SIZE, 0)
+        except OSError:  # a directory, a FIFO, a read error
             return None
         self.files_read += 1
-        try:
-            _, node_index, count = _check_header(path, os.pread(fd, HEADER_SIZE, 0), params)
-            if (node_index, count) != (node, self.manifest.stripe_count):
-                return None
-            if os.fstat(fd).st_size != HEADER_SIZE + count * size:
-                return None
-            symbols = os.pread(fd, size, HEADER_SIZE + stripe * size)
-            _check_symbols(path, symbols, params.m)
-            return struct.unpack(_body_format(params.m, params.alpha), symbols)
-        except (OSError, ShareFormatError):  # a directory, a read error, a malformed header or symbol
+        p, count = self.params, self.manifest.stripe_count
+        if header != _HEADER.pack(MAGIC, FORMAT_VERSION, p.n, p.k, p.m, node, count):
             return None
+        if os.fstat(fd).st_size != HEADER_SIZE + count * self._stripe_size:
+            return None
+        try:
+            symbols = os.pread(fd, size, offset)
+        except OSError:  # a read error
+            return None
+        return symbols if len(symbols) == size and _in_field(symbols, p.m) else None
 
     def patch(self, stripe: int, changes: dict[int, list[tuple[int, int]]]) -> None:
         """Overwrite symbols of one stripe in place; changes maps a node to

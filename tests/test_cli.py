@@ -24,8 +24,6 @@ from msrcode.shares import (
     HEADER_SIZE,
     Manifest,
     ShareDir,
-    ShareFile,
-    read_share,
     share_filename,
     stripe_count,
     write_share,
@@ -143,10 +141,11 @@ def test_encode_layout_and_manifest(tmp_path):
     assert manifest.payload_symbols_per_stripe == 83  # 90 - 7 trailer symbols
     assert manifest.file_length == len(data)
     assert len(manifest.shares) == 20
-    share = read_share(ShareDir(out).file(0))
-    assert share.node_index == 0
-    assert share.stripe_count == manifest.stripe_count
+    # the body reads only under a header of node 0 and the manifest's stripe count
+    body = ShareDir(out).body(0)
+    assert body is not None
     # header + stripes * alpha symbols * 1 byte for m=5
+    assert len(body) == manifest.stripe_count * 9
     expected = HEADER_SIZE + manifest.stripe_count * 9
     assert ShareDir(out).file(0).stat().st_size == expected
 
@@ -313,8 +312,9 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
     data = bytes(random.Random(10).randrange(256) for _ in range(1000))
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     parsed = []
-    read_body = msrcode.shares.read_body
-    monkeypatch.setattr(msrcode.shares, "read_body", lambda path, *rest: parsed.append(path) or read_body(path, *rest))
+    read = msrcode.shares.ShareDir._read
+    counting = lambda self, node, *rest: parsed.append(node) or read(self, node, *rest)
+    monkeypatch.setattr(msrcode.shares.ShareDir, "_read", counting)
     capsys.readouterr()
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
@@ -902,8 +902,10 @@ def _other_node(path, out, manifest):
 
 def _wrong_stripe_count(path, out, manifest):
     # well-formed and self-consistent, one stripe short of the manifest
-    share = read_share(path)
-    write_share(path, ShareFile(share.n, share.k, share.m, share.node_index, share.stripes[:-1]))
+    node = next(entry["node"] - 1 for entry in manifest.shares if entry["file"] == path.name)
+    body = ShareDir(out).body(node)
+    stripe_size = (manifest.k - 1) * ((manifest.m + 7) // 8)
+    write_share(path, manifest.n, manifest.k, manifest.m, node, manifest.stripe_count - 1, body[:-stripe_size])
 
 
 def _symbol_out_of_field(path, out, manifest):
@@ -915,6 +917,12 @@ def _symbol_out_of_field(path, out, manifest):
 def _directory(path, out, manifest):
     path.unlink()
     path.mkdir()
+
+
+def _fifo(path, out, manifest):
+    # a blocking open or read of it would wait for a writer for good
+    path.unlink()
+    os.mkfifo(path)
 
 
 BAD_SHARES = [
@@ -945,6 +953,45 @@ def test_bad_share_is_an_erasure(tmp_path, damage):
     target.unlink()
     assert main(["repair", str(out), "--failed", "3"]) == 0
     assert sha(target) == before
+
+
+def test_fifo_share_is_an_erasure_to_readers_and_an_error_to_repair(tmp_path):
+    """A FIFO in place of node 1's share is an erasure to reconstruct,
+    repair and update, and repair of node 1 exits 1 naming it.  Each
+    command runs in a child process with a timeout, so a blocking open
+    fails the test instead of hanging the suite."""
+    data = random.Random(17).randbytes(600)
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    fifo = ShareDir(out).file(0)
+    _fifo(fifo, out, None)
+    src_root = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src_root), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        argv = [sys.executable, "-m", "msrcode", *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+    # seeds 0, 4 and 5 pick node 1 among stripe 0's first k nodes
+    for seed in (0, 4, 5):
+        dst = tmp_path / f"restored{seed}.bin"
+        done = run("reconstruct", str(out), str(dst), "--seed", str(seed))
+        assert done.returncode == 0, done.stderr
+        assert dst.read_bytes() == data
+
+    target = ShareDir(out).file(1)
+    before = sha(target)
+    target.unlink()
+    done = run("repair", str(out), "--failed", "2")
+    assert done.returncode == 0, done.stderr
+    assert sha(target) == before
+
+    done = run("repair", str(out), "--failed", "1")
+    assert done.returncode == 1
+    assert done.stderr == f"error: {fifo}: {os.strerror(errno.ENXIO)}\n"
+
+    done = run("update", str(out), "--stripe", "0", "--symbol", "12", "--value", "17")
+    assert done.returncode == 0, done.stderr
+    assert "skipped unreadable share(s) of node(s) [1]" in done.stdout
 
 
 @pytest.mark.parametrize("m, top", [(5, 0x20), (11, 0x08)])

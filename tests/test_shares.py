@@ -24,10 +24,9 @@ from msrcode.shares import (
     MAGIC,
     Manifest,
     ShareDir,
-    ShareFile,
     ShareFormatError,
     encode_map_pays,
-    read_share,
+    pack_columns,
     share_bodies,
     share_filename,
     stripe_count,
@@ -46,14 +45,14 @@ def share_dir(tmp_path):
 
 def test_column_parses_each_node_once_and_only_on_demand(share_dir, monkeypatch):
     parsed = []
-    read_body = shares_mod.read_body
+    read = shares_mod.ShareDir._read
 
-    def counting_read_body(path, *rest):
-        parsed.append(path.name)
-        return read_body(path, *rest)
+    def counting_read(self, node, *rest):
+        parsed.append(self.file(node).name)
+        return read(self, node, *rest)
 
-    expected = read_share(share_dir / "share_004.msrc").stripes
-    monkeypatch.setattr(shares_mod, "read_body", counting_read_body)
+    _, expected = reference_read(share_dir / "share_004.msrc")
+    monkeypatch.setattr(shares_mod.ShareDir, "_read", counting_read)
     shares = ShareDir(share_dir)
     assert parsed == []
     for stripe in range(shares.manifest.stripe_count):
@@ -130,18 +129,19 @@ def test_patch_writes_several_nodes_and_forgets_their_columns(share_dir):
 _HEADER = struct.Struct("<4sHHHHHI")
 
 
-def reference_write(path, share):
-    """write_share as one int.to_bytes per symbol."""
-    width = (share.m + 7) // 8
-    blob = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, share.n, share.k, share.m, share.node_index, share.stripe_count))
-    for stripe in share.stripes:
+def reference_write(path, params, node, stripes):
+    """write_share of pack_columns' body as one int.to_bytes per symbol."""
+    width = (params.m + 7) // 8
+    blob = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, params.n, params.k, params.m, node, len(stripes)))
+    for stripe in stripes:
         for sym in stripe:
             blob += int(sym).to_bytes(width, "little")
     path.write_bytes(bytes(blob))
 
 
 def reference_read(path):
-    """read_share as one int.from_bytes and range check per symbol."""
+    """A share file's node index and per-stripe symbol tuples, as one
+    int.from_bytes and range check per symbol."""
     blob = path.read_bytes()
     if len(blob) < HEADER_SIZE:
         raise ShareFormatError(f"{path}: truncated header")
@@ -168,7 +168,7 @@ def reference_read(path):
             stripe.append(value)
             pos += width
         stripes.append(tuple(stripe))
-    return ShareFile(n=n, k=k, m=m, node_index=node_index, stripes=stripes)
+    return node_index, stripes
 
 
 def code_for(m):
@@ -191,25 +191,57 @@ def code_for(m):
     return params, fits
 
 
-def random_share(rng, params, node, stripes):
+def random_columns(rng, params, stripes):
     top = (1 << params.m) - 1
     symbol = lambda: rng.choice((0, 1, top, rng.randrange(top + 1)))
-    columns = [tuple(symbol() for _ in range(params.alpha)) for _ in range(stripes)]
-    return ShareFile(params.n, params.k, params.m, node, columns)
+    return [tuple(symbol() for _ in range(params.alpha)) for _ in range(stripes)]
+
+
+def write_columns(path, params, node, stripes):
+    write_share(path, params.n, params.k, params.m, node, len(stripes), pack_columns(params.m, stripes))
+
+
+def save_manifest(root, params, stripes):
+    """A manifest of the shortest file that needs exactly this many
+    stripes of the code, naming share_filename(node) for every node; such
+    a file, if there is one, holds at most the stripes' payload bits."""
+    payload = crc_payload_length(params)
+    sizes = range(stripes * payload * params.m // 8 + 1)
+    file_length = next(size for size in sizes if stripe_count(size, params.m, payload) == stripes)
+    Manifest(
+        n=params.n, k=params.k, m=params.m, flavor="systematic", primitive_poly=Field(params.m).poly,
+        file_length=file_length, stripe_count=stripes, payload_symbols_per_stripe=payload,
+        crc_scheme=CRC_SCHEME, shares=[{"node": node + 1, "file": share_filename(node)} for node in range(params.n)],
+    ).save(root / "manifest.json")
 
 
 @pytest.mark.parametrize("m", range(2, 17))
 def test_codec_matches_per_symbol_reference(tmp_path, m):
-    params, _ = code_for(m)
+    """The one writer writes what the reference writes for m = 2 .. 16.
+    From m = 3 a manifest can describe the share directory, and ShareDir
+    reads back, whole and stripe by stripe, what the reference reads.  The
+    stripe counts are ones a file can have at m = 3, whose [7,4] code
+    holds one 3-bit payload symbol per stripe: 1, 3 and 8 stripes for 0,
+    1 and 3 bytes, none for 2 or 7."""
+    params, fits = code_for(m)
+    assert fits == (m > 2)
     rng = random.Random(f"codec:{m}")
-    for stripes in (0, 1, 2, 7):
-        share = random_share(rng, params, rng.randrange(params.n), stripes)
-        ours, ref = tmp_path / "ours.msrc", tmp_path / "ref.msrc"
-        write_share(ours, share)
-        reference_write(ref, share)
+    for stripes in (0, 1, 3, 8):
+        node = rng.randrange(params.n)
+        columns = random_columns(rng, params, stripes)
+        ours, ref = tmp_path / share_filename(node), tmp_path / "ref.msrc"
+        write_columns(ours, params, node, columns)
+        reference_write(ref, params, node, columns)
         assert ours.read_bytes() == ref.read_bytes()
         assert len(ref.read_bytes()) == HEADER_SIZE + stripes * params.alpha * ((m + 7) // 8)
-        assert read_share(ours) == reference_read(ours) == share
+        assert reference_read(ours) == (node, columns)
+        if fits and stripes:  # a manifest has at least one stripe
+            save_manifest(tmp_path, params, stripes)
+            with ShareDir(tmp_path) as shares:
+                assert shares.body(node) == ours.read_bytes()[HEADER_SIZE:]
+                assert [shares.column(node, stripe) for stripe in range(stripes)] == columns
+                assert [shares.stripe_column(node, stripe) for stripe in range(stripes)] == columns
+        ours.unlink()
 
 
 # a code with a payload for every m from 3 to 16, full length (unscaled
@@ -255,6 +287,31 @@ def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
         assert bodies == reference_bodies(gen, data), size
 
 
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
+def test_cli_encode_writes_the_staged_bodies_on_both_sides_of_the_threshold(tmp_path, n, k, m, flavor):
+    """CLI encode of an empty file, and of the longest files of
+    table_entries(m) - 1 stripes (the staged encode) and table_entries(m)
+    stripes (the composed map), writes reference_bodies' bytes after each
+    share's header."""
+    p = make_params(n, k, m)
+    gen = generator_set(p, flavor)
+    payload = crc_payload_length(p)
+    threshold = LinearMap.table_entries(m)
+    rng = random.Random(f"threshold:{n}:{k}:{m}:{flavor}")
+    for stripes in (1, threshold - 1, threshold):
+        size = 0 if stripes == 1 else stripes * payload * m // 8
+        assert stripe_count(size, m, payload) == stripes
+        assert encode_map_pays(p, stripes) == (stripes == threshold)
+        data = rng.randbytes(size)
+        src, out = tmp_path / f"{stripes}.bin", tmp_path / str(stripes)
+        src.write_bytes(data)
+        argv = ["encode", str(src), str(out), "--n", str(n), "--k", str(k), "--m", str(m), "--flavor", flavor]
+        assert main(argv) == 0
+        bodies = [(out / share_filename(node)).read_bytes()[HEADER_SIZE:] for node in range(n)]
+        assert bodies == reference_bodies(gen, data), size
+
+
 def test_encode_map_pays_only_for_small_codes():
     """The stripe threshold is table_entries(m); the images' bytes cap the
     code.  [255,128]/GF(2^8) would need about 17 GB of tables and
@@ -281,31 +338,22 @@ def rejected_bodies(m, blob):
 @pytest.mark.parametrize("m", range(2, 17))
 def test_spoiled_body_is_rejected_and_an_erasure(tmp_path, m):
     """A symbol >= 2^m at the first or the last position, or a body one
-    byte short or long, raises ShareFormatError in the codec and in the
-    reference, and makes the node an erasure in ShareDir."""
+    byte short or long, raises ShareFormatError in the reference and makes
+    the node an erasure in ShareDir."""
     params, fits = code_for(m)
     rng = random.Random(f"spoiled:{m}")
     stripes = 3
     if fits:
-        payload = crc_payload_length(params)
-        # the shortest file that needs exactly this many stripes
-        file_length = next(size for size in itertools.count() if stripe_count(size, m, payload) == stripes)
-        Manifest(
-            n=params.n, k=params.k, m=m, flavor="systematic", primitive_poly=Field(m).poly,
-            file_length=file_length, stripe_count=stripes, payload_symbols_per_stripe=payload,
-            crc_scheme=CRC_SCHEME, shares=[{"node": node + 1, "file": share_filename(node)} for node in range(params.n)],
-        ).save(tmp_path / "manifest.json")
-    good = random_share(rng, params, 0, stripes)
+        save_manifest(tmp_path, params, stripes)
+    good = random_columns(rng, params, stripes)
     path = tmp_path / share_filename(0)
-    write_share(path, good)
-    write_share(tmp_path / share_filename(1), random_share(rng, params, 1, stripes))
+    write_columns(path, params, 0, good)
+    write_columns(tmp_path / share_filename(1), params, 1, random_columns(rng, params, stripes))
     blob = path.read_bytes()
     spoiled = rejected_bodies(m, blob)
     assert len(spoiled) == (2 if m in (8, 16) else 4)
     for name, body in spoiled.items():
         path.write_bytes(body)
-        with pytest.raises(ShareFormatError):
-            read_share(path)
         with pytest.raises(ShareFormatError):
             reference_read(path)
         if fits:
@@ -315,7 +363,7 @@ def test_spoiled_body_is_rejected_and_an_erasure(tmp_path, m):
             assert shares.column(1, stripes - 1) is not None
     if fits:
         path.write_bytes(blob)
-        assert ShareDir(tmp_path).column(0, stripes - 1) == good.stripes[-1]
+        assert ShareDir(tmp_path).column(0, stripes - 1) == good[-1]
 
 
 # file names whose JSON text needs escapes: quotes, backslashes, control

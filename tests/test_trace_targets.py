@@ -34,7 +34,16 @@ DEAD_TARGETS = {("msrcode.cli", "read_share"), ("msrcode.msr", "solve")}
 
 def test_cli_trace_targets_resolve():
     targets = {(owner, attr) for _, owner, attr in trace_targets()}
-    cli_names = {"helper_symbol", "regenerate", "write_share", "generator_set", "encode_all"}
+    cli_names = {
+        "helper_symbol",
+        "regenerate",
+        "write_share",
+        "generator_set",
+        "encode_all",
+        "bytes_to_symbols",
+        "symbols_to_bytes",
+        "reconstruct_progressive",
+    }
     assert {("msrcode.cli", attr) for attr in cli_names} <= targets
     unresolved = set()
     for owner, attr in targets:
