@@ -268,7 +268,7 @@ def _update(args, shares: ShareDir) -> int:
     # repair to rebuild
     skipped = []
     changes = {}
-    for node, (old, new) in patch.items():
+    for node, (old, new, rows) in patch.items():
         current = column(node)
         if current is None:
             skipped.append(node + 1)
@@ -276,7 +276,7 @@ def _update(args, shares: ShareDir) -> int:
             print(f"share file for node {node + 1} disagrees with the decoded stripe; aborting")
             return EXIT_DECODE_FAIL
         else:
-            changes[node] = [(row, b) for row, (a, b) in enumerate(zip(old, new)) if a != b]
+            changes[node] = [(row, new[row]) for row in rows]
     shares.patch(args.stripe, changes)
     rewritten = sum(len(rows) for rows in changes.values())
 

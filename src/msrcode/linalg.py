@@ -27,7 +27,11 @@ order (its repair map, whose outputs sit at a share body's byte offsets),
 per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
-peel map, and, for long files, its composed map), never per stripe.  Two maps are built per progressive round: the Forney map of the
+peel map; for a read with enough stripes left, its pair map, from the
+k(k-1)/2 pair values to a message block, which a paired stripe applies
+twice; and for a longer one its composed map, from the k * alpha column
+symbols to the whole message, built on the pair map), never per stripe.
+Two maps are built per progressive round: the Forney map of the
 round's erasure set (one more per erasure trial), which every row of its P
 and Q applies, and the peel map of the nodes an accepted round selects,
 which comes with their inverse and which its P and Q apply 4 * alpha times.

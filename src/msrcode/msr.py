@@ -587,20 +587,27 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
     return {(j, r): change for r in sorted(rows) for j, change in enumerate(rows[r]) if change}
 
 
-def update_patch(gen: GeneratorSet, old_message, new_message) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """node j -> (old column, new column) of C = U @ G, in node order, for
-    each node whose column changes when old_message is rewritten as
-    new_message, and no others: only those nodes' old columns are encoded
-    (share_columns), and each new one is its old one plus the update_delta
-    entries in it."""
+def update_patch(
+    gen: GeneratorSet, old_message, new_message
+) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """node j -> (old column, new column, changed rows) of C = U @ G, in
+    node order, for each node whose column changes when old_message is
+    rewritten as new_message, and no others: only those nodes' old columns
+    are encoded (share_columns), each new one is its old one plus the
+    update_delta entries in it, and its changed rows, ascending, are the
+    rows of those entries, where the old and new columns differ."""
     changes = update_delta(gen, old_message, new_message)
-    old = share_columns(gen, old_message, sorted({j for j, _ in changes}))
+    rows: dict[int, list[int]] = {}
+    for j, r in changes:
+        rows.setdefault(j, []).append(r)
+    old = share_columns(gen, old_message, sorted(rows))
     new = {j: list(column) for j, column in old.items()}
     for (j, r), c in changes.items():
         new[j][r] ^= c
-    return {j: (old[j], tuple(new[j])) for j in old}
+    return {j: (old[j], tuple(new[j]), tuple(rows[j])) for j in old}
 
 
 def apply_patch(shares: list[NodeShare], patch) -> list[NodeShare]:
-    """Return shares with each patched node's new column substituted in."""
+    """Return shares with each patched node's new column substituted in
+    (update_patch)."""
     return [NodeShare(s.node_index, patch[s.node_index][1]) if s.node_index in patch else s for s in shares]

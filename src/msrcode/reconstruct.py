@@ -97,11 +97,19 @@ The v = 0 round of reconstruct_progressive and the read session below use
 this one decoder, and the v = 0 round hands its PairSolve to the v = 1
 round, so a stripe maps each column it holds through gen.gbar_map once.
 Those stages make a linear map from the k * alpha column symbols to the B
-message symbols, and KNodeDecoder.compose() folds them into one LinearMap
-read off G^-1, h and the lambda (its docstring), after which decode() is
-one table pass instead of k + 4 * alpha map applications, the pair solve
-and the diagonal fill.  The composed map lays its outputs out MSB-first, so
-that pass yields the stripe's bitstream, the message packed into one int as
+message symbols, and it factors through the pair values: each pair's
+w p_rc = lambda_r m_rc + lambda_c m_cr and w q_rc = m_rc + m_cr, with
+w = lambda_r + lambda_c, fix the message linearly.  KNodeDecoder.pair_map
+is that map from the k(k-1)/2 pair values to a block's alpha(alpha+1)/2
+message symbols, read off G^-1, h and the lambda (its docstring).  A paired
+decode maps the k columns through gen.gbar_map, forms those two values of
+each pair with no division by w, and applies the pair map to the P values
+and to the Q values: two table passes over the pairs instead of the pair
+solve's divisions, the diagonal fill and 4 * alpha peel-map applications.
+KNodeDecoder.compose() folds the column map in too, one LinearMap from the
+column symbols to the message, built on the pair map, after which decode()
+is one table pass.  Both lay their outputs out MSB-first, so that pass
+yields the stripe's bitstream, the message packed into one int as
 bits.symbols_to_int packs it (KNodeDecoder.bitstream).
 
 A file is read by reconstruct_file, one session per file.  Stripe 0 runs
@@ -128,24 +136,29 @@ set holds, a clean file is read from k nodes, and every stripe still passes
 the CRC before it is accepted.  The decoder lives in the session, never on
 the GeneratorSet, so nothing grows across files.
 
-The session composes its decoder when at least LinearMap.table_entries(m)
-= 2^ceil(m/2) + 2^floor(m/2) stripes are left, the current one included:
-12 at m = 5, 32 at m = 8.  It does so before stripe 0's v = 0 round, whose
-k nodes a clean read goes on to trust, and for each later trusted set at
-the first stripe it decodes.  So a clean long read decodes every stripe,
-stripe 0 included, through one composed map, and never builds
-gen.gbar_map or the staged peel map.  The build fills that many table
-entries per input and grows with them: on [20,10]/GF(2^5) it costs about
-three staged stripe decodes and on [24,12]/GF(2^8) about seven, and a
-composed stripe decodes about twelve times faster, so it repays itself
-after about 3 and 7 stripes.  The threshold sits above that break-even and
-follows from the kernel's layout rather than a setting.  When stripe 0's
-v = 0 round fails, its composed map is wasted, and the nodes its later
-rounds trust get a decoder of their own.  The v = 0 round of a later
-progressive stripe, which runs only once the trusted set has failed, stays
-staged, as do shorter files and every single-stripe read (update,
-simulate); the staged decode is also the tests' reference for the composed
-one.  Either path gives the same message, so the choice changes no output.
+A decoder of the session decodes staged, paired or composed.  Stripe 0's
+first round composes when at least LinearMap.table_entries(m) stripes,
+2^ceil(m/2) + 2^floor(m/2), are left, the current one included: 12 at
+m = 5, 32 at m = 8; otherwise it stays staged.  It never builds a pair map on its own,
+since with errors present it usually fails: in a [24,12] read with 3 missing
+and 3 lying shares only C(18,12)/C(21,12), about 6%, of first rounds pass.
+So a clean long read decodes every stripe, stripe 0 included, through one
+composed map, and never builds gen.gbar_map or the staged peel map.  A
+trusted set's decoder takes its mode at the first stripe it decodes, from
+the stripes left then: staged below TRUSTED_MODE_FROM[m]'s first cut-off,
+paired from it, composed from its second.  Each cut-off is a break-even of
+build cost against per-stripe saving, measured per m: on [24,12]/GF(2^8) a
+pair map costs about two and a half staged stripe decodes and a paired
+stripe decodes about four times faster than a staged one, while composing
+costs about six and decodes about three times faster again, so a trusted set
+there pairs from 3 stripes left and composes from 23.  Both grow with the
+table entries per input: at m = 16, 31 and 548.  When stripe 0's v = 0 round
+fails, its composed map is wasted, and the nodes its later rounds trust get
+a decoder of their own.  The v = 0 round of a later progressive stripe,
+which runs only once the trusted set has failed, stays staged, as does every
+single-stripe read (update, simulate); the staged decode is also the tests'
+reference for the other two.  All three give the same message, so the choice
+changes no output.
 
 Rows live in Gbar's row space.  row_decode works in the root-based
 [n, alpha] code, so it scales each row by GeneratorSet.col_scale first
@@ -519,7 +532,9 @@ def _peel(peel_map: LinearMap, p_sel) -> list[int]:
 
 class KNodeDecoder:
     """The closed-form decoder of one ordered set of exactly k nodes (module
-    docstring), built once and applied to every stripe read from them.
+    docstring), built once and applied to every stripe read from them.  It
+    decodes staged until its pair map is built (pair_map), paired from then
+    on, and through one map once compose() has run.
 
     decode() is linear in the k columns and unchecked: the caller accepts
     its message only if check_crc passes.
@@ -537,7 +552,10 @@ class KNodeDecoder:
         self.gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
         self.g_inv = invert(field, [row[:alpha] for row in self.gbar_access])
         h = mat_vec(field, self.g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
-        self.lam = [log[gen.delta[node]] for node in self.nodes]  # for compose()
+        # for the pair map, compose() and the paired decode
+        self.lam = [log[gen.delta[node]] for node in self.nodes]
+        self.shifts = [field.m * node for node in self.nodes]
+        self.pairs = [(r, c) for c in range(params.k) for r in range(c)]
         # p_rr = sum over c != r of (h_c / h_r) p_rc, for the alpha rows kept
         self.lh = lh = [log[x] for x in h]
         self.diagonal = [
@@ -550,39 +568,35 @@ class KNodeDecoder:
         """x -> x G^-1, the map _peel takes in the staged decode."""
         return LinearMap(self.field, self.g_inv)
 
-    def compose(self) -> None:
-        """Fold the staged decode into one LinearMap from the k * alpha
-        column symbols (symbol t of column c is input c * alpha + t) to the
-        B message symbols, laid out MSB-first: message symbol t is output
-        B - 1 - t, at bits m * (B - 1 - t), so the packed image is the
-        stripe's bitstream (bitstream()), with the payload on top and the CRC
-        trailer in the low bits.  bitstream() and decode() then apply that
-        map alone.  The build costs several staged decodes, so
-        reconstruct_file composes a decoder only with enough stripes left.
+    @functools.cached_property
+    def pair_map(self) -> LinearMap:
+        """The pair map: from the k(k-1)/2 pair values w p_rc, r < c, input
+        i being pair self.pairs[i], to a block's alpha(alpha+1)/2 message
+        symbols, its upper triangle row-major laid out MSB-first (symbol u
+        at bits m * (alpha(alpha+1)/2 - 1 - u)).  Applied to the w p_rc it
+        gives the P block's half of the message, to the w q_rc the Q
+        block's (bitstream(), compose()).  Built on first access, which
+        makes the decoder paired (reconstruct_file does so for a trusted set
+        with enough stripes left) or is compose()'s own; it needs neither
+        gbar_map nor peel_map.
 
-        The map is read off G^-1, h and the lambda, never by decoding unit
-        vectors, and needs neither gbar_map nor peel_map.  With g_r row r of
-        G^-1 and s_r = h_c / h_r, a pair value p_rc (r < c) adds
-        S = E_rc + E_cr + s_r E_rr + s_c E_cc to P_sel, the last two through
-        the diagonal fill, and any term with an index of alpha or more drops
-        out.  As s_r s_c = 1, S = s_r u u^T with u = e_r + s_c e_c, so row a
-        of its Z = G^-T S G^-1 is (s_r v[a] u) G^-1 with v = g_r + s_c g_c:
-        two lookups in a map of x -> x G^-1 with its outputs reversed, where
-        entries a .. alpha - 1 of the row are its low alpha - a outputs, last
-        entry lowest.  So one mask and one shift put that segment of the
-        row's upper triangle in place, reversed like the rest.  Those rows,
-        divided by w = lambda_r + lambda_c, give the pair map, from the
-        k(k-1)/2 pair values to a block's alpha(alpha+1)/2 message symbols.
-        Symbol t of column c enters m_rc with weight g = gbar_access[t][r],
-        so it adds g lambda_r / w to p_rc and g / w to q_rc: its image is
-        the pair map of pair {r, c} at g lambda_r in the P block, shifted
-        above the Q block, and at g itself in the Q block, summed over the
-        nonzero entries of row t of gbar_access with r != c.
+        It is read off G^-1, h and the lambda, never by decoding unit
+        vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
+        p_rc (r < c) adds S = E_rc + E_cr + s_r E_rr + s_c E_cc to P_sel,
+        the last two through the diagonal fill, and any term with an index
+        of alpha or more drops out.  As s_r s_c = 1, S = s_r u u^T with
+        u = e_r + s_c e_c, so row a of its Z = G^-T S G^-1 is
+        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two lookups in a map of
+        x -> x G^-1 with its outputs reversed, where entries a .. alpha - 1
+        of the row are its low alpha - a outputs, last entry lowest.  So one
+        mask and one shift put that segment of the row's upper triangle in
+        place, reversed like the rest.  Those rows, divided by
+        w = lambda_r + lambda_c, are the images of the pair map.
         """
         field = self.field
         exp, log, m = field.exp, field.log, field.m
         q1 = field.order - 1
-        k, alpha = self.params.k, self.params.alpha
+        alpha = self.params.alpha
         g_inv, lh, lam = self.g_inv, self.lh, self.lam
         # x -> x G^-1 with output b at bits m * (alpha - 1 - b)
         peel = LinearMap(field, [row[::-1] for row in g_inv])
@@ -595,9 +609,8 @@ class KNodeDecoder:
             ((1 << m * (alpha - a)) - 1, m * (triangle - (a + 1) * alpha + a * (a + 1) // 2)) for a in range(alpha)
         ]
         log_g_inv = [[log[x] if x else None for x in row] for row in g_inv]
-        pairs = list(itertools.combinations(range(k), 2))
         images = []
-        for r, c in pairs:
+        for r, c in self.pairs:
             l_w = -log[exp[lam[r]] ^ exp[lam[c]]] % q1  # log 1 / w
             l_r = (lh[c] - lh[r]) % q1  # log s_r; s_c = 1 / s_r
             l_x = (l_r + l_w) % q1  # log s_r / w
@@ -618,10 +631,34 @@ class KNodeDecoder:
                         x = exp[log[v] + l_x]
                         image ^= ((lo_r[x & lmask] ^ hi_r[x >> half]) & keep) << shift
             images.append(image)
-        pair_map = LinearMap.from_images(field, images, triangle)
+        return LinearMap.from_images(field, images, triangle)
 
+    def compose(self) -> None:
+        """Fold the staged decode into one LinearMap from the k * alpha
+        column symbols (symbol t of column c is input c * alpha + t) to the
+        B message symbols, laid out MSB-first: message symbol t is output
+        B - 1 - t, at bits m * (B - 1 - t), so the packed image is the
+        stripe's bitstream (bitstream()), with the payload on top and the CRC
+        trailer in the low bits.  bitstream() and decode() then apply that
+        map alone.  The build costs the pair map's and more again (2.4 times
+        the pair map's at [24,12]/GF(2^8)), so reconstruct_file composes a
+        decoder only with enough stripes left.
+
+        It builds on the pair map (pair_map), and needs neither gbar_map nor
+        peel_map.  Symbol t of column c enters m_rc with weight
+        g = gbar_access[t][r], so it adds g lambda_r to w p_rc and g to
+        w q_rc: its image is the pair map of pair {r, c} at g lambda_r in
+        the P block, shifted above the Q block, and at g itself in the Q
+        block, summed over the nonzero entries of row t of gbar_access with
+        r != c.
+        """
+        field = self.field
+        exp, log, m = field.exp, field.log, field.m
+        k, lam = self.params.k, self.lam
+        pair_map = self.pair_map
+        lmask, half = pair_map.lmask, pair_map.half
         pair_tables = [[None] * k for _ in range(k)]  # [c][r]: the pair map's tables of pair {r, c}
-        for i, (r, c) in enumerate(pairs):
+        for i, (r, c) in enumerate(self.pairs):
             pair_tables[c][r] = pair_tables[r][c] = pair_map.low[i], pair_map.high[i]
         # row t's nonzero entries g = gbar_access[t][r], as r and the table
         # indices of g lambda_r and of g
@@ -633,7 +670,7 @@ class KNodeDecoder:
                     x = exp[log[g] + lam[r]]
                     terms.append((r, x & lmask, x >> half, g & lmask, g >> half))
             rows.append(terms)
-        span = m * triangle
+        span = m * pair_map.outputs
         images = []
         for c in range(k):
             tables = pair_tables[c]
@@ -650,18 +687,44 @@ class KNodeDecoder:
     def bitstream(self, columns) -> int:
         """The message decode() returns, packed MSB-first into one int
         (bits.symbols_to_int), the form check_crc takes: one table pass
-        once compose() has run."""
-        if self.composed is None:
+        once compose() has run, else the paired decode once the pair map is
+        built, else the staged decode."""
+        if self.composed is not None:
+            flat = [x for col in columns for x in col]
+            return self.composed.packed(flat, range(len(flat)))
+        if "pair_map" not in vars(self):
             return symbols_to_int(self.decode(columns), self.field.m)
-        flat = [x for col in columns for x in col]
-        return self.composed.packed(flat, range(len(flat)))
+        # the paired decode: every m_rc off the columns' gbar_map images,
+        # then w p_rc = lambda_r m_rc + lambda_c m_cr and w q_rc = m_rc + m_cr
+        # through the pair map, the P block shifted above the Q block
+        gbar_map, pair_map = self.gen.gbar_map, self.pair_map
+        packed, inputs = gbar_map.packed, range(self.params.alpha)
+        images = [packed(col, inputs) for col in columns]
+        exp, log, mask = self.field.exp, self.field.log, gbar_map.mask
+        low, high, lmask, half = pair_map.low, pair_map.high, pair_map.lmask, pair_map.half
+        lam, shifts = self.lam, self.shifts
+        p = q = 0
+        i = 0  # the pair map's input of pair (r, c), as self.pairs orders them
+        for c in range(1, len(images)):
+            image_c, shift_c, lam_c = images[c], shifts[c], lam[c]
+            for r in range(c):
+                m_rc = image_c >> shifts[r] & mask
+                m_cr = images[r] >> shift_c & mask
+                x = (m_rc and exp[log[m_rc] + lam[r]]) ^ (m_cr and exp[log[m_cr] + lam_c])
+                y = m_rc ^ m_cr
+                lo, hi = low[i], high[i]
+                p ^= lo[x & lmask] ^ hi[x >> half]
+                q ^= lo[y & lmask] ^ hi[y >> half]
+                i += 1
+        return p << self.field.m * pair_map.outputs ^ q
 
     def decode(self, columns) -> list[int]:
         """The B-symbol message that the k columns, in node order, encode:
-        through the composed map once compose() has run, else in stages."""
-        if self.composed is not None:
-            return int_to_symbols(self.bitstream(columns), self.field.m, self.params.B)
-        return self.solve(pair_solve(self.gen, AccessSet(self.nodes, tuple(columns))))
+        through the composed map once compose() has run, else through the
+        pair map once it is built, else in stages."""
+        if self.composed is None and "pair_map" not in vars(self):
+            return self.solve(pair_solve(self.gen, AccessSet(self.nodes, tuple(columns))))
+        return int_to_symbols(self.bitstream(columns), self.field.m, self.params.B)
 
     def solve(self, pair: PairSolve) -> list[int]:
         """The staged decode's last two steps, on the pair solve of this
@@ -895,6 +958,31 @@ class FileReport:
         return frozenset().union(*(report.erroneous_nodes for report in self.progressive.values()))
 
 
+# m -> (paired, composed): the stripes left, the current one included, from
+# which a trusted set's decoder builds its pair map, and from which it
+# composes, rather than decoding staged.  Each is where one mode's build
+# plus per-stripe decodes first costs less than the cheaper-built mode's,
+# measured per m on the code named (timeit; median of five runs; the table
+# is in CHANGES.md).
+TRUSTED_MODE_FROM = {
+    2: (1, 11),  # [3,2]
+    3: (2, 10),  # [7,4]
+    4: (2, 11),  # [15,8]
+    5: (2, 12),  # [20,10]
+    6: (3, 15),  # [22,11]
+    7: (3, 15),  # [24,12]
+    8: (3, 23),  # [24,12]
+    9: (4, 29),  # [24,12]
+    10: (4, 31),  # [22,11]
+    11: (6, 61),  # [24,12]
+    12: (7, 72),  # [24,12]
+    13: (9, 124),  # [24,12]
+    14: (11, 221),  # [24,12]
+    15: (20, 333),  # [24,12]
+    16: (31, 548),  # [24,12]
+}
+
+
 def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> FileReport:
     """Decode stripes 0 .. stripe_count - 1 of one file (module docstring,
     read session).
@@ -906,35 +994,43 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     message fails check_crc.  Decoding stops at the first stripe that fails.
     """
     params = gen.params
+    m = gen.field.m
     bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
-    # compose() fills this many table entries per input, and its build grows
-    # with them: it repays itself after a few stripes at m = 5 and 8, under
-    # these 12 and 32, so fewer stripes left stay staged
-    compose_from = LinearMap.table_entries(gen.field.m)
+    # stripe 0's first round composes from this many stripes: compose() fills
+    # that many table entries per input, and a clean read trusts the round's
+    # k nodes; it is never paired, since with errors present the round
+    # usually fails and a pair map built for it would be wasted
+    compose_first = LinearMap.table_entries(m)
+    paired_from, composed_from = TRUSTED_MODE_FROM[m]
 
-    def k_decoder(nodes, compose: bool) -> KNodeDecoder:
+    def k_decoder(nodes, mode: str) -> KNodeDecoder:
         nonlocal decoder
         if decoder is None or decoder.nodes != nodes:
             decoder = KNodeDecoder(gen, nodes)
-        if compose and decoder.composed is None:
-            decoder.compose()
+        if decoder.composed is None:
+            if mode == "composed":
+                decoder.compose()
+            elif mode == "paired":
+                decoder.pair_map  # built here, once
         return decoder
 
     trusted = None
     for s in range(stripe_count):
-        compose = stripe_count - s >= compose_from
+        left = stripe_count - s
         if trusted is not None:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
-                value = k_decoder(trusted, compose).bitstream(columns)
+                mode = "composed" if left >= composed_from else "paired" if left >= paired_from else "staged"
+                value = k_decoder(trusted, mode).bitstream(columns)
                 if check_crc(params, value):
                     bitstreams.append(value)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
         # stripe 0's first round picks the nodes a clean read then trusts
-        first_round = functools.partial(k_decoder, compose=compose and s == 0)
+        first_mode = "composed" if s == 0 and left >= compose_first else "staged"
+        first_round = functools.partial(k_decoder, mode=first_mode)
         report = reconstruct_progressive(gen, lambda node: source(node, s), rng, first_round)
         progressive[s] = report
         if not report.success:

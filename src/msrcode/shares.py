@@ -65,7 +65,6 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .bits import bytes_to_symbols, symbol_width
-from .linalg import LinearMap
 from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, make_params
 from .reconstruct import crc_payload_length, seal
 
@@ -77,6 +76,7 @@ __all__ = [
     "share_bodies",
     "encode_map_pays",
     "ENCODE_MAP_IMAGE_BYTES",
+    "ENCODE_MAP_FROM",
     "share_filename",
     "stripe_count",
     "MAGIC",
@@ -159,25 +159,48 @@ def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
 # the most bytes of input images the composed encode map may XOR per stripe
 ENCODE_MAP_IMAGE_BYTES = 1 << 16
 
+# m -> the stripes from which a file is encoded through the composed encode
+# map: where its build plus per-stripe applications first cost less than the
+# staged encode's G row map and per-stripe encode_all, measured per m on
+# the code named (timeit; median of five runs; the table is in CHANGES.md).
+# No GF(4) code has room for a payload, so no file is encoded at m = 2; its
+# entry is m = 3's.
+ENCODE_MAP_FROM = {
+    2: 2,
+    3: 2,  # [7,4]
+    4: 3,  # [15,8]
+    5: 5,  # [20,10]
+    6: 6,  # [22,11]
+    7: 8,  # [24,12]
+    8: 9,  # [24,12]
+    9: 11,  # [18,9]
+    10: 14,  # [18,9]
+    11: 25,  # [18,9]
+    12: 29,  # [18,9]
+    13: 46,  # [18,9]
+    14: 68,  # [18,9]
+    15: 104,  # [18,9]
+    16: 190,  # [18,9]
+}
+
 
 def encode_map_pays(params: MsrParams, stripes: int) -> bool:
     """Whether a file of this many stripes is encoded through
     GeneratorSet.encode_map (share_bodies) rather than stripe by stripe.
 
     One application XORs B images of n * alpha * symbol_width(m) bytes, and
-    the build fills LinearMap.table_entries(m) of them per input, so from
-    table_entries(m) stripes on the tables are no larger than what the
-    file pushes through them.  Timed against the staged encode, that many
-    stripes repay the build while the B images total at most
-    ENCODE_MAP_IMAGE_BYTES: break-even is about 10 of 12 stripes at
-    [26,13]/GF(2^5), 17 of 32 at [27,14]/GF(2^8) and 125 of 512 at
-    [18,9]/GF(2^16).  Larger codes fall behind (39 of 32 at
+    the build fills LinearMap.table_entries(m) of them per input.  A file
+    takes the map from ENCODE_MAP_FROM[m] stripes on, the break-even
+    measured per m, while the B images total at most
+    ENCODE_MAP_IMAGE_BYTES.  Break-even grows with the code: 5 stripes at
+    [20,10]/GF(2^5) and about 7 at [26,13], 9 at [24,12]/GF(2^8) and about
+    15 at [27,14].  Larger codes fall further behind (about 39 stripes at
     [40,20]/GF(2^8)), and from about 1.5 MB of images ([60,30]/GF(2^8))
     one application costs more than a staged stripe, so they keep the
     staged encode.  The tables then hold at most table_entries(m) * 64 KiB,
     2 MiB at m = 8."""
     image_bytes = params.B * params.n * params.alpha * symbol_width(params.m)
-    return image_bytes <= ENCODE_MAP_IMAGE_BYTES and stripes >= LinearMap.table_entries(params.m)
+    return image_bytes <= ENCODE_MAP_IMAGE_BYTES and stripes >= ENCODE_MAP_FROM[params.m]
 
 
 def _in_field(body: bytes, m: int) -> bool:

@@ -20,6 +20,7 @@ from msrcode.linalg import LinearMap
 from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params, update_patch
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
+    ENCODE_MAP_FROM,
     ENCODE_MAP_IMAGE_BYTES,
     HEADER_SIZE,
     Manifest,
@@ -190,12 +191,12 @@ def encode_stripes(root, rng, stripes, n, k, m):
 @pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8), (27, 14, 8)])
 def test_encode_composes_its_map_from_the_threshold_on(tmp_path, built, n, k, m):
     """encode builds GeneratorSet.encode_map, once, for a file of at least
-    LinearMap.table_entries(m) stripes (12 at m = 5, 32 at m = 8) and not
-    for one stripe fewer; either way the shares are the staged encode's.
+    ENCODE_MAP_FROM[m] stripes (5 at m = 5, 9 at m = 8) and not for one
+    stripe fewer; either way the shares are the staged encode's.
     [27,14]/GF(2^8) is the largest k = 14 code whose images fit
     ENCODE_MAP_IMAGE_BYTES.  reconstruct, update, repair and simulate never
     build it."""
-    threshold = LinearMap.table_entries(m)
+    threshold = ENCODE_MAP_FROM[m]
     rng = random.Random(f"threshold:{m}")
     for stripes in (threshold - 1, threshold):
         built.clear()
@@ -219,7 +220,7 @@ def test_encode_composes_its_map_from_the_threshold_on(tmp_path, built, n, k, m)
 def test_encode_keeps_the_staged_encode_for_large_codes(tmp_path, built, n, k, m):
     """A code whose B images outgrow ENCODE_MAP_IMAGE_BYTES ([28,14]/GF(2^8)
     just, [40,20]/GF(2^8) 4.4 times) never builds the map, however long the
-    file: its build would not be repaid by table_entries(m) stripes."""
+    file: here table_entries(m) + 1 stripes, well past ENCODE_MAP_FROM[m]."""
     params = make_params(n, k, m)
     assert params.B * n * params.alpha > ENCODE_MAP_IMAGE_BYTES
     stripes = LinearMap.table_entries(m) + 1

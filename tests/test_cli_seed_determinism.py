@@ -66,8 +66,8 @@ WRITE_CASES = {
     "24-12-gf256-systematic": (24, 12, 8, "systematic", 1024),
     "20-10-gf32-vandermonde": (20, 10, 5, "vandermonde", 600),
     "20-10-gf2048-systematic": (20, 10, 11, "systematic", 600),
-    # long enough for encode's composed map: 32 stripes at m = 8 (exactly
-    # its threshold), 103 at m = 11 and 79 of a shortened vandermonde code
+    # long enough for encode's composed map: 32 stripes at m = 8, 103 at
+    # m = 11 and 79 of a shortened vandermonde code
     "24-12-gf256-systematic-long": (24, 12, 8, "systematic", 4096),
     "20-10-gf2048-systematic-long": (20, 10, 11, "systematic", 12288),
     "20-10-gf32-vandermonde-long": (20, 10, 5, "vandermonde", 4096),

@@ -600,11 +600,12 @@ def test_update_patch_diagonal_support(gen746):
     changed = list(message)
     changed[0] ^= 5
     patch = update_patch(gen746, message, changed)
-    rows = {r for old, new in patch.values() for r, (a, b) in enumerate(zip(old, new)) if a != b}
+    rows = {r for old, new, _ in patch.values() for r, (a, b) in enumerate(zip(old, new)) if a != b}
     nodes = set(patch)
     assert rows == {0}
+    assert {changed for _, _, changed in patch.values()} == {(0,)}
     assert len(nodes) == p.n - p.alpha + 1 == 5
-    assert sum(a != b for old, new in patch.values() for a, b in zip(old, new)) == 5
+    assert sum(a != b for old, new, _ in patch.values() for a, b in zip(old, new)) == 5
 
 
 def test_update_patch_noop(gen746):
@@ -707,9 +708,11 @@ def test_update_patch_equals_reencode(n, k, m, flavor):
                 for r, (a, b) in enumerate(zip(old_share.symbols, new_share.symbols))
                 if a != b
             }
-            # in node order, each old column is the node's column now, and
-            # every reported node's column genuinely changes
+            # in node order, each old column is the node's column now, every
+            # reported node's column genuinely changes, and the changed rows
+            # are exactly where it does
             assert list(patch) == sorted(patch)
-            for node, (old_column, new_column) in patch.items():
+            for node, (old_column, new_column, rows) in patch.items():
                 assert old_column == shares[node].symbols
                 assert new_column != old_column
+                assert rows == tuple(r for r, (a, b) in enumerate(zip(old_column, new_column)) if a != b)

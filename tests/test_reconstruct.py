@@ -1,6 +1,7 @@
 """Progressive reconstruction: pair solve, row decode, classification, CRC,
 and end-to-end fault injection."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -661,6 +662,54 @@ def test_composed_tables_are_pinned(code):
     decoder = KNodeDecoder(gen, random.Random(f"tables:{n}:{k}:{m}").sample(range(n), k))
     decoder.compose()
     assert composed_table_digest(decoder.composed) == COMPOSED_TABLE_DIGESTS[code]
+
+
+# one code for each m = 2..16, both flavors; vandermonde is shortened
+# (column-scaled) at all but the full-length [3,2], [7,4] and [15,5]
+PAIRED_CODES = [
+    (n, k, m, flavor)
+    for n, k, m in [
+        (3, 2, 2), (7, 4, 3), (15, 5, 4), (20, 10, 5), (12, 6, 6), (14, 7, 7), (24, 12, 8), (14, 7, 9),
+        (12, 6, 10), (20, 10, 11), (10, 5, 12), (14, 7, 13), (18, 9, 14), (14, 7, 15), (18, 9, 16),
+    ]
+    for flavor in ("systematic", "vandermonde")
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("n,k,m,flavor", PAIRED_CODES)
+def test_paired_staged_and_composed_bitstreams_agree(n, k, m, flavor):
+    """The paired decode (the columns through gen.gbar_map, w p_rc and
+    w q_rc per pair, the pair map twice) gives the staged and the composed
+    decoders' bitstream and message, on random k-node sets: garbage
+    columns, fresh encodings and encodings with 1 or 2 corrupt columns.
+    It runs no pair solve and no peel map, and building the pair map needs
+    no gbar_map."""
+    params = make_params(n, k, m)
+    gen = generator_set(params, flavor)
+    rng = random.Random(f"paired:{n}:{k}:{m}:{flavor}")
+    with_crc = crc_trailer_length(m) < params.B  # [3,2]/GF(2^2) has no room for a payload
+    for trial in range(3):
+        nodes = tuple(rng.sample(range(n), k))
+        staged, paired, composed = (KNodeDecoder(gen, nodes) for _ in range(3))
+        paired.pair_map
+        assert trial or "gbar_map" not in vars(gen)
+        composed.compose()
+        paired.solve = paired.peel_map = None  # the staged body must not run
+        assert [decoder_mode(d) for d in (staged, paired, composed)] == ["staged", "paired", "composed"]
+        for kind in ("garbage", "fresh", "corrupt") * 3:
+            if kind == "garbage":
+                cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
+            else:
+                message, shares = fresh_case(params, gen, rng, with_crc)
+                cols = [shares[i].symbols for i in nodes]
+                if kind == "corrupt":
+                    for b in rng.sample(range(k), rng.randint(1, min(2, k))):
+                        cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+            expected = staged.decode(cols)
+            assert paired.bitstream(cols) == composed.bitstream(cols) == symbols_to_int(expected, m)
+            assert paired.decode(cols) == composed.decode(cols) == expected
+            if kind == "fresh":
+                assert expected == message
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
@@ -1338,34 +1387,46 @@ SESSION_CASES = {
 }
 
 
+def session_code(case):
+    """A SESSION_CASES case's parameters, generator set, stripe count, and
+    the stripes its late liar and its gap start at."""
+    n, k, m, flavor, stripe_count, _, _, _, late, gap = SESSION_CASES[case]
+    params = make_params(n, k, m)
+    return params, generator_set(params, flavor), stripe_count, late, gap
+
+
+def session_case(case, seed):
+    """A SESSION_CASES case's messages, liars and source(node, stripe)."""
+    n, k, m, flavor, stripe_count, missing, lying, spread, late, gap = SESSION_CASES[case]
+    params, gen, _, _, _ = session_code(case)
+    rng = random.Random(f"{case}:{seed}")
+    messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(stripe_count)))
+    drawn = rng.sample(range(n), missing + lying)
+    liars = dict.fromkeys(drawn[missing:], 0)
+    if spread:
+        liars.update(dict.fromkeys(rng.sample(range(n), spread[0]), spread[1]))
+    gaps = set()
+    if late or gap:
+        # stripe 0 is read the same way by both paths, so its report
+        # names the session's first trusted set
+        first = progressive_read(params, gen, file_source(gen, stripes, set(drawn[:missing]), liars), 0, seed)
+        trusted = [node for node in first.accessed_nodes if node not in first.erroneous_nodes][:k]
+        if late:
+            liars[trusted[0]] = late
+        if gap:
+            gaps.add((trusted[-1], gap))
+    return messages, liars, file_source(gen, stripes, set(drawn[:missing]), liars, gaps)
+
+
 @pytest.mark.parametrize("case", sorted(SESSION_CASES))
 def test_read_session_matches_per_stripe_progressive(case):
     """reconstruct_file returns the messages of per-stripe
     reconstruct_progressive runs and fails at the same stripe with the same
     reason.  A trusted node that starts lying, or misses one stripe, sends
     exactly that stripe to the progressive path."""
-    n, k, m, flavor, stripe_count, missing, lying, spread, late, gap = SESSION_CASES[case]
-    params = make_params(n, k, m)
-    gen = generator_set(params, flavor)
+    params, gen, stripe_count, late, gap = session_code(case)
     for seed in range(3):
-        rng = random.Random(f"{case}:{seed}")
-        messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(stripe_count)))
-        drawn = rng.sample(range(n), missing + lying)
-        liars = dict.fromkeys(drawn[missing:], 0)
-        if spread:
-            liars.update(dict.fromkeys(rng.sample(range(n), spread[0]), spread[1]))
-        gaps = set()
-        if late or gap:
-            # stripe 0 is read the same way by both paths, so its report
-            # names the session's first trusted set
-            first = progressive_read(params, gen, file_source(gen, stripes, set(drawn[:missing]), liars), 0, seed)
-            trusted = [node for node in first.accessed_nodes if node not in first.erroneous_nodes][:k]
-            if late:
-                liars[trusted[0]] = late
-            if gap:
-                gaps.add((trusted[-1], gap))
-        source = file_source(gen, stripes, set(drawn[:missing]), liars, gaps)
-
+        messages, liars, source = session_case(case, seed)
         session = reconstruct.reconstruct_file(gen, source, stripe_count, seed)
         expected, failure = per_stripe_reads(params, gen, source, stripe_count, seed)
         assert session.messages == expected
@@ -1388,35 +1449,135 @@ def test_read_session_matches_per_stripe_progressive(case):
         assert session.bad_nodes <= set(liars)
 
 
-def test_read_session_composes_with_enough_stripes_left(monkeypatch):
-    """The session's decoder is composed once exactly when the file has at
-    least LinearMap.table_entries(m) stripes, 12 at m = 5: before stripe
-    0's first round, whose k nodes a clean read then trusts, so every
-    stripe, stripe 0 included, is decoded through the composed map."""
-    rng = random.Random(78)
-    stripes = [fresh_case(P20, GEN20, rng)[1] for _ in range(13)]
-    composed, decoded = [], []
-    compose, bitstream, solve = KNodeDecoder.compose, KNodeDecoder.bitstream, KNodeDecoder.solve
-    monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
+def decoder_mode(decoder):
+    if decoder.composed is not None:
+        return "composed"
+    return "paired" if "pair_map" in vars(decoder) else "staged"
 
-    # each stripe's decode, once: the composed map's table pass or the staged
-    # solve, which a staged bitstream() runs and a staged first round calls
+
+def spy_on_decoders(monkeypatch):
+    """Record, on KNodeDecoder, the mode of every bitstream() call and every
+    pair map built outside compose() as (nodes, inside a progressive read)."""
+    modes, builds, inside = [], [], []
+    bitstream, compose = KNodeDecoder.bitstream, KNodeDecoder.compose
+    build_pair_map = KNodeDecoder.__dict__["pair_map"].func
+    progressive = reconstruct.reconstruct_progressive
+
     def spy_bitstream(decoder, cols):
-        if decoder.composed is not None:
-            decoded.append(True)
+        modes.append(decoder_mode(decoder))
         return bitstream(decoder, cols)
 
+    def spy_compose(decoder):
+        inside.append("compose")
+        try:
+            return compose(decoder)
+        finally:
+            inside.pop()
+
+    def spy_pair_map(decoder):
+        if "compose" not in inside:
+            builds.append((decoder.nodes, "progressive" in inside))
+        return build_pair_map(decoder)
+
+    def spy_progressive(*args, **kwargs):
+        inside.append("progressive")
+        try:
+            return progressive(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    pair_map = functools.cached_property(spy_pair_map)
+    pair_map.__set_name__(KNodeDecoder, "pair_map")
     monkeypatch.setattr(KNodeDecoder, "bitstream", spy_bitstream)
-    monkeypatch.setattr(KNodeDecoder, "solve", lambda decoder, pair: decoded.append(False) or solve(decoder, pair))
-    for count in (11, 12, 13):
-        composed.clear(), decoded.clear()
-        session = reconstruct.reconstruct_file(GEN20, file_source(GEN20, stripes), count, 3)
-        assert session.success and session.trusted_stripes == count - 1
-        enough = count >= LinearMap.table_entries(P20.m) == 12
-        assert len(composed) == enough
-        assert decoded == [enough] * count
-        if enough:
-            assert composed == [session.progressive[0].accessed_nodes]
+    monkeypatch.setattr(KNodeDecoder, "compose", spy_compose)
+    monkeypatch.setattr(KNodeDecoder, "pair_map", pair_map)
+    monkeypatch.setattr(reconstruct, "reconstruct_progressive", spy_progressive)
+    return modes, builds
+
+
+def test_read_session_composes_with_enough_stripes_left(monkeypatch):
+    """Stripe 0's first round composes its decoder exactly when the file
+    has at least LinearMap.table_entries(m) stripes, 12 at m = 5 and 32 at
+    m = 8, and is never paired: no pair map is built inside a progressive
+    read but by compose().  Each later trusted set's decoder is staged,
+    paired or composed by the stripes left at its first stripe
+    (TRUSTED_MODE_FROM), on both sides of each cut-off, at m = 5 and 8.  A
+    clean read trusts stripe 0's first k nodes, so its stripes, stripe 0
+    included, go through stripe 0's composed map when it has one; with 3
+    liars the first round usually fails, and the nodes later rounds trust
+    get a decoder of their own.  Every stripe is decoded once."""
+    modes, builds = spy_on_decoders(monkeypatch)
+    for n, k, m, flavor in [(20, 10, 5, "systematic"), (24, 12, 8, "vandermonde")]:
+        params = make_params(n, k, m)
+        gen = generator_set(params, flavor)
+        paired, composed = reconstruct.TRUSTED_MODE_FROM[m]
+        first = LinearMap.table_entries(m)
+        assert 1 <= paired < composed and first == {5: 12, 8: 32}[m]
+        # a file of count stripes has count - 1 left at its first trusted stripe
+        counts = {paired, paired + 1, composed, composed + 1, first - 1, first}
+        rng = random.Random(f"modes:{m}")
+        messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(max(counts))))
+        for liars in (0, 3):
+            lying = dict.fromkeys(rng.sample(range(n), liars), 0)
+            for count in sorted(counts):
+                modes.clear(), builds.clear()
+                session = reconstruct.reconstruct_file(gen, file_source(gen, stripes, liars=lying), count, 5)
+                assert session.messages == list(messages[:count])
+                assert list(session.progressive) == [0] and session.trusted_stripes == count - 1
+                left = count - 1
+                expected = "staged" if left < paired else "paired" if left < composed else "composed"
+                stripe_0 = ["composed"] if count >= first else []
+                if stripe_0 and session.progressive[0].rounds == 0:
+                    expected = "composed"  # the trusted set is stripe 0's first k nodes
+                assert modes == stripe_0 + [expected] * left, (m, liars, count)
+                report = session.progressive[0]
+                trusted = [node for node in report.accessed_nodes if node not in report.erroneous_nodes][:k]
+                assert builds == ([(tuple(trusted), False)] if expected == "paired" else [])
+
+
+# TRUSTED_MODE_FROM entries that force every trusted decoder into one mode
+FORCED_MODES = {"staged": (10**9, 10**9), "paired": (1, 10**9), "composed": (1, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(SESSION_CASES))
+def test_read_session_is_the_same_in_every_mode(monkeypatch, case):
+    """reconstruct_file returns the same FileReport, messages and
+    progressive reports alike, whether its trusted decoders are staged,
+    paired or composed, on prefixes of each session case on both sides of
+    the cut-offs of m = 5 and 8: a trusted stripe that a lying or missing
+    node spoils goes progressive in every mode."""
+    params, gen, stripe_count, _, _ = session_code(case)
+    _, _, source = session_case(case, 0)
+    paired, composed = reconstruct.TRUSTED_MODE_FROM[params.m]
+    counts = {1, paired, paired + 1, composed, composed + 1, stripe_count}
+    for count in sorted(c for c in counts if c <= stripe_count):
+        expected = reconstruct.reconstruct_file(gen, source, count, 0)
+        for mode, cut_offs in FORCED_MODES.items():
+            with monkeypatch.context() as patch:
+                patch.setitem(reconstruct.TRUSTED_MODE_FROM, params.m, cut_offs)
+                assert reconstruct.reconstruct_file(gen, source, count, 0) == expected, (count, mode)
+
+
+def test_lying_trusted_column_sends_a_paired_stripe_to_progressive(monkeypatch):
+    """With 7 stripes left at m = 8 the trusted set's decoder is paired; a
+    trusted node that starts lying at stripe 2 makes that stripe's paired
+    bitstream fail check_crc, so the stripe is read progressively, and the
+    5 stripes left after it come from a new trusted set, paired again."""
+    params, gen, stripe_count, late, _ = session_code("late-liar-24-12")
+    paired, composed = reconstruct.TRUSTED_MODE_FROM[params.m]
+    assert (stripe_count, late) == (8, 2) and paired <= stripe_count - 1 < composed
+    modes, builds = spy_on_decoders(monkeypatch)
+    for seed in range(3):
+        modes.clear(), builds.clear()
+        messages, _, source = session_case("late-liar-24-12", seed)
+        session = reconstruct.reconstruct_file(gen, source, stripe_count, seed)
+        assert session.messages == list(messages)
+        # stripe 2 was decoded paired, like every trusted stripe, and then
+        # read progressively: its bitstream failed check_crc
+        assert modes == ["paired"] * (stripe_count - 1)
+        assert list(session.progressive) == [0, late]
+        (old, old_inside), (new, new_inside) = builds
+        assert old != new and not old_inside and not new_inside
 
 
 def test_read_session_reads_only_the_trusted_nodes():

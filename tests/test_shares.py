@@ -19,6 +19,7 @@ from msrcode.msr import InvalidParams, WrongLength, encode_all, generator_set, m
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
     CRC_SCHEME,
+    ENCODE_MAP_FROM,
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
@@ -291,13 +292,13 @@ def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
 @pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
 def test_cli_encode_writes_the_staged_bodies_on_both_sides_of_the_threshold(tmp_path, n, k, m, flavor):
     """CLI encode of an empty file, and of the longest files of
-    table_entries(m) - 1 stripes (the staged encode) and table_entries(m)
+    ENCODE_MAP_FROM[m] - 1 stripes (the staged encode) and ENCODE_MAP_FROM[m]
     stripes (the composed map), writes reference_bodies' bytes after each
     share's header."""
     p = make_params(n, k, m)
     gen = generator_set(p, flavor)
     payload = crc_payload_length(p)
-    threshold = LinearMap.table_entries(m)
+    threshold = ENCODE_MAP_FROM[m]
     rng = random.Random(f"threshold:{n}:{k}:{m}:{flavor}")
     for stripes in (1, threshold - 1, threshold):
         size = 0 if stripes == 1 else stripes * payload * m // 8
@@ -313,14 +314,17 @@ def test_cli_encode_writes_the_staged_bodies_on_both_sides_of_the_threshold(tmp_
 
 
 def test_encode_map_pays_only_for_small_codes():
-    """The stripe threshold is table_entries(m); the images' bytes cap the
-    code.  [255,128]/GF(2^8) would need about 17 GB of tables and
-    [100,50]/GF(2^8) about 384 MB, so no file of theirs takes the map."""
+    """The stripe threshold is ENCODE_MAP_FROM[m], the break-even measured
+    per m, below the table entries per input from m = 4 on; the images'
+    bytes cap the code.  [255,128]/GF(2^8) would need about 17 GB of tables
+    and [100,50]/GF(2^8) about 384 MB, so no file of theirs takes the map."""
     for n, k, m in [(255, 128, 8), (100, 50, 8), (40, 20, 8), (28, 14, 8)]:
         assert not encode_map_pays(make_params(n, k, m), 1 << 30), (n, k, m)
-    for (n, k, m), threshold in [((27, 14, 8), 32), ((20, 10, 5), 12), ((18, 9, 16), 512), ((3, 2, 2), 4)]:
+    assert sorted(ENCODE_MAP_FROM) == list(range(2, 17))
+    assert all(ENCODE_MAP_FROM[m] < LinearMap.table_entries(m) for m in range(4, 17))
+    for (n, k, m), threshold in [((27, 14, 8), 9), ((20, 10, 5), 5), ((18, 9, 16), 190), ((3, 2, 2), 2)]:
         p = make_params(n, k, m)
-        assert LinearMap.table_entries(m) == threshold
+        assert ENCODE_MAP_FROM[m] == threshold
         assert not encode_map_pays(p, threshold - 1) and encode_map_pays(p, threshold), (n, k, m)
 
 
