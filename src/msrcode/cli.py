@@ -49,7 +49,6 @@ from .shares import (
     pack_columns,
     share_bodies,
     share_filename,
-    stripe_count,
     write_share,
 )
 from .sim import SimConfig, corrupt_symbols, run_sweep, write_csv, write_gnuplot_script
@@ -101,25 +100,21 @@ def cmd_encode(args) -> int:
     except InvalidParams as exc:
         return _fail(str(exc))
     gen = generator_set(params, args.flavor)
-    try:
-        payload_len = crc_payload_length(params)
-    except WrongLength as exc:
-        return _fail(str(exc))
+    payload_len = crc_payload_length(params)
 
     data = Path(args.input).read_bytes()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     m = params.m
-    stripes = stripe_count(len(data), m, payload_len)
+    payloads = bytes_to_symbols(data, payload_len * m) or [0]  # an empty file gets one stripe
+    stripes = len(payloads)
     names = [share_filename(node) for node in range(params.n)]
-    # a long file of a small enough code goes straight from its bytes to
+    # a long file of a small enough code goes straight from its payloads to
     # the share bodies through one composed encode map; others keep the
-    # staged encode, the file chunked into stripe payloads as share_bodies
-    # chunks it
+    # staged encode
     if encode_map_pays(params, stripes):
-        bodies = share_bodies(gen, data)
+        bodies = share_bodies(gen, payloads)
     else:
-        payloads = bytes_to_symbols(data, payload_len * m) or [0]  # an empty file gets one stripe
         encoded = [encode_all(gen, int_to_symbols(seal(params, payload), m, params.B)) for payload in payloads]
         bodies = [pack_columns(m, [share.symbols for share in column]) for column in zip(*encoded)]
     for node, body in enumerate(bodies):

@@ -157,10 +157,6 @@ class Field:
             return 0
         return self.exp[(self.log[x] * e) % (self.order - 1)]
 
-    def generator(self) -> int:
-        """The primitive element a (residue class of x)."""
-        return 2
-
     def elements(self) -> range:
         return range(self.order)
 

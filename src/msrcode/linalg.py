@@ -27,10 +27,11 @@ order (its repair map, whose outputs sit at a share body's byte offsets),
 per RsCode (decode: the evaluation
 map, and the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
-peel map; for a read with enough stripes left, its pair map, from the
-k(k-1)/2 pair values to a message block, which a paired stripe applies
-twice; and for a longer one its composed map, from the k * alpha column
-symbols to the whole message, built on the pair map), never per stripe.
+one map of G^-1, which its staged decode applies and its pair map is read
+off; for a read with enough stripes left, that pair map, from the k(k-1)/2
+pair values to a message block, which a paired stripe applies twice; and
+for a longer one its composed map, from the k * alpha column symbols to
+the whole message, built on the pair map), never per stripe.
 Two maps are built per progressive round: the Forney map of the
 round's erasure set (one more per erasure trial), which every row of its P
 and Q applies, and the peel map of the nodes an accepted round selects,
@@ -57,7 +58,7 @@ from operator import xor
 from .bits import symbol_width
 from .field import Field
 
-__all__ = ["gf_dot", "mat_vec", "identity", "rank", "row_reduce", "invert", "LinearMap", "RegionDot"]
+__all__ = ["gf_dot", "mat_vec", "rank", "row_reduce", "invert", "LinearMap", "RegionDot"]
 
 
 class SingularMatrix(ValueError):
@@ -75,10 +76,6 @@ def gf_dot(field: Field, xs, ys) -> int:
 
 def mat_vec(field: Field, a, v) -> list[int]:
     return [gf_dot(field, row, v) for row in a]
-
-
-def identity(size: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
 
 
 def _eliminate(field: Field, aug: list[list[int]], cols: int, above: bool = True) -> int:
@@ -134,7 +131,7 @@ def row_reduce(field: Field, a) -> list[list[int]]:
 
 def invert(field: Field, a) -> list[list[int]]:
     size = len(a)
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(size))]
+    aug = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
     if _eliminate(field, aug, size) != size:
         raise SingularMatrix(f"{size}x{size} matrix is singular")
     return [row[size:] for row in aug]

@@ -146,7 +146,9 @@ def make_params(n: int, k: int, m: int) -> MsrParams:
     """Derive and validate the full parameter set from (n, k, m).
 
     The geometry is fixed at the minimum-storage point with d = 2*alpha:
-    alpha = k - 1, d = 2(k - 1), B = k*alpha.
+    alpha = k - 1, d = 2(k - 1), B = k*alpha.  That meets the cut-set bound
+    sum min(alpha, d - i), i < k, by construction: d - i >= alpha for every
+    i < k, so the sum is k*alpha = B.
     """
     if k < 2:
         raise InvalidParams("KTooSmall", f"k must be >= 2, got {k}")
@@ -165,10 +167,6 @@ def make_params(n: int, k: int, m: int) -> MsrParams:
         raise InvalidParams(
             "GcdViolation", f"gcd(2^{m} - 1, alpha) = {math.gcd((1 << m) - 1, alpha)} != 1"
         )
-    # storage/bandwidth identity at the minimum-storage point (beta = 1)
-    bound = sum(min(alpha, d - i) for i in range(k))
-    if B != bound:
-        raise InvalidParams("CutSetMismatch", f"B={B} != sum min(alpha, d-i) = {bound}")
     return MsrParams(n=n, k=k, d=d, alpha=alpha, beta=1, B=B, m=m)
 
 

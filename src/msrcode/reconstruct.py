@@ -27,7 +27,8 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    earlier row, and a later row whose Forney syndromes fit it takes its
    errata without running Berlekamp-Massey.  The syndrome recheck, which
    maps just the corrected symbols, and a fallback to Berlekamp-Massey
-   give every row the result of its own decode.
+   give every row the result of its own decode: its codeword, or None
+   when it does not decode.
 3. classify_columns: a node column counts as erroneous when at least
    j - v - k + 2 decoded rows disagree with its received values (this is
    v + 2 when j = k + 2v nodes are held), and as correct when at most v
@@ -92,7 +93,8 @@ once, from one inverse: G^-1, h, and the logs of h_c / h_r for the diagonal
 fill.  Its staged decode has three steps: step 1's pair_solve over its k
 nodes, the diagonal fill from h, and _peel, which runs a linalg.LinearMap
 of G^-1 twice (over P_sel's rows, then over the result's columns) to give
-Z, as in recover_z; the decoder builds that map on its first staged stripe.
+Z, as in recover_z; that map, peel_map, is the decoder's one map of G^-1,
+built on first use, and the pair map is read off it too.
 The v = 0 round of reconstruct_progressive and the read session below use
 this one decoder, and the v = 0 round hands its PairSolve to the v = 1
 round, so a stripe maps each column it holds through gen.gbar_map once.
@@ -143,7 +145,7 @@ m = 5, 32 at m = 8; otherwise it stays staged.  It never builds a pair map on it
 since with errors present it usually fails: in a [24,12] read with 3 missing
 and 3 lying shares only C(18,12)/C(21,12), about 6%, of first rounds pass.
 So a clean long read decodes every stripe, stripe 0 included, through one
-composed map, and never builds gen.gbar_map or the staged peel map.  A
+composed map, and never builds gen.gbar_map.  A
 trusted set's decoder takes its mode at the first stripe it decodes, from
 the stripes left then: staged below TRUSTED_MODE_FROM[m]'s first cut-off,
 paired from it, composed from its second.  Each cut-off is a break-even of
@@ -182,7 +184,6 @@ from .rs import RsCode
 __all__ = [
     "AccessSet",
     "PairSolve",
-    "RowDecode",
     "Classification",
     "RoundTrace",
     "DecodeReport",
@@ -305,13 +306,6 @@ class PairSolve:
 
 
 @dataclass(frozen=True)
-class RowDecode:
-    decoded: bool
-    codeword: tuple[int, ...] | None
-    corrected: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Classification:
     """Per-column mismatch counts and the resulting node partition
     (positions index into the access order)."""
@@ -405,8 +399,9 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
     )
 
 
-def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, context=None) -> list[RowDecode]:
-    """Decode each pair-solved row as an [n, k-1] received word.
+def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, context=None) -> list:
+    """Decode each pair-solved row as an [n, k-1] received word: its
+    codeword, or None when the row does not decode.
 
     Erased positions: everything unaccessed, any extra nodes a fallback
     trial wants treated as unreliable, and the row's own diagonal.  The
@@ -426,12 +421,11 @@ def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, c
         word = _row_word(code, mat[r], r, nodes, scale, extra_erased)
         res = context.decode(word, None if nodes[r] in extra_erased else nodes[r])
         if res is None:
-            out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
-            continue
-        codeword = res.codeword
-        if scale is not None:
-            codeword = tuple(div(x, s) for x, s in zip(codeword, scale))
-        out.append(RowDecode(decoded=True, codeword=codeword, corrected=res.corrected_positions))
+            out.append(None)
+        elif scale is None:
+            out.append(res.codeword)
+        else:
+            out.append(tuple(div(x, s) for x, s in zip(res.codeword, scale)))
     return out
 
 
@@ -467,10 +461,9 @@ def classify_columns(mat, rows, nodes, v: int, k: int) -> Classification:
     j = len(nodes)
     counts = [0] * j
     for r in range(j):
-        rd = rows[r]
-        if not rd.decoded:
+        cw = rows[r]
+        if cw is None:
             continue
-        cw = rd.codeword
         row = mat[r]
         for c in range(j):
             if c != r and cw[nodes[c]] != row[c]:
@@ -498,35 +491,42 @@ def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, peel_maps: di
     select the same nodes.
     """
     alpha = gen.params.alpha
-    usable = [c for c in sorted(cls.correct) if rows[c].decoded]
+    usable = [c for c in sorted(cls.correct) if rows[c] is not None]
     if len(usable) < alpha:
         raise AsymmetryDetected("not enough decoded correct columns to invert")
     sel = usable[:alpha]
     key = tuple(nodes[c] for c in sel)
-    p_sel = [tuple(rows[r].codeword[node] for node in key) for r in sel]
+    p_sel = [tuple(rows[r][node] for node in key) for r in sel]
     # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
     if p_sel != list(zip(*p_sel)):
         raise AsymmetryDetected("recovered block is not symmetric")
     if key not in peel_maps:
         g = [[row[node] for node in key] for row in gen.gbar]
-        peel_maps[key] = LinearMap(gen.field, invert(gen.field, g))
+        peel_maps[key] = _peel_map(gen.field, invert(gen.field, g))
     return _peel(peel_maps[key], p_sel)
+
+
+def _peel_map(field, g_inv) -> LinearMap:
+    """x -> x @ G^-1 with output t at bits m * (alpha - 1 - t), the layout
+    _peel and KNodeDecoder.pair_map read."""
+    return LinearMap(field, [row[::-1] for row in g_inv])
 
 
 def _peel(peel_map: LinearMap, p_sel) -> list[int]:
     """The upper triangle, row-major, of Z = G^-T @ P_sel @ G^-1, undoing
     P_sel = G^T @ Z @ G on the chosen positions, where peel_map is
-    x -> x @ G^-1: once over P_sel's rows, kept packed, then over the
-    result's columns, read off those ints.  P_sel is symmetric, so Z is
-    too, and column r of Z gives row r's entries from the diagonal on."""
+    _peel_map's x -> x @ G^-1: once over P_sel's rows, kept packed, then
+    over the result's columns, read off those ints.  P_sel is symmetric, so
+    Z is too, and column r of Z gives row r's entries from the diagonal on."""
     packed, m, mask = peel_map.packed, peel_map.m, peel_map.mask
     inputs = range(len(p_sel))
+    shifts = [m * t for t in reversed(inputs)]  # output t's
     w = [packed(row, inputs) for row in p_sel]
     half = []
     for r in inputs:
-        shift = m * r
+        shift = shifts[r]
         z = packed([x >> shift & mask for x in w], inputs)
-        half += [z >> m * t & mask for t in range(r, len(p_sel))]
+        half += [z >> t & mask for t in shifts[r:]]
     return half
 
 
@@ -534,7 +534,8 @@ class KNodeDecoder:
     """The closed-form decoder of one ordered set of exactly k nodes (module
     docstring), built once and applied to every stripe read from them.  It
     decodes staged until its pair map is built (pair_map), paired from then
-    on, and through one map once compose() has run.
+    on, and through one map once compose() has run; bitstream() picks the
+    mode.
 
     decode() is linear in the k columns and unchecked: the caller accepts
     its message only if check_crc passes.
@@ -565,8 +566,9 @@ class KNodeDecoder:
 
     @functools.cached_property
     def peel_map(self) -> LinearMap:
-        """x -> x G^-1, the map _peel takes in the staged decode."""
-        return LinearMap(self.field, self.g_inv)
+        """x -> x G^-1 laid out as _peel_map lays it out: the map _peel
+        takes in the staged decode, and the one pair_map is read off."""
+        return _peel_map(self.field, self.g_inv)
 
     @functools.cached_property
     def pair_map(self) -> LinearMap:
@@ -577,8 +579,8 @@ class KNodeDecoder:
         gives the P block's half of the message, to the w q_rc the Q
         block's (bitstream(), compose()).  Built on first access, which
         makes the decoder paired (reconstruct_file does so for a trusted set
-        with enough stripes left) or is compose()'s own; it needs neither
-        gbar_map nor peel_map.
+        with enough stripes left) or is compose()'s own; it reads peel_map
+        and needs no gbar_map.
 
         It is read off G^-1, h and the lambda, never by decoding unit
         vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
@@ -586,9 +588,9 @@ class KNodeDecoder:
         the last two through the diagonal fill, and any term with an index
         of alpha or more drops out.  As s_r s_c = 1, S = s_r u u^T with
         u = e_r + s_c e_c, so row a of its Z = G^-T S G^-1 is
-        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two lookups in a map of
-        x -> x G^-1 with its outputs reversed, where entries a .. alpha - 1
-        of the row are its low alpha - a outputs, last entry lowest.  So one
+        (s_r v[a] u) G^-1 with v = g_r + s_c g_c: two lookups in peel_map,
+        whose outputs are reversed, so that entries a .. alpha - 1 of the
+        row are its low alpha - a outputs, last entry lowest.  So one
         mask and one shift put that segment of the row's upper triangle in
         place, reversed like the rest.  Those rows, divided by
         w = lambda_r + lambda_c, are the images of the pair map.
@@ -597,9 +599,7 @@ class KNodeDecoder:
         exp, log, m = field.exp, field.log, field.m
         q1 = field.order - 1
         alpha = self.params.alpha
-        g_inv, lh, lam = self.g_inv, self.lh, self.lam
-        # x -> x G^-1 with output b at bits m * (alpha - 1 - b)
-        peel = LinearMap(field, [row[::-1] for row in g_inv])
+        g_inv, lh, lam, peel = self.g_inv, self.lh, self.lam, self.peel_map
         low, high, lmask, half = peel.low, peel.high, peel.lmask, peel.half
         # a block's message half, reversed: row a's upper-triangle segment,
         # alpha - a symbols from offset a * alpha - a(a - 1)/2, has its last
@@ -644,8 +644,8 @@ class KNodeDecoder:
         the pair map's at [24,12]/GF(2^8)), so reconstruct_file composes a
         decoder only with enough stripes left.
 
-        It builds on the pair map (pair_map), and needs neither gbar_map nor
-        peel_map.  Symbol t of column c enters m_rc with weight
+        It builds on the pair map (pair_map), so on peel_map, and needs no
+        gbar_map.  Symbol t of column c enters m_rc with weight
         g = gbar_access[t][r], so it adds g lambda_r to w p_rc and g to
         w q_rc: its image is the pair map of pair {r, c} at g lambda_r in
         the P block, shifted above the Q block, and at g itself in the Q
@@ -693,7 +693,8 @@ class KNodeDecoder:
             flat = [x for col in columns for x in col]
             return self.composed.packed(flat, range(len(flat)))
         if "pair_map" not in vars(self):
-            return symbols_to_int(self.decode(columns), self.field.m)
+            pair = pair_solve(self.gen, AccessSet(self.nodes, tuple(columns)))
+            return symbols_to_int(self.solve(pair), self.field.m)
         # the paired decode: every m_rc off the columns' gbar_map images,
         # then w p_rc = lambda_r m_rc + lambda_c m_cr and w q_rc = m_rc + m_cr
         # through the pair map, the P block shifted above the Q block
@@ -720,10 +721,7 @@ class KNodeDecoder:
 
     def decode(self, columns) -> list[int]:
         """The B-symbol message that the k columns, in node order, encode:
-        through the composed map once compose() has run, else through the
-        pair map once it is built, else in stages."""
-        if self.composed is None and "pair_map" not in vars(self):
-            return self.solve(pair_solve(self.gen, AccessSet(self.nodes, tuple(columns))))
+        bitstream() split into symbols."""
         return int_to_symbols(self.bitstream(columns), self.field.m, self.params.B)
 
     def solve(self, pair: PairSolve) -> list[int]:

@@ -19,7 +19,7 @@ length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
 Every share file is written by write_share from its body, the payload
-bytes above: share_bodies encodes a long file's stripes straight to them
+bytes above: share_bodies encodes a long file's payloads straight to them
 through GeneratorSet.encode_map, whose outputs sit at this layout's byte
 offsets, pack_columns packs the staged encode's columns with one
 struct.pack per node, and repair writes msr.regenerate's body as it is.
@@ -64,7 +64,7 @@ import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .bits import bytes_to_symbols, symbol_width
+from .bits import symbol_width
 from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, make_params
 from .reconstruct import crc_payload_length, seal
 
@@ -135,20 +135,19 @@ def pack_columns(m: int, columns) -> bytes:
     return struct.pack(_body_format(m, len(symbols)), *symbols)
 
 
-def share_bodies(gen: GeneratorSet, data: bytes) -> list[bytes]:
-    """Every node's share body for the file data, in
-    stripe_count(len(data), m, payload) stripes: what pack_columns packs of
-    the encode_all columns of each stripe's sealed payload.
+def share_bodies(gen: GeneratorSet, payloads) -> list[bytes]:
+    """Every node's share body for the stripe payloads, one per stripe:
+    what pack_columns packs of the encode_all columns of each stripe's
+    sealed payload.
 
-    Stripe s's payload is the file's bits s * P .. (s + 1) * P - 1 for
-    P = crc_payload_length(params) * m, zero-padded at the end, which
-    bits.bytes_to_symbols reads at width P, one int.from_bytes per run of
-    stripes that ends on a byte.  Each stripe is then one application of
-    gen.encode_map to its message int, reconstruct.seal(payload), and that
-    packed image's bytes are the stripe's part of every body, node-major;
-    node j's part is cut out of each stripe and joined."""
+    A file's payloads are its bits chunked at width
+    P = crc_payload_length(params) * m, zero-padded at the end, as
+    bits.bytes_to_symbols reads them, with one zero payload for an empty
+    file.  Each stripe is one application of gen.encode_map to its message
+    int, reconstruct.seal(payload), and that packed image's bytes are the
+    stripe's part of every body, node-major; node j's part is cut out of
+    each stripe and joined."""
     params = gen.params
-    payloads = bytes_to_symbols(data, crc_payload_length(params) * params.m) or [0]  # an empty file gets one stripe
     encode_map = gen.encode_map
     node_size = params.alpha * symbol_width(params.m)
     stripe_size = params.n * node_size

@@ -768,6 +768,18 @@ def test_encode_directory_input_exits_1(tmp_path, capsys):
     assert not (tmp_path / "shares").exists()
 
 
+def test_encode_of_a_code_with_no_payload_room_exits_1(tmp_path, capsys):
+    """[3,2]/GF(2^2) holds B = 2 symbols, fewer than the CRC-32 trailer's 16."""
+    src = tmp_path / "data.bin"
+    src.write_bytes(b"x")
+    argv = ["encode", str(src), str(tmp_path / "shares"), "--n", "3", "--k", "2", "--m", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: B=2 leaves no payload after a 16-symbol integrity trailer\n"
+    assert captured.out == ""
+    assert not (tmp_path / "shares").exists()
+
+
 def test_encode_into_existing_file_exits_1(tmp_path, capsys):
     src = tmp_path / "data.bin"
     src.write_bytes(b"an output directory that is a file")

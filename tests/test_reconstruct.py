@@ -17,7 +17,6 @@ from msrcode.msr import encode_all, generator_set, make_params
 from msrcode.reconstruct import (
     AccessSet,
     KNodeDecoder,
-    RowDecode,
     _attempt_round,
     _k_node_round,
     attach_crc,
@@ -270,9 +269,8 @@ def test_row_decode_clean_at_k_nodes():
     p_true, _ = true_pq(GEN746, message)
     rows = row_decode(GEN746.code_alpha, pair.p, pair.nodes)
     for r, nr in enumerate(nodes):
-        rd = rows[r]
-        assert rd.decoded and rd.corrected == frozenset()
-        assert list(rd.codeword) == p_true[nr]
+        assert rows[r] is not None
+        assert list(rows[r]) == p_true[nr]
 
 
 def test_row_decode_one_bad_among_k_plus_2():
@@ -289,10 +287,8 @@ def test_row_decode_one_bad_among_k_plus_2():
         for r, nr in enumerate(nodes):
             if r == bad_pos:
                 continue  # the corrupted node's own row is unconstrained
-            rd = rows[r]
-            assert rd.decoded
-            assert list(rd.codeword) == p_true[nr]
-            assert rd.corrected <= {nodes[bad_pos]}
+            assert rows[r] is not None
+            assert list(rows[r]) == p_true[nr]
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +607,14 @@ def test_composed_map_images_are_staged_decodes_of_unit_columns(n, k, m, flavor)
     """Input c * alpha + t of the composed map takes x to the staged decode
     of the columns that are zero but for x at symbol t of column c: its
     packed image, for x = 1 and a random x, and whole tables at m <= 5.
-    compose() never builds gen.gbar_map or the decoder's peel map."""
+    compose() never builds gen.gbar_map."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     rng = random.Random(f"unit:{n}:{k}:{m}:{flavor}")
     nodes = tuple(rng.sample(range(n), k))
     decoder = KNodeDecoder(gen, nodes)
     decoder.compose()
-    assert "gbar_map" not in vars(gen) and "peel_map" not in vars(decoder)
+    assert "gbar_map" not in vars(gen)
     composed = decoder.composed
     staged = KNodeDecoder(gen, nodes)
     alpha = params.alpha
@@ -993,12 +989,12 @@ def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None,
                 known.add(node)
         res = reference_decode(code, word, [i for i in range(code.n) if i not in known])
         if res is None:
-            out.append(RowDecode(decoded=False, codeword=None, corrected=frozenset()))
+            out.append(None)
             continue
-        codeword, corrected = res
+        codeword, _ = res
         if scale is not None:
             codeword = tuple(field.div(x, s) for x, s in zip(codeword, scale))
-        out.append(RowDecode(decoded=True, codeword=codeword, corrected=corrected))
+        out.append(codeword)
     return out
 
 
@@ -1013,7 +1009,7 @@ def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None,
     ],
 )
 def test_row_decode_matches_per_row_reference(n, k, m, flavor):
-    """Same RowDecode list as decoding every row on its own, with 0 to
+    """Same codewords as decoding every row on its own, with 0 to
     capability + 2 lying columns, trial erasures, and garbage columns."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
@@ -1447,6 +1443,33 @@ def test_read_session_matches_per_stripe_progressive(case):
             assert list(session.progressive) == [0] + [stripe for stripe in (late, gap) if stripe]
         assert session.trusted_stripes == len(session.messages) - sum(r.success for r in session.progressive.values())
         assert session.bad_nodes <= set(liars)
+
+
+def test_decoder_builds_one_map_of_g_inverse_in_every_mode(monkeypatch):
+    """A KNodeDecoder used staged, then paired, then composed builds one
+    alpha x alpha LinearMap, its peel map of G^-1, which the pair map reads,
+    and every mode decodes a fresh encoding to its message."""
+    gen = generator_set(P20)
+    alpha = P20.alpha
+    shapes = []
+    init = LinearMap.__init__
+
+    def spy_init(self, field, matrix):
+        shapes.append((len(matrix), len(matrix[0])))
+        init(self, field, matrix)
+
+    monkeypatch.setattr(LinearMap, "__init__", spy_init)
+    rng = random.Random("one g inverse")
+    decoder = KNodeDecoder(gen, rng.sample(range(P20.n), P20.k))
+    for mode in ("staged", "paired", "composed"):
+        if mode == "paired":
+            decoder.pair_map
+        elif mode == "composed":
+            decoder.compose()
+        assert decoder_mode(decoder) == mode
+        message, shares = fresh_case(P20, gen, rng)
+        assert decoder.decode([shares[node].symbols for node in decoder.nodes]) == message
+    assert shapes.count((alpha, alpha)) == 1
 
 
 def decoder_mode(decoder):

@@ -283,7 +283,7 @@ def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
     sizes = {0, 1, payload_bits // 16, payload_bits // 8 + 1, run - 1, run, run + 1, 2 * run, 2 * run + 3}
     for size in sorted(sizes):
         data = rng.randbytes(size)
-        bodies = share_bodies(gen, data)
+        bodies = share_bodies(gen, bytes_to_symbols(data, payload_bits) or [0])
         assert len(bodies[0]) == stripe_count(size, m, crc_payload_length(p)) * p.alpha * ((m + 7) // 8)
         assert bodies == reference_bodies(gen, data), size
 
