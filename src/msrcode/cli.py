@@ -39,6 +39,7 @@ from .reconstruct import (
     reconstruct_file,
     reconstruct_progressive,
     seal,
+    systematic_message,
 )
 from .shares import (
     CRC_SCHEME,
@@ -239,14 +240,18 @@ def _update(args, shares: ShareDir) -> int:
         return _fail(f"BadIndex: payload symbol {args.symbol} of stripe {args.stripe} lies past the file's end")
     if past > 0 and args.value & (1 << past) - 1:
         return _fail(f"value {args.value} sets the low {past} bit(s) of symbol {args.symbol}, past the file's end")
-    rng = random.Random(f"update:{args.stripe}")
-    # update uses one stripe, so it reads that stripe of each share alone
+    # update uses one stripe, so it reads that stripe of each share alone:
+    # a systematic code's stripe decodes in closed form from its systematic
+    # nodes and one parity node; when that fails the CRC or lacks a node,
+    # or for the vandermonde flavor, the progressive decoder reads it
     column = functools.partial(shares.stripe_column, stripe=args.stripe)
-    report = reconstruct_progressive(gen, column, rng)
-    if not report.success:
-        print(f"stripe {args.stripe}: cannot read back current content ({report.failure_reason})")
-        return EXIT_DECODE_FAIL
-    message = report.recovered_message
+    message = systematic_message(gen, column)
+    if message is None:
+        report = reconstruct_progressive(gen, column, random.Random(f"update:{args.stripe}"))
+        if not report.success:
+            print(f"stripe {args.stripe}: cannot read back current content ({report.failure_reason})")
+            return EXIT_DECODE_FAIL
+        message = report.recovered_message
     if message[args.symbol] == args.value:
         print("value unchanged; empty patch, nothing rewritten")
         return EXIT_OK

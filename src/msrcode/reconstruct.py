@@ -141,9 +141,14 @@ the GeneratorSet, so nothing grows across files.
 A decoder of the session decodes staged, paired or composed.  Stripe 0's
 first round composes when at least LinearMap.table_entries(m) stripes,
 2^ceil(m/2) + 2^floor(m/2), are left, the current one included: 12 at
-m = 5, 32 at m = 8; otherwise it stays staged.  It never builds a pair map on its own,
-since with errors present it usually fails: in a [24,12] read with 3 missing
-and 3 lying shares only C(18,12)/C(21,12), about 6%, of first rounds pass.
+m = 5, 32 at m = 8; otherwise it stays staged.  At m = 3, 4 and 16 that is
+fewer than a trusted set composes from (below), and still the cheaper cut:
+composing stripe 0 also saves its staged decode (gbar_map, G^-1, the peel),
+and waiting for the trusted cut-off made clean 6-9-stripe [7,4]/GF(2^3),
+8-10-stripe [15,8]/GF(2^4) and 520-stripe [24,12]/GF(2^16) reads 13-25%
+slower.  It never builds a pair map on its own, since with errors present it
+usually fails: in a [24,12] read with 3 missing and 3 lying shares only
+C(18,12)/C(21,12), about 6%, of first rounds pass.
 So a clean long read decodes every stripe, stripe 0 included, through one
 composed map, and never builds gen.gbar_map.  A
 trusted set's decoder takes its mode at the first stripe it decodes, from
@@ -157,10 +162,17 @@ there pairs from 3 stripes left and composes from 23.  Both grow with the
 table entries per input: at m = 16, 31 and 548.  When stripe 0's v = 0 round
 fails, its composed map is wasted, and the nodes its later rounds trust get
 a decoder of their own.  The v = 0 round of a later progressive stripe,
-which runs only once the trusted set has failed, stays staged, as does every
-single-stripe read (update, simulate); the staged decode is also the tests'
+which runs only once the trusted set has failed, stays staged, as does
+simulate's single-stripe read; the staged decode is also the tests'
 reference for the other two.  All three give the same message, so the choice
 changes no output.
+
+update reads one stripe, and for a systematic code it first tries
+systematic_message: Gbar is the identity on the alpha systematic nodes, so
+those nodes and one parity node give the message in closed form, with no
+inverse and no linear map (its docstring).  Only when that message fails
+check_crc or a node it needs is missing, and for the vandermonde flavor,
+does update run reconstruct_progressive, whose v = 0 round stays staged.
 
 Rows live in Gbar's row space.  row_decode works in the root-based
 [n, alpha] code, so it scales each row by GeneratorSet.col_scale first
@@ -193,6 +205,7 @@ __all__ = [
     "classify_columns",
     "recover_z",
     "reconstruct_progressive",
+    "systematic_message",
     "KNodeDecoder",
     "FileReport",
     "reconstruct_file",
@@ -914,6 +927,88 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
 
     reason = FAIL_RAN_OUT_OF_NODES if starved else FAIL_INTEGRITY_AT_MAX
     return DecodeReport(None, len(nodes), tuple(nodes), v_cap, frozenset(), reason, trace)
+
+
+def systematic_message(gen: GeneratorSet, source) -> list[int] | None:
+    """One stripe's B-symbol message, decoded in closed form from the alpha
+    systematic nodes n - alpha .. n - 1 and the lowest parity node that is
+    there, or None: when gen is not systematic, when a systematic node is
+    missing, when every parity node is, or when the message fails check_crc.
+    source is reconstruct_progressive's, node -> its alpha symbols or None;
+    it is asked for the systematic nodes in order, up to the first missing
+    one, then for nodes 0, 1, .. until one is there.
+
+    Node t = n - alpha + i has Gbar column e_i (rs.systematic_generator), so
+    it stores column i of Z1 + lambda_t Z2 (the product-matrix systematic
+    form of Rashmi, Shah and Kumar).  Off the diagonal, Z's symmetry gives
+    pair_solve's system with unit Gbar columns: entry r of node
+    n - alpha + c's column is Z1_rc + lambda_(n-alpha+c) Z2_rc, and entry c of
+    node n - alpha + r's is Z1_rc + lambda_(n-alpha+r) Z2_rc.  Entry i of node
+    t's column is Z1_ii + lambda_t Z2_ii, and the parity node x, whose Gbar
+    column g has no zero entry, gives Z1_ii + lambda_x Z2_ii =
+    (y_x[i] + sum over c != i of (Z1_ic + lambda_x Z2_ic) g_c) / g_i.  So it
+    takes O(alpha^2) table lookups: no inverse, no linear map, no gbar_map.
+    Its k nodes carry no redundancy, so, as in the v = 0 round, only the CRC
+    can reject."""
+    if gen.flavor != "systematic":
+        return None
+    n, alpha = gen.params.n, gen.params.alpha
+    first = n - alpha
+    y = []
+    for t in range(first, n):
+        column = source(t)
+        if column is None:
+            return None
+        y.append(column)
+    for x in range(first):
+        y_x = source(x)
+        if y_x is not None:
+            break
+    else:
+        return None
+
+    exp, log = gen.field.exp, gen.field.log
+    q1 = gen.field.order - 1
+    lam = gen.delta[first:]
+    l_lam = [log[v] for v in lam]
+    lam_x = gen.delta[x]
+    l_x = log[lam_x]
+    l_g = [log[row[x]] for row in gen.gbar]
+    # each block's upper triangle, row-major, the diagonal filled last from
+    # acc[i] = g_i (Z1_ii + lambda_x Z2_ii), once every pair has added to it
+    half1, half2, diagonal = [], [], []
+    acc = list(y_x)
+    for r in range(alpha):
+        diagonal.append(len(half1))
+        half1.append(0)
+        half2.append(0)
+        y_r = y[r]
+        for c in range(r + 1, alpha):
+            m_rc = y[c][r]
+            s = m_rc ^ y_r[c]  # (lambda_r + lambda_c) Z2_rc
+            if s:
+                l_z2 = (log[s] - log[lam[r] ^ lam[c]]) % q1
+                z1 = m_rc ^ exp[l_z2 + l_lam[c]]
+                half2.append(exp[l_z2])
+                w = z1 ^ exp[l_z2 + l_x]
+            else:
+                z1 = w = m_rc
+                half2.append(0)
+            half1.append(z1)
+            if w:  # Z1_rc + lambda_x Z2_rc, in row r at g_c and row c at g_r
+                acc[r] ^= exp[log[w] + l_g[c]]
+                acc[c] ^= exp[log[w] + l_g[r]]
+    for i, at in enumerate(diagonal):
+        b = y[i][i]  # Z1_ii + lambda_i Z2_ii
+        a = acc[i] and exp[log[acc[i]] - l_g[i] + q1]  # Z1_ii + lambda_x Z2_ii
+        if a != b:
+            l_z2 = (log[a ^ b] - log[lam_x ^ lam[i]]) % q1
+            half1[at] = b ^ exp[l_z2 + l_lam[i]]
+            half2[at] = exp[l_z2]
+        else:
+            half1[at] = b
+    message = half1 + half2
+    return message if check_crc(gen.params, message) else None
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,11 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     20 stripes, at least the 12 table entries per input of GF(2^5), that
     decoder is composed once, before stripe 0's first round, and the read
     never builds gen.gbar_map, which only the staged decode applies; a
-    4-stripe read and an update, a single-stripe round, stay staged."""
+    4-stripe read stays staged.  A clean systematic update decodes its one
+    stripe in closed form from the systematic nodes: no decoder, no
+    gbar_map, no LinearMap and no inverse; a vandermonde update still runs
+    the staged single-stripe round."""
+    import msrcode.linalg
     import msrcode.reconstruct
 
     data = random.Random(12).randbytes(1024)
@@ -361,9 +365,23 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     assert gbar_maps == []
 
     built.clear(), composed.clear()
+    fills, inverts = [], []
+    fill = LinearMap._fill
+    monkeypatch.setattr(LinearMap, "_fill", lambda linear_map, *args: fills.append(args) or fill(linear_map, *args))
+    invert = msrcode.linalg.invert
+    counting_invert = lambda *args: inverts.append(args) or invert(*args)
+    monkeypatch.setattr(msrcode.linalg, "invert", counting_invert)
+    monkeypatch.setattr(msrcode.reconstruct, "invert", counting_invert)
+    assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
+    assert built == composed == gbar_maps == fills == inverts == []
+
+    vandermonde = tmp_path / "vandermonde"
+    vandermonde.mkdir()
+    src, out = encode_dir(vandermonde, data, n=20, k=10, m=5, flavor="vandermonde")
+    fills.clear()
     assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
     assert built and not composed
-    assert gbar_maps
+    assert gbar_maps and fills and inverts
 
     small = tmp_path / "small"
     small.mkdir()

@@ -12,8 +12,9 @@ import pytest
 
 from msrcode import reconstruct, rs
 from msrcode.bits import symbols_to_bytes, symbols_to_int
+from msrcode.field import Field
 from msrcode.linalg import LinearMap, gf_dot
-from msrcode.msr import encode_all, generator_set, make_params
+from msrcode.msr import InvalidParams, WrongLength, encode_all, generator_set, make_params
 from msrcode.reconstruct import (
     AccessSet,
     KNodeDecoder,
@@ -1558,6 +1559,27 @@ def test_read_session_composes_with_enough_stripes_left(monkeypatch):
                 assert builds == ([(tuple(trusted), False)] if expected == "paired" else [])
 
 
+def test_stripe_0_composes_below_the_trusted_cut_off(monkeypatch):
+    """At m = 4 stripe 0's first round composes from LinearMap.table_entries(4)
+    = 8 stripes, below the TRUSTED_MODE_FROM[4][1] = 11 a trusted set
+    composes from: composing stripe 0 also saves its staged decode, so a
+    clean 8-stripe [15,8]/GF(2^4) read is faster composed than staged and
+    then paired.  A 7-stripe read composes nothing."""
+    params = make_params(15, 8, 4)
+    gen = generator_set(params)
+    assert LinearMap.table_entries(4) == 8 and reconstruct.TRUSTED_MODE_FROM[4] == (2, 11)
+    composed = []
+    compose = KNodeDecoder.compose
+    monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
+    rng = random.Random("compose-first-15-8")
+    for count, composes in [(7, False), (8, True)]:
+        messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(count)))
+        composed.clear()
+        session = reconstruct.reconstruct_file(gen, file_source(gen, stripes), count, 1)
+        assert session.messages == list(messages) and session.trusted_stripes == count - 1
+        assert len(composed) == composes, count
+
+
 # TRUSTED_MODE_FROM entries that force every trusted decoder into one mode
 FORCED_MODES = {"staged": (10**9, 10**9), "paired": (1, 10**9), "composed": (1, 1)}
 
@@ -1621,3 +1643,112 @@ def test_read_session_reads_only_the_trusted_nodes():
     assert len(first) == P20.k
     for s in range(1, 6):
         assert [node for node, stripe in requested if stripe == s] == first
+
+
+# ---------------------------------------------------------------------------
+# systematic_message: one stripe in closed form from the systematic nodes,
+# checked against the seeded message, a re-encode and the staged decode
+
+
+def systematic_codes(with_payload=True):
+    """(params, gen) of every systematic code make_params accepts with
+    n <= 24, m = 2..16, that has (or, with with_payload False, lacks) room
+    for a payload after the CRC trailer; one Field per m."""
+    for m in range(2, 17):
+        field = None
+        for n in range(3, min(24, (1 << m) - 1) + 1):
+            for k in range(2, (n + 1) // 2 + 1):
+                try:
+                    params = make_params(n, k, m)
+                except InvalidParams:
+                    continue
+                try:
+                    crc_payload_length(params)
+                except WrongLength:
+                    if with_payload:
+                        continue
+                else:
+                    if not with_payload:
+                        continue
+                field = field or Field(m)
+                yield params, generator_set(params, field=field)
+
+
+def test_systematic_message_matches_every_reference():
+    """On every systematic code with room for a payload, the decode from
+    the alpha systematic nodes and parity node 0 gives the seeded message;
+    re-encoding it gives every node's column; a staged KNodeDecoder over
+    the same k nodes gives it too.  With every parity node but the last
+    missing, it reads that one and still decodes.  It asks for the
+    systematic nodes in order, then the parity nodes from 0 up to the first
+    one there."""
+    codes = 0
+    for params, gen in systematic_codes():
+        n, alpha = params.n, params.alpha
+        first = n - alpha
+        rng = random.Random(f"systematic:{n}:{params.k}:{params.m}")
+        for _ in range(2):
+            message, shares = fresh_case(params, gen, rng)
+            columns = [share.symbols for share in shares]
+            asked = []
+            got = reconstruct.systematic_message(gen, lambda node: asked.append(node) or columns[node])
+            assert got == message, (n, params.k, params.m)
+            assert asked == [*range(first, n), 0]
+            assert [share.symbols for share in encode_all(gen, got)] == columns
+            nodes = (*range(first, n), 0)
+            assert KNodeDecoder(gen, nodes).decode([columns[node] for node in nodes]) == message
+
+            asked.clear()
+            last_parity = lambda node: asked.append(node) or (columns[node] if node >= first - 1 else None)
+            assert reconstruct.systematic_message(gen, last_parity) == message
+            assert asked == [*range(first, n), *range(first)]
+        codes += 1
+    assert codes > 900  # m = 3..16; m = 2 has one code, [3,2], with no room
+
+
+def test_systematic_message_at_alpha_1(monkeypatch):
+    """k = 2 (alpha = 1) leaves no room for a payload at any m: B = 2
+    symbols against a trailer of at least 2.  So, with check_crc accepting
+    everything, the decode of a seeded message with no pairs, only the
+    diagonal, is checked against the message and the staged decode."""
+    monkeypatch.setattr(reconstruct, "check_crc", lambda params, message: True)
+    codes = 0
+    for params, gen in systematic_codes(with_payload=False):
+        if params.k != 2:
+            continue
+        rng = random.Random(f"alpha-1:{params.n}:{params.m}")
+        message, shares = fresh_case(params, gen, rng, with_crc=False)
+        columns = [share.symbols for share in shares]
+        assert reconstruct.systematic_message(gen, columns.__getitem__) == message
+        nodes = (params.n - 1, 0)
+        assert KNodeDecoder(gen, nodes).decode([columns[node] for node in nodes]) == message
+        codes += 1
+    assert codes == sum(min(24, (1 << m) - 1) - 2 for m in range(2, 17))
+
+
+def test_systematic_message_returns_none_for_the_fallback():
+    """None, for the progressive decoder to take over: a flipped bit in any
+    systematic column fails check_crc, a missing systematic node stops the
+    reads there, and with every parity node missing there is no diagonal.
+    A vandermonde code is never read."""
+    for params, gen in systematic_codes():
+        n, alpha, m = params.n, params.alpha, params.m
+        first = n - alpha
+        rng = random.Random(f"fallback:{n}:{params.k}:{m}")
+        _, shares = fresh_case(params, gen, rng)
+        columns = [share.symbols for share in shares]
+        for node in range(first, n):
+            row, bit = rng.randrange(alpha), rng.randrange(m)
+            flipped = list(columns)
+            flipped[node] = tuple(x ^ (1 << bit) * (r == row) for r, x in enumerate(columns[node]))
+            assert reconstruct.systematic_message(gen, flipped.__getitem__) is None, (n, params.k, m, node)
+
+            asked = []
+            missing = lambda t: asked.append(t) or (None if t == node else columns[t])
+            assert reconstruct.systematic_message(gen, missing) is None
+            assert asked == list(range(first, node + 1))
+        no_parity = lambda t: columns[t] if t >= first else None
+        assert reconstruct.systematic_message(gen, no_parity) is None
+
+    gen = generator_set(P20, "vandermonde")
+    assert reconstruct.systematic_message(gen, lambda node: pytest.fail("read a vandermonde node")) is None

@@ -15,7 +15,7 @@ from msrcode.bits import bytes_to_symbols, symbol_width, symbols_to_bytes
 from msrcode.cli import main
 from msrcode.msr import WrongLength, encode_all, generator_set, make_params
 from msrcode.reconstruct import attach_crc, crc_payload_length
-from msrcode.shares import HEADER_SIZE, ShareDir, stripe_count
+from msrcode.shares import HEADER_SIZE, ShareDir, share_filename, stripe_count
 
 
 def encode(tmp_path, data: bytes, name: str, n=20, k=10, m=5, flavor="systematic"):
@@ -368,3 +368,65 @@ def test_update_reads_one_stripe_of_each_share(tmp_path, monkeypatch, stripes):
         assert whole == []
         assert len(read) >= params.k
         assert max(read.values()) <= HEADER_SIZE + params.alpha * symbol_width(params.m)
+
+
+# ---------------------------------------------------------------------------
+# differential: the systematic decode against the progressive one it skips
+
+
+def _flip_systematic_bit(out, n, alpha):
+    path = out / share_filename(n - alpha + 3)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + (1 * alpha + 2) * symbol_width(5)] ^= 1  # stripe 1, row 2, low bit
+    path.write_bytes(bytes(blob))
+
+
+def _delete(nodes):
+    def damage(out, n, alpha):
+        for node in nodes(n, alpha):
+            (out / share_filename(node)).unlink()
+
+    return damage
+
+
+FALLBACK_CASES = {
+    # case: (flavor, damage, whether the systematic decode gives the message)
+    "clean": ("systematic", None, True),
+    "flipped-systematic-bit": ("systematic", _flip_systematic_bit, False),
+    "missing-systematic-share": ("systematic", _delete(lambda n, alpha: [n - 1]), False),
+    "every-parity-share-missing": ("systematic", _delete(lambda n, alpha: range(n - alpha)), False),
+    "only-the-last-parity-share": ("systematic", _delete(lambda n, alpha: range(n - alpha - 1)), True),
+    "vandermonde": ("vandermonde", None, False),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_update_matches_the_progressive_decode_alone(tmp_path, capsys, monkeypatch, case):
+    """update gives the same exit code, stdout and share bytes as when its
+    stripe is read by reconstruct_progressive alone: where the decode from
+    the systematic nodes gives the message, and where it gives None (a
+    flipped bit, a missing systematic or every parity share, the
+    vandermonde flavor) and the progressive decoder, seeded as before, runs
+    instead."""
+    import msrcode.cli
+
+    flavor, damage, decoded = FALLBACK_CASES[case]
+    n, alpha = 20, 9
+    out = encode(tmp_path, random.Random(29).randbytes(600), "shares", flavor=flavor)
+    if damage is not None:
+        damage(out, n, alpha)
+    fast, sides = [], {}
+    systematic_message = msrcode.cli.systematic_message
+    for side, decode in [
+        ("systematic", lambda gen, source: fast.append(systematic_message(gen, source)) or fast[-1]),
+        ("progressive", lambda gen, source: None),
+    ]:
+        trial = tmp_path / side
+        shutil.copytree(out, trial)
+        monkeypatch.setattr(msrcode.cli, "systematic_message", decode)
+        capsys.readouterr()
+        rc = update(trial, 1, 12, 17)
+        sides[side] = rc, capsys.readouterr().out, snapshot(trial)
+    assert (fast[0] is not None) == decoded
+    assert sides["systematic"] == sides["progressive"]
+    assert sides["systematic"][0] == (2 if case == "every-parity-share-missing" else 0)
