@@ -147,16 +147,6 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp[self.order - 1 - self.log[x]]
 
-    def pow(self, x: int, e: int) -> int:
-        """x**e with the exponent reduced mod 2^m - 1 for nonzero x."""
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero has no negative powers")
-            return 0
-        return self.exp[(self.log[x] * e) % (self.order - 1)]
-
     def elements(self) -> range:
         return range(self.order)
 

@@ -35,7 +35,9 @@ the whole message, built on the pair map), never per stripe.
 Two maps are built per progressive round: the Forney map of the
 round's erasure set (one more per erasure trial), which every row of its P
 and Q applies, and the peel map of the nodes an accepted round selects,
-which comes with their inverse and which its P and Q apply 4 * alpha times.
+which comes with their inverse and which its P and Q apply 4 * alpha times;
+a read session keeps the latest inverse and peel map for its trusted set's
+closed-form decoder.
 
 RegionDot serves the other half of repair: every helper sends, for every
 stripe, the dot product of its stored column with one fixed vector, Gbar's

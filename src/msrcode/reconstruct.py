@@ -20,15 +20,25 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    positions (and a trial's extra nodes) and the row's own diagonal
    erased.  The first part is the same for every row of P and Q, so a
    round builds one rs.ErasureContext for it, whose one linear map takes a
-   row's held symbols straight to its Forney syndromes, and each row adds
-   only its diagonal, one (1 + X_r z) step.  A lying node corrupts the same
-   column of every row, so the rows share their error positions: the
-   context keeps the error locator that Berlekamp-Massey found for an
-   earlier row, and a later row whose Forney syndromes fit it takes its
-   errata without running Berlekamp-Massey.  The syndrome recheck, which
-   maps just the corrected symbols, and a fallback to Berlekamp-Massey
-   give every row the result of its own decode: its codeword, or None
-   when it does not decode.
+   row's held symbols straight to its Forney syndromes: row_decode packs
+   each row's (node, value) pairs through it straight off the pair-solved
+   block, with no length-n word, and each row adds only its diagonal, one
+   (1 + X_r z) step, in ErasureContext.errata, the tail that
+   ErasureContext.decode runs too.  A lying node corrupts the same column
+   of every row, so the rows share their error positions: the context
+   keeps the error locator that Berlekamp-Massey found for an earlier row,
+   and a later row whose Forney syndromes fit it takes its errata without
+   running Berlekamp-Massey.  A degree-1 locator 1 + Lambda_1 z has its one
+   root at position log Lambda_1, so a row whose locator has it elsewhere
+   than at an accessed node off its diagonal fails without evaluating the
+   locator at every position.  The syndrome recheck, which maps just the
+   corrected symbols, and a fallback to Berlekamp-Massey give every row the
+   result of its own decode: its codeword, or None when it does not decode.
+   A block stops decoding once its rows decoded plus its rows left fall
+   below the gate's threshold j - v - k + 2 (step 3), that is after
+   k + v - 1 failed rows: then no column can be erroneous, and the round
+   fails its gate (P) or agreement (Q) as the full decode would, so the
+   rest are left undecoded (None).
 3. classify_columns: a node column counts as erroneous when at least
    j - v - k + 2 decoded rows disagree with its received values (this is
    v + 2 when j = k + 2v nodes are held), and as correct when at most v
@@ -38,8 +48,8 @@ v by one, up to floor((n - k + 1) / 2).  Within a round:
    same nodes form P_sel, which must be symmetric; with G those nodes'
    Gbar columns, _peel gives the message block Z = G^-T P_sel G^-1 through
    one LinearMap of G^-1 (P and Q share it when they pick the same
-   columns), and the message must pass the integrity check (CRC-32) before
-   it is returned.
+   columns, and a read session keeps the latest, below), and the message
+   must pass the integrity check (CRC-32) before it is returned.
 
 When the node supply caps the round below j = k + 2v, plain per-row
 decoding can sit exactly at the distance bound (s + 2v = d_min) and fail
@@ -94,7 +104,8 @@ fill.  Its staged decode has three steps: step 1's pair_solve over its k
 nodes, the diagonal fill from h, and _peel, which runs a linalg.LinearMap
 of G^-1 twice (over P_sel's rows, then over the result's columns) to give
 Z, as in recover_z; that map, peel_map, is the decoder's one map of G^-1,
-built on first use, and the pair map is read off it too.
+built on first use or taken with G^-1 from the read session (below), and
+the pair map is read off it too.
 The v = 0 round of reconstruct_progressive and the read session below use
 this one decoder, and the v = 0 round hands its PairSolve to the v = 1
 round, so a stripe maps each column it holds through gen.gbar_map once.
@@ -135,8 +146,14 @@ once.  A missing trusted column or a failed check sends that stripe to
 reconstruct_progressive, seeded exactly as a stripe read on its own would
 be.  So a node caught lying or missing is not read again while the trusted
 set holds, a clean file is read from k nodes, and every stripe still passes
-the CRC before it is accepted.  The decoder lives in the session, never on
-the GeneratorSet, so nothing grows across files.
+the CRC before it is accepted.  The session also keeps one inverse: the
+G^-1 and peel map that recover_z built last, keyed by its alpha nodes,
+which recover_z replaces whenever it inverts for other nodes.  After an
+accepted progressive stripe that is the accepted round's, and the trusted
+set starts with the same alpha nodes whenever every correct column of the
+round decoded, so its KNodeDecoder takes that G^-1 and peel map instead of
+inverting again.  The decoder and the inverse live in the session, never
+on the GeneratorSet, so nothing grows across stripes or files.
 
 A decoder of the session decodes staged, paired or composed.  Stripe 0's
 first round composes when at least LinearMap.table_entries(m) stripes,
@@ -412,47 +429,60 @@ def pair_solve(gen: GeneratorSet, access: AccessSet, base: PairSolve | None = No
     )
 
 
-def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, context=None) -> list:
+def row_decode(code: RsCode, mat, nodes, extra_erased=frozenset(), scale=None, context=None, need=None) -> list:
     """Decode each pair-solved row as an [n, k-1] received word: its
     codeword, or None when the row does not decode.
 
     Erased positions: everything unaccessed, any extra nodes a fallback
     trial wants treated as unreliable, and the row's own diagonal.  The
     first two are common to every row, so one ``context`` (built here when
-    not given) serves them all.  ``scale`` (GeneratorSet.col_scale) maps
-    Gbar's row space into ``code``: each word is multiplied by it before
-    decoding and the codeword divided by it after.
+    not given) serves them all: a row's Forney image is one pass of its
+    forney_map over the row's held (node, value) pairs, and its errata come
+    from the context's errata().  ``scale`` (GeneratorSet.col_scale) maps
+    Gbar's row space into ``code``: each value is multiplied by it before
+    decoding and the errata divided by it after.
+
+    With ``need``, the rows stop decoding once the rows decoded plus the
+    rows left fall below it, that is after j - need + 1 failed rows, and
+    the rows left are None too: then no column can collect ``need``
+    disagreements (classify_columns).
     """
     j = len(nodes)
     if context is None:
         context = _round_context(code, nodes, extra_erased)
+    field = code.field
+    exp, log, div = field.exp, field.log, field.div
     if scale is not None and all(s == 1 for s in scale):
         scale = None
-    div = code.field.div
+    fmap = context.forney_map
+    low, high, lmask, half = fmap.low, fmap.high, fmap.lmask, fmap.half
+    held = [(c, node) for c, node in enumerate(nodes) if node not in extra_erased]
+    tables = [(c, low[node], high[node]) for c, node in held]
+    log_scale = None if scale is None else [log[scale[node]] for node in nodes]
     out = []
+    failed = 0
     for r in range(j):
-        word = _row_word(code, mat[r], r, nodes, scale, extra_erased)
-        res = context.decode(word, None if nodes[r] in extra_erased else nodes[r])
-        if res is None:
+        row = list(mat[r])
+        row[r] = 0  # the diagonal, erased
+        values = row if log_scale is None else [x and exp[log[x] + l] for x, l in zip(row, log_scale)]
+        packed = 0
+        for c, lo, hi in tables:
+            x = values[c]
+            packed ^= lo[x & lmask] ^ hi[x >> half]
+        found = context.errata(packed, None if nodes[r] in extra_erased else nodes[r])
+        if found is None:
             out.append(None)
-        elif scale is None:
-            out.append(res.codeword)
-        else:
-            out.append(tuple(div(x, s) for x, s in zip(res.codeword, scale)))
+            failed += 1
+            if need is not None and j - failed < need:
+                return out + [None] * (j - r - 1)
+            continue
+        codeword = [0] * code.n
+        for c, node in held:
+            codeword[node] = row[c]
+        for i, value in found[0].items():
+            codeword[i] ^= value if scale is None else div(value, scale[i])
+        out.append(tuple(codeword))
     return out
-
-
-def _row_word(code: RsCode, row, r: int, nodes, scale, erased=frozenset()) -> list[int]:
-    """Row r of a pair-solved block as a received word of ``code``: entry c
-    at position nodes[c], times scale[nodes[c]] unless scale is None, and
-    zero at the unaccessed positions, the erased nodes and the row's own
-    diagonal."""
-    word = [0] * code.n
-    mul = code.field.mul
-    for c, node in enumerate(nodes):
-        if c != r and node not in erased:
-            word[node] = row[c] if scale is None else mul(row[c], scale[node])
-    return word
 
 
 def _round_context(code: RsCode, nodes, extra_erased):
@@ -492,16 +522,18 @@ def classify_columns(mat, rows, nodes, v: int, k: int) -> Classification:
     )
 
 
-def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, peel_maps: dict) -> list[int]:
+def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, inverses: dict) -> list[int]:
     """The upper triangle, row-major, of the symmetric alpha x alpha message
     block of an accepted round: its half of the flat message.
 
     alpha correct, decoded columns are selected, and the rows of the same
     nodes give P_sel, which one inverse peels to Z.  A non-symmetric P_sel
-    means some row miscorrected and the round must be rejected.  peel_maps
-    maps the selected nodes to the peel map of that inverse and is filled as
-    needed; one round shares it between its P and Q blocks, which usually
-    select the same nodes.
+    means some row miscorrected and the round must be rejected.  inverses
+    maps the selected nodes to their G^-1 and its peel map, and holds only
+    the latest entry: one round shares it between its P and Q blocks,
+    which usually select the same nodes, and a read session across its
+    stripes, so that the trusted set's KNodeDecoder takes the accepted
+    round's instead of inverting again.
     """
     alpha = gen.params.alpha
     usable = [c for c in sorted(cls.correct) if rows[c] is not None]
@@ -513,10 +545,11 @@ def recover_z(rows, cls: Classification, gen: GeneratorSet, nodes, peel_maps: di
     # Z = G^-T @ P_sel @ G^-1 is symmetric exactly when P_sel is
     if p_sel != list(zip(*p_sel)):
         raise AsymmetryDetected("recovered block is not symmetric")
-    if key not in peel_maps:
-        g = [[row[node] for node in key] for row in gen.gbar]
-        peel_maps[key] = _peel_map(gen.field, invert(gen.field, g))
-    return _peel(peel_maps[key], p_sel)
+    if key not in inverses:
+        g_inv = invert(gen.field, [[row[node] for node in key] for row in gen.gbar])
+        inverses.clear()
+        inverses[key] = g_inv, _peel_map(gen.field, g_inv)
+    return _peel(inverses[key][1], p_sel)
 
 
 def _peel_map(field, g_inv) -> LinearMap:
@@ -551,10 +584,12 @@ class KNodeDecoder:
     mode.
 
     decode() is linear in the k columns and unchecked: the caller accepts
-    its message only if check_crc passes.
+    its message only if check_crc passes.  inverses is recover_z's memo:
+    when it holds the decoder's first alpha nodes, the decoder takes their
+    G^-1 and peel map from it instead of inverting.
     """
 
-    def __init__(self, gen: GeneratorSet, nodes):
+    def __init__(self, gen: GeneratorSet, nodes, inverses=None):
         params = gen.params
         field = gen.field
         log = field.log
@@ -564,7 +599,10 @@ class KNodeDecoder:
         if len(self.nodes) != params.k:
             raise ValueError(f"need exactly k={params.k} nodes, got {len(self.nodes)}")
         self.gbar_access = [[row[node] for node in self.nodes] for row in gen.gbar]
-        self.g_inv = invert(field, [row[:alpha] for row in self.gbar_access])
+        if inverses and self.nodes[:alpha] in inverses:
+            self.g_inv, self.peel_map = inverses[self.nodes[:alpha]]
+        else:
+            self.g_inv = invert(field, [row[:alpha] for row in self.gbar_access])
         h = mat_vec(field, self.g_inv, gen.gbar_cols[self.nodes[alpha]]) + [1]
         # for the pair map, compose() and the paired decode
         self.lam = [log[gen.delta[node]] for node in self.nodes]
@@ -782,9 +820,13 @@ def _gate_can_pass(j: int, v: int, k: int) -> bool:
     return j - v - k + 2 > v
 
 
-def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_erased=frozenset(), context=None):
+def _attempt_round(
+    gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_erased=frozenset(), context=None, inverses=None
+):
     """One round, or one erasure trial, over the pair-solved nodes; context
-    is the round's rs.ErasureContext, built here when not given."""
+    is the round's rs.ErasureContext, built here when not given, and
+    inverses recover_z's, by default the round's own.  At v >= 1 a block
+    stops decoding rows once its gate cannot pass (row_decode's need)."""
     params = gen.params
     nodes = pair.nodes
     j = len(nodes)
@@ -796,19 +838,21 @@ def _attempt_round(gen: GeneratorSet, pair: PairSolve, v: int, trace, extra_eras
     code = gen.code_alpha
     if context is None:
         context = _round_context(code, nodes, extra_erased)
-    p_rows = row_decode(code, pair.p, nodes, extra_erased, gen.col_scale, context)
+    need = j - v - params.k + 2 if v else None
+    p_rows = row_decode(code, pair.p, nodes, extra_erased, gen.col_scale, context, need)
     p_cls = classify_columns(pair.p, p_rows, nodes, v, params.k)
     if not p_cls.accepted(v):
         trace.append(RoundTrace(v, j, "gate", trial))
         return None
-    q_rows = row_decode(code, pair.q, nodes, extra_erased, gen.col_scale, context)
+    q_rows = row_decode(code, pair.q, nodes, extra_erased, gen.col_scale, context, need)
     q_cls = classify_columns(pair.q, q_rows, nodes, v, params.k)
     if not q_cls.accepted(v) or q_cls.erroneous != p_cls.erroneous:
         trace.append(RoundTrace(v, j, "agreement", trial))
         return None
+    if inverses is None:
+        inverses = {}
     try:
-        peel_maps = {}
-        message = recover_z(p_rows, p_cls, gen, nodes, peel_maps) + recover_z(q_rows, q_cls, gen, nodes, peel_maps)
+        message = recover_z(p_rows, p_cls, gen, nodes, inverses) + recover_z(q_rows, q_cls, gen, nodes, inverses)
     except AsymmetryDetected:
         trace.append(RoundTrace(v, j, "asymmetry", trial))
         return None
@@ -832,13 +876,16 @@ def _locate(gen: GeneratorSet, pair: PairSolve, v: int, context):
         yield from itertools.combinations(range(j), v)
         return
     code = gen.code_alpha
+    mul = code.field.mul
     head = code.n - j + 1 + v  # |X_r| + v
 
     @functools.cache
     def equations(r):
         """Row r's equations sum_i Lambda_i U_r[t - i] = U_r[t], i = 1..v,
         as rows [U_r[t - 1], .., U_r[t - v], U_r[t]]."""
-        u = context.adjusted(_row_word(code, pair.p[r], r, nodes, gen.col_scale), nodes[r])
+        # the context's known positions are the accessed nodes
+        held = {node: mul(x, gen.col_scale[node]) for c, (node, x) in enumerate(zip(nodes, pair.p[r])) if c != r}
+        u = context.adjusted(held, nodes[r])
         return [u[t - v : t][::-1] + [u[t]] for t in range(head, len(u))]
 
     seen = set()
@@ -854,7 +901,9 @@ def _locate(gen: GeneratorSet, pair: PairSolve, v: int, context):
             yield support
 
 
-def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_decoder=None) -> DecodeReport:
+def reconstruct_progressive(
+    gen: GeneratorSet, source, rng: random.Random, k_decoder=None, inverses=None
+) -> DecodeReport:
     """Run the progressive reconstruction loop against a share source.
 
     source(node_index) returns the node's alpha symbols, or None if the node
@@ -865,7 +914,8 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
     can pass, then tries the erasure supports that _locate derives from the
     rows' shared error locator, at most C(j, 2) of them (module docstring).
     k_decoder(nodes) gives the v = 0 round the KNodeDecoder of its k nodes;
-    by default a new one is built.
+    by default a new one is built.  inverses is recover_z's memo for every
+    later round, by default one per round.
     """
     params = gen.params
     if k_decoder is None:
@@ -914,11 +964,11 @@ def reconstruct_progressive(gen: GeneratorSet, source, rng: random.Random, k_dec
         else:
             pair = pair_solve(gen, access, pair)
             context = _round_context(gen.code_alpha, pair.nodes, ())
-            result = _attempt_round(gen, pair, v, trace, context=context)
+            result = _attempt_round(gen, pair, v, trace, context=context, inverses=inverses)
         if result is None and j < k + 2 * v and _gate_can_pass(j, v, k):
             for combo in _locate(gen, pair, v, context):
                 extra = frozenset(pair.nodes[c] for c in combo)
-                result = _attempt_round(gen, pair, v, trace, extra_erased=extra)
+                result = _attempt_round(gen, pair, v, trace, extra_erased=extra, inverses=inverses)
                 if result is not None:
                     break
         if result is not None:
@@ -1091,6 +1141,7 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
+    inverses = {}  # recover_z's latest inverse, which a new decoder takes when its first alpha nodes match
     # stripe 0's first round composes from this many stripes: compose() fills
     # that many table entries per input, and a clean read trusts the round's
     # k nodes; it is never paired, since with errors present the round
@@ -1101,7 +1152,7 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     def k_decoder(nodes, mode: str) -> KNodeDecoder:
         nonlocal decoder
         if decoder is None or decoder.nodes != nodes:
-            decoder = KNodeDecoder(gen, nodes)
+            decoder = KNodeDecoder(gen, nodes, inverses)
         if decoder.composed is None:
             if mode == "composed":
                 decoder.compose()
@@ -1124,7 +1175,7 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
         # stripe 0's first round picks the nodes a clean read then trusts
         first_mode = "composed" if s == 0 and left >= compose_first else "staged"
         first_round = functools.partial(k_decoder, mode=first_mode)
-        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, first_round)
+        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, first_round, inverses)
         progressive[s] = report
         if not report.success:
             break

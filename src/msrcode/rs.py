@@ -21,16 +21,23 @@ ErasureContext, built once per U, holds the locator Gamma_U, its values
 Gamma_U(X_i^-1) at the known positions, Gamma_U'(X_i^-1) on U, and one
 linear map straight to the Forney syndromes S * Gamma_U mod z^(n-kappa).
 Its decode() then handles one word with at most one extra erased position
-r: one pass of that map over the known positions, one (1 + X_r z) step,
-Berlekamp-Massey only when the Forney stream is nonzero, Chien search over
-the known positions only, and Psi'(X_i^-1) for Psi = Gamma_U * (1 + X_r z)
-* Lambda from whichever factor vanishes at X_i^-1.  The recheck is
-incremental: the map is linear, so the corrected word's image is the
-received word's plus the errata's, and only the errata positions are
-mapped.  decode_errors_erasures is the one-word call of that same path, and
-syndromes() is the map of the empty erasure set; both use the code's one
-cached context of that set, and a one-word call with erasures builds its
-own.
+r: one pass of that map over the known positions other than r, then
+errata(), the tail every decode shares, which takes only that packed
+image: one (1 + X_r z) step, Berlekamp-Massey only when the Forney stream
+is nonzero, Chien search over the known positions only, and Psi'(X_i^-1)
+for Psi = Gamma_U * (1 + X_r z) * Lambda from whichever factor vanishes at
+X_i^-1.  A locator of degree 1, 1 + Lambda_1 z, has its one root at
+position log Lambda_1, so it is evaluated at every position only when that
+position is known and not r.  Omega = S * Psi mod z^(n-kappa) has degree
+below the errata count s + e, so only those terms are formed and
+evaluated.  The recheck is incremental: the map is linear, so the
+corrected word's image is the received word's plus the errata's, and only
+the errata positions are mapped.  A caller that holds a word as (position,
+value) pairs, as reconstruct.row_decode holds a pair-solved row, packs its
+image itself and calls errata(), with no length-n copy.
+decode_errors_erasures is the one-word call of decode(), and syndromes()
+is the map of the empty erasure set; both use the code's one cached
+context of that set, and a one-word call with erasures builds its own.
 
 Words that erase the same U often also share their error positions: every
 row of a round is corrupted in the columns of the same lying nodes, so the
@@ -60,7 +67,7 @@ from functools import cached_property
 from .field import Field
 from .linalg import LinearMap
 
-__all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval", "poly_mod"]
+__all__ = ["RsCode", "ErasureContext", "DecodeResult", "BadLength", "poly_eval"]
 
 
 class BadLength(ValueError):
@@ -75,25 +82,6 @@ def poly_trim(p: list[int]) -> list[int]:
     while i > 0 and p[i - 1] == 0:
         i -= 1
     return p[:i]
-
-
-def poly_mod(field: Field, f: list[int], g: list[int]) -> list[int]:
-    """Remainder of f divided by g (g must be nonzero)."""
-    g = poly_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    dg = len(g) - 1
-    ginv = field.inv(g[-1])
-    exp, log = field.exp, field.log
-    for i in range(len(r) - 1, dg - 1, -1):
-        if r[i]:
-            factor = field.mul(r[i], ginv)
-            lf = log[factor]
-            for j, c in enumerate(g):
-                if c:
-                    r[i - dg + j] ^= exp[log[c] + lf]
-    return poly_trim(r[:dg])
 
 
 def poly_eval(field: Field, f: list[int], x: int) -> int:
@@ -287,9 +275,6 @@ class RsCode:
         context = self.erasure_context(erasures) if erasures else self._plain_context
         return context.decode(symbols)
 
-    def is_codeword(self, word) -> bool:
-        return not any(self.syndromes(list(word)))
-
     def __repr__(self) -> str:
         return f"RsCode(n={self.n}, kappa={self.kappa}, field={self.field!r})"
 
@@ -367,15 +352,42 @@ class ErasureContext:
 
     def decode(self, word, extra: int | None = None) -> DecodeResult | None:
         """Decode a length-n word, ignoring its symbols on U and at ``extra``
-        (a known position, or None).
+        (a known position, or None): one pass of forney_map over the known
+        positions other than ``extra``, then errata()."""
+        fmap = self.forney_map
+        packed = fmap.packed(word, self.known)
+        if extra is not None:
+            packed ^= fmap.packed(word, (extra,))
+        found = self.errata(packed, extra)
+        if found is None:
+            return None
+        errata, corrected = found
+        received = [0] * self.code.n
+        for i in self.known:
+            if i != extra:
+                received[i] = word[i]
+        for i, value in errata.items():
+            received[i] ^= value
+        return DecodeResult(tuple(received), corrected)
+
+    def errata(self, packed: int, extra: int | None = None) -> tuple[dict[int, int], frozenset[int]] | None:
+        """The errata of a word whose image under forney_map, over the known
+        positions other than ``extra`` (a known position, or None), is
+        ``packed``: (position -> the value to add there, the non-erasure
+        positions among them), or None when the word does not decode.
+        decode() and reconstruct.row_decode take a word's image in one pass
+        over its symbols and share this tail.
 
         A nonzero Forney stream first tries the remembered locator Lambda of
         e errors, when the stream satisfies Lambda's recurrence, 2e fits in
         the stream and ``extra`` is not a root.  Its errata are kept only if
         the recheck passes; then the word lies within s + 2e <= n - kappa
         of a codeword, the unique one there, which Berlekamp-Massey would
-        find too, with the same nonzero errata.  Otherwise the word goes
-        through Berlekamp-Massey as usual.
+        find too, with the same nonzero errata.  Otherwise the stream goes
+        through Berlekamp-Massey as usual.  A locator of degree 1,
+        1 + Lambda_1 z, has its one root at position log Lambda_1, so its
+        values at every position are computed only when that position is
+        known and not ``extra``.
         """
         if extra in self.erased:
             raise ValueError("the extra erasure must be a known position")
@@ -383,27 +395,23 @@ class ErasureContext:
         s = len(self.erased) + (extra is not None)
         if s > code.n - code.kappa:
             return None
-        received = [0] * code.n
-        for i in self.known:
-            received[i] = word[i]
-        if extra is not None:
-            received[extra] = 0
-        fmap = self.forney_map
-        packed = fmap.packed(received, self.known)
         if not packed:
             # the zero-filled word is a codeword: the erased values were zero
-            return DecodeResult(tuple(received), frozenset())
-        adjusted = self._extend(fmap.unpack(packed), extra)
+            return {}, frozenset()
+        adjusted = self._extend(self.forney_map.unpack(packed), extra)
         stream = adjusted[s:]
         if not any(stream):
-            return self._correct(received, packed, extra, adjusted, None)
+            return self._correct(packed, extra, adjusted, None)
         located = self._located
-        if located is not None and _fits(field, located[0], stream) and extra not in located[1]:
-            result = self._correct(received, packed, extra, adjusted, located)
+        if located is not None and extra not in located[1] and _fits(field, located[0], stream):
+            result = self._correct(packed, extra, adjusted, located)
             if result is not None:
                 return result
         lam, errs = _berlekamp_massey(field, stream)
         if 2 * errs > len(stream) or len(lam) - 1 != errs:
+            return None
+        log, q1 = field.log, field.order - 1
+        if errs == 1 and (log[lam[1]] >= code.n or log[lam[1]] in self.erased or log[lam[1]] == extra):
             return None
         emap = code._evaluation_map
         lam_at = emap.apply(lam)
@@ -414,30 +422,33 @@ class ErasureContext:
         # Psi' is that factor's derivative times the other two.  Lambda has
         # errs simple roots, all at known positions other than r, so no
         # factor here vanishes.
-        log, q1 = field.log, field.order - 1
         lam_d_at = emap.apply(_poly_deriv(lam))
         dens = [(i, (ld + log[lam_at[i]]) % q1) for i, ld in self.log_deriv_at]
         dens += [(i, (self.log_locator_at[i] + log[lam_d_at[i]]) % q1) for i in roots]
         located = (lam, roots, lam_at, dens)
-        result = self._correct(received, packed, extra, adjusted, located)
+        result = self._correct(packed, extra, adjusted, located)
         if result is not None:
             self._located = located
         return result
 
-    def _correct(self, received, packed, extra, adjusted, located) -> DecodeResult | None:
-        """Add to ``received`` the errata of ``located`` (None: no errors),
-        if the corrected word's Forney syndromes vanish.  Each value is
-        Omega(X_i^-1) / Psi'(X_i^-1), in logs."""
+    def _correct(self, packed, extra, adjusted, located):
+        """The errata of ``located`` (None: no errors) as errata() returns
+        them, if the corrected word's Forney syndromes vanish.  Each value
+        is Omega(X_i^-1) / Psi'(X_i^-1), in logs."""
         code, field = self.code, self.code.field
         exp, log, q1 = field.exp, field.log, field.order - 1
         emap = code._evaluation_map
+        # Omega = S * Psi mod z^(n-kappa) has degree below s + e, the errata
+        # count, as Lambda generates the stream: only those terms are needed
+        s = len(self.erased) + (extra is not None)
         if located is None:
             roots, dens, omega, lam_r = (), self.log_deriv_at, adjusted, 0
         else:
             lam, roots, lam_at, dens = located
-            omega = code.forney_syndromes(adjusted, lam)
+            s += len(lam) - 1
+            omega = code.forney_syndromes(adjusted[:s], lam)
             lam_r = log[lam_at[extra]] if extra is not None else 0
-        omega_at = emap.packed(omega, range(len(omega)))
+        omega_at = emap.packed(omega, range(s))
         m, mask = emap.m, emap.mask
         # Psi'(X_i^-1) is den times the factor (1 + X_r z) at X_i^-1, and at
         # X_r^-1 it is X_r times Gamma_U and Lambda there
@@ -456,9 +467,7 @@ class ErasureContext:
         # word's plus the errata's, zero exactly when they are equal
         if self.forney_map.packed(errata, errata) != packed:
             return None
-        for i, value in errata.items():
-            received[i] ^= value
-        return DecodeResult(tuple(received), frozenset(i for i in roots if i in errata))
+        return errata, frozenset(i for i in roots if i in errata)
 
 
 def _fits(field: Field, lam: list[int], stream: list[int]) -> bool:

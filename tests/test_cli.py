@@ -348,9 +348,9 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     monkeypatch.setattr(GeneratorSet, "gbar_map", prop)
 
     class CountingDecoder(msrcode.reconstruct.KNodeDecoder):
-        def __init__(self, gen, nodes):
+        def __init__(self, gen, nodes, *args):
             built.append(tuple(nodes))
-            super().__init__(gen, nodes)
+            super().__init__(gen, nodes, *args)
 
         def compose(self):
             composed.append(self.nodes)
@@ -419,6 +419,44 @@ def test_liar_in_stripe_0s_first_round_of_a_long_file(tmp_path, capsys, monkeypa
         f"reconstructed 4096 bytes -> {dst}\n"
     )
     assert len(composed) == 2 and composed[0] == first and liar - 1 not in composed[1]
+
+
+def test_trusted_set_takes_the_accepted_rounds_inverse(tmp_path, capsys, monkeypatch):
+    """[24,12] over GF(2^8) with 3 missing and 3 lying shares: the trusted
+    set starts with the alpha nodes whose G^-1 stripe 0's accepted round
+    inverted, so its decoder takes that inverse and its peel map from the
+    read session.  The read calls invert once fewer and builds one peel map
+    fewer than with a decoder that inverts for itself, and prints the
+    same."""
+    import msrcode.reconstruct as rec
+
+    data = random.Random(30).randbytes(1024)
+    src, out = encode_dir(tmp_path, data, n=24, k=12, m=8)
+    shares = ShareDir(out)
+    for node in (2, 9, 17):
+        shares.file(node).unlink()
+    capsys.readouterr()
+    invert, peel_map, decoder = rec.invert, rec._peel_map, rec.KNodeDecoder
+
+    class InvertingDecoder(decoder):
+        def __init__(self, gen, nodes, inverses=None):
+            super().__init__(gen, nodes)
+
+    runs = []
+    for k_node_decoder in (decoder, InvertingDecoder):
+        calls = {"invert": 0, "peel": 0}
+        counting = lambda name, f: lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+        monkeypatch.setattr(rec, "invert", counting("invert", invert))
+        monkeypatch.setattr(rec, "_peel_map", counting("peel", peel_map))
+        monkeypatch.setattr(rec, "KNodeDecoder", k_node_decoder)
+        dst = tmp_path / "restored.bin"
+        assert main(["reconstruct", str(out), str(dst), "--corrupt-nodes", "5,12,20", "--seed", "8"]) == 0
+        assert dst.read_bytes() == data
+        runs.append((calls, capsys.readouterr().out))
+    (memo, memo_out), (own, own_out) = runs
+    assert memo_out == own_out
+    assert "file: 7 stripe(s) from the trusted set, 1 progressive" in memo_out
+    assert (own["invert"] - memo["invert"], own["peel"] - memo["peel"]) == (1, 1)
 
 
 def test_manifest_plus_k_shares_suffice(tmp_path):

@@ -199,8 +199,8 @@ def test_scaled_vandermonde_rows_vanish_when_shortened(n, k, m):
     assert g.col_scale != (1,) * n
     for row in g.gbar:
         scaled = [g.field.mul(c, s) for c, s in zip(row, g.col_scale)]
-        assert g.code_alpha.is_codeword(scaled)
-        assert not g.code_alpha.is_codeword(row)
+        assert not any(g.code_alpha.syndromes(scaled))
+        assert any(g.code_alpha.syndromes(row))
 
 
 @pytest.mark.parametrize("n,k,m,flavor", [(20, 10, 5, "systematic"), (7, 4, 3, "vandermonde"), (15, 8, 4, "vandermonde")])

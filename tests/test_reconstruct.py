@@ -1,6 +1,7 @@
 """Progressive reconstruction: pair solve, row decode, classification, CRC,
 and end-to-end fault injection."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -875,9 +876,9 @@ def test_locate_bounds_the_trials_per_round(monkeypatch, n, k, m, missing, liars
     calls = []  # (v, j, whether the call is an erasure trial)
     attempt = reconstruct._attempt_round
 
-    def spy_attempt(gen, pair, v, trace, extra_erased=frozenset(), context=None):
+    def spy_attempt(gen, pair, v, trace, extra_erased=frozenset(), **kwargs):
         calls.append((v, len(pair.nodes), bool(extra_erased)))
-        return attempt(gen, pair, v, trace, extra_erased, context)
+        return attempt(gen, pair, v, trace, extra_erased, **kwargs)
 
     monkeypatch.setattr(reconstruct, "_attempt_round", spy_attempt)
     for s in seeds:
@@ -977,8 +978,9 @@ def reference_decode(code, symbols, erasures):
     return tuple(word), frozenset(corrected)
 
 
-def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None, context=None):
-    """row_decode as one independent decode per row (``context`` unused)."""
+def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None, context=None, need=None):
+    """row_decode as one independent decode per row of every row
+    (``context`` and ``need`` unused)."""
     field = code.field
     out = []
     for r in range(len(nodes)):
@@ -999,32 +1001,56 @@ def reference_row_decode(code, mat, nodes, extra_erased=frozenset(), scale=None,
     return out
 
 
-@pytest.mark.parametrize(
-    "n,k,m,flavor",
-    [
-        (7, 4, 3, "systematic"),
-        (20, 10, 5, "systematic"),
-        (20, 10, 5, "vandermonde"),  # shortened: col_scale is not all ones
-        (24, 12, 8, "systematic"),
-        (24, 12, 8, "vandermonde"),
-    ],
-)
-def test_row_decode_matches_per_row_reference(n, k, m, flavor):
+# one code per m = 3..16 (alpha = 11 shares a factor with 2^10 - 1, so
+# m = 10 takes [22,11]), both flavors: full length at m = 3 and 4, so
+# col_scale is all ones there, shortened vandermonde from m = 5 on
+ROW_DECODE_CODES = [
+    (n, k, m, flavor)
+    for n, k, m in [(7, 4, 3), (15, 8, 4), (20, 10, 5), (22, 11, 6), (22, 11, 10)]
+    + [(24, 12, m) for m in range(7, 17) if m != 10]
+    for flavor in ("systematic", "vandermonde")
+]
+
+
+@pytest.mark.parametrize("n,k,m,flavor", ROW_DECODE_CODES)
+def test_row_decode_matches_per_row_reference(monkeypatch, n, k, m, flavor):
     """Same codewords as decoding every row on its own, with 0 to
-    capability + 2 lying columns, trial erasures, and garbage columns."""
+    capability + 2 lying columns, trial erasures, and garbage columns.
+    Every fourth trial holds k + 2 nodes with one lying column, where the
+    Forney stream has two terms, so Berlekamp-Massey's locators have degree
+    at most 1: rows with such a locator both decode and fail."""
     params = make_params(n, k, m)
     gen = generator_set(params, flavor)
     code = gen.code_alpha
+    degree_1 = []  # per row decode whose locator had degree 1: whether it decoded
+    berlekamp_massey, errata = rs._berlekamp_massey, rs.ErasureContext.errata
+    located = []
+
+    def spy_berlekamp_massey(field, stream):
+        lam, errs = berlekamp_massey(field, stream)
+        located.append(len(lam) - 1)
+        return lam, errs
+
+    def spy_errata(context, packed, extra=None):
+        located.clear()
+        found = errata(context, packed, extra)
+        if located == [1]:
+            degree_1.append(found is not None)
+        return found
+
+    monkeypatch.setattr(rs, "_berlekamp_massey", spy_berlekamp_massey)
+    monkeypatch.setattr(rs.ErasureContext, "errata", spy_errata)
     rng = random.Random(n * 31 + m)
     for trial in range(24):
-        j = rng.randrange(k, n + 1)
+        j = k + 2 if trial % 4 == 3 else rng.randrange(k, n + 1)
         nodes = tuple(rng.sample(range(n), j))
         if trial % 6 == 5:
             cols = [tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes]
         else:
             message, shares = fresh_case(params, gen, rng)
             cols = [shares[i].symbols for i in nodes]
-            for b in rng.sample(range(j), min(j, rng.randrange(params.error_capability + 3))):
+            lying = 1 if trial % 4 == 3 else min(j, rng.randrange(params.error_capability + 3))
+            for b in rng.sample(range(j), lying):
                 cols[b] = corrupt_symbols(rng, gen.field, cols[b])
         pair = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
         extra = frozenset(rng.sample(nodes, rng.randrange(3))) if trial % 2 else frozenset()
@@ -1033,6 +1059,7 @@ def test_row_decode_matches_per_row_reference(n, k, m, flavor):
             want = reference_row_decode(code, mat, nodes, extra, gen.col_scale)
             assert row_decode(code, mat, nodes, extra, gen.col_scale) == want
             assert row_decode(code, mat, nodes, extra, gen.col_scale, context) == want
+    assert True in degree_1 and False in degree_1
 
 
 @pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
@@ -1121,6 +1148,10 @@ PROGRESSIVE = [
     (20, 10, 5, flavor, missing, liars)
     for flavor in ("systematic", "vandermonde")
     for missing, liars in [(0, 1), (0, 3), (0, 6), (3, 2), (5, 2), (5, 3), (7, 2), (6, 1), (11, 0)]
+] + [
+    (24, 12, 8, flavor, missing, liars)
+    for flavor in ("systematic", "vandermonde")
+    for missing, liars in [(3, 3), (0, 6), (6, 3), (3, 2)]
 ]
 
 
@@ -1194,6 +1225,51 @@ def test_accepted_round_inverts_once_for_both_blocks(monkeypatch):
         (p_memo, p_count), (q_memo, q_count) = rounds[-2:]
         assert p_memo == q_memo
         assert (p_count, q_count) == (1, 0)
+
+
+def test_blocks_stop_decoding_once_their_gate_cannot_pass(monkeypatch):
+    """[24,12] over GF(2^8) at v = 3 with j = 18 nodes, where a column is
+    erroneous from need = j - v - k + 2 = 5 disagreeing rows on: a block of
+    garbage rows, none of which decodes, stops after j - need + 1 = 14
+    failed rows.  A garbage P block records gate; a P block with 3 lying
+    columns, which passes, and a garbage Q block record agreement.  Each
+    round records what it records when every row is decoded."""
+    params = make_params(24, 12, 8)
+    gen = generator_set(params)
+    v, j = 3, 18
+    need = j - v - params.k + 2
+    rng = random.Random("early exit")
+    message, shares = fresh_case(params, gen, rng)
+    nodes = tuple(rng.sample(range(params.n), j))
+    cols = [shares[i].symbols for i in nodes]
+    for b in rng.sample(range(j), v):
+        cols[b] = corrupt_symbols(rng, gen.field, cols[b])
+    lying = pair_solve(gen, AccessSet(nodes=nodes, columns=tuple(cols)))
+    junk = tuple(tuple(rng.randrange(gen.field.order) for _ in range(params.alpha)) for _ in nodes)
+    garbage = pair_solve(gen, AccessSet(nodes=nodes, columns=junk))
+    decoded = []  # per row: whether it decoded
+    errata, decode = rs.ErasureContext.errata, reconstruct.row_decode
+
+    def spy_errata(*args):
+        found = errata(*args)
+        decoded.append(found is not None)
+        return found
+
+    monkeypatch.setattr(rs.ErasureContext, "errata", spy_errata)
+    for pair, outcome, full_blocks in [(garbage, "gate", 0), (dataclasses.replace(lying, q=garbage.q), "agreement", 1)]:
+        runs = []
+        for row_decode_of_round in (decode, lambda *args: decode(*args[:6])):  # with need, then without
+            monkeypatch.setattr(reconstruct, "row_decode", row_decode_of_round)
+            decoded.clear()
+            trace = []
+            assert _attempt_round(gen, pair, v, trace) is None
+            runs.append((trace, list(decoded)))
+        (trace, stopped), (full_trace, full) = runs
+        assert trace == full_trace == [reconstruct.RoundTrace(v, j, outcome)]
+        assert len(full) == j * (full_blocks + 1)
+        assert stopped[: j * full_blocks] == full[: j * full_blocks]
+        last = stopped[j * full_blocks :]
+        assert last == [False] * (j - need + 1), outcome
 
 
 def test_gate_impossible_rounds_skip_row_decoding(monkeypatch):
@@ -1623,6 +1699,35 @@ def test_lying_trusted_column_sends_a_paired_stripe_to_progressive(monkeypatch):
         assert list(session.progressive) == [0, late]
         (old, old_inside), (new, new_inside) = builds
         assert old != new and not old_inside and not new_inside
+
+
+def test_read_session_keeps_one_inverse(monkeypatch):
+    """A 24-stripe [20,10] read with 2 liars and 2 nodes missing from each
+    stripe, drawn afresh, whose trusted set fails again and again: every
+    round of the read hands recover_z the session's one memo, which never
+    holds more than one inverse, and the read decodes as the per-stripe
+    reference does."""
+    rng = random.Random("one inverse")
+    stripe_count = 24
+    messages, stripes = zip(*(fresh_case(P20, GEN20, rng) for _ in range(stripe_count)))
+    liars = dict.fromkeys(rng.sample(range(P20.n), 2), 0)
+    gaps = {(node, s) for s in range(stripe_count) for node in rng.sample(range(P20.n), 2)}
+    source = file_source(GEN20, stripes, liars=liars, gaps=gaps)
+    memos, sizes = set(), []
+    recover = reconstruct.recover_z
+
+    def spy_recover(*args):
+        memos.add(id(args[4]))
+        try:
+            return recover(*args)
+        finally:
+            sizes.append(len(args[4]))
+
+    monkeypatch.setattr(reconstruct, "recover_z", spy_recover)
+    session = reconstruct.reconstruct_file(GEN20, source, stripe_count, 11)
+    assert session.messages == list(messages)
+    assert len(session.progressive) >= 8
+    assert len(memos) == 1 and max(sizes) == 1
 
 
 def test_read_session_reads_only_the_trusted_nodes():

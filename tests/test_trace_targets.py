@@ -54,3 +54,39 @@ def test_cli_trace_targets_resolve():
         if not callable(getattr(target, attr, None)):
             unresolved.add((owner, attr))
     assert unresolved == DEAD_TARGETS
+
+
+def test_faulty_reads_call_the_traced_reconstruct_layers(monkeypatch):
+    """The reconstruct.row_decode, recover_z and invert spans see a faulty
+    read: each is called through the module, so a counting wrapper put on
+    the module name, as the tracer puts its own, counts a seeded [24,12]
+    read with 3 missing and 3 lying shares."""
+    import random
+
+    from msrcode.msr import encode_all, generator_set, make_params
+    from msrcode.sim import corrupt_symbols
+
+    params = make_params(24, 12, 8)
+    gen = generator_set(params)
+    rng = random.Random("traced faulty read")
+    stripes = []
+    for _ in range(4):
+        payload = [rng.randrange(gen.field.order) for _ in range(reconstruct.crc_payload_length(params))]
+        stripes.append(encode_all(gen, reconstruct.attach_crc(params, payload)))
+    drawn = rng.sample(range(params.n), 6)
+    missing, lying = set(drawn[:3]), set(drawn[3:])
+
+    def source(node, stripe):
+        if node in missing:
+            return None
+        column = stripes[stripe][node].symbols
+        return corrupt_symbols(random.Random(f"{node}:{stripe}"), gen.field, column) if node in lying else column
+
+    calls = dict.fromkeys(("row_decode", "recover_z", "invert"), 0)
+    def counting(attr, traced):
+        return lambda *args: calls.__setitem__(attr, calls[attr] + 1) or traced(*args)
+
+    for attr in calls:
+        monkeypatch.setattr(reconstruct, attr, counting(attr, getattr(reconstruct, attr)))
+    assert reconstruct.reconstruct_file(gen, source, len(stripes), 3).success
+    assert all(calls.values()), calls
