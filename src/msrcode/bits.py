@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import lcm
 
-__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "symbols_to_int", "symbol_width"]
+__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "spread_symbols", "symbols_to_int", "symbol_width"]
 
 
 def symbol_width(m: int) -> int:
@@ -68,6 +68,39 @@ def int_to_symbols(value: int, m: int, count: int) -> list[int]:
     if value >> total:
         raise ValueError(f"{value} does not fit in {total} bits")
     return [(value >> (total - m * (i + 1))) & ((1 << m) - 1) for i in range(count)]
+
+
+def spread_symbols(values, m: int, count: int) -> bytes:
+    """Each value's count m-bit symbols, packed MSB-first as int_to_symbols
+    reads them, one per w = symbol_width(m) bytes: symbol t of a value
+    big-endian in its bytes t * w .. t * w + w - 1, the values' bytes one
+    after another.  Each value must fit in count * m bits.
+
+    A mask ladder moves a value's fields apart in log2(count) steps, each
+    a few big-int operations over the whole value.  Pad the fields, counted
+    from the low end, to P = 2^ceil(log2 count) with zeros above.  Before
+    the step for h = P/2, P/4, .., 1, the fields lie in groups of 2h, each
+    group packed at m bits a field and the groups 2h lanes of 8 * w bits
+    apart; the step keeps each group's low h fields (mask) and lifts its
+    high h by h times the lane's spare bits (shift), which leaves groups of
+    h, h lanes apart.  The ladder is built once for all the values, and
+    needs no step where a symbol fills its lane (m = 8, 16)."""
+    lane = 8 * symbol_width(m)
+    steps = []
+    h = 1 << (count - 1).bit_length() >> 1 if lane > m else 0
+    while h:
+        groups = -(-count // (2 * h))
+        mask = ((1 << h * m) - 1) * (((1 << 2 * h * lane * groups) - 1) // ((1 << 2 * h * lane) - 1))
+        steps.append((mask, h * (lane - m)))
+        h >>= 1
+    size = count * lane // 8
+    out = []
+    for value in values:
+        for mask, shift in steps:
+            low = value & mask
+            value = low | (value ^ low) << shift
+        out.append(value.to_bytes(size, "big"))
+    return b"".join(out)
 
 
 def symbols_to_int(symbols, m: int) -> int:

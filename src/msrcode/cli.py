@@ -18,12 +18,11 @@ import shutil
 import sys
 from pathlib import Path
 
-from .bits import bytes_to_symbols, int_to_symbols, symbols_to_bytes
+from .bits import bytes_to_symbols, symbols_to_bytes
 from .field import MAX_DEGREE, MIN_DEGREE, Field, NotPrimitive
 from .msr import (
     InvalidParams,
     WrongLength,
-    encode_all,
     generator_set,
     helper_symbol,
     make_params,
@@ -38,7 +37,6 @@ from .reconstruct import (
     crc_trailer_length,
     reconstruct_file,
     reconstruct_progressive,
-    seal,
     systematic_message,
 )
 from .shares import (
@@ -46,8 +44,6 @@ from .shares import (
     Manifest,
     ShareDir,
     ShareFormatError,
-    encode_map_pays,
-    pack_columns,
     share_bodies,
     share_filename,
     write_share,
@@ -105,20 +101,15 @@ def cmd_encode(args) -> int:
 
     data = Path(args.input).read_bytes()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # exist_ok passes a directory alone
+        return _fail(f"{out_dir}: not a directory")
     m = params.m
     payloads = bytes_to_symbols(data, payload_len * m) or [0]  # an empty file gets one stripe
     stripes = len(payloads)
     names = [share_filename(node) for node in range(params.n)]
-    # a long file of a small enough code goes straight from its payloads to
-    # the share bodies through one composed encode map; others keep the
-    # staged encode
-    if encode_map_pays(params, stripes):
-        bodies = share_bodies(gen, payloads)
-    else:
-        encoded = [encode_all(gen, int_to_symbols(seal(params, payload), m, params.B)) for payload in payloads]
-        bodies = [pack_columns(m, [share.symbols for share in column]) for column in zip(*encoded)]
-    for node, body in enumerate(bodies):
+    for node, body in enumerate(share_bodies(gen, payloads)):
         write_share(out_dir / names[node], params.n, params.k, m, node, stripes, body)
 
     entries = [{"node": node + 1, "file": name} for node, name in enumerate(names)]

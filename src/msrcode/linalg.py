@@ -1,31 +1,28 @@
 """Dense linear algebra over GF(2^m): dot products, Gaussian elimination,
-LinearMap, the one table kernel for fixed linear maps, and RegionDot, its
-byte-region counterpart for one fixed dot product over many stripes.
+LinearMap, the one table kernel for fixed linear maps applied stripe by
+stripe, and RegionMap and RegionDot, its byte-region counterparts for one
+fixed matrix or dot product applied to every stripe of a file at once.
 
 Matrices are lists of row lists of ints.  Everything here is desk-scale
 (dimensions of a few dozen), so plain Python loops with local table
 bindings are fast enough.
 
-A fixed map applied to many vectors (the encoder's stacked generator, a
-repair map, a Reed-Solomon code's evaluation map and Forney maps) goes
-through LinearMap: per input, two lookup tables whose entries pack all of
-that input's outputs into one int, so applying the map costs two lookups
-and an XOR per input instead of a field multiply per matrix entry.  A map
-with i inputs and o outputs holds about 2^(m/2+1) * i * o * m bits of
-tables.  Building them takes, per input, m - 1 packed doublings (a few
+A fixed map applied to many vectors one at a time (the stacked generator
+for encode_all, a repair map, a Reed-Solomon code's evaluation map and
+Forney maps) goes through LinearMap: per input, two lookup tables whose
+entries pack all of that input's outputs into one int, so applying the
+map costs two lookups and an XOR per input instead of a field multiply
+per matrix entry.  A map with i inputs and o outputs holds about
+2^(m/2+1) * i * o * m bits of tables.  Building them takes, per input, m - 1 packed doublings (a few
 big-int operations each, whatever o is) and about 2^(m/2+1) table XORs;
 each doubling runs over every input in one list comprehension, and so do
 a map's table XORs, one comprehension per table entry.  That is still far
 more than one application, so callers build each map once per
-GeneratorSet (encode, one row of U at a time; for a long enough file of a
-small enough code (shares.encode_map_pays), the composed encode map from
-the whole message to every stored symbol, laid out as the share files'
-bytes; Gbar^T for
-every pair solve; and the systematic flavor's T^-1 that repair maps pass
-through), per failed node and helper
-order (its repair map, whose outputs sit at a share body's byte offsets),
-per RsCode (decode: the evaluation
-map, and the syndrome map, which is the Forney map of no erasures), per
+GeneratorSet (encode_all, one row of U at a time; Gbar^T for every pair
+solve; and the systematic flavor's T^-1 that repair maps pass through),
+per failed node and helper order (its repair map, whose outputs sit at a
+share body's byte offsets), per RsCode (decode: the evaluation map, and
+the syndrome map, which is the Forney map of no erasures), per
 erasure set (its Forney map) or per k-node set (the closed-form decoder's
 one map of G^-1, which its staged decode applies and its pair map is read
 off; for a read with enough stripes left, that pair map, from the k(k-1)/2
@@ -39,28 +36,36 @@ which comes with their inverse and which its P and Q apply 4 * alpha times;
 a read session keeps the latest inverse and peel map for its trusted set's
 closed-form decoder.
 
-RegionDot serves the other half of repair: every helper sends, for every
-stripe, the dot product of its stored column with one fixed vector, Gbar's
-failed column.  It works on the helper's share body as it lies on disk:
-each coefficient times each byte of its symbol, across all stripes at
-once, is one bytes.translate of a strided slice through a 256-byte table,
-and the products' bytes are XORed as ints.  So a whole body costs
-alpha * w^2 translates (w bytes per symbol), not one interpreted dot
-product per stripe; its tables, from the same packed doubling as
-LinearMap's, are built once per failed node.
+RegionMap works on whole regions instead, as in Plank, Greenan and
+Miller's region multiplies (FAST 2013): a coefficient times each byte of
+every symbol of a region is one bytes.translate through a 256-byte table,
+and the products' bytes are XORed as ints, so a matrix costs w^2
+translates per nonzero entry (w bytes per symbol), whatever the number of
+stripes, and no interpreted step per stripe.  It serves the encode
+command: G from the 2 * alpha columns of U, each laid out like a share
+body, to every node's body (msr.encode_bodies; built once per
+GeneratorSet).  RegionDot is its one-vector form for the helper side of
+repair, where each helper sends, for every stripe, the dot product of its
+stored column with Gbar's failed column: it reads the helper's share body
+as it lies on disk, a strided slice per symbol byte, and keeps one int per
+output byte, which costs less per call than RegionMap's joined runs on
+the short bodies repair mostly sees (built once per failed node).  Both
+take their tables from one build for every distinct coefficient
+(_region_tables).
 gf_dot stays for one-off products, and as the scalar reference the tests
-check LinearMap and RegionDot against.
+check LinearMap, RegionMap and RegionDot against.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from operator import xor
 
 from .bits import symbol_width
 from .field import Field
 
-__all__ = ["gf_dot", "mat_vec", "rank", "row_reduce", "invert", "LinearMap", "RegionDot"]
+__all__ = ["gf_dot", "mat_vec", "rank", "row_reduce", "invert", "LinearMap", "RegionMap", "RegionDot"]
 
 
 class SingularMatrix(ValueError):
@@ -226,19 +231,6 @@ class LinearMap:
             acc ^= low[i][x & lmask] ^ high[i][x >> half]
         return acc
 
-    def packed_bitstream(self, value: int) -> int:
-        """The packed image of the inputs packed MSB-first into value, as
-        bits.symbols_to_int packs them: input i is bits
-        m*(inputs - 1 - i) .. m*(inputs - i) - 1, read from the low end."""
-        low, high, lmask, half = self.low, self.high, self.lmask, self.half
-        m, mask = self.m, self.mask
-        acc = 0
-        for i in range(len(low) - 1, -1, -1):
-            x = value & mask
-            acc ^= low[i][x & lmask] ^ high[i][x >> half]
-            value >>= m
-        return acc
-
     def unpack(self, acc: int) -> list[int]:
         stride, mask = self.stride, self.mask
         return [(acc >> (stride * t)) & mask for t in range(self.outputs)]
@@ -246,6 +238,103 @@ class LinearMap:
     def apply(self, xs) -> list[int]:
         """xs @ matrix; a shorter xs leaves the trailing inputs at zero."""
         return self.unpack(self.packed(xs, range(len(xs))))
+
+
+def _region_tables(field: Field, coefs) -> dict[int, tuple[bytes, ...]]:
+    """Each distinct nonzero coefficient c -> its w * w 256-byte tables,
+    w = bits.symbol_width(m): table b * w + o maps byte b of a symbol x to
+    its share of byte o of c * x.  Every coefficient's tables come out of
+    one build.
+
+    At w = 1 a table is log's bytes translated through exp rotated by
+    log c: entry x is exp[log x + log c], with 0 and the bytes at or above
+    2^m sent to a log q1 = 2^m - 1 whose entry is 0.  Wider symbols take the
+    images of a symbol's m bits for every coefficient at once, packed at
+    stride 8 * w (_bit_images).  Each input byte's entries are XORs of its
+    bits' images, packed like them, and each table is one strided slice of
+    their bytes; a byte holding fewer than 8 bits repeats its entries up to
+    256."""
+    coefs = sorted(set(coefs) - {0})
+    w = symbol_width(field.m)
+    if w == 1:
+        q1, log = field.order - 1, field.log
+        logs = bytes([q1]) + bytes(log[1:]) + bytes([q1]) * (256 - field.order)
+        exp, pad = bytes(field.exp), bytes(256 - q1)
+        return {c: (logs.translate(exp[log[c] : log[c] + q1] + pad),) for c in coefs}
+    size = len(coefs) * w  # bytes of one entry's products, coefficient-major
+    packed = sum(c << 8 * w * r for r, c in enumerate(coefs))
+    basis = [plane for (plane,) in _bit_images(field, [packed], len(coefs), 8 * w, field.m)]
+    slices = []  # slices[b * w + o][r]: coefs[r]'s table b * w + o
+    for b in range(w):
+        entries = [0]
+        for bit in basis[8 * b : 8 * b + 8]:
+            entries += [x ^ bit for x in entries]
+        products = b"".join([x.to_bytes(size, "little") for x in entries])
+        tables = [products[j::size] * (256 // len(entries)) for j in range(size)]
+        slices += [tables[o::w] for o in range(w)]
+    return dict(zip(coefs, zip(*slices)))
+
+
+# a run of nonzero bytes: bytes(map(bool, row)) marks a row's nonzero entries
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+
+
+class RegionMap:
+    """x -> x @ matrix on byte regions: input region i times row i, and
+    output region t is column t, symbol by symbol, every symbol in
+    w = bits.symbol_width(m) little-endian bytes.  An input region is read
+    as its w byte planes, plane b holding byte b of every symbol, plane b
+    of input i at i * w + b.  The output regions come back laid out as
+    share bodies.
+
+    Byte o of c * x is the XOR over x's bytes b of a function of byte b
+    alone, so one bytes.translate of input plane b through a 256-byte table
+    (_region_tables) gives a coefficient's share of output plane o for
+    every symbol at once: a region costs w * w translates per nonzero entry
+    of the matrix, whatever its number of symbols; an entry 1 copies plane
+    b to output plane b in place of that translate.  The shares are XORed as
+    ints, input plane by input plane: each run of nonzero entries of a row
+    joins its translates, every output plane of the run one after another,
+    and is read as one int placed at the run's first output plane, so a
+    region takes one int conversion per run, not one per translate.  The
+    products mean something only for symbols below 2^m, which share bodies
+    are checked to hold.
+    """
+
+    def __init__(self, field: Field, matrix):
+        self.width = w = symbol_width(field.m)
+        self.outputs = len(matrix[0])
+        tables = _region_tables(field, [c for row in matrix for c in row])
+        # picks[b][o]: coefficient -> its table from byte b to output byte
+        # o, None (translate's copy) for 1 where o = b
+        picks = [[{c: None if c == 1 and o == b else own[b * w + o] for c, own in tables.items()} for o in range(w)] for b in range(w)]
+        # per input plane, per run of nonzero entries of its row: the run's
+        # first output plane and the table to each of its planes
+        self.terms = []
+        for row in matrix:
+            spans = [found.span() for found in _NONZERO_RUN.finditer(bytes(map(bool, row)))]
+            for pick in picks:
+                self.terms.append([(lo * w, [p[c] for c in row[lo:hi] for p in pick]) for lo, hi in spans])
+
+    def apply(self, planes, count: int) -> list[bytes]:
+        """Every output region of count symbols from the list of the
+        inputs' byte planes, count bytes each."""
+        acc = 0
+        for plane, runs in zip(planes, self.terms):
+            translate = plane.translate
+            for start, tables in runs:
+                acc ^= int.from_bytes(b"".join(map(translate, tables)), "little") << 8 * count * start
+        w, size = self.width, self.width * count
+        data = acc.to_bytes(self.outputs * size, "little")
+        if w == 1:
+            return [data[lo : lo + count] for lo in range(0, len(data), count)]
+        out = []
+        for lo in range(0, len(data), size):
+            region = bytearray(size)
+            for o in range(w):
+                region[o::w] = data[lo + o * count : lo + o * count + count]
+            out.append(bytes(region))
+        return out
 
 
 class RegionDot:
@@ -257,34 +346,29 @@ class RegionDot:
     Byte b of every group's symbol r is the strided slice
     region[r * w + b :: len(coefs) * w], and its share of each byte of the
     product coefs[r] * x_r is a function of that byte alone: one
-    bytes.translate through a 256-byte table maps the slice for every group.
-    A product byte is the XOR of its translates, accumulated as ints, so a
-    region costs len(coefs) * w * w translates (none for a zero
-    coefficient) whatever its number of groups.  The tables come from the
-    images of a symbol's m bits, every coefficient packed at stride 8 * w
-    (_bit_images); a byte with bits above the symbol's m gets the entry of
-    its bits below them, so the products mean something only for symbols
-    below 2^m, which share bodies are checked to hold.
+    bytes.translate through a 256-byte table (_region_tables) maps the
+    slice for every group.  A product byte is the XOR of its translates,
+    accumulated as ints, so a region costs len(coefs) * w * w translates
+    (none for a zero coefficient, and a coefficient 1 copies each byte to
+    the same product byte instead) whatever its number of groups.  The
+    products mean something only for symbols below 2^m, which share bodies
+    are checked to hold.
     """
 
     def __init__(self, field: Field, coefs):
         self.width = w = symbol_width(field.m)
-        self.step = size = len(coefs) * w  # bytes per group
-        stride = 8 * w
-        packed = sum(c << stride * r for r, c in enumerate(coefs))
-        basis = [plane for (plane,) in _bit_images(field, [packed], len(coefs), stride, field.m)]
-        self.terms = []  # (input byte's offset in a group, its table, output byte)
-        for b in range(w):
-            table = [0]
-            for bit in basis[8 * b : 8 * b + 8]:
-                table += [x ^ bit for x in table]
-            # every entry's products, coefficient-major: byte o of entry x's
-            # product with coefs[r] is at x * size + r * w + o, the entries
-            # repeated up to 256
-            products = b"".join([x.to_bytes(size, "little") for x in table]) * (256 // len(table))
-            for r, c in enumerate(coefs):
-                if c:
-                    self.terms += [(r * w + b, products[r * w + o :: size], o) for o in range(w)]
+        self.step = len(coefs) * w  # bytes per group
+        tables = _region_tables(field, coefs)
+        # (input byte's offset in a group, its table, output byte); a
+        # coefficient 1 adds byte b to output byte b alone, by translate's copy
+        self.terms = [
+            (r * w + b, None if c == 1 else tables[c][b * w + o], o)
+            for r, c in enumerate(coefs)
+            if c
+            for b in range(w)
+            for o in range(w)
+            if c != 1 or o == b
+        ]
 
     def apply(self, region: bytes) -> tuple[int, ...]:
         """The product of every group of the region, whose length must be a

@@ -12,12 +12,13 @@ gcd(2^m - 1, alpha) = 1 (which makes the lambda_j pairwise distinct).  The
 B = k*alpha message symbols are packed into two symmetric alpha x alpha
 matrices Z1, Z2; the codeword matrix is C = [Z1 Z2] @ G and node j stores
 column j.  Every entry point takes and returns the message as the flat list
-of B symbols: Z1 and Z2 exist only inside encode_all, which gathers the
-rows of [Z1 Z2] from it through GeneratorSet._u_rows, and the decoders
+of B symbols: Z1 and Z2 exist only inside the encoders, and the decoders
 flatten the blocks they recover in the same order.  GeneratorSet._places
 holds that order, each flat symbol's cells in U as (share row, G row)
-pairs, for _u_rows and for the maps that place a symbol's images straight
-off G's rows (encode_map, update_delta).
+pairs: encode_all gathers the rows of [Z1 Z2] through it
+(GeneratorSet._u_rows), encode_bodies the columns of every stripe's U at
+once, and update_delta places a changed symbol's images straight off G's
+rows.
 
 Two Gbar flavors are supported: "systematic" ([D | I], every row of weight
 n - alpha + 1, which minimizes update complexity) and "vandermonde" (the
@@ -43,12 +44,20 @@ maps to the column through T^-1, which is V_alpha @ diag(s) on the last
 alpha columns, where Gbar is the identity: output r is
 s_t Q(x_t) for t = n - alpha + r.
 
-Each map is built once as a linalg.LinearMap and cached on the
-GeneratorSet, G's map on first encode and each repair map on first use of
-its (failed node, helper order), so a command that handles many stripes
-pays for each map once.  A repair map costs O(d^2) field operations to
-build, plus its table fill: one synthetic division of the helpers' master
-polynomial per helper, not a d x d inversion.
+Each map is built once and cached on the GeneratorSet, so a command that
+handles many stripes pays for each map once: G's linalg.LinearMap on the
+first encode_all, its linalg.RegionMap on the first encode_bodies, and
+each repair map on first use of its (failed node, helper order).
+encode_all encodes one stripe, one LinearMap application per row of U;
+it is the library call and the tests' reference.  The encode command
+encodes the whole file at once through encode_bodies: with U's 2 * alpha
+columns laid out like share bodies, every stripe's symbols in one region
+each, the bodies are those regions times G, a few bytes.translate calls
+per entry of G whatever the stripe count.
+
+A repair map costs O(d^2) field operations to build, plus its table fill:
+one synthetic division of the helpers' master polynomial per helper, not
+a d x d inversion.
 
 Repair works on whole share bodies, the on-disk payload of a node: stripe
 after stripe of alpha symbols, each in symbol_width(m) little-endian
@@ -71,7 +80,7 @@ from functools import cached_property
 
 from .bits import symbol_width
 from .field import Field
-from .linalg import LinearMap, RegionDot, rank, row_reduce
+from .linalg import LinearMap, RegionDot, RegionMap, rank, row_reduce
 from .rs import RsCode
 
 __all__ = [
@@ -87,6 +96,7 @@ __all__ = [
     "generator_set",
     "stacked_rank",
     "encode_all",
+    "encode_bodies",
     "share_columns",
     "helper_symbol",
     "regenerate",
@@ -176,7 +186,7 @@ class GeneratorSet:
 
     col_scale[j] multiplies column j of Gbar's row space into code_alpha.
     Treat as immutable after construction; gbar_cols, g_cols, g_map,
-    encode_map, gbar_map, _places, _u_rows, helper_dots, repair_maps and
+    encode_region, gbar_map, _places, _u_rows, helper_dots, repair_maps and
     _tinv_map are memos derived from it, built on first use.
     """
 
@@ -210,29 +220,11 @@ class GeneratorSet:
         return LinearMap(self.field, self.g_full)
 
     @cached_property
-    def encode_map(self) -> LinearMap:
-        """A whole stripe's encode: the B message symbols to all n * alpha
-        stored symbols, output t = j * alpha + r being row r of node j's
-        share, at bits 8 * w * t with w = bits.symbol_width(m).  So
-        acc.to_bytes(n * alpha * w, "little") of a packed image is the
-        stripe's share bodies, node-major, each symbol in w little-endian
-        bytes.  A message symbol's image is the G row of each of its cells
-        (_places) placed at the cell's share row: read straight off G, with
-        no field product.  Lazy, and built only where
-        shares.encode_map_pays: for a file of enough stripes, of a code
-        small enough, to repay it (the encode command)."""
-        params, field = self.params, self.field
-        alpha = params.alpha
-        stride = 8 * symbol_width(field.m)
-        # row i of G at share row 0 of every node
-        rows = [sum(c << stride * alpha * j for j, c in enumerate(row)) for row in self.g_full]
-        images = []
-        for cells in self._places:
-            image = 0
-            for share_row, g_row in cells:
-                image ^= rows[g_row] << stride * share_row
-            images.append(image)
-        return LinearMap.from_images(field, images, params.n * alpha, stride)
+    def encode_region(self) -> RegionMap:
+        """v -> v @ g_full on byte regions: the 2 * alpha columns of U, each
+        as a region of every stripe's symbols, to every node's share body
+        (encode_bodies).  Lazy, and built only by the encode command."""
+        return RegionMap(self.field, self.g_full)
 
     @cached_property
     def gbar_map(self) -> LinearMap:
@@ -390,6 +382,35 @@ def encode_all(gen: GeneratorSet, message) -> list[NodeShare]:
     g_map = gen.g_map
     c_rows = [g_map.apply(u_row(message)) for u_row in gen._u_rows]
     return [NodeShare(node_index=j, symbols=col) for j, col in enumerate(zip(*c_rows))]
+
+
+def encode_bodies(gen: GeneratorSet, lanes: bytes) -> list[bytes]:
+    """Every node's share body for whole stripes of messages: what
+    encode_all gives each node, stripe after stripe, each symbol in
+    w = symbol_width(m) little-endian bytes.
+
+    lanes holds the messages in stripe order as bits.spread_symbols lays
+    them out, each message's symbol t big-endian in w bytes at t * w.  Byte
+    b of symbol t of every stripe is then one strided slice of it, which
+    goes to each cell (share row r, G row i) of t (GeneratorSet._places) as
+    byte plane b of U's column i at every stripe's row r.  Those 2 * alpha
+    columns, laid out like share bodies, make one application of
+    GeneratorSet.encode_region, whose outputs are the bodies: a few
+    bytes.translate calls per entry of G, whatever the number of
+    stripes."""
+    params = gen.params
+    alpha, width = params.alpha, symbol_width(params.m)
+    step = params.B * width  # bytes per message
+    if len(lanes) % step:
+        raise WrongLength(f"{len(lanes)} bytes of messages are not whole messages of {step} bytes")
+    size = len(lanes) // step * alpha  # symbols per body
+    planes = [bytearray(size) for _ in range(2 * alpha * width)]  # plane b of U's column i at i * w + b
+    for t, cells in enumerate(gen._places):
+        for b in range(width):
+            symbols = lanes[t * width + width - 1 - b :: step]
+            for share_row, g_row in cells:
+                planes[g_row * width + b][share_row::alpha] = symbols
+    return gen.encode_region.apply(planes, size)
 
 
 def share_columns(gen: GeneratorSet, message, nodes) -> dict[int, tuple[int, ...]]:
@@ -563,7 +584,7 @@ def update_delta(gen: GeneratorSet, old_message, new_message) -> dict[tuple[int,
     off G's rows, with no map built: a change delta of a message symbol
     adds, for each of its cells (share row, G row) (GeneratorSet._places),
     delta times that row of G to that share row, one field product per
-    nonzero entry of those rows.  This is the placement encode_map uses.
+    nonzero entry of those rows.  This is the placement encode_bodies uses.
     So a changed diagonal symbol of Z touches the support of one generator
     row, an off-diagonal one the supports of two.
     """

@@ -19,10 +19,9 @@ length, the stripe layout, the integrity scheme, and one filename per node
 (nodes are labeled 1-based in all external artifacts).
 
 Every share file is written by write_share from its body, the payload
-bytes above: share_bodies encodes a long file's payloads straight to them
-through GeneratorSet.encode_map, whose outputs sit at this layout's byte
-offsets, pack_columns packs the staged encode's columns with one
-struct.pack per node, and repair writes msr.regenerate's body as it is.
+bytes above: share_bodies encodes a whole file's payloads straight to them
+through msr.encode_bodies, whose byte-region products come out in this
+layout, and repair writes msr.regenerate's body as it is.
 
 ShareDir is how the command-line tool reads and patches a share directory,
 so the layout above is known to this module alone.  Every read goes
@@ -56,7 +55,6 @@ to the writer (open fails with ENXIO) instead of blocking for good.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import struct
@@ -64,19 +62,15 @@ import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .bits import symbol_width
-from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, make_params
+from .bits import spread_symbols, symbol_width
+from .msr import FLAVORS, GeneratorSet, InvalidParams, MsrParams, WrongLength, encode_bodies, make_params
 from .reconstruct import crc_payload_length, seal
 
 __all__ = [
     "Manifest",
     "ShareDir",
     "write_share",
-    "pack_columns",
     "share_bodies",
-    "encode_map_pays",
-    "ENCODE_MAP_IMAGE_BYTES",
-    "ENCODE_MAP_FROM",
     "share_filename",
     "stripe_count",
     "MAGIC",
@@ -128,78 +122,19 @@ def write_share(path, n: int, k: int, m: int, node_index: int, stripe_count: int
         os.close(fd)
 
 
-def pack_columns(m: int, columns) -> bytes:
-    """The body of one node's columns over GF(2^m), alpha symbols per
-    stripe in stripe order, packed with one struct.pack."""
-    symbols = list(itertools.chain.from_iterable(columns))
-    return struct.pack(_body_format(m, len(symbols)), *symbols)
-
-
 def share_bodies(gen: GeneratorSet, payloads) -> list[bytes]:
     """Every node's share body for the stripe payloads, one per stripe:
-    what pack_columns packs of the encode_all columns of each stripe's
-    sealed payload.
+    the encode_all columns of each stripe's sealed payload, in the payload
+    layout above.
 
     A file's payloads are its bits chunked at width
     P = crc_payload_length(params) * m, zero-padded at the end, as
     bits.bytes_to_symbols reads them, with one zero payload for an empty
-    file.  Each stripe is one application of gen.encode_map to its message
-    int, reconstruct.seal(payload), and that packed image's bytes are the
-    stripe's part of every body, node-major; node j's part is cut out of
-    each stripe and joined."""
+    file.  Each stripe's message, reconstruct.seal(payload), is spread to
+    one symbol per symbol_width(m) bytes (bits.spread_symbols), and
+    msr.encode_bodies encodes them all at once."""
     params = gen.params
-    encode_map = gen.encode_map
-    node_size = params.alpha * symbol_width(params.m)
-    stripe_size = params.n * node_size
-    stripes = [encode_map.packed_bitstream(seal(params, payload)).to_bytes(stripe_size, "little") for payload in payloads]
-    return [b"".join([stripe[lo : lo + node_size] for stripe in stripes]) for lo in range(0, stripe_size, node_size)]
-
-
-# the most bytes of input images the composed encode map may XOR per stripe
-ENCODE_MAP_IMAGE_BYTES = 1 << 16
-
-# m -> the stripes from which a file is encoded through the composed encode
-# map: where its build plus per-stripe applications first cost less than the
-# staged encode's G row map and per-stripe encode_all, measured per m on
-# the code named (timeit; median of five runs; the table is in CHANGES.md).
-# No GF(4) code has room for a payload, so no file is encoded at m = 2; its
-# entry is m = 3's.
-ENCODE_MAP_FROM = {
-    2: 2,
-    3: 2,  # [7,4]
-    4: 3,  # [15,8]
-    5: 5,  # [20,10]
-    6: 6,  # [22,11]
-    7: 8,  # [24,12]
-    8: 9,  # [24,12]
-    9: 11,  # [18,9]
-    10: 14,  # [18,9]
-    11: 25,  # [18,9]
-    12: 29,  # [18,9]
-    13: 46,  # [18,9]
-    14: 68,  # [18,9]
-    15: 104,  # [18,9]
-    16: 190,  # [18,9]
-}
-
-
-def encode_map_pays(params: MsrParams, stripes: int) -> bool:
-    """Whether a file of this many stripes is encoded through
-    GeneratorSet.encode_map (share_bodies) rather than stripe by stripe.
-
-    One application XORs B images of n * alpha * symbol_width(m) bytes, and
-    the build fills LinearMap.table_entries(m) of them per input.  A file
-    takes the map from ENCODE_MAP_FROM[m] stripes on, the break-even
-    measured per m, while the B images total at most
-    ENCODE_MAP_IMAGE_BYTES.  Break-even grows with the code: 5 stripes at
-    [20,10]/GF(2^5) and about 7 at [26,13], 9 at [24,12]/GF(2^8) and about
-    15 at [27,14].  Larger codes fall further behind (about 39 stripes at
-    [40,20]/GF(2^8)), and from about 1.5 MB of images ([60,30]/GF(2^8))
-    one application costs more than a staged stripe, so they keep the
-    staged encode.  The tables then hold at most table_entries(m) * 64 KiB,
-    2 MiB at m = 8."""
-    image_bytes = params.B * params.n * params.alpha * symbol_width(params.m)
-    return image_bytes <= ENCODE_MAP_IMAGE_BYTES and stripes >= ENCODE_MAP_FROM[params.m]
+    return encode_bodies(gen, spread_symbols([seal(params, payload) for payload in payloads], params.m, params.B))
 
 
 def _in_field(body: bytes, m: int) -> bool:

@@ -13,15 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from msrcode.bits import bytes_to_symbols, symbols_to_bytes, symbols_to_int
+from msrcode.bits import (
+    bytes_to_symbols,
+    int_to_symbols,
+    spread_symbols,
+    symbol_width,
+    symbols_to_bytes,
+    symbols_to_int,
+)
 from msrcode import cli
 from msrcode.cli import main
 from msrcode.linalg import LinearMap
 from msrcode.msr import GeneratorSet, encode_all, generator_set, make_params, update_patch
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
-    ENCODE_MAP_FROM,
-    ENCODE_MAP_IMAGE_BYTES,
     HEADER_SIZE,
     Manifest,
     ShareDir,
@@ -131,6 +136,25 @@ def test_bytes_to_symbols_matches_per_byte_reference(m):
     assert bytes_to_symbols(b"\xff" * run, m) == reference_bytes_to_symbols(b"\xff" * run, m)
 
 
+@pytest.mark.parametrize("m", range(2, 17))
+def test_spread_symbols_matches_int_to_symbols(m):
+    """spread_symbols lays int_to_symbols' symbols out one per
+    symbol_width(m) bytes, big-endian, value after value: for 1 to 20
+    symbols (powers of two, one either side) and the message lengths of
+    codes at m; zero, all-ones, random and one-symbol values, one at a time
+    and all at once, and no values at all."""
+    rng = random.Random(f"spread:{m}")
+    width = symbol_width(m)
+    for count in [*range(1, 21), 31, 32, 33, 72, 90, 132]:
+        top = (1 << count * m) - 1
+        values = [0, top, rng.getrandbits(count * m), (1 << m) - 1 << m * rng.randrange(count)]
+        expected = [b"".join(x.to_bytes(width, "big") for x in int_to_symbols(value, m, count)) for value in values]
+        for value, own in zip(values, expected):
+            assert spread_symbols([value], m, count) == own, (count, value)
+        assert spread_symbols(values, m, count) == b"".join(expected)
+        assert spread_symbols([], m, count) == b""
+
+
 # ---------------------------------------------------------------------------
 # encode / reconstruct
 
@@ -153,17 +177,17 @@ def test_encode_layout_and_manifest(tmp_path):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The GeneratorSets whose encode_map gets built, in order."""
+    """The GeneratorSets whose encode_region gets built, in order."""
     built = []
-    compose = GeneratorSet.encode_map.func
+    compose = GeneratorSet.encode_region.func
 
     def counting(gen):
         built.append(gen)
         return compose(gen)
 
     prop = functools.cached_property(counting)
-    prop.__set_name__(GeneratorSet, "encode_map")
-    monkeypatch.setattr(GeneratorSet, "encode_map", prop)
+    prop.__set_name__(GeneratorSet, "encode_region")
+    monkeypatch.setattr(GeneratorSet, "encode_region", prop)
     return built
 
 
@@ -189,19 +213,15 @@ def encode_stripes(root, rng, stripes, n, k, m):
 
 
 @pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8), (27, 14, 8)])
-def test_encode_composes_its_map_from_the_threshold_on(tmp_path, built, n, k, m):
-    """encode builds GeneratorSet.encode_map, once, for a file of at least
-    ENCODE_MAP_FROM[m] stripes (5 at m = 5, 9 at m = 8) and not for one
-    stripe fewer; either way the shares are the staged encode's.
-    [27,14]/GF(2^8) is the largest k = 14 code whose images fit
-    ENCODE_MAP_IMAGE_BYTES.  reconstruct, update, repair and simulate never
-    build it."""
-    threshold = ENCODE_MAP_FROM[m]
-    rng = random.Random(f"threshold:{m}")
-    for stripes in (threshold - 1, threshold):
+def test_encode_builds_its_region_map_once(tmp_path, built, n, k, m):
+    """encode builds GeneratorSet.encode_region once for a file of any
+    length, here 1, 7, 8 and 9 stripes, and writes the staged encode's
+    shares.  reconstruct, update, repair and simulate never build it."""
+    rng = random.Random(f"region:{m}")
+    for stripes in (1, 7, 8, 9):
         built.clear()
         data, out = encode_stripes(tmp_path / str(stripes), rng, stripes, n, k, m)
-        assert len(built) == (stripes == threshold)
+        assert len(built) == 1
         assert_staged_shares(out, data, n, k, m, stripes)
 
     built.clear()
@@ -218,14 +238,12 @@ def test_encode_composes_its_map_from_the_threshold_on(tmp_path, built, n, k, m)
 
 @pytest.mark.parametrize("n,k,m", [(28, 14, 8), (40, 20, 8)])
 def test_encode_keeps_the_staged_encode_for_large_codes(tmp_path, built, n, k, m):
-    """A code whose B images outgrow ENCODE_MAP_IMAGE_BYTES ([28,14]/GF(2^8)
-    just, [40,20]/GF(2^8) 4.4 times) never builds the map, however long the
-    file: here table_entries(m) + 1 stripes, well past ENCODE_MAP_FROM[m]."""
-    params = make_params(n, k, m)
-    assert params.B * n * params.alpha > ENCODE_MAP_IMAGE_BYTES
+    """Larger codes, [28,14] and [40,20] over GF(2^8), write the staged
+    encode's shares through the same one region map, here for a file of
+    table_entries(m) + 1 = 33 stripes."""
     stripes = LinearMap.table_entries(m) + 1
     data, out = encode_stripes(tmp_path / "long", random.Random(f"large:{n}"), stripes, n, k, m)
-    assert built == []
+    assert len(built) == 1
     assert_staged_shares(out, data, n, k, m, stripes)
 
 
@@ -603,7 +621,7 @@ def test_update_noop(tmp_path, capsys):
 def test_clean_update_builds_no_encode_map(tmp_path, monkeypatch, capsys):
     """update computes its patch in one msr.update_patch call, which
     re-encodes only the shares it patches, straight off G's columns: it
-    builds neither G's row map nor the composed encode map."""
+    builds neither G's row map nor the encode command's region map."""
     data = bytes(random.Random(5).randrange(256) for _ in range(600))
     _, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
     built, patches = [], []
@@ -622,7 +640,7 @@ def test_clean_update_builds_no_encode_map(tmp_path, monkeypatch, capsys):
     assert "rewrote" in capsys.readouterr().out
     assert len(patches) == 1
     (gen,) = built
-    assert "g_map" not in vars(gen) and "encode_map" not in vars(gen)
+    assert "g_map" not in vars(gen) and "encode_region" not in vars(gen)
     assert "g_cols" in vars(gen)
 
 
@@ -841,7 +859,7 @@ def test_encode_into_existing_file_exits_1(tmp_path, capsys):
     src.write_bytes(b"an output directory that is a file")
     argv = ["encode", str(src), str(src), "--n", "7", "--k", "4", "--m", "3"]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {src}: not a directory\n"
     assert src.read_bytes() == b"an output directory that is a file"
 
 

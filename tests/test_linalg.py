@@ -1,13 +1,13 @@
-"""The LinearMap and RegionDot table kernels against the scalar reference
-gf_dot."""
+"""The LinearMap, RegionMap and RegionDot table kernels against the scalar
+reference gf_dot."""
 
 import random
 
 import pytest
 
-from msrcode.bits import symbol_width, symbols_to_int
+from msrcode.bits import symbol_width
 from msrcode.field import DEFAULT_PRIMITIVE_POLYS, Field, NotPrimitive
-from msrcode.linalg import LinearMap, RegionDot, gf_dot, mat_vec
+from msrcode.linalg import LinearMap, RegionDot, RegionMap, _region_tables, gf_dot, mat_vec
 
 # (inputs, outputs): a single entry, wide, tall and the shapes the codes use
 SHAPES = [(1, 1), (3, 7), (9, 2), (6, 6)]
@@ -141,8 +141,6 @@ def test_from_images_matches_matrix_constructor(m):
         assert (lmap.low, lmap.high) == (reference.low, reference.high)
         xs = [_symbol(rng, field) for _ in range(inputs)]
         assert lmap.apply(xs) == mat_vec(field, transpose(matrix), xs)
-        # the same inputs packed MSB-first into one int, input 0 on top
-        assert lmap.packed_bitstream(symbols_to_int(xs, m)) == lmap.packed(xs, range(inputs))
         assert len(lmap.low[0]) + len(lmap.high[0]) == LinearMap.table_entries(m)
 
 
@@ -158,7 +156,8 @@ def test_region_dot_matches_gf_dot(m):
     1, 3 and 9 symbols, 1 group and 300, the first group all 2^m - 1;
     coefficients all zero, all 2^m - 1, random, and random with zeros; the
     default polynomial and another of the same degree (the tables come from
-    packed doubling, which reads the polynomial)."""
+    the field's log and exp, or from packed doubling, which read the
+    polynomial)."""
     rng = random.Random(f"region:{m}")
     top = (1 << m) - 1
     for poly in filter(None, [DEFAULT_PRIMITIVE_POLYS[m], other_primitive_poly(m)]):
@@ -176,3 +175,53 @@ def test_region_dot_matches_gf_dot(m):
                     groups = [[top] * size] + [[_symbol(rng, field) for _ in range(size)] for _ in range(count - 1)]
                     expected = tuple(gf_dot(field, group, coef) for group in groups)
                     assert dot.apply(_region(field, groups)) == expected
+
+
+def _planes(field, symbols):
+    """A region's byte planes: plane b holds byte b of every symbol."""
+    return [bytes(x >> 8 * b & 0xFF for x in symbols) for b in range(symbol_width(field.m))]
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_region_map_matches_mat_vec(m):
+    """RegionMap against one mat_vec per symbol position: the shapes of
+    SHAPES with an input of no image, and each with a zero and a 1 put in
+    at random columns of every row too (an all-zero column where the zeros
+    all land in one); regions of 1 and 300 symbols, the first all
+    2^m - 1."""
+    field = Field(m)
+    rng = random.Random(f"region-map:{m}")
+    top = field.order - 1
+    for inputs, outputs in SHAPES:
+        matrix = _matrix(rng, field, inputs, outputs)
+        for special in (False, True):
+            if special:
+                for row in matrix:
+                    row[rng.randrange(outputs)] = 1
+                    row[rng.randrange(outputs)] = 0
+            region_map = RegionMap(field, matrix)
+            for count in (1, 300):
+                vectors = [[top] * inputs] + [[_symbol(rng, field) for _ in range(inputs)] for _ in range(count - 1)]
+                images = [mat_vec(field, transpose(matrix), xs) for xs in vectors]
+                expected = [_region(field, [[y] for y in col]) for col in zip(*images)]
+                planes = [plane for column in zip(*vectors) for plane in _planes(field, column)]
+                assert region_map.apply(planes, count) == expected
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_region_tables_match_field_products(m):
+    """Every coefficient's tables from one build: entry x of table
+    b * w + o is byte o of c * (x << 8b), for every x that byte b of a
+    symbol below 2^m can hold.  Zero gets no tables."""
+    field = Field(m)
+    width = symbol_width(m)
+    rng = random.Random(f"tables:{m}")
+    coefs = [0, 1, field.order - 1, *(rng.randrange(1, field.order) for _ in range(40))]
+    tables = _region_tables(field, coefs)
+    assert sorted(tables) == sorted(set(coefs) - {0})
+    for c, own in tables.items():
+        assert len(own) == width * width and all(len(table) == 256 for table in own)
+        for b in range(width):
+            for x in range(1 << min(8, m - 8 * b)):
+                product = field.mul(c, x << 8 * b)
+                assert [own[b * width + o][x] for o in range(width)] == [product >> 8 * o & 0xFF for o in range(width)]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from msrcode.bits import symbol_width, symbols_to_int
+from msrcode.bits import spread_symbols, symbol_width, symbols_to_int
 from msrcode.field import Field
 from msrcode.linalg import gf_dot, rank
 from msrcode.msr import (
@@ -14,6 +14,7 @@ from msrcode.msr import (
     WrongLength,
     apply_patch,
     encode_all,
+    encode_bodies,
     generator_set,
     helper_symbol,
     make_params,
@@ -418,11 +419,12 @@ ENCODE_CODES = [
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
 @pytest.mark.parametrize("n,k,m", ENCODE_CODES)
 def test_encode_map_matches_encode_all(n, k, m, flavor):
-    """The composed map's image of a message packed MSB-first, as
-    little-endian bytes, is every node's column of encode_all in turn, each
-    symbol in symbol_width(m) bytes.  A message with one nonzero symbol
-    checks where that symbol lands (both places, off the diagonal); zero,
-    all-ones and random messages check the sums."""
+    """encode_bodies' region encode of messages laid out by
+    bits.spread_symbols is every node's column of encode_all, each symbol
+    in symbol_width(m) little-endian bytes: for each message alone, and
+    for all of them at once, one stripe each.  A message with one nonzero
+    symbol checks where that symbol lands (both places, off the diagonal);
+    zero, all-ones and random messages check the sums."""
     p = make_params(n, k, m)
     g = generator_set(p, flavor)
     width = symbol_width(m)
@@ -431,11 +433,17 @@ def test_encode_map_matches_encode_all(n, k, m, flavor):
     messages = [[0] * p.B, [top] * p.B]
     messages += [[rng.randrange(1, top + 1) if j == i else 0 for j in range(p.B)] for i in range(p.B)]
     messages += [[rng.choice((0, top, rng.randrange(top + 1))) for _ in range(p.B)] for _ in range(8)]
-    assert "encode_map" not in vars(g)
-    for message in messages:
-        expected = b"".join(x.to_bytes(width, "little") for share in encode_all(g, message) for x in share.symbols)
-        image = g.encode_map.packed_bitstream(symbols_to_int(message, m))
-        assert image.to_bytes(n * p.alpha * width, "little") == expected
+    assert "encode_region" not in vars(g)
+    lanes = [spread_symbols([symbols_to_int(message, m)], m, p.B) for message in messages]
+    expected = [
+        [b"".join(x.to_bytes(width, "little") for x in share.symbols) for share in encode_all(g, message)]
+        for message in messages
+    ]
+    for message_lanes, bodies in zip(lanes, expected):
+        assert encode_bodies(g, message_lanes) == bodies
+    assert encode_bodies(g, b"".join(lanes)) == [b"".join(node) for node in zip(*expected)]
+    with pytest.raises(WrongLength):
+        encode_bodies(g, lanes[0][:-1])
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
@@ -547,7 +555,7 @@ def test_generator_maps_are_built_on_first_use(gen746):
     assert sorted(g.repair_maps) == [(0, (1, 2, 3, 4, 5, 6)), (0, (6, 5, 4, 3, 2, 1))]
     assert sorted(g.helper_dots) == [0]  # one per failed node, whatever the helper
     assert "_tinv_map" in vars(g)  # one T^-1 map serves every systematic repair map
-    assert "encode_map" not in vars(g)  # only a long file's encode composes it
+    assert "encode_region" not in vars(g)  # only the encode command builds it
 
 
 def test_regeneration_zero_message(gen746):

@@ -408,7 +408,7 @@ def test_progressive_reads_build_no_encode_or_repair_map():
         report = reconstruct_progressive(gen, source, rng)
         assert report.recovered_message == message
         assert "g_map" not in vars(gen) and not gen.repair_maps and "_tinv_map" not in vars(gen)
-        assert "encode_map" not in vars(gen)
+        assert "encode_region" not in vars(gen)
 
 
 def test_progressive_exhaustive_bad_patterns_7_4_6():

@@ -14,20 +14,16 @@ import msrcode.shares as shares_mod
 from msrcode.cli import main
 from msrcode.bits import bytes_to_symbols
 from msrcode.field import Field
-from msrcode.linalg import LinearMap
 from msrcode.msr import InvalidParams, WrongLength, encode_all, generator_set, make_params
 from msrcode.reconstruct import attach_crc, crc_payload_length
 from msrcode.shares import (
     CRC_SCHEME,
-    ENCODE_MAP_FROM,
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
     Manifest,
     ShareDir,
     ShareFormatError,
-    encode_map_pays,
-    pack_columns,
     share_bodies,
     share_filename,
     stripe_count,
@@ -198,6 +194,13 @@ def random_columns(rng, params, stripes):
     return [tuple(symbol() for _ in range(params.alpha)) for _ in range(stripes)]
 
 
+def pack_columns(m, columns):
+    """The body of one node's columns over GF(2^m), alpha symbols per
+    stripe in stripe order, packed with one struct.pack."""
+    symbols = list(itertools.chain.from_iterable(columns))
+    return struct.pack(f"<{len(symbols)}{'B' if m <= 8 else 'H'}", *symbols)
+
+
 def write_columns(path, params, node, stripes):
     write_share(path, params.n, params.k, params.m, node, len(stripes), pack_columns(params.m, stripes))
 
@@ -289,21 +292,57 @@ def test_share_bodies_match_the_staged_encode(n, k, m, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
-@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
-def test_cli_encode_writes_the_staged_bodies_on_both_sides_of_the_threshold(tmp_path, n, k, m, flavor):
-    """CLI encode of an empty file, and of the longest files of
-    ENCODE_MAP_FROM[m] - 1 stripes (the staged encode) and ENCODE_MAP_FROM[m]
-    stripes (the composed map), writes reference_bodies' bytes after each
-    share's header."""
+@pytest.mark.parametrize("n,k,m", FILE_CODES)
+def test_share_bodies_match_encode_all_for_1_to_20_stripes(n, k, m, flavor):
+    """The region encode against encode_all, stripe by stripe, for every
+    stripe count from 1 to 20 that a file can have: the empty file at 1,
+    and otherwise a file of random length ending inside its last stripe,
+    so counts that are and are not multiples of 8 (where stripes end on a
+    byte) and files ending mid-stripe are all there.  Only [7,4]/GF(2^3),
+    whose stripes hold 3 payload bits, skips counts: a file of s bytes has
+    ceil(8s / 3) stripes there, which is 8 of the 20."""
     p = make_params(n, k, m)
     gen = generator_set(p, flavor)
     payload = crc_payload_length(p)
-    threshold = ENCODE_MAP_FROM[m]
-    rng = random.Random(f"threshold:{n}:{k}:{m}:{flavor}")
-    for stripes in (1, threshold - 1, threshold):
+    rng = random.Random(f"stripes:{n}:{k}:{m}:{flavor}")
+    counts = []
+    for stripes in range(1, 21):
+        # the byte lengths of the files of this many stripes
+        sizes = [0] if stripes == 1 else range((stripes - 1) * payload * m // 8 + 1, stripes * payload * m // 8 + 1)
+        if not sizes:
+            continue
+        size = rng.choice(sizes)
+        assert stripe_count(size, m, payload) == stripes
+        data = rng.randbytes(size)
+        assert share_bodies(gen, bytes_to_symbols(data, payload * m) or [0]) == reference_bodies(gen, data), size
+        counts.append(stripes)
+    assert counts == ([1, 3, 6, 8, 11, 14, 16, 19] if m == 3 else list(range(1, 21)))
+
+
+def test_share_bodies_of_8000_one_symbol_stripes():
+    """[7,4]/GF(2^3) holds one 3-bit payload symbol per stripe, so 3000
+    bytes make 8000 stripes, each message 12 symbols of which the CRC
+    trailer takes 11."""
+    gen = generator_set(make_params(7, 4, 3))
+    data = random.Random("8000 stripes").randbytes(3000)
+    payloads = bytes_to_symbols(data, 3)
+    assert len(payloads) == stripe_count(len(data), 3, crc_payload_length(gen.params)) == 8000
+    assert share_bodies(gen, payloads) == reference_bodies(gen, data)
+
+
+@pytest.mark.parametrize("flavor", ["systematic", "vandermonde"])
+@pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8)])
+def test_cli_encode_writes_the_reference_bodies(tmp_path, n, k, m, flavor):
+    """CLI encode of an empty file, and of the longest files of 7, 8 and 9
+    stripes, on either side of the first run of stripes whose payloads end
+    on a byte, writes reference_bodies' bytes after each share's header."""
+    p = make_params(n, k, m)
+    gen = generator_set(p, flavor)
+    payload = crc_payload_length(p)
+    rng = random.Random(f"cli:{n}:{k}:{m}:{flavor}")
+    for stripes in (1, 7, 8, 9):
         size = 0 if stripes == 1 else stripes * payload * m // 8
         assert stripe_count(size, m, payload) == stripes
-        assert encode_map_pays(p, stripes) == (stripes == threshold)
         data = rng.randbytes(size)
         src, out = tmp_path / f"{stripes}.bin", tmp_path / str(stripes)
         src.write_bytes(data)
@@ -311,21 +350,6 @@ def test_cli_encode_writes_the_staged_bodies_on_both_sides_of_the_threshold(tmp_
         assert main(argv) == 0
         bodies = [(out / share_filename(node)).read_bytes()[HEADER_SIZE:] for node in range(n)]
         assert bodies == reference_bodies(gen, data), size
-
-
-def test_encode_map_pays_only_for_small_codes():
-    """The stripe threshold is ENCODE_MAP_FROM[m], the break-even measured
-    per m, below the table entries per input from m = 4 on; the images'
-    bytes cap the code.  [255,128]/GF(2^8) would need about 17 GB of tables
-    and [100,50]/GF(2^8) about 384 MB, so no file of theirs takes the map."""
-    for n, k, m in [(255, 128, 8), (100, 50, 8), (40, 20, 8), (28, 14, 8)]:
-        assert not encode_map_pays(make_params(n, k, m), 1 << 30), (n, k, m)
-    assert sorted(ENCODE_MAP_FROM) == list(range(2, 17))
-    assert all(ENCODE_MAP_FROM[m] < LinearMap.table_entries(m) for m in range(4, 17))
-    for (n, k, m), threshold in [((27, 14, 8), 9), ((20, 10, 5), 5), ((18, 9, 16), 190), ((3, 2, 2), 2)]:
-        p = make_params(n, k, m)
-        assert ENCODE_MAP_FROM[m] == threshold
-        assert not encode_map_pays(p, threshold - 1) and encode_map_pays(p, threshold), (n, k, m)
 
 
 def rejected_bodies(m, blob):

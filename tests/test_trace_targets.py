@@ -27,9 +27,11 @@ def test_reconstruct_trace_targets_resolve():
 
 
 # Targets that already resolve to nothing: the CLI reads shares through
-# shares.ShareDir, not a read_share of its own, and msr solves no system
-# per repair.  Any other target that stops resolving is a new loss.
-DEAD_TARGETS = {("msrcode.cli", "read_share"), ("msrcode.msr", "solve")}
+# shares.ShareDir, not a read_share of its own, msr solves no system per
+# repair, and encode writes its shares through shares.share_bodies, not a
+# per-stripe encode_all.  Any other target that stops resolving is a new
+# loss.
+DEAD_TARGETS = {("msrcode.cli", "read_share"), ("msrcode.msr", "solve"), ("msrcode.cli", "encode_all")}
 
 
 def test_cli_trace_targets_resolve():
