@@ -155,34 +155,32 @@ round decoded, so its KNodeDecoder takes that G^-1 and peel map instead of
 inverting again.  The decoder and the inverse live in the session, never
 on the GeneratorSet, so nothing grows across stripes or files.
 
-A decoder of the session decodes staged, paired or composed.  Stripe 0's
-first round composes when at least LinearMap.table_entries(m) stripes,
-2^ceil(m/2) + 2^floor(m/2), are left, the current one included: 12 at
-m = 5, 32 at m = 8; otherwise it stays staged.  At m = 3, 4 and 16 that is
-fewer than a trusted set composes from (below), and still the cheaper cut:
-composing stripe 0 also saves its staged decode (gbar_map, G^-1, the peel),
-and waiting for the trusted cut-off made clean 6-9-stripe [7,4]/GF(2^3),
-8-10-stripe [15,8]/GF(2^4) and 520-stripe [24,12]/GF(2^16) reads 13-25%
-slower.  It never builds a pair map on its own, since with errors present it
-usually fails: in a [24,12] read with 3 missing and 3 lying shares only
-C(18,12)/C(21,12), about 6%, of first rounds pass.
-So a clean long read decodes every stripe, stripe 0 included, through one
-composed map, and never builds gen.gbar_map.  A
-trusted set's decoder takes its mode at the first stripe it decodes, from
-the stripes left then: staged below TRUSTED_MODE_FROM[m]'s first cut-off,
-paired from it, composed from its second.  Each cut-off is a break-even of
-build cost against per-stripe saving, measured per m: on [24,12]/GF(2^8) a
-pair map costs about two and a half staged stripe decodes and a paired
-stripe decodes about four times faster than a staged one, while composing
-costs about six and decodes about three times faster again, so a trusted set
-there pairs from 3 stripes left and composes from 23.  Both grow with the
-table entries per input: at m = 16, 31 and 548.  When stripe 0's v = 0 round
-fails, its composed map is wasted, and the nodes its later rounds trust get
-a decoder of their own.  The v = 0 round of a later progressive stripe,
-which runs only once the trusted set has failed, stays staged, as does
-simulate's single-stripe read; the staged decode is also the tests'
-reference for the other two.  All three give the same message, so the choice
-changes no output.
+A decoder of the session decodes staged, paired or composed, and
+decoder_mode picks the mode once, from the code's shape and the stripes the
+decoder may decode: all of them for stripe 0's first round, those after the
+stripe that named it for a trusted set.  A mode costs its build plus the
+stripes times its per-stripe decode, counted in lookups off the shapes of
+the LinearMaps involved: a pass of i inputs over w-bit images costs
+i (1 + (w / WIDE_BITS)^2), as wide tables fall out of cache, and a build
+fills table_entries(m) entries per input.  Staged builds nothing and decodes
+through gen.gbar_map and about STEP_LOOKUPS k^2 of bookkeeping (pair solve,
+diagonal fill, peel); paired builds the pair map and decodes through
+gen.gbar_map and the pair map; composed also builds the composed map and
+decodes through it alone.  tools/decoder_mode_costs.py times each mode and
+checks the picks against the cheapest.  A trusted set picks among all three.
+Stripe 0's first round composes or stays staged: composing also saves its
+staged decode and gen.gbar_map's build, so it composes from fewer stripes
+than a trusted set (6 against 12 at [20,10]/GF(2^5)), and a clean long read
+decodes every stripe through one composed map, never building gen.gbar_map.
+It never pairs: with errors present it usually fails (in a [24,12] read with
+3 missing and 3 lying shares only C(18,12)/C(21,12), about 6%, of first
+rounds pass), which would waste its pair map and leave the v = 1 round no
+PairSolve to extend.  When it fails composed, its map is wasted, and the
+nodes its later rounds trust get a decoder of their own.  The v = 0 round of
+a later progressive stripe, which runs only once the trusted set has failed,
+stays staged, as does simulate's single-stripe read; the staged decode is
+also the tests' reference for the other two.  All three give the same
+message, so the choice changes no output.
 
 update reads one stripe, and for a systematic code it first tries
 systematic_message: Gbar is the identity on the alpha systematic nodes, so
@@ -629,9 +627,8 @@ class KNodeDecoder:
         at bits m * (alpha(alpha+1)/2 - 1 - u)).  Applied to the w p_rc it
         gives the P block's half of the message, to the w q_rc the Q
         block's (bitstream(), compose()).  Built on first access, which
-        makes the decoder paired (reconstruct_file does so for a trusted set
-        with enough stripes left) or is compose()'s own; it reads peel_map
-        and needs no gbar_map.
+        makes the decoder paired (use()) or is compose()'s own; it reads
+        peel_map and needs no gbar_map.
 
         It is read off G^-1, h and the lambda, never by decoding unit
         vectors.  With g_r row r of G^-1 and s_r = h_c / h_r, a pair value
@@ -691,9 +688,9 @@ class KNodeDecoder:
         B - 1 - t, at bits m * (B - 1 - t), so the packed image is the
         stripe's bitstream (bitstream()), with the payload on top and the CRC
         trailer in the low bits.  bitstream() and decode() then apply that
-        map alone.  The build costs the pair map's and more again (2.4 times
-        the pair map's at [24,12]/GF(2^8)), so reconstruct_file composes a
-        decoder only with enough stripes left.
+        map alone.  The build costs the pair map's and 1.7 times as much
+        again at [24,12]/GF(2^8), so a decoder composes only when
+        decoder_mode says it pays.
 
         It builds on the pair map (pair_map), so on peel_map, and needs no
         gbar_map.  Symbol t of column c enters m_rc with weight
@@ -734,6 +731,14 @@ class KNodeDecoder:
                         q ^= lo[g_low] ^ hi[g_high]
                 images.append(p << span ^ q)
         self.composed = LinearMap.from_images(field, images, self.params.B)
+
+    def use(self, mode: str) -> KNodeDecoder:
+        """This decoder, made to decode in ``mode`` (decoder_mode) unless composed already."""
+        if mode == "paired":
+            self.pair_map  # built here, once
+        elif mode == "composed" and self.composed is None:
+            self.compose()
+        return self
 
     def bitstream(self, columns) -> int:
         """The message decode() returns, packed MSB-first into one int
@@ -1101,29 +1106,35 @@ class FileReport:
         return frozenset().union(*(report.erroneous_nodes for report in self.progressive.values()))
 
 
-# m -> (paired, composed): the stripes left, the current one included, from
-# which a trusted set's decoder builds its pair map, and from which it
-# composes, rather than decoding staged.  Each is where one mode's build
-# plus per-stripe decodes first costs less than the cheaper-built mode's,
-# measured per m on the code named (timeit; median of five runs; the table
-# is in CHANGES.md).
-TRUSTED_MODE_FROM = {
-    2: (1, 11),  # [3,2]
-    3: (2, 10),  # [7,4]
-    4: (2, 11),  # [15,8]
-    5: (2, 12),  # [20,10]
-    6: (3, 15),  # [22,11]
-    7: (3, 15),  # [24,12]
-    8: (3, 23),  # [24,12]
-    9: (4, 29),  # [24,12]
-    10: (4, 31),  # [22,11]
-    11: (6, 61),  # [24,12]
-    12: (7, 72),  # [24,12]
-    13: (9, 124),  # [24,12]
-    14: (11, 221),  # [24,12]
-    15: (20, 333),  # [24,12]
-    16: (31, 548),  # [24,12]
-}
+# decoder_mode's two measured ratios, fitted to tools/decoder_mode_costs.py's
+# timings of its default codes (m = 3..16, [28,14], [60,30], [40,20]) at 931422c
+WIDE_BITS = 4000  # a lookup of w-bit images costs 1 + (w / WIDE_BITS)^2: wide tables fall out of cache
+STEP_LOOKUPS = 11  # a step of interpreted bookkeeping: k^2 per staged stripe, one per bit plane of a build
+
+
+def decoder_mode(params: MsrParams, stripes: int, first: bool = False) -> str:
+    """The mode, "staged", "paired" or "composed", in which a trusted set's
+    KNodeDecoder decodes ``stripes`` stripes at least cost (module docstring);
+    with first, stripe 0's first round's, composed or staged."""
+    n, k, m, a, b = params.n, params.k, params.m, params.alpha, params.B
+    h, entries = b // 2, LinearMap.table_entries(m)  # h: node pairs, and a message block's symbols
+
+    def lookups(count, bits):  # of bits-wide images
+        return count * (1 + (bits / WIDE_BITS) ** 2)
+
+    def fill(inputs, bits):  # a LinearMap's tables: their bits, three calls an entry, a step a bit plane
+        return inputs * entries * ((1 + bits / WIDE_BITS) ** 2 - 1) + 3 * entries + STEP_LOOKUPS * m
+
+    gbar = lookups(b, n * m)  # the k columns through gen.gbar_map; cost is per stripe
+    cost = {"staged": gbar + STEP_LOOKUPS * k**2, "paired": gbar + b + lookups(b, h * m), "composed": lookups(b, b * m)}
+    pairing = lookups(3 * h * a, h * m) + fill(h, h * m)  # the pair map's build, which composing extends
+    build = {"staged": 0, "paired": pairing, "composed": pairing + lookups(4 * h * a, h * m) + fill(b, b * m)}
+    total = {mode: build[mode] + stripes * cost[mode] for mode in build}
+    if not first:
+        return min(total, key=total.get)
+    # a staged first round also builds gen.gbar_map, and leaves stripes - 1 to the trusted set
+    staged = fill(a, n * m) + cost["staged"] + min(total[mode] - cost[mode] for mode in total)
+    return "composed" if total["composed"] < staged else "staged"
 
 
 def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> FileReport:
@@ -1137,48 +1148,35 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
     message fails check_crc.  Decoding stops at the first stripe that fails.
     """
     params = gen.params
-    m = gen.field.m
     bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
     inverses = {}  # recover_z's latest inverse, which a new decoder takes when its first alpha nodes match
-    # stripe 0's first round composes from this many stripes: compose() fills
-    # that many table entries per input, and a clean read trusts the round's
-    # k nodes; it is never paired, since with errors present the round
-    # usually fails and a pair map built for it would be wasted
-    compose_first = LinearMap.table_entries(m)
-    paired_from, composed_from = TRUSTED_MODE_FROM[m]
 
-    def k_decoder(nodes, mode: str) -> KNodeDecoder:
+    def k_decoder(nodes) -> KNodeDecoder:
         nonlocal decoder
         if decoder is None or decoder.nodes != nodes:
             decoder = KNodeDecoder(gen, nodes, inverses)
-        if decoder.composed is None:
-            if mode == "composed":
-                decoder.compose()
-            elif mode == "paired":
-                decoder.pair_map  # built here, once
         return decoder
+
+    def stripe_0(nodes) -> KNodeDecoder:  # its first round's, whose nodes a clean read then trusts
+        return k_decoder(nodes).use(decoder_mode(params, stripe_count, first=True))
 
     trusted = None
     for s in range(stripe_count):
-        left = stripe_count - s
         if trusted is not None:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
-                mode = "composed" if left >= composed_from else "paired" if left >= paired_from else "staged"
-                value = k_decoder(trusted, mode).bitstream(columns)
+                value = k_decoder(trusted).use(mode).bitstream(columns)
                 if check_crc(params, value):
                     bitstreams.append(value)
                     continue
         rng = random.Random(f"{seed}:stripe:{s}")
-        # stripe 0's first round picks the nodes a clean read then trusts
-        first_mode = "composed" if s == 0 and left >= compose_first else "staged"
-        first_round = functools.partial(k_decoder, mode=first_mode)
-        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, first_round, inverses)
+        report = reconstruct_progressive(gen, lambda node: source(node, s), rng, k_decoder if s else stripe_0, inverses)
         progressive[s] = report
         if not report.success:
             break
         bitstreams.append(symbols_to_int(report.recovered_message, params.m))
         trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
+        mode = decoder_mode(params, stripe_count - s - 1)  # the trusted set's, for the stripes after this one
     return FileReport(params, stripe_count, bitstreams, progressive)

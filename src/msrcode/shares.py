@@ -230,6 +230,8 @@ def _check_layout(path, raw: dict) -> None:
     stripes = stripe_count(raw["file_length"], raw["m"], payload)
     if raw["stripe_count"] != stripes:
         raise ShareFormatError(f"{path}: manifest stripe_count must be {stripes} for {raw['file_length']} bytes")
+    if stripes >> 32:
+        raise ShareFormatError(f"{path}: manifest stripe_count {stripes} does not fit a share header's 32 bits")
 
 
 class ShareDir:

@@ -179,11 +179,11 @@ def test_encode_layout_and_manifest(tmp_path):
 def built(monkeypatch):
     """The GeneratorSets whose encode_region gets built, in order."""
     built = []
-    compose = GeneratorSet.encode_region.func
+    encode_region = GeneratorSet.encode_region.func
 
     def counting(gen):
         built.append(gen)
-        return compose(gen)
+        return encode_region(gen)
 
     prop = functools.cached_property(counting)
     prop.__set_name__(GeneratorSet, "encode_region")
@@ -191,7 +191,7 @@ def built(monkeypatch):
     return built
 
 
-def assert_staged_shares(out, data, n, k, m, stripes):
+def assert_shares_match_encode_all(out, data, n, k, m, stripes):
     params = make_params(n, k, m)
     gen, shares = generator_set(params), ShareDir(out)
     payload = crc_payload_length(params)
@@ -215,14 +215,14 @@ def encode_stripes(root, rng, stripes, n, k, m):
 @pytest.mark.parametrize("n,k,m", [(20, 10, 5), (24, 12, 8), (27, 14, 8)])
 def test_encode_builds_its_region_map_once(tmp_path, built, n, k, m):
     """encode builds GeneratorSet.encode_region once for a file of any
-    length, here 1, 7, 8 and 9 stripes, and writes the staged encode's
-    shares.  reconstruct, update, repair and simulate never build it."""
+    length, here 1, 7, 8 and 9 stripes, and writes the shares encode_all
+    gives.  reconstruct, update, repair and simulate never build it."""
     rng = random.Random(f"region:{m}")
     for stripes in (1, 7, 8, 9):
         built.clear()
         data, out = encode_stripes(tmp_path / str(stripes), rng, stripes, n, k, m)
         assert len(built) == 1
-        assert_staged_shares(out, data, n, k, m, stripes)
+        assert_shares_match_encode_all(out, data, n, k, m, stripes)
 
     built.clear()
     dst = tmp_path / "restored.bin"
@@ -237,14 +237,13 @@ def test_encode_builds_its_region_map_once(tmp_path, built, n, k, m):
 
 
 @pytest.mark.parametrize("n,k,m", [(28, 14, 8), (40, 20, 8)])
-def test_encode_keeps_the_staged_encode_for_large_codes(tmp_path, built, n, k, m):
-    """Larger codes, [28,14] and [40,20] over GF(2^8), write the staged
-    encode's shares through the same one region map, here for a file of
-    table_entries(m) + 1 = 33 stripes."""
-    stripes = LinearMap.table_entries(m) + 1
+def test_region_encode_matches_encode_all_for_large_codes(tmp_path, built, n, k, m):
+    """Larger codes, [28,14] and [40,20] over GF(2^8), write the shares
+    encode_all gives through one region map, here for a 33-stripe file."""
+    stripes = 33
     data, out = encode_stripes(tmp_path / "long", random.Random(f"large:{n}"), stripes, n, k, m)
     assert len(built) == 1
-    assert_staged_shares(out, data, n, k, m, stripes)
+    assert_shares_match_encode_all(out, data, n, k, m, stripes)
 
 
 def test_roundtrip_clean(tmp_path):
@@ -347,7 +346,7 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
 def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     """A clean read's trusted set is the k nodes of stripe 0's first round,
     so the decoder that round built serves every later stripe too.  With
-    20 stripes, at least the 12 table entries per input of GF(2^5), that
+    20 stripes, for which reconstruct.decoder_mode composes stripe 0, that
     decoder is composed once, before stripe 0's first round, and the read
     never builds gen.gbar_map, which only the staged decode applies; a
     4-stripe read stays staged.  A clean systematic update decodes its one
@@ -1150,6 +1149,29 @@ def test_manifest_without_node_entry_exits_1(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair", "update"])
+def test_manifest_stripe_count_beyond_the_share_header_exits_1(tmp_path, capsys, command):
+    """A share header stores the stripe count in 32 bits, so a manifest
+    whose file_length needs more stripes than that is malformed: every
+    command exits 1 with an error line, not a struct.error traceback."""
+    src, out = encode_dir(tmp_path, b"a file of a petabyte", n=20, k=10, m=5)
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["file_length"] = 10**15
+    doc["stripe_count"] = stripe_count(10**15, 5, doc["payload_symbols_per_stripe"])
+    assert doc["stripe_count"] == 19_277_108_433_735
+    path.write_text(json.dumps(doc))
+    argv = {
+        "reconstruct": ["reconstruct", str(out), str(tmp_path / "restored.bin")],
+        "repair": ["repair", str(out), "--failed", "1"],
+        "update": ["update", str(out), "--stripe", "0", "--symbol", "0", "--value", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "stripe_count" in err
 
 
 def _tree(root):

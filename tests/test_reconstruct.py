@@ -1453,8 +1453,8 @@ SESSION_CASES = {
     "gap-24-12": (24, 12, 8, "systematic", 8, 3, 2, None, None, 5),
     "beyond-capability": (20, 10, 5, "systematic", 4, 0, 6, None, None, None),
     "beyond-from-stripe-2": (20, 10, 5, "vandermonde", 5, 0, 0, (11, 2), None, None),
-    # long enough that the trusted set's decoder is composed (12 stripes left
-    # at m = 5), so a composed decoder meets a lying or a missing node
+    # long enough that decoder_mode composes the trusted set's decoder, so a
+    # composed decoder meets a lying or a missing node
     "long-late-liar": (20, 10, 5, "systematic", 16, 0, 2, None, 2, None),
     "long-gap": (20, 10, 5, "vandermonde", 14, 1, 1, None, None, 3),
 }
@@ -1595,24 +1595,59 @@ def spy_on_decoders(monkeypatch):
     return modes, builds
 
 
+def first_count(params, mode, first=False):
+    """The fewest stripes for which reconstruct.decoder_mode picks mode."""
+    return next(count for count in itertools.count(1) if reconstruct.decoder_mode(params, count, first) == mode)
+
+
+@pytest.mark.parametrize(
+    "n,k,m,stripes,first,mode",
+    [
+        (20, 10, 5, 20, True, "composed"),  # clean-rw's 1 KiB read
+        (24, 12, 8, 8, True, "staged"),  # byzantine-read's 1 KiB read
+        (24, 12, 8, 7, False, "paired"),  # and its trusted sets
+        (20, 10, 5, 4, True, "staged"),  # degraded-read's 200-byte read
+        (20, 10, 5, 3, False, "paired"),
+        (60, 30, 8, 3, False, "staged"),
+        (60, 30, 8, 23, False, "paired"),
+    ],
+)
+def test_decoder_mode_picks(n, k, m, stripes, first, mode):
+    """decoder_mode's picks on the benchmark's three shapes, whose modes it
+    keeps, and on [60,30]/GF(2^8), where the per-m cut-offs it replaced
+    paired from 3 stripes and composed from 23, at 2.1 and 2.7 times the
+    cheapest mode's cost."""
+    assert reconstruct.decoder_mode(make_params(n, k, m), stripes, first) == mode
+
+
 def test_read_session_composes_with_enough_stripes_left(monkeypatch):
-    """Stripe 0's first round composes its decoder exactly when the file
-    has at least LinearMap.table_entries(m) stripes, 12 at m = 5 and 32 at
-    m = 8, and is never paired: no pair map is built inside a progressive
-    read but by compose().  Each later trusted set's decoder is staged,
-    paired or composed by the stripes left at its first stripe
-    (TRUSTED_MODE_FROM), on both sides of each cut-off, at m = 5 and 8.  A
-    clean read trusts stripe 0's first k nodes, so its stripes, stripe 0
-    included, go through stripe 0's composed map when it has one; with 3
-    liars the first round usually fails, and the nodes later rounds trust
-    get a decoder of their own.  Every stripe is decoded once."""
+    """Stripe 0's first round composes its decoder exactly when
+    decoder_mode(first=True) says so, and is never paired: no pair map is
+    built inside a progressive read but by compose().  Each later trusted
+    set's decoder is staged, paired or composed by decoder_mode at the
+    stripes left after the stripe that names it, on both sides of each of its
+    cut-offs, at m = 5 and 8.  A clean read trusts stripe 0's first k
+    nodes, so its stripes, stripe 0 included, go through stripe 0's
+    composed map when it has one; with 3 liars the first round usually
+    fails, and the nodes later rounds trust get a decoder of their own.
+    Every stripe is decoded once, and decoder_mode is asked once per
+    decoder: for stripe 0's first round, and for the trusted set when
+    stripe 0 names it, with the stripes after stripe 0."""
     modes, builds = spy_on_decoders(monkeypatch)
+    asked = []
+    decoder_mode = reconstruct.decoder_mode
+
+    def spy_decoder_mode(params, stripes, first=False):
+        asked.append((stripes, first))
+        return decoder_mode(params, stripes, first)
+
+    monkeypatch.setattr(reconstruct, "decoder_mode", spy_decoder_mode)
     for n, k, m, flavor in [(20, 10, 5, "systematic"), (24, 12, 8, "vandermonde")]:
         params = make_params(n, k, m)
         gen = generator_set(params, flavor)
-        paired, composed = reconstruct.TRUSTED_MODE_FROM[m]
-        first = LinearMap.table_entries(m)
-        assert 1 <= paired < composed and first == {5: 12, 8: 32}[m]
+        paired, composed = first_count(params, "paired"), first_count(params, "composed")
+        first = first_count(params, "composed", first=True)
+        assert 1 < paired < composed and first < composed
         # a file of count stripes has count - 1 left at its first trusted stripe
         counts = {paired, paired + 1, composed, composed + 1, first - 1, first}
         rng = random.Random(f"modes:{m}")
@@ -1620,35 +1655,37 @@ def test_read_session_composes_with_enough_stripes_left(monkeypatch):
         for liars in (0, 3):
             lying = dict.fromkeys(rng.sample(range(n), liars), 0)
             for count in sorted(counts):
-                modes.clear(), builds.clear()
+                modes.clear(), builds.clear(), asked.clear()
                 session = reconstruct.reconstruct_file(gen, file_source(gen, stripes, liars=lying), count, 5)
                 assert session.messages == list(messages[:count])
                 assert list(session.progressive) == [0] and session.trusted_stripes == count - 1
                 left = count - 1
-                expected = "staged" if left < paired else "paired" if left < composed else "composed"
+                expected = decoder_mode(params, left)
                 stripe_0 = ["composed"] if count >= first else []
                 if stripe_0 and session.progressive[0].rounds == 0:
                     expected = "composed"  # the trusted set is stripe 0's first k nodes
                 assert modes == stripe_0 + [expected] * left, (m, liars, count)
+                assert asked == [(count, True), (left, False)]
                 report = session.progressive[0]
                 trusted = [node for node in report.accessed_nodes if node not in report.erroneous_nodes][:k]
                 assert builds == ([(tuple(trusted), False)] if expected == "paired" else [])
 
 
 def test_stripe_0_composes_below_the_trusted_cut_off(monkeypatch):
-    """At m = 4 stripe 0's first round composes from LinearMap.table_entries(4)
-    = 8 stripes, below the TRUSTED_MODE_FROM[4][1] = 11 a trusted set
-    composes from: composing stripe 0 also saves its staged decode, so a
-    clean 8-stripe [15,8]/GF(2^4) read is faster composed than staged and
-    then paired.  A 7-stripe read composes nothing."""
+    """Stripe 0's first round composes from fewer stripes than a trusted
+    set composes from: composing stripe 0 also saves its staged decode and
+    gen.gbar_map's build.  At [15,8]/GF(2^4) decoder_mode composes the
+    first round of a clean read of 3 stripes, for which a trusted set
+    pairs, and one stripe fewer composes nothing."""
     params = make_params(15, 8, 4)
     gen = generator_set(params)
-    assert LinearMap.table_entries(4) == 8 and reconstruct.TRUSTED_MODE_FROM[4] == (2, 11)
+    first = first_count(params, "composed", first=True)
+    assert first == 3 and first < first_count(params, "composed")
     composed = []
     compose = KNodeDecoder.compose
     monkeypatch.setattr(KNodeDecoder, "compose", lambda decoder: composed.append(decoder.nodes) or compose(decoder))
     rng = random.Random("compose-first-15-8")
-    for count, composes in [(7, False), (8, True)]:
+    for count, composes in [(first - 1, False), (first, True)]:
         messages, stripes = zip(*(fresh_case(params, gen, rng) for _ in range(count)))
         composed.clear()
         session = reconstruct.reconstruct_file(gen, file_source(gen, stripes), count, 1)
@@ -1656,26 +1693,23 @@ def test_stripe_0_composes_below_the_trusted_cut_off(monkeypatch):
         assert len(composed) == composes, count
 
 
-# TRUSTED_MODE_FROM entries that force every trusted decoder into one mode
-FORCED_MODES = {"staged": (10**9, 10**9), "paired": (1, 10**9), "composed": (1, 1)}
-
-
 @pytest.mark.parametrize("case", sorted(SESSION_CASES))
 def test_read_session_is_the_same_in_every_mode(monkeypatch, case):
     """reconstruct_file returns the same FileReport, messages and
-    progressive reports alike, whether its trusted decoders are staged,
-    paired or composed, on prefixes of each session case on both sides of
-    the cut-offs of m = 5 and 8: a trusted stripe that a lying or missing
-    node spoils goes progressive in every mode."""
+    progressive reports alike, whether decoder_mode makes every decoder
+    staged, paired or composed, stripe 0's first round included, on
+    prefixes of each session case on both sides of decoder_mode's
+    cut-offs: a trusted stripe that a lying or missing node spoils goes
+    progressive in every mode."""
     params, gen, stripe_count, _, _ = session_code(case)
     _, _, source = session_case(case, 0)
-    paired, composed = reconstruct.TRUSTED_MODE_FROM[params.m]
+    paired, composed = first_count(params, "paired"), first_count(params, "composed")
     counts = {1, paired, paired + 1, composed, composed + 1, stripe_count}
     for count in sorted(c for c in counts if c <= stripe_count):
         expected = reconstruct.reconstruct_file(gen, source, count, 0)
-        for mode, cut_offs in FORCED_MODES.items():
+        for mode in ("staged", "paired", "composed"):
             with monkeypatch.context() as patch:
-                patch.setitem(reconstruct.TRUSTED_MODE_FROM, params.m, cut_offs)
+                patch.setattr(reconstruct, "decoder_mode", lambda params, stripes, first=False: mode)
                 assert reconstruct.reconstruct_file(gen, source, count, 0) == expected, (count, mode)
 
 
@@ -1685,8 +1719,9 @@ def test_lying_trusted_column_sends_a_paired_stripe_to_progressive(monkeypatch):
     bitstream fail check_crc, so the stripe is read progressively, and the
     5 stripes left after it come from a new trusted set, paired again."""
     params, gen, stripe_count, late, _ = session_code("late-liar-24-12")
-    paired, composed = reconstruct.TRUSTED_MODE_FROM[params.m]
-    assert (stripe_count, late) == (8, 2) and paired <= stripe_count - 1 < composed
+    left = stripe_count - 1
+    assert (stripe_count, late) == (8, 2)
+    assert reconstruct.decoder_mode(params, left) == reconstruct.decoder_mode(params, left - late) == "paired"
     modes, builds = spy_on_decoders(monkeypatch)
     for seed in range(3):
         modes.clear(), builds.clear()
