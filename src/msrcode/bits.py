@@ -7,9 +7,11 @@ converting back requires the intended byte length (or symbol count).
 
 from __future__ import annotations
 
+import functools
+import struct
 from math import lcm
 
-__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "spread_symbols", "symbols_to_int", "symbol_width"]
+__all__ = ["bytes_to_symbols", "symbols_to_bytes", "int_to_symbols", "spread_symbols", "gather_symbols", "symbols_to_int", "symbol_width"]
 
 
 def symbol_width(m: int) -> int:
@@ -76,15 +78,49 @@ def spread_symbols(values, m: int, count: int) -> bytes:
     big-endian in its bytes t * w .. t * w + w - 1, the values' bytes one
     after another.  Each value must fit in count * m bits.
 
-    A mask ladder moves a value's fields apart in log2(count) steps, each
-    a few big-int operations over the whole value.  Pad the fields, counted
-    from the low end, to P = 2^ceil(log2 count) with zeros above.  Before
-    the step for h = P/2, P/4, .., 1, the fields lie in groups of 2h, each
-    group packed at m bits a field and the groups 2h lanes of 8 * w bits
-    apart; the step keeps each group's low h fields (mask) and lifts its
-    high h by h times the lane's spare bits (shift), which leaves groups of
-    h, h lanes apart.  The ladder is built once for all the values, and
-    needs no step where a symbol fills its lane (m = 8, 16)."""
+    A mask ladder (_ladder) moves a value's fields apart in log2(count)
+    steps, each a few big-int operations over the whole value; gather_symbols
+    runs it backwards."""
+    size = count * symbol_width(m)
+    out = []
+    for value in values:
+        for mask, shift in _ladder(m, count):
+            low = value & mask
+            value = low | (value ^ low) << shift
+        out.append(value.to_bytes(size, "big"))
+    return b"".join(out)
+
+
+def gather_symbols(data: bytes, m: int, count: int) -> list[int]:
+    """The inverse of spread_symbols: each count * symbol_width(m) bytes of
+    data, count symbols below 2^m laid out as spread_symbols lays them out,
+    packed MSB-first into one int as symbols_to_int packs them.  Each run
+    is one int.from_bytes and _ladder's steps backwards, each step putting
+    back the fields it lifted."""
+    steps = _ladder(m, count)[::-1]
+    size = count * symbol_width(m)
+    out = []
+    for start in range(0, len(data), size):
+        value = int.from_bytes(data[start : start + size], "big")
+        for mask, shift in steps:
+            low = value & mask
+            value = low | (value ^ low) >> shift
+        out.append(value)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder(m: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (mask, shift) steps that spread count packed m-bit fields to
+    lanes of 8 * symbol_width(m) bits, one field each, as spread_symbols
+    does.  Pad the fields, counted from the low end, to P = 2^ceil(log2
+    count) with zeros above.  Before the step for h = P/2, P/4, .., 1, the
+    fields lie in groups of 2h, each group packed at m bits a field and the
+    groups 2h lanes apart; the step keeps each group's low h fields (mask)
+    and lifts its high h by h times the lane's spare bits (shift), which
+    leaves groups of h, h lanes apart.  No step is needed where a symbol
+    fills its lane (m = 8, 16).  The lifted fields land above the mask, so
+    the same mask takes a step back (gather_symbols)."""
     lane = 8 * symbol_width(m)
     steps = []
     h = 1 << (count - 1).bit_length() >> 1 if lane > m else 0
@@ -93,19 +129,14 @@ def spread_symbols(values, m: int, count: int) -> bytes:
         mask = ((1 << h * m) - 1) * (((1 << 2 * h * lane * groups) - 1) // ((1 << 2 * h * lane) - 1))
         steps.append((mask, h * (lane - m)))
         h >>= 1
-    size = count * lane // 8
-    out = []
-    for value in values:
-        for mask, shift in steps:
-            low = value & mask
-            value = low | (value ^ low) << shift
-        out.append(value.to_bytes(size, "big"))
-    return b"".join(out)
+    return tuple(steps)
 
 
 def symbols_to_int(symbols, m: int) -> int:
-    acc = 0
-    for sym in symbols:
-        acc = (acc << m) | sym
-    return acc
-
+    """m-bit symbols, m <= 16, packed MSB-first into one int: one byte per
+    symbol (two big-endian bytes for m > 8), gathered (gather_symbols)."""
+    symbols = list(symbols)
+    if not symbols:
+        return 0
+    data = bytes(symbols) if m <= 8 else struct.pack(f">{len(symbols)}H", *symbols)
+    return gather_symbols(data, m, len(symbols))[0]

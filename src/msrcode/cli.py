@@ -151,7 +151,8 @@ def cmd_reconstruct(args) -> int:
             return corrupt_symbols(hook_rng, gen.field, column)
         return column
 
-    result = reconstruct_file(gen, source, manifest.stripe_count, args.seed)
+    bodies = None if corrupt or gen.flavor != "systematic" else _systematic_bodies(shares)
+    result = reconstruct_file(gen, source, manifest.stripe_count, args.seed, bodies)
     for s, report in result.progressive.items():
         if not report.success:
             print(f"stripe {s}: FAIL ({report.failure_reason}) after {report.nodes_accessed} nodes")
@@ -175,6 +176,24 @@ def cmd_reconstruct(args) -> int:
     Path(args.output).write_bytes(data)
     print(f"reconstructed {manifest.file_length} bytes -> {args.output}")
     return EXIT_OK
+
+
+def _systematic_bodies(shares: ShareDir) -> dict[int, bytes] | None:
+    """The share bodies of the systematic nodes n - alpha .. n - 1 and of the
+    lowest parity node whose file is there, which a clean systematic read
+    decodes whole (reconstruct.systematic_bitstreams), or None when one of
+    them is missing or fails ShareDir's check.  Every file is first checked
+    by its size alone (ShareDir.sized), so a read that lacks a systematic
+    share reads no body here."""
+    n, alpha = shares.params.n, shares.params.alpha
+    systematic = range(n - alpha, n)
+    if not all(map(shares.sized, systematic)):
+        return None
+    parity = next((x for x in range(n - alpha) if shares.sized(x)), None)
+    if parity is None:
+        return None
+    bodies = {node: shares.body(node) for node in (*systematic, parity)}
+    return None if None in bodies.values() else bodies
 
 
 def cmd_repair(args) -> int:

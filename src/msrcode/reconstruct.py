@@ -125,10 +125,19 @@ is one table pass.  Both lay their outputs out MSB-first, so that pass
 yields the stripe's bitstream, the message packed into one int as
 bits.symbols_to_int packs it (KNodeDecoder.bitstream).
 
-A file is read by reconstruct_file, one session per file.  Stripe 0 runs
-reconstruct_progressive with the stripe's own seeded generator.  After any
-accepted progressive stripe, the trusted set becomes the first k nodes, in
-access order, of that stripe's accessed nodes minus its erroneous ones.
+A file is read by reconstruct_file, one session per file.  A clean
+systematic file first goes through systematic_bitstreams:
+systematic_message's closed form (below) over the whole share bodies of
+the alpha systematic nodes and one parity node, stripe 0 on its own and,
+once it passes check_crc, every other stripe at once by byte-region
+products, each accepted only through check_crc.  That builds no
+KNodeDecoder, LinearMap or inverse.  The session then decodes only the
+stripes that failed their CRC, or every stripe when stripe 0 failed or the
+caller had no such bodies to give (a vandermonde file, a missing share,
+the CLI's corruption hook).  There, stripe 0 runs reconstruct_progressive
+with the stripe's own seeded generator.  After any accepted progressive
+stripe, the trusted set becomes the first k nodes, in access order, of
+that stripe's accessed nodes minus its erroneous ones.
 The session holds one KNodeDecoder at a time and rebuilds it only when asked
 for other nodes, both by the trusted set and by the v = 0 round of its
 progressive stripes; on a clean read stripe 0's first round and the trusted
@@ -158,11 +167,11 @@ on the GeneratorSet, so nothing grows across stripes or files.
 A decoder of the session decodes staged, paired or composed, and
 decoder_mode picks the mode once, from the code's shape and the stripes the
 decoder may decode: all of them for stripe 0's first round, those after the
-stripe that named it for a trusted set.  A mode costs its build plus the
-stripes times its per-stripe decode, counted in lookups off the shapes of
-the LinearMaps involved: a pass of i inputs over w-bit images costs
-i (1 + (w / WIDE_BITS)^2), as wide tables fall out of cache, and a build
-fills table_entries(m) entries per input.  Staged builds nothing and decodes
+stripe that named it, less any the closed form decoded, for a trusted set.
+A mode costs its build plus the stripes times its per-stripe decode,
+counted in lookups off the shapes of the LinearMaps involved: a pass of i
+inputs over w-bit images costs i (1 + (w / WIDE_BITS)^2), as wide tables
+fall out of cache, and a build fills table_entries(m) entries per input.  Staged builds nothing and decodes
 through gen.gbar_map and about STEP_LOOKUPS k^2 of bookkeeping (pair solve,
 diagonal fill, peel); paired builds the pair map and decodes through
 gen.gbar_map and the pair map; composed also builds the composed map and
@@ -170,8 +179,9 @@ decodes through it alone.  tools/decoder_mode_costs.py times each mode and
 checks the picks against the cheapest.  A trusted set picks among all three.
 Stripe 0's first round composes or stays staged: composing also saves its
 staged decode and gen.gbar_map's build, so it composes from fewer stripes
-than a trusted set (6 against 12 at [20,10]/GF(2^5)), and a clean long read
-decodes every stripe through one composed map, never building gen.gbar_map.
+than a trusted set (6 against 12 at [20,10]/GF(2^5)), and a clean long
+vandermonde read decodes every stripe through one composed map, never
+building gen.gbar_map.
 It never pairs: with errors present it usually fails (in a [24,12] read with
 3 missing and 3 lying shares only C(18,12)/C(21,12), about 6%, of first
 rounds pass), which would waste its pair map and leave the v = 1 round no
@@ -203,8 +213,8 @@ import random
 import zlib
 from dataclasses import dataclass, field as dc_field
 
-from .bits import int_to_symbols, symbols_to_bytes, symbols_to_int
-from .linalg import LinearMap, invert, mat_vec, row_reduce
+from .bits import gather_symbols, int_to_symbols, symbol_width, symbols_to_bytes, symbols_to_int
+from .linalg import LinearMap, _region_tables, invert, mat_vec, row_reduce
 from .msr import GeneratorSet, MsrParams, WrongLength
 from .rs import RsCode
 
@@ -221,6 +231,7 @@ __all__ = [
     "recover_z",
     "reconstruct_progressive",
     "systematic_message",
+    "systematic_bitstreams",
     "KNodeDecoder",
     "FileReport",
     "reconstruct_file",
@@ -1066,6 +1077,113 @@ def systematic_message(gen: GeneratorSet, source) -> list[int] | None:
     return message if check_crc(gen.params, message) else None
 
 
+def systematic_bitstreams(gen: GeneratorSet, bodies: dict[int, bytes], stripe_count: int) -> list[int | None] | None:
+    """Every stripe's bitstream, as KNodeDecoder.bitstream packs it, decoded
+    from whole share bodies by systematic_message's closed form, or None
+    when stripe 0 fails.  bodies maps the alpha systematic nodes
+    n - alpha .. n - 1 and one parity node to their share bodies
+    (shares.ShareDir.body), stripe_count stripes each.  Stripe 0 goes
+    through systematic_message first, so a lying share costs one stripe;
+    only once it passes are the rest decoded, and each is accepted only
+    through check_crc: a stripe that fails it is None.
+
+    The rest are decoded by region ops (Plank, Greenan and Miller, FAST
+    2013): byte b of symbol r of every stripe after stripe 0 is one strided
+    slice of a body, a product by a constant is a bytes.translate per byte
+    pair through linalg._region_tables (w^2 of them, w = symbol_width(m)),
+    and a sum an int XOR.  A region is held as its w byte planes, plane b
+    holding byte b of every symbol, one after another, as bytes for a
+    product and as one little-endian int for a sum.  Per pair
+    (r, c), r < c, that is five products and per diagonal three, whatever
+    the number of stripes: systematic_message's steps, each divided through
+    by its constant.  Symbol t of every message is then laid out at byte
+    t * w of its stripe's lane, as bits.spread_symbols lays it out, and
+    bits.gather_symbols packs each stripe's lane into its bitstream."""
+    params, field = gen.params, gen.field
+    n, alpha, m = params.n, params.alpha, params.m
+    first = n - alpha
+    w = symbol_width(m)
+    size = alpha * w  # bytes of a stripe's column
+    x = min(bodies)  # the parity node
+
+    def column_0(node):
+        body = bodies.get(node)
+        return None if body is None else tuple(int.from_bytes(body[i : i + w], "little") for i in range(0, size, w))
+
+    message = systematic_message(gen, column_0)
+    if message is None:
+        return None
+    out = [symbols_to_int(message, m)]
+    count = stripe_count - 1
+    if not count:
+        return out
+
+    exp, log = field.exp, field.log
+    q1 = field.order - 1
+
+    def div(a, b):
+        return exp[(log[a] - log[b]) % q1]
+
+    lam = gen.delta[first:]
+    lam_x = gen.delta[x]
+    g = [row[x] for row in gen.gbar]  # the parity node's Gbar column, no zero entry
+    # per pair (r, c), r < c: with s = m_rc + m_cr = (lambda_r + lambda_c) Z2_rc,
+    # Z2_rc = s / (lambda_r + lambda_c), Z1_rc = m_rc + s lambda_c / (..) and
+    # Z1_rc + lambda_x Z2_rc = m_rc + s (lambda_c + lambda_x) / (..)
+    pairs = [
+        (r, c, div(1, lam[r] ^ lam[c]), div(lam[c], lam[r] ^ lam[c]), div(lam[c] ^ lam_x, lam[r] ^ lam[c]))
+        for r in range(alpha)
+        for c in range(r + 1, alpha)
+    ]
+    # per diagonal i: with d = (lambda_x + lambda_i) Z2_ii, Z2_ii = d / (..) and
+    # Z1_ii = y_i[i] + d lambda_i / (..)
+    diagonals = [(div(1, g[i]), div(1, lam_x ^ lam[i]), div(lam[i], lam_x ^ lam[i])) for i in range(alpha)]
+    tables = _region_tables(field, [*g, *(c for pair in pairs for c in pair[2:]), *(c for d in diagonals for c in d)])
+
+    def to_region(value: int) -> bytes:
+        return value.to_bytes(w * count, "little")
+
+    def times(c: int, region: bytes) -> int:
+        own = tables[c]
+        if w == 1:
+            return int.from_bytes(region.translate(own[0]), "little")
+        acc = 0
+        for b in range(w):
+            plane = region[b * count : b * count + count]
+            acc ^= int.from_bytes(b"".join([plane.translate(own[b * w + o]) for o in range(w)]), "little")
+        return acc
+
+    def symbol(body: bytes, r: int) -> int:  # symbol r of every stripe after stripe 0, as one int
+        return int.from_bytes(b"".join([body[size + r * w + b :: size] for b in range(w)]), "little")
+
+    y = [[symbol(bodies[t], r) for r in range(alpha)] for t in range(first, n)]  # y[c][r]: entry r of node first + c
+    acc = [symbol(bodies[x], i) for i in range(alpha)]  # becomes g_i (Z1_ii + lambda_x Z2_ii)
+    z1 = [[0] * alpha for _ in range(alpha)]
+    z2 = [[0] * alpha for _ in range(alpha)]
+    for r, c, to_z2, to_z1, to_w in pairs:
+        m_rc = y[c][r]
+        s = to_region(m_rc ^ y[r][c])
+        z2[r][c] = times(to_z2, s)
+        z1[r][c] = m_rc ^ times(to_z1, s)
+        w_rc = to_region(m_rc ^ times(to_w, s))  # Z1_rc + lambda_x Z2_rc, in row r at g_c and row c at g_r
+        acc[r] ^= times(g[c], w_rc)
+        acc[c] ^= times(g[r], w_rc)
+    for i, (to_a, to_z2, to_z1) in enumerate(diagonals):
+        y_ii = y[i][i]  # Z1_ii + lambda_i Z2_ii
+        d = to_region(times(to_a, to_region(acc[i])) ^ y_ii)
+        z2[i][i] = times(to_z2, d)
+        z1[i][i] = y_ii ^ times(to_z1, d)
+
+    step = params.B * w  # bytes of a stripe's lane
+    lanes = bytearray(count * step)
+    triangle = [(r, c) for r in range(alpha) for c in range(r, alpha)]
+    for t, value in enumerate([block[r][c] for block in (z1, z2) for r, c in triangle]):
+        data = to_region(value)
+        for b in range(w):
+            lanes[t * w + w - 1 - b :: step] = data[b * count : b * count + count]
+    return out + [value if check_crc(params, value) else None for value in gather_symbols(lanes, m, params.B)]
+
+
 # ---------------------------------------------------------------------------
 # file-level read session
 
@@ -1137,17 +1255,21 @@ def decoder_mode(params: MsrParams, stripes: int, first: bool = False) -> str:
     return "composed" if total["composed"] < staged else "staged"
 
 
-def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> FileReport:
+def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed, bodies=None) -> FileReport:
     """Decode stripes 0 .. stripe_count - 1 of one file (module docstring,
     read session).
 
     source(node, stripe) returns the node's alpha symbols of that stripe, or
-    None.  A stripe runs reconstruct_progressive, with the generator
+    None.  With bodies, systematic_bitstreams' share bodies, every stripe
+    that it decodes is taken as it is, and the session decodes only the
+    others, all of them when it fails stripe 0.  A stripe runs
+    reconstruct_progressive, with the generator
     random.Random(f"{seed}:stripe:{stripe}"), when no trusted set exists
     yet, when a trusted node's column is missing, or when the trusted set's
     message fails check_crc.  Decoding stops at the first stripe that fails.
     """
     params = gen.params
+    decoded = (bodies and systematic_bitstreams(gen, bodies, stripe_count)) or [None] * stripe_count
     bitstreams: list[int] = []
     progressive: dict[int, DecodeReport] = {}
     decoder = None  # the session's one decoder, rebuilt when asked for other nodes
@@ -1164,6 +1286,9 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
 
     trusted = None
     for s in range(stripe_count):
+        if decoded[s] is not None:
+            bitstreams.append(decoded[s])
+            continue
         if trusted is not None:
             columns = [source(node, s) for node in trusted]
             if None not in columns:
@@ -1178,5 +1303,5 @@ def reconstruct_file(gen: GeneratorSet, source, stripe_count: int, seed) -> File
             break
         bitstreams.append(symbols_to_int(report.recovered_message, params.m))
         trusted = tuple(node for node in report.accessed_nodes if node not in report.erroneous_nodes)[: params.k]
-        mode = decoder_mode(params, stripe_count - s - 1)  # the trusted set's, for the stripes after this one
+        mode = decoder_mode(params, decoded[s + 1 :].count(None))  # the trusted set's, for the stripes left to it
     return FileReport(params, stripe_count, bitstreams, progressive)

@@ -36,9 +36,12 @@ that do leaves the others.  A share that fails the check, or cannot be
 opened or read, is an erasure.
 
 Reconstruct and repair use every stripe, so they read each share file whole
-(ShareDir.body, which repair hands to msr.helper_symbol as it is, and
-ShareDir.column, which reconstruct reads, parsed from it with one
-struct.unpack of all its symbols, "B" or "H" per symbol, little-endian).
+(ShareDir.body, which repair hands to msr.helper_symbol as it is, and so
+does a clean systematic reconstruct to reconstruct.systematic_bitstreams,
+once ShareDir.sized has found each of its files at the manifest's length;
+and ShareDir.column, which any other reconstruct reads, parsed from the body
+with one struct.unpack of all its symbols, "B" or "H" per symbol,
+little-endian).
 Update uses one stripe, so it reads that stripe alone
 (ShareDir.stripe_column), at HEADER_SIZE + stripe * alpha * w.  A share is
 then judged by its header, its length and that stripe's own symbols: an
@@ -253,6 +256,7 @@ class ShareDir:
         self.params = params = self.manifest.params()
         self._names = {entry["node"] - 1: entry["file"] for entry in self.manifest.shares}
         self._stripe_size = params.alpha * symbol_width(params.m)
+        self._file_size = HEADER_SIZE + self.manifest.stripe_count * self._stripe_size
         self._bodies: dict[int, bytes | None] = {}
         self._stripes: dict[int, list[tuple[int, ...]]] = {}
         self._columns: dict[tuple[int, int], tuple[int, ...] | None] = {}
@@ -283,6 +287,15 @@ class ShareDir:
         """file(node) as a str: a one-stripe read opens up to n files, and
         joining a Path costs more than reading a stripe."""
         return os.path.join(self.root, self._names[node])
+
+    def sized(self, node: int) -> bool:
+        """Whether the node's share file is there at the length the manifest
+        gives it: one os.stat, nothing read, so not counted in files_read.
+        A file that passes may still fail _read's other checks."""
+        try:
+            return os.stat(self._path(node)).st_size == self._file_size
+        except OSError:
+            return False
 
     def body(self, node: int) -> bytes | None:
         """The node's payload bytes, every stripe's alpha symbols in the
@@ -362,7 +375,7 @@ class ShareDir:
         p, count = self.params, self.manifest.stripe_count
         if header != _HEADER.pack(MAGIC, FORMAT_VERSION, p.n, p.k, p.m, node, count):
             return None
-        if os.fstat(fd).st_size != HEADER_SIZE + count * self._stripe_size:
+        if os.fstat(fd).st_size != self._file_size:
             return None
         try:
             symbols = os.pread(fd, size, offset)

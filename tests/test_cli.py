@@ -12,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msrcode.bits import (
     bytes_to_symbols,
+    gather_symbols,
     int_to_symbols,
     spread_symbols,
     symbol_width,
@@ -153,6 +156,27 @@ def test_spread_symbols_matches_int_to_symbols(m):
             assert spread_symbols([value], m, count) == own, (count, value)
         assert spread_symbols(values, m, count) == b"".join(expected)
         assert spread_symbols([], m, count) == b""
+        assert gather_symbols(b"".join(expected), m, count) == values
+        assert gather_symbols(b"", m, count) == []
+
+
+def reference_symbols_to_int(symbols, m):
+    """The symbols packed MSB-first one shift at a time."""
+    acc = 0
+    for symbol in symbols:
+        acc = (acc << m) | symbol
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(2, 16), count=st.integers(1, 1000), seed=st.integers(0, 2**32))
+def test_symbols_to_int_matches_shift_by_shift_packing(m, count, seed):
+    """symbols_to_int, which gathers (bits.gather_symbols), against packing
+    one symbol at a time, for every m and 1 to 1000 symbols of random,
+    zero or all-ones values."""
+    rng = random.Random(seed)
+    for symbols in ([rng.getrandbits(m) for _ in range(count)], [0] * count, [(1 << m) - 1] * count):
+        assert symbols_to_int(symbols, m) == reference_symbols_to_int(symbols, m)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +347,10 @@ def test_reconstruct_deterministic(tmp_path, capsys):
 
 
 def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
-    """A clean multi-stripe file is read from its first stripe's k nodes
-    alone: the other n - k share files are never opened."""
+    """A clean systematic file is read from its k = alpha + 1 closed-form
+    nodes alone, the systematic nodes n - alpha .. n - 1 and parity node 0
+    (reconstruct.systematic_bitstreams): the other n - k share files are
+    never opened, and no stripe runs the progressive decoder."""
     import msrcode.shares
 
     data = bytes(random.Random(10).randrange(256) for _ in range(1000))
@@ -337,28 +363,28 @@ def test_clean_reconstruct_reads_k_share_files(tmp_path, capsys, monkeypatch):
     dst = tmp_path / "restored.bin"
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
     assert dst.read_bytes() == data
-    assert len(parsed) == len(set(parsed)) == 10
+    assert parsed == [*range(11, 20), 0]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("stripe 0: nodes_accessed=10 rounds=0 ")
-    assert lines[1] == "file: 19 stripe(s) from the trusted set, 1 progressive, 10 share file(s) read, bad_nodes=[]"
+    assert lines[0] == "file: 20 stripe(s) from the trusted set, 0 progressive, 10 share file(s) read, bad_nodes=[]"
 
 
 def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
-    """A clean read's trusted set is the k nodes of stripe 0's first round,
-    so the decoder that round built serves every later stripe too.  With
-    20 stripes, for which reconstruct.decoder_mode composes stripe 0, that
-    decoder is composed once, before stripe 0's first round, and the read
-    never builds gen.gbar_map, which only the staged decode applies; a
-    4-stripe read stays staged.  A clean systematic update decodes its one
-    stripe in closed form from the systematic nodes: no decoder, no
-    gbar_map, no LinearMap and no inverse; a vandermonde update still runs
-    the staged single-stripe round."""
+    """A clean systematic read decodes every stripe in closed form from the
+    systematic nodes and one parity node, and a clean systematic update its
+    one stripe: no KNodeDecoder, no gen.gbar_map, no LinearMap and no
+    inverse.  A clean vandermonde read's trusted set is the k nodes of
+    stripe 0's first round, so the decoder that round built serves every
+    later stripe too.  With 20 stripes, for which reconstruct.decoder_mode
+    composes stripe 0, that decoder is composed once, before stripe 0's
+    first round, and the read never builds gen.gbar_map, which only the
+    staged decode applies; a 4-stripe read stays staged, and so does a
+    vandermonde update's single-stripe round."""
     import msrcode.linalg
     import msrcode.reconstruct
 
     data = random.Random(12).randbytes(1024)
     src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
-    built, composed, gbar_maps = [], [], []
+    built, composed, gbar_maps, fills, inverts = [], [], [], [], []
     gbar_map = GeneratorSet.gbar_map.func
     prop = functools.cached_property(lambda gen: gbar_maps.append(gen) or gbar_map(gen))
     prop.__set_name__(GeneratorSet, "gbar_map")
@@ -374,28 +400,34 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
             super().compose()
 
     monkeypatch.setattr(msrcode.reconstruct, "KNodeDecoder", CountingDecoder)
-    dst = tmp_path / "restored.bin"
-    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
-    assert dst.read_bytes() == data
-    assert len(built) == 1
-    assert composed == built
-    assert gbar_maps == []
-
-    built.clear(), composed.clear()
-    fills, inverts = [], []
     fill = LinearMap._fill
     monkeypatch.setattr(LinearMap, "_fill", lambda linear_map, *args: fills.append(args) or fill(linear_map, *args))
     invert = msrcode.linalg.invert
     counting_invert = lambda *args: inverts.append(args) or invert(*args)
     monkeypatch.setattr(msrcode.linalg, "invert", counting_invert)
     monkeypatch.setattr(msrcode.reconstruct, "invert", counting_invert)
+
+    def clear():
+        for counted in (built, composed, gbar_maps, fills, inverts):
+            counted.clear()
+
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
+    assert dst.read_bytes() == data
+    assert built == composed == gbar_maps == fills == inverts == []
     assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
     assert built == composed == gbar_maps == fills == inverts == []
 
     vandermonde = tmp_path / "vandermonde"
     vandermonde.mkdir()
     src, out = encode_dir(vandermonde, data, n=20, k=10, m=5, flavor="vandermonde")
-    fills.clear()
+    assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
+    assert dst.read_bytes() == data
+    assert len(built) == 1
+    assert composed == built
+    assert gbar_maps == []
+
+    clear()
     assert main(["update", str(out), "--stripe", "3", "--symbol", "5", "--value", "7"]) == 0
     assert built and not composed
     assert gbar_maps and fills and inverts
@@ -403,10 +435,65 @@ def test_clean_reconstruct_builds_one_k_node_decoder(tmp_path, monkeypatch):
     small = tmp_path / "small"
     small.mkdir()
     data = random.Random(13).randbytes(200)
-    src, out = encode_dir(small, data, n=20, k=10, m=5)
+    src, out = encode_dir(small, data, n=20, k=10, m=5, flavor="vandermonde")
+    clear()
     assert main(["reconstruct", str(out), str(dst), "--seed", "4"]) == 0
     assert dst.read_bytes() == data
     assert built and not composed
+
+
+def _truncate(path):
+    """The share cut short half-way through its payload."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[: HEADER_SIZE + (len(blob) - HEADER_SIZE) // 2])
+
+
+def _overwrite(path):
+    """Every payload symbol XORed with a random nonzero value below 2^5, so
+    the share passes every check of ShareDir and lies in every stripe."""
+    rng = random.Random(path.name)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:HEADER_SIZE] + bytes(x ^ 1 + rng.randrange(31) for x in blob[HEADER_SIZE:]))
+
+
+def _flip(stripe):
+    """The low bit of symbol 3 of the stripe flipped, at [20,10]/GF(2^5)."""
+
+    def spoil(path):
+        blob = bytearray(path.read_bytes())
+        blob[HEADER_SIZE + stripe * 9 + 3] ^= 1
+        path.write_bytes(bytes(blob))
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "label,spoil,stripes",
+    [
+        (20, _truncate, [0]),  # a systematic share: no closed-form read at all
+        (1, _overwrite, [0]),  # the lowest parity share: stripe 0 fails it, so every stripe
+        (14, _flip(0), [0]),  # stripe 0 of a systematic share: as the parity share
+        (14, _flip(7), [7]),  # stripe 7: that stripe alone fails its CRC
+        (12, _flip(19), [19]),
+    ],
+)
+def test_clean_read_falls_back_on_faulty_shares(tmp_path, capsys, label, spoil, stripes):
+    """On-disk faults of the shares a clean systematic read decodes whole,
+    without the --corrupt-nodes hook: a truncated systematic share, the
+    lowest parity share overwritten in-field, and one in-field symbol of a
+    systematic share flipped in stripe s of a 20-stripe file.  Every read
+    exits 0 and restores the input, and only the stripes that the closed
+    form could not give run the progressive decoder."""
+    data = random.Random(14).randbytes(1024)
+    src, out = encode_dir(tmp_path, data, n=20, k=10, m=5)
+    spoil(out / share_filename(label - 1))
+    capsys.readouterr()
+    dst = tmp_path / "restored.bin"
+    assert main(["reconstruct", str(out), str(dst), "--seed", "5"]) == 0
+    assert dst.read_bytes() == data
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split(":")[0].split()[1]) for line in lines if line.startswith("stripe ")] == stripes
+    assert lines[len(stripes)].startswith(f"file: {20 - len(stripes)} stripe(s) from the trusted set, {len(stripes)} progressive, ")
 
 
 @pytest.mark.parametrize("seed,liar", [(0, 8), (1, 6)])

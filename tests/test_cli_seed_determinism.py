@@ -1,11 +1,12 @@
 """Pinned CLI output of seeded `msrcode` runs.
 
 Each reconstruct case encodes a seeded input, deletes some share files, and
-runs `reconstruct --corrupt-nodes ... --seed s` for several seeds.  The
-SHA-256 of stdout (output path replaced by a placeholder) followed by the
-restored bytes must equal the digest recorded below, so any change to node
-choice, round order, decoding outcome or printed report shows up here.
-Decoder rewrites are meant to leave these digests alone.
+runs `reconstruct --corrupt-nodes ... --seed s` for several seeds, or, in
+the clean cases, plain `reconstruct --seed s`.  The SHA-256 of stdout
+(output path replaced by a placeholder) followed by the restored bytes must
+equal the digest recorded below, so any change to node choice, round order,
+decoding outcome or printed report shows up here.  Decoder rewrites are
+meant to leave these digests alone.
 
 Each write case pins the bytes that `encode`, `repair` and `update` leave
 on disk: the digest of a step is the SHA-256 of its stdout (paths replaced
@@ -31,17 +32,25 @@ import pytest
 
 from msrcode.cli import main
 
-# name -> (n, k, m, input bytes, deleted node labels, lying node labels, seeds)
+# name -> (n, k, m, input bytes, deleted node labels, lying node labels or
+# None for a read without the hook, seeds, flavor)
 CASES = {
-    "20-10-gf32-lying": (20, 10, 5, 600, (), "1,2,3", range(10)),
-    "24-12-gf256-lying": (24, 12, 8, 1024, (), "1,2,3", range(10)),
-    "20-10-gf32-degraded": (20, 10, 5, 400, (4, 6, 9, 12, 15, 17, 19), "2,8", range(3)),
-    "24-12-gf256-degraded": (24, 12, 8, 600, (3, 5, 10, 14, 18, 21, 23), "2,8", range(3)),
+    "20-10-gf32-lying": (20, 10, 5, 600, (), "1,2,3", range(10), "systematic"),
+    "24-12-gf256-lying": (24, 12, 8, 1024, (), "1,2,3", range(10), "systematic"),
+    "20-10-gf32-degraded": (20, 10, 5, 400, (4, 6, 9, 12, 15, 17, 19), "2,8", range(3), "systematic"),
+    "24-12-gf256-degraded": (24, 12, 8, 600, (3, 5, 10, 14, 18, 21, 23), "2,8", range(3), "systematic"),
     # m > 8: two bytes per stored symbol
-    "20-10-gf2048-degraded": (20, 10, 11, 600, (4, 9, 15), "2,8", range(3)),
+    "20-10-gf2048-degraded": (20, 10, 11, 600, (4, 9, 15), "2,8", range(3), "systematic"),
     # 79 stripes, 78 of them decoded from the trusted set: enough to compose
     # its decoder, which the shorter cases never do
-    "20-10-gf32-long-lying": (20, 10, 5, 4096, (), "1,2,3", range(3)),
+    "20-10-gf32-long-lying": (20, 10, 5, 4096, (), "1,2,3", range(3), "systematic"),
+    # clean reads: systematic ones decode every stripe in closed form from
+    # the systematic nodes and node 0, at w = 1 and w = 2 bytes a symbol; a
+    # vandermonde one runs the read session
+    "20-10-gf32-clean": (20, 10, 5, 1024, (), None, range(3), "systematic"),
+    "24-12-gf256-clean": (24, 12, 8, 4096, (), None, range(3), "systematic"),
+    "20-10-gf2048-clean": (20, 10, 11, 600, (), None, range(3), "systematic"),
+    "20-10-gf32-clean-vandermonde": (20, 10, 5, 1024, (), None, range(3), "vandermonde"),
 }
 
 DIGESTS = {
@@ -57,6 +66,11 @@ DIGESTS = {
     "24-12-gf256-degraded": ["4771d54103193f37", "4771d54103193f37", "947b24e3c4b0596e"],
     "20-10-gf2048-degraded": ["6049b7e53e6ef1b2", "6049b7e53e6ef1b2", "6049b7e53e6ef1b2"],
     "20-10-gf32-long-lying": ["8a18682358852342", "bdd20e14dfe15c85", "8a18682358852342"],
+    "20-10-gf32-clean": ["bbbd72c77f711c97", "bbbd72c77f711c97", "bbbd72c77f711c97"],
+    "24-12-gf256-clean": ["5c201faf451c892f", "5c201faf451c892f", "5c201faf451c892f"],
+    "20-10-gf2048-clean": ["8e83a35468f7585b", "8e83a35468f7585b", "8e83a35468f7585b"],
+    # a vandermonde read takes no closed form: the read session's output
+    "20-10-gf32-clean-vandermonde": ["78ddc7e547b8353d", "78ddc7e547b8353d", "78ddc7e547b8353d"],
 }
 
 
@@ -93,12 +107,12 @@ def _cli(argv) -> tuple[int, str]:
 
 def run_case(root: Path, name: str) -> list[str]:
     """Encode the case's input under root and return one digest per seed."""
-    n, k, m, size, deleted, lying, seeds = CASES[name]
+    n, k, m, size, deleted, lying, seeds, flavor = CASES[name]
     rng = random.Random(f"{name}:input")
     data = bytes(rng.randrange(256) for _ in range(size))
     src, shares = root / "input.bin", root / "shares"
     src.write_bytes(data)
-    code, _ = _cli(["encode", str(src), str(shares), "--n", str(n), "--k", str(k), "--m", str(m)])
+    code, _ = _cli(["encode", str(src), str(shares), "--n", str(n), "--k", str(k), "--m", str(m), "--flavor", flavor])
     assert code == 0
     for label in deleted:
         (shares / f"share_{label:03d}.msrc").unlink()
@@ -106,7 +120,8 @@ def run_case(root: Path, name: str) -> list[str]:
     digests = []
     for seed in seeds:
         dst = root / f"restored-{seed}.bin"
-        code, stdout = _cli(["reconstruct", str(shares), str(dst), "--corrupt-nodes", lying, "--seed", str(seed)])
+        hook = [] if lying is None else ["--corrupt-nodes", lying]
+        code, stdout = _cli(["reconstruct", str(shares), str(dst), *hook, "--seed", str(seed)])
         assert code == 0, stdout
         restored = dst.read_bytes()
         assert restored == data

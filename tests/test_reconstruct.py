@@ -1892,3 +1892,97 @@ def test_systematic_message_returns_none_for_the_fallback():
 
     gen = generator_set(P20, "vandermonde")
     assert reconstruct.systematic_message(gen, lambda node: pytest.fail("read a vandermonde node")) is None
+
+
+# ---------------------------------------------------------------------------
+# systematic_bitstreams: systematic_message's closed form over whole share
+# bodies, checked stripe by stripe against it
+
+# a systematic code with a payload for every m from 3 to 16: w = 1 byte a
+# symbol up to m = 8, w = 2 above
+REGION_CODES = [
+    (7, 4, 3), (15, 8, 4), (20, 10, 5), (31, 6, 5), (18, 9, 6), (20, 10, 7),
+    (24, 12, 8), (20, 10, 9), (18, 9, 10), (20, 10, 11), *((10, 5, m) for m in range(12, 17)),
+]
+
+
+@pytest.mark.parametrize("n,k,m", REGION_CODES)
+def test_systematic_bitstreams_match_systematic_message(n, k, m):
+    """For every stripe count from 1 to 20 that a file can have, each file
+    ending inside its last stripe, and a random parity node: every stripe's
+    bitstream is systematic_message's message of that stripe's columns,
+    packed, and the payloads join into the input.  An in-field symbol
+    flipped in one systematic body fails that stripe alone, and in stripe
+    0 fails the whole read."""
+    from msrcode.bits import bytes_to_symbols, symbol_width
+    from msrcode.shares import share_bodies, stripe_count
+
+    params = make_params(n, k, m)
+    gen = generator_set(params)
+    alpha, w = params.alpha, symbol_width(m)
+    first, size = n - alpha, alpha * w
+    payload = crc_payload_length(params)
+    trailer = crc_trailer_length(m) * m
+    rng = random.Random(f"region:{n}:{k}:{m}")
+    counts = []
+    for stripes in range(1, 21):
+        sizes = [0] if stripes == 1 else range((stripes - 1) * payload * m // 8 + 1, stripes * payload * m // 8 + 1)
+        if not sizes:
+            continue
+        data = rng.randbytes(rng.choice(sizes))
+        assert stripe_count(len(data), m, payload) == stripes
+        bodies = share_bodies(gen, bytes_to_symbols(data, payload * m) or [0])
+        parity = rng.randrange(first)
+        chosen = {node: bodies[node] for node in (*range(first, n), parity)}
+        got = reconstruct.systematic_bitstreams(gen, chosen, stripes)
+        assert len(got) == stripes
+        for s in range(stripes):
+            def column(node):
+                body = chosen.get(node)
+                symbols = body and body[s * size : s * size + size]
+                return symbols and tuple(int.from_bytes(symbols[i : i + w], "little") for i in range(0, size, w))
+
+            assert got[s] == symbols_to_int(reconstruct.systematic_message(gen, column), m), (stripes, s)
+        assert symbols_to_bytes([value >> trailer for value in got], payload * m, len(data)) == data
+
+        node, s, row = rng.randrange(first, n), rng.randrange(stripes), rng.randrange(alpha)
+        spoiled = bytearray(chosen[node])
+        spoiled[s * size + row * w] ^= 1
+        flipped = reconstruct.systematic_bitstreams(gen, {**chosen, node: bytes(spoiled)}, stripes)
+        assert flipped is None if s == 0 else flipped == got[:s] + [None] + got[s + 1 :]
+        counts.append(stripes)
+    assert counts == ([1, 3, 6, 8, 11, 14, 16, 19] if m == 3 else list(range(1, 21)))
+
+
+def test_reconstruct_file_decodes_only_what_the_closed_form_fails():
+    """Given the closed-form bodies, reconstruct_file takes every stripe
+    that systematic_bitstreams decodes as it is, and runs the read session,
+    seeded as always, on the rest alone: here the one stripe whose symbol
+    was flipped.  When stripe 0 fails, every stripe goes to the session,
+    which then decodes the file as it does without bodies."""
+    from msrcode.shares import share_bodies
+
+    params, gen = P20, GEN20
+    rng = random.Random("closed-form file")
+    payloads = [rng.getrandbits(crc_payload_length(params) * params.m) for _ in range(12)]
+    bodies = share_bodies(gen, payloads)
+    size = params.alpha * ((params.m + 7) // 8)
+    chosen = {node: bodies[node] for node in (*range(11, 20), 0)}
+    requested = []
+
+    def source(node, stripe):
+        requested.append(stripe)
+        body = bodies[node][stripe * size : stripe * size + size]
+        return tuple(body) if node != 13 else tuple(x ^ (stripe == 5) for x in body)
+
+    spoiled = {**chosen, 13: bytes(x ^ (i == 5 * size) for i, x in enumerate(chosen[13]))}
+    report = reconstruct.reconstruct_file(gen, source, 12, 3, spoiled)
+    assert report.success and set(requested) == {5} and list(report.progressive) == [5]
+    trailer = crc_trailer_length(params.m) * params.m
+    assert [value >> trailer for value in report.bitstreams] == payloads
+
+    spoiled = {**chosen, 13: bytes(x ^ (i == 0) for i, x in enumerate(chosen[13]))}
+    requested.clear()
+    report = reconstruct.reconstruct_file(gen, source, 12, 3, spoiled)
+    plain = reconstruct.reconstruct_file(gen, source, 12, 3)
+    assert report.bitstreams == plain.bitstreams and list(report.progressive) == list(plain.progressive)

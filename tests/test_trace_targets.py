@@ -92,3 +92,37 @@ def test_faulty_reads_call_the_traced_reconstruct_layers(monkeypatch):
         monkeypatch.setattr(reconstruct, attr, counting(attr, getattr(reconstruct, attr)))
     assert reconstruct.reconstruct_file(gen, source, len(stripes), 3).success
     assert all(calls.values()), calls
+
+
+def test_clean_systematic_read_calls_the_traced_crc_and_packing(tmp_path, monkeypatch):
+    """The closed-form whole-file read still shows in the check_crc and
+    symbols_to_bytes spans: it checks each stripe through the reconstruct
+    module's check_crc and the CLI joins the file through its own
+    symbols_to_bytes, so counting wrappers on those names, as the tracer
+    puts its own, count one check_crc per stripe and one symbols_to_bytes
+    per read of a clean 20-stripe file."""
+    import contextlib
+    import io
+    import random
+
+    from msrcode import cli
+
+    data = random.Random("traced clean read").randbytes(1024)
+    src = tmp_path / "data.bin"
+    src.write_bytes(data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["encode", str(src), str(tmp_path / "shares"), "--n", "20", "--k", "10", "--m", "5"]) == 0
+    calls = {"check_crc": 0, "symbols_to_bytes": 0}
+
+    def counting(attr, traced):
+        return lambda *args: calls.__setitem__(attr, calls[attr] + 1) or traced(*args)
+
+    monkeypatch.setattr(reconstruct, "check_crc", counting("check_crc", reconstruct.check_crc))
+    monkeypatch.setattr(cli, "symbols_to_bytes", counting("symbols_to_bytes", cli.symbols_to_bytes))
+    dst = tmp_path / "restored.bin"
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["reconstruct", str(tmp_path / "shares"), str(dst)]) == 0
+    assert dst.read_bytes() == data
+    assert "20 stripe(s) from the trusted set, 0 progressive" in out.getvalue()
+    assert calls == {"check_crc": 20, "symbols_to_bytes": 1}
